@@ -257,6 +257,24 @@ def _validate_estimator_against_model(
             )
 
 
+def _validate_estimator_against_grid(req: EstimatorRequest, grid: TimeGrid) -> None:
+    """Cross-field checks the stages would otherwise only meet mid-run."""
+    save_every = req.get("save_every")
+    if save_every is not None:
+        if isinstance(save_every, bool) or not isinstance(save_every, int) or save_every < 1:
+            raise ConfigInvalidError(f"{req.name}.save_every: must be a positive integer")
+        # beta builds its own grid and rounds its step count up to a multiple
+        # of save_every; moments subsamples the configured grid.
+        if req.name == "moments" and grid.n_steps % save_every:
+            raise ConfigInvalidError(
+                f"moments.save_every: {save_every} does not divide the {grid.n_steps} grid steps"
+            )
+    if req.name == "moments" and req.get("source") not in engine.PROCESS_LABELS:
+        raise ConfigInvalidError(
+            f"moments.source: expected one of {list(engine.PROCESS_LABELS)}"
+        )
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     _check_keys(
         raw,
@@ -291,8 +309,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(n_paths, int) or isinstance(n_paths, bool) or n_paths < 1:
         raise ConfigInvalidError("ensemble.n_paths: must be a positive integer")
     master_seed = ed["master_seed"]
-    if not isinstance(master_seed, int) or isinstance(master_seed, bool) or master_seed < 0:
-        raise ConfigInvalidError("ensemble.master_seed: must be a nonnegative integer")
+    if (
+        not isinstance(master_seed, int)
+        or isinstance(master_seed, bool)
+        or not 0 <= master_seed < 2**64
+    ):
+        raise ConfigInvalidError("ensemble.master_seed: must be an integer in [0, 2**64)")
 
     workers = raw.get("workers", 1)
     if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
@@ -313,6 +335,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     estimators = tuple(_estimator_from_dict(e, i) for i, e in enumerate(raw_estimators))
     for req in estimators:
         _validate_estimator_against_model(req, model)
+        _validate_estimator_against_grid(req, grid)
 
     return ExperimentConfig(
         schema_version=SCHEMA_VERSION,

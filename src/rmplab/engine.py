@@ -15,6 +15,7 @@ them and report the count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -499,56 +500,72 @@ def sample_y_marginal(
     return out if np.ndim(ts) else out[0]
 
 
-def _psi(nonlinearity: str, phi: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _psi_function(nonlinearity: str) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """psi(phi, x) for the named nonlinearity, |psi| <= phi."""
     if nonlinearity == SIN_MODULATED:
-        return phi * np.sin(x)
+        return lambda phi, x: phi * np.sin(x)
     if nonlinearity == CLIPPED:
-        return np.clip(x, -phi, phi)
-    return phi
+        return lambda phi, x: np.clip(x, -phi, phi)
+    return lambda phi, x: phi
+
+
+def _block_noise(
+    model: NonlinearModel, grid: TimeGrid, master_seed: int, indices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """zeta and |phi| for one block, time-major: shape (n_nodes, n_paths)."""
+    zeta = noise_mod.sample_block(
+        model.multiplicative, grid, master_seed, indices, ROLE_MULTIPLICATIVE
+    )
+    zeta_t = np.ascontiguousarray(zeta.T)
+    del zeta
+    phi = noise_mod.sample_block(model.envelope, grid, master_seed, indices, ROLE_ADDITIVE)
+    phi_t = np.abs(phi.T, out=np.empty((grid.n_nodes, len(indices))))
+    return zeta_t, phi_t
 
 
 def _rk4_block(
     model: NonlinearModel,
     grid: TimeGrid,
-    master_seed: int,
-    indices: np.ndarray,
+    zeta: np.ndarray,
+    phi: np.ndarray,
+    psi: Callable[[np.ndarray, np.ndarray], np.ndarray],
     substeps: int,
     save_every: int,
 ) -> dict[str, np.ndarray]:
-    """Classical RK4 on one block, noise linearly interpolated in each step."""
-    zeta = noise_mod.sample_block(model.multiplicative, grid, master_seed, indices, ROLE_MULTIPLICATIVE)
-    phi = np.abs(
-        noise_mod.sample_block(model.envelope, grid, master_seed, indices, ROLE_ADDITIVE)
-    )
+    """Classical RK4 on one block, noise linearly interpolated in each step.
+
+    zeta and phi are time-major (n_nodes, n_paths), so each node's values
+    are one contiguous row; psi is the model's nonlinearity.
+    """
     a = model.a
-    kind = model.nonlinearity
     h = grid.dt / substeps
-    n = len(indices)
-    saved = np.empty((n, grid.n_steps // save_every + 1))
+    n = zeta.shape[1]
+    saved = np.empty((grid.n_steps // save_every + 1, n))
     x = np.full(n, float(model.x0))
-    saved[:, 0] = x
+    saved[0] = x
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(grid.n_steps):
-            z0 = zeta[:, k]
-            dz = zeta[:, k + 1] - z0
-            p0 = phi[:, k]
-            dp = phi[:, k + 1] - p0
+            z0 = zeta[k]
+            dz = zeta[k + 1] - z0
+            p0 = phi[k]
+            dp = phi[k + 1] - p0
             for j in range(substeps):
                 t0 = j / substeps
                 th = (j + 0.5) / substeps
                 t1 = (j + 1) / substeps
                 za, zb, zc = z0 + dz * t0, z0 + dz * th, z0 + dz * t1
                 pa, pb, pc = p0 + dp * t0, p0 + dp * th, p0 + dp * t1
-                k1 = -(a + za) * x + _psi(kind, pa, x)
+                k1 = -(a + za) * x + psi(pa, x)
                 x2 = x + 0.5 * h * k1
-                k2 = -(a + zb) * x2 + _psi(kind, pb, x2)
+                k2 = -(a + zb) * x2 + psi(pb, x2)
                 x3 = x + 0.5 * h * k2
-                k3 = -(a + zb) * x3 + _psi(kind, pb, x3)
+                k3 = -(a + zb) * x3 + psi(pb, x3)
                 x4 = x + h * k3
-                k4 = -(a + zc) * x4 + _psi(kind, pc, x4)
+                k4 = -(a + zc) * x4 + psi(pc, x4)
                 x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if (k + 1) % save_every == 0:
-                saved[:, (k + 1) // save_every] = x
+                saved[(k + 1) // save_every] = x
+    saved = np.ascontiguousarray(saved.T)
     flagged = _sanitize(saved)
     return {"X": saved, "flagged": flagged}
 
@@ -571,40 +588,53 @@ def solve_nonlinear(
     The ODE substep is halved (noise grid fixed, values interpolated)
     until the order-p_check ensemble quasi-norm at the horizon moves by
     less than rel_tol between consecutive refinements.
+
+    Each refinement pass draws every block's zeta and phi once.  The
+    first pass integrates substep counts 1 and 2 from that one draw (only
+    count 1 when max_refines is 0); each later pass draws again and
+    integrates the next doubled count, so noise memory stays one block.
+    A block keeps the horizon partials of every count it integrates and
+    the paths of its last count only.
     """
     out_grid = grid.subsampled(save_every)
+    psi = _psi_function(model.nonlinearity)
+    n_levels = max_refines + 1
+
+    def refine_block(idx: np.ndarray, counts: tuple[int, ...]):
+        zeta, phi = _block_noise(model, grid, master_seed, idx)
+        partials = []
+        for substeps in counts:
+            part = _rk4_block(model, grid, zeta, phi, psi, substeps, save_every)
+            ok = ~part["flagged"]
+            partials.append(
+                np.array(
+                    [float(np.sum(np.abs(part["X"][ok, -1]) ** p_check)), float(ok.sum())]
+                )
+            )
+        return partials, part
+
     history: list[tuple[int, float]] = []
-    prev_q: float | None = None
-    result: list[dict[str, np.ndarray]] | None = None
-    substeps = 1
-    for _ in range(max_refines + 1):
+    counts = (1, 2)[:n_levels]
+    while counts:
         parts = run_blocks(
             n_paths,
-            lambda idx: _rk4_block(model, grid, master_seed, idx, substeps, save_every),
+            lambda idx: refine_block(idx, counts),
             workers=workers,
             block_size=block_size,
         )
-        partials = [
-            np.array(
-                [
-                    float(np.sum(np.abs(p["X"][~p["flagged"], -1]) ** p_check)),
-                    float((~p["flagged"]).sum()),
-                ]
-            )
-            for p in parts
-        ]
-        total = pairwise_sum(partials)
-        moment = total[0] / max(total[1], 1.0)
-        q = float(moment ** (min(1.0, p_check) / p_check))
-        history.append((substeps, q))
-        result = parts
-        if prev_q is not None and abs(q - prev_q) <= rel_tol * max(abs(prev_q), 1e-300):
-            break
-        prev_q = q
-        substeps *= 2
+        for i, substeps in enumerate(counts):
+            total = pairwise_sum([partials[i] for partials, _ in parts])
+            moment = total[0] / max(total[1], 1.0)
+            history.append((substeps, float(moment ** (min(1.0, p_check) / p_check))))
+        if len(history) >= 2:
+            prev_q, q = history[-2][1], history[-1][1]
+            if abs(q - prev_q) <= rel_tol * max(abs(prev_q), 1e-300):
+                break
+        counts = (2 * history[-1][0],) if len(history) < n_levels else ()
     else:
         raise RuntimeError("step refinement did not settle within max_refines")
 
+    result = [part for _, part in parts]
     ensemble = PathEnsemble(
         grid=out_grid,
         label="X",
@@ -612,4 +642,4 @@ def solve_nonlinear(
         flagged=np.concatenate([p["flagged"] for p in result]),
         master_seed=master_seed,
     )
-    return NonlinearSolution(x=ensemble, substeps=substeps, refinement=tuple(history))
+    return NonlinearSolution(x=ensemble, substeps=history[-1][0], refinement=tuple(history))

@@ -110,7 +110,14 @@ def quasi_norm(
     *,
     flagged: "np.ndarray | None" = None,
 ) -> QuasiNormEstimate:
-    """Empirical quasi-norm of a sample set with delta-method error bar."""
+    """Empirical quasi-norm of a sample set with delta-method error bar.
+
+    The moment is taken of the samples divided by their largest magnitude
+    mx and the result rescaled, value = mx^sigma_p qn(x / mx), and the
+    error bar with it; the kurtosis flag does not depend on the scale.
+    So a finite sample gives a finite, nonzero quasi-norm whenever the
+    true one is representable, with no underflow or overflow of |x|^p.
+    """
     if p <= 0.0:
         raise ValueError("order p must be positive")
     x = np.asarray(samples, dtype=np.float64).ravel()
@@ -123,14 +130,17 @@ def quasi_norm(
         x = x[~mask]
     if x.size == 0:
         raise EmptyInputError("no usable samples")
-    w = np.abs(x) ** p
+    mx = float(np.max(np.abs(x)))
+    scale = mx if 0.0 < mx < np.inf else 1.0
+    w = np.abs(x / scale) ** p
     m, se_m, unstable = _moment_stats(w)
     s = sigma_p(p)
     if m == 0.0:
         return QuasiNormEstimate(p, s, 0.0, x.size, 0.0, excluded, unstable)
     expo = s / p
-    value = m**expo
-    std_err = expo * m ** (expo - 1.0) * se_m
+    factor = scale**s
+    value = factor * m**expo
+    std_err = factor * expo * m ** (expo - 1.0) * se_m
     return QuasiNormEstimate(p, s, float(value), x.size, float(std_err), excluded, unstable)
 
 
@@ -141,7 +151,13 @@ def fractional_moment(
     *,
     flagged: "np.ndarray | None" = None,
 ) -> QuasiNormEstimate:
-    """Raw moment E|x + z|^p with a complex shift, no quasi-norm power."""
+    """Raw moment E|x + z|^p with a complex shift, no quasi-norm power.
+
+    The moment is returned in linear units, so it underflows or overflows
+    wherever the raw moment itself lies outside float64: for x = [1e-200]
+    and p = 2 the true value 1e-400 comes back as 0.  Use quasi_norm for
+    a scale-safe summary.
+    """
     if p <= 0.0:
         raise ValueError("order p must be positive")
     x = np.asarray(samples, dtype=np.float64).ravel()

@@ -60,16 +60,31 @@ GROUPS = ("simulate", "moments", "beta", "verify", "converge")
 
 @dataclass
 class RunState:
+    """What one `run` carries from stage to stage.
+
+    ensembles caches the state ensemble X by output stride for the length
+    of the run: simulate, nonlinear moments and converge each ask for X,
+    and every stage asking at the same stride gets the one solve.  The
+    state is dropped when `run` returns, so nothing outlives a run.
+    """
+
     cfg: ExperimentConfig
     out: Path
     artifacts: list[str] = field(default_factory=list)
     flagged: dict[str, int] = field(default_factory=dict)
     verdicts: dict[str, str] = field(default_factory=dict)
     payload: dict = field(default_factory=dict)
+    ensembles: dict[int, PathEnsemble] = field(default_factory=dict)
 
     def add(self, name: str) -> Path:
         self.artifacts.append(name)
         return self.out / name
+
+    def state_ensemble(self, save_every: int) -> PathEnsemble:
+        """The state ensemble X at output stride save_every, solved once per run."""
+        if save_every not in self.ensembles:
+            self.ensembles[save_every] = _simulate_state_ensemble(self.cfg, save_every)
+        return self.ensembles[save_every]
 
 
 def _stride(n_steps: int, target_nodes: int) -> int:
@@ -144,8 +159,7 @@ def _simulate_state_ensemble(cfg: ExperimentConfig, save_every: int) -> PathEnse
 
 def do_simulate(state: RunState) -> None:
     cfg = state.cfg
-    save_every = _stride(cfg.grid.n_steps, 500)
-    ens = _simulate_state_ensemble(cfg, save_every)
+    ens = state.state_ensemble(_stride(cfg.grid.n_steps, 500))
     state.flagged["simulate"] = ens.n_flagged
     if "csv" in cfg.formats:
         write_ensemble_csv(state.add("ensemble_X.csv"), ens)
@@ -165,22 +179,17 @@ def do_simulate(state: RunState) -> None:
         )
 
 
-def _curves_for(cfg: ExperimentConfig, req: EstimatorRequest) -> MomentCurves:
+def _curves_for(state: RunState, req: EstimatorRequest) -> MomentCurves:
+    cfg = state.cfg
     ps = [float(p) for p in req.get("p")]
     source = str(req.get("source", "X"))
     save_every = req.get("save_every") or _stride(cfg.grid.n_steps, 400)
     if isinstance(cfg.model, NonlinearModel):
         if source != "X":
             raise RmplabError("nonlinear models only expose the state process")
-        sol = solve_nonlinear(
-            cfg.model,
-            cfg.grid,
-            cfg.master_seed,
-            cfg.n_paths,
-            save_every=int(save_every),
-            workers=cfg.workers,
-        )
-        return ensemble_moment_curves(sol.x, ps)
+        return ensemble_moment_curves(state.state_ensemble(int(save_every)), ps)
+    # Linear curves stream block power sums; their reduction order is
+    # part of the artifact bytes, so they are not taken from the cache.
     return linear_moment_curves(
         cfg.model,
         cfg.grid,
@@ -196,7 +205,7 @@ def _curves_for(cfg: ExperimentConfig, req: EstimatorRequest) -> MomentCurves:
 def do_moments(state: RunState) -> None:
     cfg = state.cfg
     for req in _reqs(cfg, "moments"):
-        curves = _curves_for(cfg, req)
+        curves = _curves_for(state, req)
         name = f"moments_{curves.source}"
         state.flagged[name] = curves.excluded
         if "csv" in cfg.formats:
@@ -452,16 +461,12 @@ def do_converge(state: RunState) -> None:
             for i, f in enumerate(fn_dicts)
         ]
         times = np.array([float(t) for t in req.get("times")])
-        save_every = _stride(cfg.grid.n_steps, 400)
-        sol = solve_linear(
-            model, cfg.grid, cfg.master_seed, cfg.n_paths,
-            save_every=save_every, workers=cfg.workers,
-        )
-        grid_times = sol.x.grid.times
+        x = state.state_ensemble(_stride(cfg.grid.n_steps, 400))
+        grid_times = x.grid.times
         node_idx = [int(np.argmin(np.abs(grid_times - t))) for t in times]
         snap_times = grid_times[node_idx]
-        ok = ~sol.x.flagged
-        sample_sets = [sol.x.values[ok, j] for j in node_idx]
+        ok = ~x.flagged
+        sample_sets = [x.values[ok, j] for j in node_idx]
 
         t_star = req.get("t_star")
         t_star = float(t_star) if t_star is not None else 1.5 * cfg.grid.horizon

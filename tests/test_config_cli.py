@@ -231,6 +231,44 @@ class TestCli:
         err = capsys.readouterr().err
         assert "CONFIG_INVALID" in err
 
+    @pytest.mark.parametrize(
+        "mutate,needle",
+        [
+            (lambda r: r["ensemble"].update(master_seed=2**70), "master_seed"),
+            (lambda r: r["estimators"][0].update(save_every=7), "save_every"),
+            (lambda r: r["estimators"][0].update(source="Q"), "source"),
+        ],
+    )
+    def test_values_that_failed_mid_run_exit_two(self, tmp_path, capsys, mutate, needle):
+        raw = base_raw()  # 100 grid steps
+        mutate(raw)
+        with pytest.raises(ConfigInvalidError, match=needle):
+            config_from_dict(raw)
+        cfg_path = write_config(tmp_path, raw)
+        assert main(["moments", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "CONFIG_INVALID" in err and needle in err
+        assert "Traceback" not in err
+
+    def test_save_every_must_be_a_positive_integer(self):
+        for name, extra in (("moments", {"p": [0.5]}), ("beta", {"p_grid": [1.0, 2.0]})):
+            for bad in (0, -4, 2.0, True):
+                raw = base_raw()
+                raw["estimators"] = [dict(name=name, save_every=bad, **extra)]
+                with pytest.raises(ConfigInvalidError, match="save_every"):
+                    config_from_dict(raw)
+        raw = base_raw()
+        raw["estimators"][0]["save_every"] = 4  # divides the 100 grid steps
+        assert config_from_dict(raw).estimators[0].get("save_every") == 4
+
+    def test_largest_seed_runs_estimators_on_derived_seeds(self, tmp_path):
+        # hill draws from master_seed + 1, which wraps to stream seed 0
+        raw = base_raw()
+        raw["ensemble"]["master_seed"] = 2**64 - 1
+        raw["estimators"] = [{"name": "hill", "n": 200, "k": 20, "p_max": 1.0}]
+        cfg_path = write_config(tmp_path, raw)
+        assert main(["beta", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 0
+
     def test_seed_and_n_paths_overrides(self, tmp_path):
         cfg_path = write_config(tmp_path, base_raw())
         out = tmp_path / "run6"

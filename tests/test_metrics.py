@@ -82,6 +82,22 @@ def test_quasi_norm_kurtosis_instability_flag():
     assert quasi_norm(spiked, 2.0).unstable
 
 
+def test_quasi_norm_survives_underflow_and_overflow():
+    # |x|^2 underflows to 0 and overflows to inf in linear units
+    tiny = quasi_norm(np.array([1e-162, 2e-162]), 2.0)
+    assert tiny.value == pytest.approx(np.sqrt(2.5) * 1e-162, rel=1e-14)
+    assert tiny.std_err == pytest.approx(
+        quasi_norm(np.array([1.0, 2.0]), 2.0).std_err * 1e-162, rel=1e-14
+    )
+    huge = quasi_norm(np.array([1e155, 1e155]), 2.0)
+    assert huge.value == pytest.approx(1e155, rel=1e-15)
+    assert huge.std_err == 0.0
+    spiked = np.ones(1000)
+    spiked[0] = 1e6
+    assert quasi_norm(1e-300 * spiked, 2.0).unstable
+    assert quasi_norm(np.zeros(3), 0.5).value == 0.0
+
+
 def test_fractional_moment_complex_shift():
     est = fractional_moment(np.array([1.0, -1.0]), 2.0, z=1j)
     assert est.value == pytest.approx(2.0)  # |1+i|^2 = |-1+i|^2 = 2

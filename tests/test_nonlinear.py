@@ -85,3 +85,66 @@ def test_solution_shape_respects_save_every():
     sol = solve_nonlinear(model, grid, 2, 16, save_every=6)
     assert sol.x.values.shape == (16, 11)
     assert sol.x.grid.horizon == pytest.approx(3.0)
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("dt,n_steps", [(0.05, 40), (0.2, 20)])
+def test_noise_is_drawn_once_per_block_per_pass(monkeypatch, dt, n_steps):
+    from rmplab import noise
+
+    calls = _counting(monkeypatch, noise, "sample_block")
+    model = NonlinearModel(
+        a=1.0, multiplicative=MULT, envelope=ENV, nonlinearity=SIN_MODULATED, x0=1.0
+    )
+    sol = solve_nonlinear(
+        model, TimeGrid(dt=dt, n_steps=n_steps), 4, 40, block_size=16, rel_tol=1e-3
+    )
+    # pass 1 integrates substeps 1 and 2, every later pass one new count
+    passes = len(sol.refinement) - 1
+    assert [s for s, _ in sol.refinement] == [2**i for i in range(len(sol.refinement))]
+    assert len(calls) == 2 * 3 * passes  # one zeta and one phi draw per block
+    if dt == 0.05:
+        assert passes == 1
+
+
+def test_refinement_respects_max_refines(monkeypatch):
+    from rmplab import engine
+
+    model = NonlinearModel(
+        a=1.0, multiplicative=MULT, envelope=ENV, nonlinearity=CLIPPED, x0=1.0
+    )
+    grid = TimeGrid(dt=0.05, n_steps=40)
+    calls = _counting(monkeypatch, engine, "_rk4_block")
+    with pytest.raises(RuntimeError):
+        solve_nonlinear(model, grid, 4, 32, max_refines=0)
+    assert [c[5] for c in calls] == [1]  # substep counts integrated
+    calls.clear()
+    with pytest.raises(RuntimeError):
+        solve_nonlinear(model, grid, 4, 32, max_refines=1, rel_tol=0.0)
+    assert [c[5] for c in calls] == [1, 2]
+
+
+def test_blocks_and_workers_do_not_change_the_solution():
+    model = NonlinearModel(
+        a=1.0, multiplicative=MULT, envelope=ENV, nonlinearity=SIN_MODULATED, x0=1.0
+    )
+    grid = TimeGrid(dt=0.05, n_steps=40)
+    one = solve_nonlinear(model, grid, 8, 40, save_every=4)
+    split = solve_nonlinear(model, grid, 8, 40, save_every=4, block_size=16)
+    pooled = solve_nonlinear(model, grid, 8, 40, save_every=4, block_size=16, workers=2)
+    for sol in (split, pooled):
+        np.testing.assert_array_equal(one.x.values, sol.x.values)
+        np.testing.assert_array_equal(one.x.flagged, sol.x.flagged)
+    # the horizon quasi-norm sums block partials, so only the worker count is free
+    assert split.refinement == pooled.refinement

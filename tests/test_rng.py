@@ -66,3 +66,24 @@ def test_pooled_draws_are_standard_normal():
     n = draws.size
     assert abs(draws.mean()) < 5.0 / np.sqrt(n)
     assert abs(draws.var() - 1.0) < 5.0 * np.sqrt(2.0 / n)
+
+
+@pytest.mark.parametrize("shape", [(1, 151), (1, 2501)])
+@pytest.mark.parametrize(
+    "role", [ROLE_MULTIPLICATIVE, ROLE_ADDITIVE, ROLE_MARGINAL, ROLE_GENERIC]
+)
+def test_block_rows_equal_fresh_streams(shape, role):
+    # unsorted, with a repeat: every row restarts its own stream from scratch
+    indices = np.array([9, 2, 40, 2, 0, 9])
+    block = block_normals(31, indices, role, shape)
+    for row, idx in enumerate(indices):
+        fresh = path_stream(31, int(idx), role).standard_normal(shape)
+        np.testing.assert_array_equal(block[row], fresh)
+
+
+def test_seed_wraps_modulo_two_to_the_64():
+    # derived seeds such as master_seed + 1 stay keyable at the top of the range
+    top = path_stream(2**64, 3, ROLE_GENERIC).standard_normal(4)
+    np.testing.assert_array_equal(top, path_stream(0, 3, ROLE_GENERIC).standard_normal(4))
+    with pytest.raises(ValueError):
+        path_stream(-1, 0, ROLE_GENERIC)

@@ -1,0 +1,122 @@
+"""Runner: artifact bytes are pinned, and stages share one state solve.
+
+Two small seeded runs are pinned by the sha256 of every artifact they
+write: a nonlinear simulate+moments run (the RK4 solver with step
+refinement) and a C10-shaped linear run over simulate, moments and
+converge.  A speed-up must not move one of these bytes.  The digests
+depend on numpy's Philox and normal sampler, so they hold for the numpy
+release the package is tested with.
+"""
+import json
+
+import pytest
+
+from rmplab import runner
+from rmplab.config import config_from_dict
+
+NONLINEAR_RAW = {
+    "schema_version": 1,
+    "model": {
+        "kind": "nonlinear", "a": 1.0, "x0": 1.0, "nonlinearity": "sin_modulated",
+        "multiplicative": {"kind": "ou", "sigma": 1.0, "tau_c": 0.5},
+        "envelope": {"kind": "ou", "sigma": 0.5, "tau_c": 1.0},
+    },
+    "grid": {"t_max": 4.0, "dt": 0.02},
+    "ensemble": {"n_paths": 64, "master_seed": 5},
+    "workers": 1,
+    "outputs": {"directory": "out", "formats": ["csv", "json", "binary", "plotdata"]},
+    "estimators": [{"name": "moments", "p": [0.5, 1.0], "window": [1.0, 4.0]}],
+}
+
+LINEAR_RAW = {
+    "schema_version": 1,
+    "model": {
+        "kind": "linear", "a": 1.0, "x0": 50.0,
+        "multiplicative": {"kind": "ou", "sigma": 1.0, "tau_c": 0.5},
+        "additive": {"kind": "ou", "sigma": 0.5, "tau_c": 1.0},
+    },
+    "grid": {"t_max": 3.0, "dt": 0.02},
+    "ensemble": {"n_paths": 256, "master_seed": 20100},
+    "workers": 1,
+    "outputs": {"directory": "out", "formats": ["csv", "json", "binary", "plotdata"]},
+    "estimators": [
+        {"name": "moments", "p": [0.5, 1.0], "window": [1.0, 3.0]},
+        {"name": "converge",
+         "functions": [{"kind": "abs_power", "alpha": 0.5}],
+         "times": [0.5, 1.0, 2.0], "n": 256},
+    ],
+}
+
+GOLDEN = {
+    "nonlinear": {
+        "ensemble_X.bin": "9c8559d982d5c28c36795a4427e5624e85be2be51f9750f626c164b33a5dc0e4",
+        "ensemble_X.csv": "6237aeaf9f19ddda51c87dbb61fff913d440cbde7d89cb64cbfd7d762676482a",
+        "moments_X.csv": "8cde866ff72e583c1812d8c070996617e6b981d76c0eb2edb24174898a44b550",
+        "moments_X.dat": "0145ac4fe5a14e6fee413837d33476d2705808b0428df4dc1de6f1163d0730a4",
+        "moments_X.json": "cec4dfd7df266805338d09877f69bce5093a846a407c8eba619235d6a205825d",
+        "plot_moments_X.py": "3df52c351f046369e801a33c37e89cabcb6724d82adc2fdf6f33a269769ced2f",
+        "simulate.json": "11273c9894be906a1bab5a3a7d9faf71b8419c9a00ef8a66dde9556ab961a2ff",
+    },
+    "linear": {
+        "converge.json": "58049e1cbf46de3e17850f4427cca7c47f63fd3b92c6cba7fef1766631d25e68",
+        "converge_0.csv": "62b564ecd1bf2882218e771697266a47479762332044d503c53c8a93b0230627",
+        "ensemble_X.bin": "d420c948805b991b1a40e30450ec24e927ceed005d21bde251a70a4f762f7be3",
+        "ensemble_X.csv": "9669b88c472403e80b50b98cf1e44b0c945116e5ed63ee0613fcba92080bb084",
+        "moments_X.csv": "1fd861268274fab224dbe646fc556753c51789343a576afe1cb6bd92f2e5ffcc",
+        "moments_X.dat": "19baba0cef741b19449a0a48fdb78f4dc15501eabe8d4fd4301052e59d3a3764",
+        "moments_X.json": "db9fd29b76bdc2341c0c9f234f5b6b3de4d35b74b1188ae839160609882d317d",
+        "plot_moments_X.py": "3df52c351f046369e801a33c37e89cabcb6724d82adc2fdf6f33a269769ced2f",
+        "simulate.json": "a6f82ffec22a761839c3e52e9c94eff04983531db2f4d7a145ec45e35699b7b7",
+    },
+}
+
+
+CASES = {
+    "nonlinear": (NONLINEAR_RAW, ("simulate", "moments"), "solve_nonlinear"),
+    "linear": (LINEAR_RAW, ("simulate", "moments", "converge"), "solve_linear"),
+}
+
+
+def _digests(raw: dict, groups: tuple[str, ...], out) -> dict[str, str]:
+    manifest, code = runner.run(config_from_dict(raw), groups=groups, out_dir=out)
+    assert code == 0
+    return {a["path"]: a["sha256"] for a in manifest["artifacts"]}
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    calls = []
+    original = getattr(runner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("save_every"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(runner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_artifact_bytes_are_pinned(tmp_path, name):
+    raw, groups, _ = CASES[name]
+    assert _digests(raw, groups, tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stages_share_one_solve_and_keep_their_bytes(tmp_path, monkeypatch, name):
+    raw, groups, solver = CASES[name]
+    calls = _count_calls(monkeypatch, solver)
+    _digests(raw, groups, tmp_path / "together")
+    # one solve, at the stride simulate, nonlinear moments and converge share
+    assert calls == [1]
+    apart = {}
+    for group in groups:
+        apart.update(_digests(raw, (group,), tmp_path / group))
+    assert apart == GOLDEN[name]
+
+
+def test_a_second_stride_gets_its_own_solve(tmp_path, monkeypatch):
+    raw = json.loads(json.dumps(NONLINEAR_RAW))
+    raw["estimators"][0]["save_every"] = 4
+    calls = _count_calls(monkeypatch, "solve_nonlinear")
+    _digests(raw, ("simulate", "moments"), tmp_path)
+    assert calls == [1, 4]
