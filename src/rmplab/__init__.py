@@ -14,13 +14,10 @@ __version__ = "0.1.0"
 from .config import ExperimentConfig, config_from_dict, config_hash, load_config
 from .engine import (
     LinearModel,
-    LinearSolution,
     NonlinearModel,
     PathEnsemble,
     StationarySample,
     integrate_y,
-    propagator,
-    reversed_h,
     sample_y_marginal,
     solve_linear,
     solve_nonlinear,
@@ -76,7 +73,6 @@ __all__ = [
     "ExponentReport",
     "KsReport",
     "LinearModel",
-    "LinearSolution",
     "MomentCurves",
     "NoiseSpec",
     "NonlinearModel",
@@ -113,11 +109,9 @@ __all__ = [
     "load_config",
     "moment_transition",
     "p_gamma_norm",
-    "propagator",
     "quasi_norm",
     "quasi_triangle_check",
     "resolvable_horizon",
-    "reversed_h",
     "sample_path",
     "sample_y_marginal",
     "sigma_p",

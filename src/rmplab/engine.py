@@ -139,14 +139,6 @@ class PathEnsemble:
 
 
 @dataclass
-class LinearSolution:
-    x: PathEnsemble
-    y: PathEnsemble
-    a: PathEnsemble
-    b: PathEnsemble
-
-
-@dataclass
 class StationarySample:
     """Draws of the reversed response at a fixed horizon t_star."""
 
@@ -156,7 +148,6 @@ class StationarySample:
     n_flagged: int
     p_max: float | None = None
     truncation_bound: float | None = None
-    warnings: tuple[str, ...] = ()
 
 
 @dataclass
@@ -187,16 +178,6 @@ def integrate_y(zeta: PathEnsemble) -> PathEnsemble:
         values=vals,
         flagged=zeta.flagged.copy(),
         master_seed=zeta.master_seed,
-    )
-
-
-def propagator(y: PathEnsemble, a: float) -> PathEnsemble:
-    """A_t = exp(-a t - Y_t), flagged where the exponent leaves budget."""
-    log_a = -a * y.grid.times[None, :] - y.values
-    flagged = y.flagged | (np.abs(log_a).max(axis=1) > LOG_BUDGET)
-    vals = np.exp(np.minimum(log_a, _EXP_CAP))
-    return PathEnsemble(
-        grid=y.grid, label="A", values=vals, flagged=flagged, master_seed=y.master_seed
     )
 
 
@@ -311,14 +292,23 @@ def solve_linear(
     grid: TimeGrid,
     master_seed: int,
     n_paths: int,
+    need: tuple[str, ...] = ("X",),
     *,
     save_every: int = 1,
     workers: int = 1,
     block_size: int = DEFAULT_BLOCK_SIZE,
-) -> LinearSolution:
-    """Simulate the full ensemble and return X, Y, A, B processes."""
+) -> dict[str, PathEnsemble]:
+    """Simulate the linear ensemble; one PathEnsemble per label in need.
+
+    need names processes from PROCESS_LABELS; each block builds only what
+    they require.  Every entry shares one flag mask, set where a path
+    left the exponent budget or a process computed for need saturated,
+    so a path excluded from one process is excluded from all.
+    Horizon-only estimators pass save_every=grid.n_steps: steps stay
+    fine, only the first and final nodes are kept, and .final_values is
+    the horizon sample.
+    """
     out_grid = grid.subsampled(save_every)
-    need = ("X", "Y", "A", "B")
     parts = run_blocks(
         n_paths,
         lambda idx: linear_block_arrays(
@@ -328,72 +318,16 @@ def solve_linear(
         block_size=block_size,
     )
     flagged = np.concatenate([p["flagged"] for p in parts])
-
-    def ens(label: str, key: str) -> PathEnsemble:
-        return PathEnsemble(
+    return {
+        label: PathEnsemble(
             grid=out_grid,
             label=label,
-            values=_stack_blocks(parts, key),
-            flagged=flagged.copy(),
+            values=_stack_blocks(parts, label),
+            flagged=flagged,
             master_seed=master_seed,
         )
-
-    return LinearSolution(x=ens("X", "X"), y=ens("Y", "Y"), a=ens("A", "A"), b=ens("B", "B"))
-
-
-def reversed_h(
-    model: LinearModel,
-    grid: TimeGrid,
-    master_seed: int,
-    n_paths: int,
-    *,
-    save_every: int = 1,
-    workers: int = 1,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-) -> PathEnsemble:
-    """Time-reversed response H_t, equal to B_t in distribution."""
-    out_grid = grid.subsampled(save_every)
-    parts = run_blocks(
-        n_paths,
-        lambda idx: linear_block_arrays(
-            model, grid, master_seed, idx, save_every=save_every, need=("H",)
-        ),
-        workers=workers,
-        block_size=block_size,
-    )
-    return PathEnsemble(
-        grid=out_grid,
-        label="H",
-        values=_stack_blocks(parts, "H"),
-        flagged=np.concatenate([p["flagged"] for p in parts]),
-        master_seed=master_seed,
-    )
-
-
-def terminal_linear_samples(
-    model: LinearModel,
-    grid: TimeGrid,
-    master_seed: int,
-    n_paths: int,
-    which: tuple[str, ...] = ("B", "H"),
-    *,
-    workers: int = 1,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-) -> dict[str, np.ndarray]:
-    """Final-node samples of the requested processes plus the flag mask.
-
-    Memory-light variant of solve_linear for horizon-only estimators
-    such as distribution tests and stationary draws.
-    """
-    parts = run_blocks(
-        n_paths,
-        lambda idx: linear_block_arrays(model, grid, master_seed, idx, need=tuple(which)),
-        workers=workers,
-        block_size=block_size,
-    )
-    out = {key: np.concatenate([p[key][:, -1] for p in parts]) for key in which}
-    out["flagged"] = np.concatenate([p["flagged"] for p in parts])
-    return out
+        for label in need
+    }
 
 
 def gamma_rate(a: float, d: float, p: float) -> float:
@@ -430,7 +364,6 @@ def stationary_sample(
     from quasi-norm increments of H between intermediate horizons.
     """
     d = diffusion_constant(model.multiplicative)
-    warnings: tuple[str, ...] = ()
     rate = None
     if p_max is not None:
         rate = gamma_rate(model.a, d, p_max)
@@ -447,23 +380,23 @@ def stationary_sample(
     grid = TimeGrid(dt=t_star / n_steps, n_steps=n_steps)
     save_every = n_steps // 8
 
-    parts = run_blocks(
+    ens = solve_linear(
+        model,
+        grid,
+        master_seed,
         n,
-        lambda idx: linear_block_arrays(
-            model, grid, master_seed, idx, save_every=save_every, need=("H",)
-        ),
+        ("H",),
+        save_every=save_every,
         workers=workers,
         block_size=block_size,
-    )
-    h = _stack_blocks(parts, "H")
-    flagged = np.concatenate([p["flagged"] for p in parts])
-    ok = ~flagged
-    values = h[:, -1]
+    )["H"]
+    h = ens.values
+    ok = ~ens.flagged
 
     bound = None
     if p_max is not None:
         sigma_p = min(1.0, p_max)
-        times = grid.subsampled(save_every).times
+        times = ens.grid.times
         k_hat = 0.0
         for j in range(2, len(times) - 1):
             u, v = times[j], times[j + 1]
@@ -473,13 +406,12 @@ def stationary_sample(
         bound = k_hat * float(np.exp(rate * t_star))
 
     return StationarySample(
-        values=values,
+        values=ens.final_values,
         t_star=t_star,
         master_seed=master_seed,
-        n_flagged=int(flagged.sum()),
+        n_flagged=ens.n_flagged,
         p_max=p_max,
         truncation_bound=bound,
-        warnings=warnings,
     )
 
 

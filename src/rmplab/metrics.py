@@ -564,6 +564,8 @@ def linear_moment_curves(
     parts = run_blocks(n_paths, block_fn, workers=workers, block_size=block_size)
     sums = pairwise_sum([p[0] for p in parts])
     counts = pairwise_sum([p[1] for p in parts])
+    if counts[0] == 0:
+        raise EmptyInputError("every path is flagged")
     return _curves_from_sums(
         source,
         p_values,

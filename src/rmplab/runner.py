@@ -34,8 +34,8 @@ from .metrics import (
     linear_moment_curves,
     quasi_triangle_check,
 )
-from .noise import diffusion_constant, sample_block
-from .rng import ROLE_GENERIC, ROLE_MULTIPLICATIVE, path_stream
+from .noise import diffusion_constant, sample_block  # noqa: F401  (rmpbench traces it here)
+from .rng import ROLE_GENERIC, path_stream
 from .storage import (
     build_manifest,
     write_convergence_csv,
@@ -146,15 +146,15 @@ def _simulate_state_ensemble(cfg: ExperimentConfig, save_every: int) -> PathEnse
             workers=cfg.workers,
         )
         return sol.x
-    sol = solve_linear(
+    return solve_linear(
         cfg.model,
         cfg.grid,
         cfg.master_seed,
         cfg.n_paths,
+        ("X",),
         save_every=save_every,
         workers=cfg.workers,
-    )
-    return sol.x
+    )["X"]
 
 
 def do_simulate(state: RunState) -> None:
@@ -312,7 +312,9 @@ def do_beta(state: RunState) -> None:
     gk_reqs = _reqs(cfg, "green_kubo")
     dt_reqs = _reqs(cfg, "dt_fit")
     if gk_reqs or dt_reqs:
-        zeta_vals = _noise_ensemble(cfg)
+        zeta_vals = solve_linear(
+            model, cfg.grid, cfg.master_seed, cfg.n_paths, ("zeta",), workers=cfg.workers
+        )["zeta"]
         for req in gk_reqs:
             report = green_kubo_d(zeta_vals, float(req.get("window")), analytic=d_analytic)
             out["green_kubo"] = _report_to_dict(report)
@@ -327,29 +329,6 @@ def do_beta(state: RunState) -> None:
     if out:
         write_json(state.add("beta.json"), out)
         state.payload["beta"] = out
-
-
-def _noise_ensemble(cfg: ExperimentConfig) -> PathEnsemble:
-    vals = np.concatenate(
-        [
-            sample_block(cfg.model.multiplicative, cfg.grid, cfg.master_seed, idx, ROLE_MULTIPLICATIVE)
-            for idx in _index_blocks(cfg.n_paths)
-        ],
-        axis=0,
-    )
-    return PathEnsemble(
-        grid=cfg.grid,
-        label="zeta",
-        values=vals,
-        flagged=np.zeros(cfg.n_paths, dtype=bool),
-        master_seed=cfg.master_seed,
-    )
-
-
-def _index_blocks(n: int, size: int = 2048) -> list[np.ndarray]:
-    from .blocks import block_ranges
-
-    return block_ranges(n, size)
 
 
 def do_verify(state: RunState) -> None:

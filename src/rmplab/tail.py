@@ -16,7 +16,7 @@ from scipy.stats import ks_2samp
 from scipy.stats import t as student_t
 
 from .blocks import DEFAULT_BLOCK_SIZE
-from .engine import LinearModel, PathEnsemble, sample_y_marginal, terminal_linear_samples
+from .engine import LinearModel, PathEnsemble, sample_y_marginal, solve_linear
 from .errors import (
     EmptyInputError,
     InsufficientTailError,
@@ -438,20 +438,28 @@ def b_h_replicates(
         dt = default_dt(max(model.a, 1e-12), model.multiplicative.max_tau, model.additive.max_tau)
     n_steps = max(int(round(t / dt)), 8)
     grid = TimeGrid(dt=t / n_steps, n_steps=n_steps)
+
+    def horizon_sample(seed: int, label: str) -> np.ndarray:
+        ens = solve_linear(
+            model,
+            grid,
+            seed,
+            n_per_side,
+            (label,),
+            save_every=grid.n_steps,
+            workers=workers,
+            block_size=block_size,
+        )[label]
+        return ens.final_values[~ens.flagged]
+
     reports = []
     for r in range(replicates):
         seed_b = base_seed + 2 * r
         seed_h = base_seed + 2 * r + 1
-        b = terminal_linear_samples(
-            model, grid, seed_b, n_per_side, which=("B",), workers=workers, block_size=block_size
-        )
-        h = terminal_linear_samples(
-            model, grid, seed_h, n_per_side, which=("H",), workers=workers, block_size=block_size
-        )
         reports.append(
             b_equals_h_test(
-                b["B"][~b["flagged"]],
-                h["H"][~h["flagged"]],
+                horizon_sample(seed_b, "B"),
+                horizon_sample(seed_h, "H"),
                 level=level,
                 seed_b=seed_b,
                 seed_h=seed_h,

@@ -71,11 +71,6 @@ class TestFunction:
             return 1.0 if (left != 0.0 or right != 0.0) else 0.0
         return 0.0
 
-    @property
-    def gamma_open(self) -> bool:
-        """The growth class is an open lower bound, never attained."""
-        return True
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if self.kind == ABS_POWER:

@@ -19,8 +19,8 @@ from rmplab.engine import (
     NonlinearModel,
     PathEnsemble,
     integrate_y,
+    solve_linear,
     solve_nonlinear,
-    terminal_linear_samples,
 )
 from rmplab.grid import TimeGrid
 from rmplab.metrics import (
@@ -60,8 +60,10 @@ def test_c01_exponential_moment_oracle():
     """Path-MC E[exp(-Y_4/2)] matches exp(d(4)/4) within 3 SE, under 1 min."""
     t0 = time.monotonic()
     grid = TimeGrid(dt=0.005, n_steps=800)
-    out = terminal_linear_samples(propagator_model(), grid, MASTER_SEED, 100_000, which=("Y",))
-    w = np.exp(-0.5 * out["Y"][~out["flagged"]])
+    y = solve_linear(
+        propagator_model(), grid, MASTER_SEED, 100_000, ("Y",), save_every=grid.n_steps
+    )["Y"]
+    w = np.exp(-0.5 * y.final_values[~y.flagged])
     estimate = float(w.mean())
     std_err = float(w.std(ddof=1) / np.sqrt(w.size))
     target = float(np.exp(0.25 * d_closed(np.array([4.0]))[0]))

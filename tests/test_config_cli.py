@@ -250,6 +250,22 @@ class TestCli:
         assert "CONFIG_INVALID" in err and needle in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("window", [None, [1.0, 2.0]])
+    def test_all_flagged_ensemble_exits_two(self, tmp_path, capsys, window):
+        raw = base_raw()
+        raw["model"]["a"] = -10.0  # every path leaves the exponent budget
+        raw["grid"]["t_max"] = 80.0
+        raw["ensemble"]["n_paths"] = 8
+        raw["estimators"] = [{"name": "moments", "p": [0.5, 1.0]}]
+        if window is not None:
+            raw["estimators"][0]["window"] = window
+        cfg_path = write_config(tmp_path, raw)
+        out = tmp_path / "x"
+        assert main(["moments", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "EMPTY_INPUT" in err and "Traceback" not in err
+        assert not (out / "moments_X.json").exists()
+
     def test_save_every_must_be_a_positive_integer(self):
         for name, extra in (("moments", {"p": [0.5]}), ("beta", {"p_grid": [1.0, 2.0]})):
             for bad in (0, -4, 2.0, True):

@@ -16,13 +16,10 @@ from rmplab.engine import (
     integrate_y,
     integrate_y_values,
     linear_block_arrays,
-    propagator,
-    reversed_h,
     sample_y_marginal,
     solve_linear,
     stationary_horizon,
     stationary_sample,
-    terminal_linear_samples,
 )
 from rmplab.errors import SpecRejectedError, TruncationWarningError
 from rmplab.grid import TimeGrid
@@ -62,11 +59,8 @@ def test_integrate_constant_noise_is_exact():
 
 def test_propagator_zero_noise_is_pure_decay():
     grid = TimeGrid(dt=0.01, n_steps=100)
-    zeros = PathEnsemble(
-        grid=grid, label="Y", values=np.zeros((4, 101)),
-        flagged=np.zeros(4, dtype=bool), master_seed=0,
-    )
-    a_ens = propagator(zeros, 2.0)
+    zero_noise = LinearModel(a=2.0, multiplicative=NoiseSpec.zero(), additive=NoiseSpec.zero())
+    a_ens = solve_linear(zero_noise, grid, 0, 4, need=("A",))["A"]
     expected = np.tile(np.exp(-2.0 * grid.times), (4, 1))
     np.testing.assert_allclose(a_ens.values, expected, rtol=1e-12)
     assert a_ens.n_flagged == 0
@@ -74,11 +68,9 @@ def test_propagator_zero_noise_is_pure_decay():
 
 def test_propagator_flags_exponent_budget():
     grid = TimeGrid(dt=1.0, n_steps=400)
-    zeros = PathEnsemble(
-        grid=grid, label="Y", values=np.zeros((2, 401)),
-        flagged=np.zeros(2, dtype=bool), master_seed=0,
-    )
-    a_ens = propagator(zeros, 2.0)  # log A reaches -800 < -LOG_BUDGET
+    zero_noise = LinearModel(a=2.0, multiplicative=NoiseSpec.zero(), additive=NoiseSpec.zero())
+    # log A reaches -800 < -LOG_BUDGET
+    a_ens = solve_linear(zero_noise, grid, 0, 2, need=("A",))["A"]
     assert np.abs(-2.0 * grid.times).max() > LOG_BUDGET
     assert a_ens.n_flagged == 2
     assert np.all(np.isfinite(a_ens.values))
@@ -94,9 +86,9 @@ def test_constant_forcing_matches_ode_closed_form():
     def max_err(dt: float) -> float:
         n = int(round(4.0 / dt))
         sol = solve_linear(model, TimeGrid(dt=dt, n_steps=n), 0, 2)
-        t = sol.x.grid.times
+        t = sol["X"].grid.times
         exact = c / a + (x0 - c / a) * np.exp(-a * t)
-        return float(np.abs(sol.x.values - exact[None, :]).max())
+        return float(np.abs(sol["X"].values - exact[None, :]).max())
 
     e1, e2 = max_err(0.02), max_err(0.01)
     assert e1 < 5e-4
@@ -108,7 +100,7 @@ def test_solution_is_affine_in_x0():
 
     def xs(x0: float) -> np.ndarray:
         m = LinearModel(a=1.0, multiplicative=OU_HALF, additive=ADD, x0=x0)
-        return solve_linear(m, grid, 3, 16).x.values
+        return solve_linear(m, grid, 3, 16)["X"].values
 
     x0_, x1, x2 = xs(0.0), xs(1.0), xs(2.0)
     np.testing.assert_allclose(x2 - x0_, 2.0 * (x1 - x0_), rtol=1e-12, atol=1e-13)
@@ -118,16 +110,16 @@ def test_solution_is_affine_in_x0():
 def test_state_decomposition_and_reversed_response():
     model = LinearModel(a=1.0, multiplicative=OU_HALF, additive=ADD, x0=1.7)
     grid = TimeGrid(dt=0.01, n_steps=300)
-    sol = solve_linear(model, grid, 11, 32)
+    sol = solve_linear(model, grid, 11, 32, ("X", "Y", "A", "B"))
     np.testing.assert_allclose(
-        sol.x.values, model.x0 * sol.a.values + sol.b.values, rtol=1e-12, atol=1e-14
+        sol["X"].values, model.x0 * sol["A"].values + sol["B"].values, rtol=1e-12, atol=1e-14
     )
     np.testing.assert_allclose(
-        sol.a.values, np.exp(-model.a * grid.times[None, :] - sol.y.values), rtol=1e-12
+        sol["A"].values, np.exp(-model.a * grid.times[None, :] - sol["Y"].values), rtol=1e-12
     )
-    assert sol.b.values[:, 0] == pytest.approx(0.0)
+    assert sol["B"].values[:, 0] == pytest.approx(0.0)
 
-    h = reversed_h(model, grid, 11, 32)
+    h = solve_linear(model, grid, 11, 32, ("H",))["H"]
     assert h.label == "H"
     assert h.values.shape == (32, 301)
     assert h.values[:, 0] == pytest.approx(0.0)
@@ -136,12 +128,12 @@ def test_state_decomposition_and_reversed_response():
 def test_terminal_samples_match_full_solve():
     model = LinearModel(a=1.0, multiplicative=OU_HALF, additive=ADD)
     grid = TimeGrid(dt=0.01, n_steps=150)
-    term = terminal_linear_samples(model, grid, 13, 40, which=("B", "H", "Y"))
-    sol = solve_linear(model, grid, 13, 40)
-    h = reversed_h(model, grid, 13, 40)
-    np.testing.assert_array_equal(term["B"], sol.b.final_values)
-    np.testing.assert_array_equal(term["Y"], sol.y.final_values)
-    np.testing.assert_array_equal(term["H"], h.final_values)
+    term = solve_linear(model, grid, 13, 40, ("B", "H", "Y"), save_every=grid.n_steps)
+    sol = solve_linear(model, grid, 13, 40, ("B", "Y"))
+    h = solve_linear(model, grid, 13, 40, ("H",))["H"]
+    np.testing.assert_array_equal(term["B"].final_values, sol["B"].final_values)
+    np.testing.assert_array_equal(term["Y"].final_values, sol["Y"].final_values)
+    np.testing.assert_array_equal(term["H"].final_values, h.final_values)
 
 
 def test_block_arrays_partition_invariance():
@@ -169,8 +161,8 @@ def test_growth_paths_are_flagged_and_saturated():
     model = LinearModel(a=-10.0, multiplicative=OU_HALF, additive=ADD)
     grid = TimeGrid(dt=0.01, n_steps=8000)
     sol = solve_linear(model, grid, 1, 8, save_every=100)
-    assert sol.x.n_flagged == 8
-    assert np.all(np.isfinite(sol.x.values))
+    assert sol["X"].n_flagged == 8
+    assert np.all(np.isfinite(sol["X"].values))
 
 
 def test_stationary_horizon_value():

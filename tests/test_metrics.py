@@ -273,7 +273,7 @@ def test_moment_curves_match_direct_estimates():
     sol = solve_linear(model, grid, 7, 700, save_every=10, block_size=256)
 
     for p in (0.5, 2.0):
-        direct = quasi_norm(sol.x.values[:, -1], p, flagged=sol.x.flagged)
+        direct = quasi_norm(sol["X"].values[:, -1], p, flagged=sol["X"].flagged)
         times, vals, ses = curves.curve(p)
         assert vals[-1] == pytest.approx(direct.value, rel=1e-12)
         assert ses[-1] == pytest.approx(direct.std_err, rel=1e-9)
@@ -288,9 +288,19 @@ def test_ensemble_moment_curves_agree_with_streaming():
     )
     grid = TimeGrid(dt=0.02, n_steps=100)
     sol = solve_linear(model, grid, 3, 300)
-    from_ens = ensemble_moment_curves(sol.x, [1.0])
+    from_ens = ensemble_moment_curves(sol["X"], [1.0])
     streamed = linear_moment_curves(model, grid, 3, 300, [1.0])
     np.testing.assert_allclose(from_ens.value, streamed.value, rtol=1e-12)
+
+
+def test_streamed_curves_refuse_an_all_flagged_ensemble():
+    # a < 0 drives every path past the exponent budget
+    model = LinearModel(
+        a=-10.0, multiplicative=NoiseSpec.ou(1.0, 0.5), additive=NoiseSpec.ou(0.3, 0.5)
+    )
+    grid = TimeGrid(dt=0.01, n_steps=8000)
+    with pytest.raises(EmptyInputError, match="every path is flagged"):
+        linear_moment_curves(model, grid, 1, 8, [0.5, 1.0], save_every=100)
 
 
 def test_moment_curves_drop_flagged_paths():

@@ -36,7 +36,7 @@ def test_envelope_itself_reduces_to_linear():
     )
     lin = LinearModel(a=1.0, multiplicative=MULT, additive=ENV, x0=1.0)
     xs_nl = solve_nonlinear(nl, grid, 3, 256, save_every=3).x.values
-    xs_lin = solve_linear(lin, grid, 3, 256, save_every=3).x.values
+    xs_lin = solve_linear(lin, grid, 3, 256, save_every=3)["X"].values
     # same noise realizations, different integrators: O(dt^2) apart
     assert np.abs(xs_nl - xs_lin).max() < 5e-3
 
@@ -60,9 +60,9 @@ def test_envelope_sandwich_bounds_the_forced_part():
     )
     lin = LinearModel(a=1.0, multiplicative=MULT, additive=ENV, x0=x0)
     sol_nl = solve_nonlinear(nl, grid, 21, 128, save_every=4)
-    sol_lin = solve_linear(lin, grid, 21, 128, save_every=4)
-    forced = np.abs(sol_nl.x.values - x0 * sol_lin.a.values)
-    assert np.all(forced <= sol_lin.b.values + 5e-3)
+    sol_lin = solve_linear(lin, grid, 21, 128, ("A", "B"), save_every=4)
+    forced = np.abs(sol_nl.x.values - x0 * sol_lin["A"].values)
+    assert np.all(forced <= sol_lin["B"].values + 5e-3)
 
 
 def test_refinement_history_settles():

@@ -1,9 +1,11 @@
 """Runner: artifact bytes are pinned, and stages share one state solve.
 
-Two small seeded runs are pinned by the sha256 of every artifact they
+Three small seeded runs are pinned by the sha256 of every artifact they
 write: a nonlinear simulate+moments run (the RK4 solver with step
-refinement) and a C10-shaped linear run over simulate, moments and
-converge.  A speed-up must not move one of these bytes.  The digests
+refinement), a C10-shaped linear run over simulate, moments and
+converge, and a C10-shaped linear run over beta and verify (moment
+transition, Hill, Green-Kubo, dt_fit, condition 1, B = H and the
+inequality trials).  A speed-up must not move one of these bytes.  The digests
 depend on numpy's Philox and normal sampler, so they hold for the numpy
 release the package is tested with.
 """
@@ -47,6 +49,25 @@ LINEAR_RAW = {
     ],
 }
 
+# Every estimator of the benchmark's pipeline workload, at 1,200 paths.
+ESTIMATORS_RAW = dict(
+    LINEAR_RAW,
+    ensemble={"n_paths": 1200, "master_seed": 20100},
+    estimators=[
+        {"name": "moments", "p": [0.5, 1.0], "window": [1.0, 3.0]},
+        {"name": "beta", "p_grid": [1.0, 2.0, 3.0], "horizon": 1.5, "window": [0.5, 1.5]},
+        {"name": "hill", "n": 1200, "k": 200, "p_max": 1.0},
+        {"name": "green_kubo", "window": 1.5},
+        {"name": "dt_fit", "window": [1.0, 3.0]},
+        {"name": "condition1", "p": [0.5, 1.0]},
+        {"name": "b_equals_h", "t": 1.5, "n": 600, "replicates": 3, "level": 0.00001},
+        {"name": "inequalities", "trials": 20},
+        {"name": "converge",
+         "functions": [{"kind": "abs_power", "alpha": 0.5}],
+         "times": [0.5, 1.0, 2.0], "n": 1200},
+    ],
+)
+
 GOLDEN = {
     "nonlinear": {
         "ensemble_X.bin": "9c8559d982d5c28c36795a4427e5624e85be2be51f9750f626c164b33a5dc0e4",
@@ -67,6 +88,10 @@ GOLDEN = {
         "moments_X.json": "db9fd29b76bdc2341c0c9f234f5b6b3de4d35b74b1188ae839160609882d317d",
         "plot_moments_X.py": "3df52c351f046369e801a33c37e89cabcb6724d82adc2fdf6f33a269769ced2f",
         "simulate.json": "a6f82ffec22a761839c3e52e9c94eff04983531db2f4d7a145ec45e35699b7b7",
+    },
+    "estimators": {
+        "beta.json": "ab517d2c4c88f836f80521740bac2f9fc90ed2e9ca4d125119ec65a5e86a38ae",
+        "verify.json": "1d9336688d05e91f5b5bc8b31aae0a060e5ab5de5a214301d56a59094250cbf6",
     },
 }
 
@@ -112,6 +137,10 @@ def test_stages_share_one_solve_and_keep_their_bytes(tmp_path, monkeypatch, name
     for group in groups:
         apart.update(_digests(raw, (group,), tmp_path / group))
     assert apart == GOLDEN[name]
+
+
+def test_beta_and_verify_bytes_are_pinned(tmp_path):
+    assert _digests(ESTIMATORS_RAW, ("beta", "verify"), tmp_path) == GOLDEN["estimators"]
 
 
 def test_a_second_stride_gets_its_own_solve(tmp_path, monkeypatch):

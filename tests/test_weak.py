@@ -32,7 +32,6 @@ def test_abs_power_evaluation_and_class():
     x = np.array([0.0, -1.0, 3.0])
     np.testing.assert_allclose(f(x), np.abs(x + 1j) ** 0.5)
     assert f.gamma_class == 0.5
-    assert f.gamma_open
 
 
 def test_lipschitz_table_extrapolates_with_edge_slopes():
