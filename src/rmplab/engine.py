@@ -38,6 +38,10 @@ NONLINEARITIES = (SIN_MODULATED, CLIPPED, ENVELOPE_ITSELF)
 
 PROCESS_LABELS = ("X", "Y", "A", "B", "H", "zeta", "phi")
 
+# Cells (rows x fine-grid nodes) one solve_linear block may hold per
+# array: the 2,048-path blocks of a 151-node grid, so that layout stays.
+BLOCK_CELLS = 2048 * 151
+
 
 def _beta_c(a: float, multiplicative: NoiseSpec) -> float:
     d = diffusion_constant(multiplicative)
@@ -307,8 +311,20 @@ def solve_linear(
     Horizon-only estimators pass save_every=grid.n_steps: steps stay
     fine, only the first and final nodes are kept, and .final_values is
     the horizon sample.
+
+    A block holds at most BLOCK_CELLS // grid.n_nodes rows (at least
+    one), so its fine-grid arrays take a fixed budget of memory whatever
+    the horizon; block_size is an upper bound on top of that.  The
+    layout cannot change the output: every kernel a block runs (the
+    keyed normals, the OU filter, the quadratures, the flags and the
+    saturation) works row by row, and blocks are only concatenated, so
+    row i is the same bytes in any partition.
     """
+    unknown = [label for label in need if label not in PROCESS_LABELS]
+    if unknown:
+        raise ValueError(f"unknown process labels: {unknown}")
     out_grid = grid.subsampled(save_every)
+    block_size = min(block_size, max(1, BLOCK_CELLS // grid.n_nodes))
     parts = run_blocks(
         n_paths,
         lambda idx: linear_block_arrays(

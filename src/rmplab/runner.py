@@ -25,7 +25,7 @@ from .engine import (
     stationary_horizon,
     stationary_sample,
 )
-from .errors import RmplabError
+from .errors import IOFailureError, RmplabError
 from .metrics import (
     MomentCurves,
     ensemble_moment_curves,
@@ -534,7 +534,10 @@ def run(
     """Execute the configured pipeline; returns (manifest, exit_code)."""
     t0 = time.monotonic()
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IOFailureError(f"cannot create output directory {out}: {exc}") from exc
     state = RunState(cfg=cfg, out=out)
 
     if "simulate" in groups:

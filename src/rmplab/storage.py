@@ -5,7 +5,11 @@ Formats
 Ensemble CSV: RFC 4180, LF line endings, header row, one row per path:
     path_index,flagged,<t0>,<t1>,...
 Floats are written with repr (shortest round-trip form), so identical
-arrays always serialize to identical bytes.
+arrays always serialize to identical bytes.  The file is written and read
+one row at a time, so neither side holds more than one row's text; the
+reader refuses (IOFailureError) an empty file, a header with no rows,
+header times that are not the uniform grid k * dt from 0, and any row
+whose field count, path index, 0/1 flag or values do not parse.
 
 Ensemble binary: 64-byte little-endian header followed by the value
 matrix and the flag vector:
@@ -28,8 +32,9 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -47,32 +52,86 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+@contextmanager
+def _text_out(path: "str | Path") -> Iterator[TextIO]:
+    """Open path for UTF-8 text with LF line ends; OSError becomes IOFailureError."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+    except OSError as exc:
+        raise IOFailureError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_text(path: "str | Path", text: str) -> None:
+    with _text_out(path) as fh:
+        fh.write(text)
+
+
 def write_ensemble_csv(path: "str | Path", ensemble: PathEnsemble) -> None:
-    times = ensemble.grid.times
-    lines = ["path_index,flagged," + ",".join(_fmt(t) for t in times)]
-    for i in range(ensemble.n_paths):
-        row = ensemble.values[i]
-        lines.append(
-            f"{i},{int(ensemble.flagged[i])}," + ",".join(_fmt(v) for v in row)
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    with _text_out(path) as fh:
+        fh.write("path_index,flagged," + ",".join(_fmt(t) for t in ensemble.grid.times) + "\n")
+        for i in range(ensemble.n_paths):
+            row = ",".join(_fmt(v) for v in ensemble.values[i])
+            fh.write(f"{i},{int(ensemble.flagged[i])},{row}\n")
+
+
+def _csv_grid(header: str) -> TimeGrid:
+    """The grid of a CSV header, which must list a uniform grid from 0."""
+    fields = header.split(",")
+    if fields[:2] != ["path_index", "flagged"]:
+        raise IOFailureError("ensemble CSV header must start with path_index,flagged")
+    try:
+        times = np.array([float(v) for v in fields[2:]])
+    except ValueError as exc:
+        raise IOFailureError(f"ensemble CSV header: {exc}") from exc
+    if times.size < 2:
+        raise IOFailureError("ensemble CSV must contain at least two nodes")
+    dt = float(times[1])
+    # A TimeGrid rebuilds its times as k * dt; they must be the header's.
+    with np.errstate(over="ignore", invalid="ignore"):
+        uniform = dt > 0.0 and np.array_equal(times, np.arange(times.size) * dt)
+    if not (uniform and np.isfinite(times[-1])):
+        raise IOFailureError("ensemble CSV header times are not a uniform grid from 0")
+    return TimeGrid(dt=dt, n_steps=times.size - 1)
+
+
+def _parse_csv(lines: Iterable[str]) -> tuple[TimeGrid, np.ndarray, np.ndarray]:
+    """Grid, values and flags of ensemble CSV lines, parsed one row at a time."""
+    lines = (ln for ln in (raw.rstrip("\n") for raw in lines) if ln)
+    header = next(lines, None)
+    if header is None:
+        raise IOFailureError("ensemble CSV is empty")
+    grid = _csv_grid(header)
+    width = grid.n_nodes + 2
+    rows: list[np.ndarray] = []
+    flags: list[bool] = []
+    for line in lines:
+        where = f"ensemble CSV row {len(rows)}"
+        fields = line.split(",")
+        if len(fields) != width:
+            raise IOFailureError(f"{where}: {len(fields)} fields, expected {width}")
+        if fields[0] != str(len(rows)):
+            raise IOFailureError(f"{where}: path_index is {fields[0]!r}")
+        if fields[1] not in ("0", "1"):
+            raise IOFailureError(f"{where}: flag {fields[1]!r} is not 0 or 1")
+        try:
+            rows.append(np.array([float(v) for v in fields[2:]]))
+        except ValueError as exc:
+            raise IOFailureError(f"{where}: {exc}") from exc
+        flags.append(fields[1] == "1")
+    if not rows:
+        raise IOFailureError("ensemble CSV has a header but no rows")
+    return grid, np.stack(rows), np.array(flags)
 
 
 def read_ensemble_csv(path: "str | Path", label: str, master_seed: int = 0) -> PathEnsemble:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            grid, values, flagged = _parse_csv(fh)
+    except IOFailureError:
+        raise
+    except (OSError, UnicodeDecodeError) as exc:
         raise IOFailureError(str(exc)) from exc
-    lines = [ln for ln in text.split("\n") if ln]
-    header = lines[0].split(",")
-    times = np.array([float(v) for v in header[2:]])
-    if times.size < 2:
-        raise IOFailureError("ensemble CSV must contain at least two nodes")
-    dt = float(times[1] - times[0])
-    rows = [ln.split(",") for ln in lines[1:]]
-    values = np.array([[float(v) for v in r[2:]] for r in rows])
-    flagged = np.array([bool(int(r[1])) for r in rows])
-    grid = TimeGrid(dt=dt, n_steps=times.size - 1)
     return PathEnsemble(
         grid=grid, label=label, values=values, flagged=flagged, master_seed=master_seed
     )
@@ -91,7 +150,10 @@ def write_ensemble_binary(path: "str | Path", ensemble: PathEnsemble) -> None:
     )
     body = np.ascontiguousarray(ensemble.values, dtype="<f8").tobytes()
     flags = np.ascontiguousarray(ensemble.flagged, dtype=np.uint8).tobytes()
-    Path(path).write_bytes(header + body + flags)
+    try:
+        Path(path).write_bytes(header + body + flags)
+    except OSError as exc:
+        raise IOFailureError(f"cannot write {path}: {exc}") from exc
 
 
 def read_ensemble_binary(path: "str | Path") -> PathEnsemble:
@@ -152,7 +214,7 @@ def to_jsonable(obj: object) -> object:
 
 def write_json(path: "str | Path", payload: object) -> None:
     text = json.dumps(to_jsonable(payload), sort_keys=True, indent=2) + "\n"
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    _write_text(path, text)
 
 
 def write_moment_csv(
@@ -165,7 +227,7 @@ def write_moment_csv(
         lines.append(
             f"{_fmt(t)},{_fmt(p)},{_fmt(value)},{_fmt(std_err)},{int(n)},{int(excluded)}"
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_convergence_csv(
@@ -177,7 +239,7 @@ def write_convergence_csv(
         lines.append(
             ",".join(_fmt(x) for x in (t, v, se, delta, fitted, predicted))
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_plotdata(
@@ -190,7 +252,7 @@ def write_plotdata(
     lines = ["# " + " ".join(names)]
     for i in range(n_rows):
         lines.append(" ".join(_fmt(a[i]) for a in arrays))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_text(path, "\n".join(lines) + "\n")
     if stub_path is not None:
         data_name = Path(path).name
         stub = (
@@ -205,7 +267,7 @@ def write_plotdata(
             "plt.tight_layout()\n"
             f"plt.savefig({(Path(path).stem + '.png')!r}, dpi=150)\n"
         )
-        Path(stub_path).write_text(stub, encoding="utf-8", newline="\n")
+        _write_text(stub_path, stub)
 
 
 def sha256_file(path: "str | Path") -> str:

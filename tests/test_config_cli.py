@@ -266,6 +266,26 @@ class TestCli:
         assert "EMPTY_INPUT" in err and "Traceback" not in err
         assert not (out / "moments_X.json").exists()
 
+    def test_unwritable_artifact_exits_two(self, tmp_path, capsys):
+        raw = base_raw()
+        raw["outputs"]["formats"] = ["csv"]
+        cfg_path = write_config(tmp_path, raw)
+        out = tmp_path / "o2"
+        (out / "ensemble_X.csv").mkdir(parents=True)
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "IO_FAILURE" in err and "ensemble_X.csv" in err
+        assert "Traceback" not in err
+
+    def test_out_naming_a_file_exits_two(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, base_raw())
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "IO_FAILURE" in err and "output directory" in err
+        assert "Traceback" not in err
+
     def test_save_every_must_be_a_positive_integer(self):
         for name, extra in (("moments", {"p": [0.5]}), ("beta", {"p_grid": [1.0, 2.0]})):
             for bad in (0, -4, 2.0, True):

@@ -4,12 +4,17 @@ Independent oracles: the deterministic ODE with constant forcing, the
 double-integral variance of the stationary response, and the exact
 Gaussian law of the integrated noise.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
+from rmplab import engine
 from rmplab.engine import (
+    BLOCK_CELLS,
     LOG_BUDGET,
+    PROCESS_LABELS,
     LinearModel,
     PathEnsemble,
     gamma_rate,
@@ -143,6 +148,61 @@ def test_block_arrays_partition_invariance():
     tail_part = linear_block_arrays(model, grid, 5, np.array([6, 7]), need=("X", "H"))
     np.testing.assert_array_equal(full["X"][6:], tail_part["X"])
     np.testing.assert_array_equal(full["H"][6:], tail_part["H"])
+
+
+def _spy_blocks(monkeypatch) -> list:
+    """Record the row count of every linear_block_arrays call."""
+    rows = []
+    real = engine.linear_block_arrays
+
+    def spy(model, grid, master_seed, indices, **kwargs):
+        rows.append(len(indices))
+        return real(model, grid, master_seed, indices, **kwargs)
+
+    monkeypatch.setattr(engine, "linear_block_arrays", spy)
+    return rows
+
+
+def test_unknown_need_fails_before_any_block(monkeypatch):
+    rows = _spy_blocks(monkeypatch)
+    model = LinearModel(a=1.0, multiplicative=OU_HALF, additive=ADD)
+    with pytest.raises(ValueError, match="logA"):
+        solve_linear(model, TimeGrid(dt=0.01, n_steps=1500), 0, 6000, need=("logA",))
+    assert rows == []
+
+
+def test_block_layout_does_not_change_the_bytes(monkeypatch):
+    # 30,001 nodes cap a block at 10 rows, so 24 paths take 3 blocks by
+    # default, 4 at block_size 7 and 24 at block_size 1.
+    model = LinearModel(a=1.0, multiplicative=OU_HALF, additive=ADD)
+    grid = TimeGrid(dt=0.001, n_steps=30_000)
+    cap = BLOCK_CELLS // grid.n_nodes
+    assert cap == 10
+    rows = _spy_blocks(monkeypatch)
+    default = solve_linear(model, grid, 21, 24, PROCESS_LABELS, save_every=10)
+    assert rows == [10, 10, 4]
+    for block_size in (1, 7):
+        rows.clear()
+        other = solve_linear(
+            model, grid, 21, 24, PROCESS_LABELS, save_every=10, block_size=block_size
+        )
+        assert max(rows) == block_size
+        for label in PROCESS_LABELS:
+            assert other[label].values.tobytes() == default[label].values.tobytes(), label
+            assert other[label].flagged.tobytes() == default[label].flagged.tobytes()
+
+
+def test_stationary_sample_memory_is_one_block():
+    # The peak must not grow with n_paths x nodes: 1,000 paths on 1,505
+    # nodes would be 12 MB per array, six of them at once without the cap.
+    model = LinearModel(a=1.0, multiplicative=OU_HALF, additive=ADD)
+    tracemalloc.start()
+    try:
+        stationary_sample(model, 15.0, 1000, 5, p_max=1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_integrate_y_wraps_values():

@@ -80,6 +80,45 @@ def test_csv_round_trip(tmp_path, ensemble):
     assert first.startswith("path_index,flagged,0.0,0.25")
 
 
+def test_csv_bytes_are_the_repr_of_every_value(tmp_path, ensemble):
+    path = tmp_path / "ens.csv"
+    write_ensemble_csv(path, ensemble)
+    lines = ["path_index,flagged," + ",".join(repr(float(t)) for t in ensemble.grid.times)]
+    for i, row in enumerate(ensemble.values):
+        flag = int(ensemble.flagged[i])
+        lines.append(f"{i},{flag}," + ",".join(repr(float(v)) for v in row))
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+_HEADER = b"path_index,flagged,0.0,0.5,1.0\n"
+
+
+@pytest.mark.parametrize(
+    "blob,needle",
+    [
+        (b"", "empty"),
+        (_HEADER, "no rows"),
+        (_HEADER + b"0,0,1.0,2.0,3.0\n1,0,1.0,2.0\n", "row 1: 4 fields"),
+        (_HEADER + b"0,0,1.0,abc,3.0\n", "row 0"),
+        (_HEADER + b"0,0.5,1.0,2.0,3.0\n", "flag"),
+        (b"path_index,flagged,0.0,0.5,2.0\n0,0,1.0,2.0,3.0\n", "uniform grid"),
+        (b"path_index,flagged,0.0,1e308,2e308\n0,0,1.0,2.0,3.0\n", "uniform grid"),
+        (_HEADER + b"1,0,1.0,2.0,3.0\n", "path_index"),
+        (b"t,0.0,0.5,1.0\n0,0,1.0,2.0,3.0\n", "header"),
+        (_HEADER + b"0,0,1.0,\xff,3.0\n", "decode"),
+    ],
+    ids=[
+        "empty", "header_only", "ragged", "non_numeric", "non_integer_flag",
+        "non_uniform", "overflowing_times", "path_index", "bad_header", "not_utf8",
+    ],
+)
+def test_csv_reader_fails_closed(tmp_path, blob, needle):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(blob)
+    with pytest.raises(IOFailureError, match=needle):
+        read_ensemble_csv(path, "X")
+
+
 def test_write_is_byte_stable(tmp_path, ensemble):
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"
     write_ensemble_binary(a, ensemble)
