@@ -3,7 +3,8 @@
 Subcommands map one-to-one onto pipeline stages; every invocation
 validates the config fail-closed, runs its stage, and writes a manifest
 next to the artifacts.  Exit status: 0 on success, 1 when a verification
-verdict is FAIL, 2 on configuration or usage errors.
+verdict is FAIL, 2 on configuration or usage errors and on any other
+error, which prints one ``error [CODE]: ...`` line and no traceback.
 """
 from __future__ import annotations
 
@@ -151,6 +152,9 @@ def main(argv: "list[str] | None" = None) -> int:
         return 2
     except RmplabError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # fail closed: exit 2, never a traceback
+        print(f"error [{RmplabError.code}]: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from . import noise as noise_mod
 from .blocks import DEFAULT_BLOCK_SIZE, pairwise_sum, run_blocks
@@ -169,9 +168,21 @@ def _sanitize(arr: np.ndarray) -> np.ndarray:
     return bad.any(axis=1)
 
 
+def cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
+    """Cumulative trapezoid rule along the last axis, starting from 0.
+
+    cumsum(dt * (v[1:] + v[:-1]) / 2.0) behind a leading zero, the formula
+    and operation order of scipy.integrate.cumulative_trapezoid.
+    """
+    out = np.empty(values.shape)
+    out[..., 0] = 0.0
+    np.cumsum(dt * (values[..., 1:] + values[..., :-1]) / 2.0, axis=-1, out=out[..., 1:])
+    return out
+
+
 def integrate_y_values(zeta: np.ndarray, dt: float) -> np.ndarray:
     """Cumulative trapezoid of the multiplicative noise, Y_0 = 0."""
-    return cumulative_trapezoid(zeta, dx=dt, axis=-1, initial=0.0)
+    return cumulative_trapezoid(zeta, dt)
 
 
 def integrate_y(zeta: PathEnsemble) -> PathEnsemble:
@@ -278,7 +289,7 @@ def linear_block_arrays(
         out["X"] = sub(x)
     if "H" in need:
         with np.errstate(over="ignore", invalid="ignore"):
-            h = cumulative_trapezoid(phi * a_vals, dx=grid.dt, axis=1, initial=0.0)
+            h = cumulative_trapezoid(phi * a_vals, grid.dt)
         flagged |= _sanitize(h)
         out["H"] = sub(h)
     out["flagged"] = flagged
@@ -462,13 +473,12 @@ def _block_noise(
 ) -> tuple[np.ndarray, np.ndarray]:
     """zeta and |phi| for one block, time-major: shape (n_nodes, n_paths)."""
     zeta = noise_mod.sample_block(
-        model.multiplicative, grid, master_seed, indices, ROLE_MULTIPLICATIVE
+        model.multiplicative, grid, master_seed, indices, ROLE_MULTIPLICATIVE, time_major=True
     )
-    zeta_t = np.ascontiguousarray(zeta.T)
-    del zeta
-    phi = noise_mod.sample_block(model.envelope, grid, master_seed, indices, ROLE_ADDITIVE)
-    phi_t = np.abs(phi.T, out=np.empty((grid.n_nodes, len(indices))))
-    return zeta_t, phi_t
+    phi = noise_mod.sample_block(
+        model.envelope, grid, master_seed, indices, ROLE_ADDITIVE, time_major=True
+    )
+    return zeta, np.abs(phi, out=phi)
 
 
 def _rk4_block(

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
-from scipy.special import ndtr
 
 from .errors import SpecRejectedError, UnsupportedKindError
 from .grid import TimeGrid
@@ -213,30 +211,41 @@ def _component_noise_shape(spec: NoiseSpec, grid: TimeGrid) -> tuple[int, ...]:
 
 
 def _assemble_block(spec: NoiseSpec, grid: TimeGrid, draws: np.ndarray) -> np.ndarray:
-    """Turn standard normal draws into noise paths on the grid.
+    """Turn standard normal draws into noise paths on the grid, time-major.
 
     draws has shape (n_paths, n_components, n_nodes); column 0 seeds the
-    stationary initial value, the rest drive the exact one-step update
-    g_{k+1} = r g_k + sigma sqrt(1 - r^2) xi_{k+1} with r = exp(-dt/tau).
+    stationary initial value g_0 = sigma xi_0, the rest drive the exact
+    one-step update g_{k+1} = r g_k + sigma sqrt(1 - r^2) xi_{k+1} with
+    r = exp(-dt/tau).  The result has shape (n_nodes, n_paths): the
+    recursion runs over time on whole rows, one row per step.  Each step
+    is one multiply r * g_k and one add of the innovation, in that order,
+    which is the arithmetic of the direct-form filter lfilter([1], [1, -r])
+    started from r * g_0, so the paths equal that filter's bit for bit.
+    Components are summed into a zero array in their listed order.
     """
     n_paths = draws.shape[0]
     if spec.kind == ZERO:
-        return np.zeros((n_paths, grid.n_nodes))
+        return np.zeros((grid.n_nodes, n_paths))
     if spec.kind == CONSTANT:
-        return np.full((n_paths, grid.n_nodes), spec.level)
+        return np.full((grid.n_nodes, n_paths), spec.level)
 
-    out = np.zeros((n_paths, grid.n_nodes))
+    out = np.zeros((grid.n_nodes, n_paths))
+    g = np.empty_like(out)
+    rows = list(g)
+    step = np.empty(n_paths)
     for j, (sigma, tau) in enumerate(spec.components):
         r = np.exp(-grid.dt / tau)
         s = sigma * np.sqrt(-np.expm1(-2.0 * grid.dt / tau))
-        g0 = sigma * draws[:, j, 0]
-        innovations = s * draws[:, j, 1:]
-        zi = (r * g0)[:, None]
-        rest, _ = lfilter([1.0], [1.0, -r], innovations, axis=1, zi=zi)
-        out[:, 0] += g0
-        out[:, 1:] += rest
+        np.multiply(draws[:, j, 0], sigma, out=g[0])
+        np.multiply(draws[:, j, 1:].T, s, out=g[1:])
+        for prev, cur in zip(rows, rows[1:]):
+            np.multiply(prev, r, out=step)
+            np.add(cur, step, out=cur)
+        out += g
 
     if spec.kind == PARETO_TRANSFORMED_OU:
+        from scipy.special import ndtr  # imported on use: import rmplab loads numpy only
+
         # Latent path has unit variance; ndtr(-w) is the exact survival
         # function, safe from cancellation for large w.
         out = spec.scale * ndtr(-out) ** (-1.0 / spec.tail_index)
@@ -249,20 +258,28 @@ def sample_block(
     master_seed: int,
     path_indices: np.ndarray,
     role: int,
+    *,
+    time_major: bool = False,
 ) -> np.ndarray:
-    """Sample paths for a block of path indices; shape (n, n_nodes)."""
+    """Sample paths for a block of path indices.
+
+    The result is C-contiguous with shape (n, n_nodes), one row per path,
+    or (n_nodes, n), one row per node, when time_major is set.
+    """
     if spec.kind in (ZERO, CONSTANT):
-        return _assemble_block(spec, grid, np.empty((len(path_indices), 0, 0)))
-    draws = block_normals(master_seed, path_indices, role, _component_noise_shape(spec, grid))
-    return _assemble_block(spec, grid, draws)
+        noise = _assemble_block(spec, grid, np.empty((len(path_indices), 0, 0)))
+    else:
+        draws = block_normals(master_seed, path_indices, role, _component_noise_shape(spec, grid))
+        noise = _assemble_block(spec, grid, draws)
+    return noise if time_major else np.ascontiguousarray(noise.T)
 
 
 def sample_path(spec: NoiseSpec, grid: TimeGrid, stream: np.random.Generator) -> np.ndarray:
     """Sample a single path on the grid from an explicit stream."""
     if spec.kind in (ZERO, CONSTANT):
-        return _assemble_block(spec, grid, np.empty((1, 0, 0)))[0]
+        return _assemble_block(spec, grid, np.empty((1, 0, 0)))[:, 0]
     draws = stream.standard_normal(_component_noise_shape(spec, grid))[None, ...]
-    return _assemble_block(spec, grid, draws)[0]
+    return _assemble_block(spec, grid, draws)[:, 0]
 
 
 # Catalog of Gaussian specs exercised by the verification suite.  All of

@@ -71,7 +71,9 @@ def write_ensemble_csv(path: "str | Path", ensemble: PathEnsemble) -> None:
     with _text_out(path) as fh:
         fh.write("path_index,flagged," + ",".join(_fmt(t) for t in ensemble.grid.times) + "\n")
         for i in range(ensemble.n_paths):
-            row = ",".join(_fmt(v) for v in ensemble.values[i])
+            # repr of a float list is "[v0, v1, ...]" with repr(v) per value,
+            # the _fmt text, and no float repr contains ", "
+            row = repr(ensemble.values[i].tolist())[1:-1].replace(", ", ",")
             fh.write(f"{i},{int(ensemble.flagged[i])},{row}\n")
 
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import ks_2samp
-from scipy.stats import t as student_t
 
 from .blocks import DEFAULT_BLOCK_SIZE
 from .engine import LinearModel, PathEnsemble, sample_y_marginal, solve_linear
@@ -201,6 +199,8 @@ def moment_transition(
 
 
 def _batch_ci(batch_values: np.ndarray) -> tuple[float, float]:
+    from scipy.stats import t as student_t  # imported on use: import rmplab loads numpy only
+
     b = batch_values.size
     mean = float(batch_values.mean())
     if b < 2:
@@ -403,6 +403,8 @@ def b_equals_h_test(
     The two ensembles must come from independently seeded simulations;
     reusing a seed couples the samples and voids the test.
     """
+    from scipy.stats import ks_2samp  # imported on use: import rmplab loads numpy only
+
     if seed_b is not None and seed_b == seed_h:
         raise SameSeedError("B and H ensembles share a master seed")
     b = np.asarray(b_samples, dtype=np.float64).ravel()

@@ -1,8 +1,14 @@
 """Config schema (fail-closed) and the command line front end."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rmplab
+from rmplab import cli
 from rmplab.cli import main
 from rmplab.config import config_from_dict, config_hash, load_config
 from rmplab.engine import LinearModel, NonlinearModel
@@ -286,6 +292,16 @@ class TestCli:
         assert "IO_FAILURE" in err and "output directory" in err
         assert "Traceback" not in err
 
+    def test_unexpected_error_exits_two_without_traceback(self, tmp_path, capsys, monkeypatch):
+        def broken_run(*args, **kwargs):
+            raise RuntimeError("simulated fault")
+
+        monkeypatch.setattr(cli, "run", broken_run)  # the runner.run binding the CLI calls
+        cfg_path = write_config(tmp_path, base_raw())
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error [ERROR]: RuntimeError: simulated fault\n"
+
     def test_save_every_must_be_a_positive_integer(self):
         for name, extra in (("moments", {"p": [0.5]}), ("beta", {"p_grid": [1.0, 2.0]})):
             for bad in (0, -4, 2.0, True):
@@ -339,3 +355,44 @@ class TestCli:
             manifest = json.loads((out / "manifest.json").read_text())
             digests[workers] = {a["path"]: a["sha256"] for a in manifest["artifacts"]}
         assert digests[1] == digests[2]
+
+
+_NO_SCIPY_RUN = """
+import json, sys
+from pathlib import Path
+import rmplab.cli
+work = Path(sys.argv[1])
+for name, raw in json.loads(sys.argv[2]).items():
+    path = work / (name + ".json")
+    path.write_text(json.dumps(raw))
+    for command in ("simulate", "moments"):
+        code = rmplab.cli.main([command, "--config", str(path), "--out", str(work / name)])
+        assert code == 0, (name, command, code)
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+"""
+
+
+def test_gaussian_and_nonlinear_runs_import_no_scipy(tmp_path):
+    nonlinear = base_raw()
+    nonlinear["model"] = {
+        "kind": "nonlinear",
+        "a": 1.0,
+        "x0": 1.0,
+        "nonlinearity": "sin_modulated",
+        "multiplicative": {"kind": "ou", "sigma": 1.0, "tau_c": 0.5},
+        "envelope": {"kind": "ou", "sigma": 0.5, "tau_c": 1.0},
+    }
+    linear = base_raw()
+    linear["outputs"]["formats"] = ["csv", "json", "binary"]
+    src = str(Path(rmplab.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_RUN, str(tmp_path),
+         json.dumps({"linear": linear, "nonlinear": nonlinear})],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(json.loads(done.stdout.splitlines()[-1]))
+    assert not loaded & {"scipy.signal", "scipy.integrate", "scipy.stats", "scipy.special"}

@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid as scipy_cumulative_trapezoid
 from scipy.integrate import dblquad
 
 from rmplab import engine
@@ -274,3 +275,25 @@ def test_sample_y_marginal_has_exact_variance_law():
         assert abs(emp - v) < 5 * v * np.sqrt(2.0 / row.size)
     single = sample_y_marginal(OU_HALF, 4.0, 100, 17)
     assert single.shape == (100,)
+
+
+def test_trapezoid_matches_scipy_including_overflow_rows():
+    rng = np.random.default_rng(8)
+    vals = rng.standard_normal((6, 1384)) * 10.0 ** rng.integers(-300, 300, (6, 1384))
+    vals[1, 40] = np.inf  # inf from then on
+    vals[2, 7] = -np.inf
+    vals[2, 900] = np.inf  # inf - inf: nan from then on
+    vals[3, 5] = np.nan
+    vals[4, 100:] = 1.7e308  # the pair sum overflows
+    for dt in (0.01, 0.1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = engine.cumulative_trapezoid(vals, dt)
+            want = scipy_cumulative_trapezoid(vals, dx=dt, axis=-1, initial=0.0)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isinf(got[1, -1]) and np.isnan(got[2, -1]) and np.isnan(got[3, -1])
+        assert np.isinf(got[4, -1])
+    one_d = rng.standard_normal(151)
+    assert np.array_equal(
+        engine.integrate_y_values(one_d, 0.02),
+        scipy_cumulative_trapezoid(one_d, dx=0.02, initial=0.0),
+    )

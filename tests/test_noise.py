@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.signal import lfilter
+from scipy.special import ndtr
 
 from rmplab.errors import SpecRejectedError, UnsupportedKindError
 from rmplab.grid import TimeGrid
@@ -25,7 +27,7 @@ from rmplab.noise import (
     validate_multiplicative,
     y_variance_half,
 )
-from rmplab.rng import ROLE_ADDITIVE, ROLE_MULTIPLICATIVE, path_stream
+from rmplab.rng import ROLE_ADDITIVE, ROLE_MULTIPLICATIVE, block_normals, path_stream
 
 
 # ---------------------------------------------------------------- specs
@@ -207,3 +209,55 @@ def test_block_rows_do_not_depend_on_partition():
     full = sample_block(spec, grid, 31, np.arange(6), ROLE_MULTIPLICATIVE)
     part = sample_block(spec, grid, 31, np.array([4, 5]), ROLE_MULTIPLICATIVE)
     np.testing.assert_array_equal(full[4:], part)
+
+
+def _lfilter_block(spec: NoiseSpec, grid: TimeGrid, draws: np.ndarray) -> np.ndarray:
+    """Path-major reference: each component's recursion through scipy's lfilter."""
+    out = np.zeros((draws.shape[0], grid.n_nodes))
+    for j, (sigma, tau) in enumerate(spec.components):
+        r = np.exp(-grid.dt / tau)
+        s = sigma * np.sqrt(-np.expm1(-2.0 * grid.dt / tau))
+        g0 = sigma * draws[:, j, 0]
+        rest, _ = lfilter([1.0], [1.0, -r], s * draws[:, j, 1:], axis=1, zi=(r * g0)[:, None])
+        out[:, 0] += g0
+        out[:, 1:] += rest
+    if spec.kind == "pareto_transformed_ou":
+        out = spec.scale * ndtr(-out) ** (-1.0 / spec.tail_index)
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec,n_paths,n_steps",
+    [
+        (NoiseSpec.ou(1.0, 0.5), 2048, 150),
+        (NoiseSpec.ou(1.0, 0.5), 223, 1383),
+        (NoiseSpec.ou(0.5, 2.0), 1, 400),
+        (SHIPPED_GAUSSIAN_SPECS["three_scale"], 300, 200),
+        (NoiseSpec.pareto_ou(0.5, 3.0, 2.0), 50, 100),
+    ],
+)
+def test_recursion_equals_lfilter_bit_for_bit(spec, n_paths, n_steps):
+    grid = TimeGrid(dt=0.01, n_steps=n_steps)
+    idx = np.arange(n_paths) + 17
+    block = sample_block(spec, grid, 9, idx, ROLE_MULTIPLICATIVE)
+    draws = block_normals(9, idx, ROLE_MULTIPLICATIVE, (len(spec.components), grid.n_nodes))
+    assert block.shape == (n_paths, grid.n_nodes) and block.flags.c_contiguous
+    assert np.array_equal(block, _lfilter_block(spec, grid, draws))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SHIPPED_GAUSSIAN_SPECS["three_scale"],
+        NoiseSpec.pareto_ou(0.5, 3.0),
+        NoiseSpec.zero(),
+        NoiseSpec.constant(-0.75),
+    ],
+)
+def test_time_major_block_is_the_transpose(spec):
+    grid = TimeGrid(dt=0.05, n_steps=30)
+    idx = np.arange(5, 12)
+    rows = sample_block(spec, grid, 4, idx, ROLE_ADDITIVE)
+    nodes = sample_block(spec, grid, 4, idx, ROLE_ADDITIVE, time_major=True)
+    assert nodes.shape == (grid.n_nodes, len(idx)) and nodes.flags.c_contiguous
+    assert np.array_equal(nodes, rows.T)
