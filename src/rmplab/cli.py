@@ -16,7 +16,7 @@ from pathlib import Path
 from . import __version__
 from .config import FORMATS, config_from_dict
 from .errors import ConfigInvalidError, IOFailureError, RmplabError
-from .runner import do_report, run
+from .runner import STAGES, do_report, run
 from .storage import write_json
 
 _P_TARGET = {"moments": ("moments", "p"), "beta": ("beta", "p_grid"), "verify": ("condition1", "p")}
@@ -71,16 +71,6 @@ def _apply_overrides(raw: dict, args: argparse.Namespace) -> dict:
     return raw
 
 
-def _stage_estimators(command: str) -> tuple[str, ...]:
-    return {
-        "simulate": (),
-        "moments": ("moments",),
-        "beta": ("beta", "hill", "green_kubo", "dt_fit"),
-        "verify": ("condition1", "b_equals_h", "inequalities"),
-        "converge": ("converge",),
-    }[command]
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rmplab",
@@ -132,7 +122,7 @@ def main(argv: "list[str] | None" = None) -> int:
             raw = json.load(fh)
         raw = _apply_overrides(raw, args)
         cfg = config_from_dict(raw)
-        wanted = _stage_estimators(args.command)
+        wanted = STAGES[args.command]
         if args.command != "simulate" and not any(r.name in wanted for r in cfg.estimators):
             raise ConfigInvalidError(
                 f"config declares no estimator used by '{args.command}' "

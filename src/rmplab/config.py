@@ -2,7 +2,11 @@
 
 Unknown keys are rejected everywhere.  A configuration that loads is
 guaranteed to round-trip: load(dump(cfg)) reproduces cfg exactly,
-including defaults that were filled in.
+including defaults that were filled in.  Estimator requests are parsed
+here and only here, before any stage runs: defaults come from
+ESTIMATOR_PARAMS, lists are held as tuples, converge test functions are
+built, counts and order lists are range-checked, and two requests that
+would write the same artifacts are rejected.
 """
 from __future__ import annotations
 
@@ -13,6 +17,7 @@ from pathlib import Path
 from . import engine, noise
 from .errors import ConfigInvalidError
 from .grid import TimeGrid, default_dt
+from .weak import ABS_POWER, MODE_AUTO, TEST_FUNCTION_KINDS, TestFunction
 
 SCHEMA_VERSION = 1
 
@@ -28,8 +33,13 @@ ESTIMATOR_PARAMS: dict[str, dict[str, object]] = {
     "condition1": {"p": None, "t_max": 50.0, "nodes": 26, "ratio_budget": 1e3, "mc_n": 0},
     "b_equals_h": {"t": None, "n": None, "replicates": 10, "level": 0.01},
     "inequalities": {"trials": 1000, "p": (0.3, 0.7, 1.0, 2.0), "n": 256},
-    "converge": {"functions": None, "times": None, "t_star": None, "n": None, "mode": "auto"},
+    "converge": {"functions": None, "times": None, "t_star": None, "n": None, "mode": MODE_AUTO},
 }
+
+# Count fields and their least value; null passes only where the default is null.
+_COUNT_MIN = {"k": 1, "mc_n": 0, "n": 1, "nodes": 2, "replicates": 1, "save_every": 1, "trials": 1}
+# List fields every request of theirs needs, and their least length.
+_LIST_MIN = {"p": 1, "p_grid": 2, "functions": 1, "times": 1}
 
 
 @dataclass(frozen=True)
@@ -38,14 +48,13 @@ class EstimatorRequest:
     params: tuple[tuple[str, object], ...]
 
     def get(self, key: str, default: object = None) -> object:
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
+        return dict(self.params).get(key, default)
 
     def to_dict(self) -> dict:
         out: dict = {"name": self.name}
-        out.update({k: _plain(v) for k, v in self.params})
+        out.update(self.params)
+        if self.name == "converge":
+            out["functions"] = [_function_to_dict(f) for f in self.get("functions")]
         return out
 
 
@@ -84,20 +93,6 @@ class ExperimentConfig:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-
-def _plain(v: object) -> object:
-    if isinstance(v, tuple):
-        return [_plain(x) for x in v]
-    return v
-
-
-def _freeze(v: object) -> object:
-    if isinstance(v, list):
-        return tuple(_freeze(x) for x in v)
-    if isinstance(v, dict):
-        return tuple(sorted((k, _freeze(val)) for k, val in v.items()))
-    return v
 
 
 def _check_keys(d: dict, allowed: "set[str]", required: "set[str]", where: str) -> None:
@@ -215,7 +210,42 @@ def _model_from_dict(d: dict) -> "engine.LinearModel | engine.NonlinearModel":
     raise ConfigInvalidError(f"model.kind: expected 'linear' or 'nonlinear', got {kind!r}")
 
 
+def _function_to_dict(f: TestFunction) -> dict:
+    if f.kind == ABS_POWER:
+        return {"kind": f.kind, "alpha": f.alpha, "z_real": f.z.real, "z_imag": f.z.imag}
+    return {"kind": f.kind, "xs": list(f.xs), "ys": list(f.ys)}
+
+
+def _function_from_dict(d: object, where: str) -> TestFunction:
+    if not isinstance(d, dict) or d.get("kind") not in TEST_FUNCTION_KINDS:
+        raise ConfigInvalidError(
+            f"{where}: expected an object with a 'kind' among {list(TEST_FUNCTION_KINDS)}"
+        )
+    try:
+        if d["kind"] == ABS_POWER:
+            _check_keys(d, {"kind", "alpha", "z_real", "z_imag"}, set(), where)
+            alpha, z_real, z_imag = (
+                _number(d, k, where, default=v)
+                for k, v in (("alpha", 1.0), ("z_real", 0.0), ("z_imag", 0.0))
+            )
+            return TestFunction(ABS_POWER, alpha=alpha, z=complex(z_real, z_imag))
+        _check_keys(d, {"kind", "xs", "ys"}, {"xs", "ys"}, where)
+        xs, ys = (tuple(map(float, _number_list(d[k], f"{where}.{k}"))) for k in ("xs", "ys"))
+        return TestFunction(d["kind"], xs=xs, ys=ys)
+    except ValueError as exc:
+        raise ConfigInvalidError(f"{where}: {exc}") from exc
+
+
+def _number_list(v: object, where: str) -> tuple:
+    if not isinstance(v, (list, tuple)) or not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in v
+    ):
+        raise ConfigInvalidError(f"{where}: expected a list of numbers")
+    return tuple(v)
+
+
 def _estimator_from_dict(d: dict, index: int) -> EstimatorRequest:
+    """Parse one request once: defaults filled in, lists as tuples, functions built."""
     where = f"estimators[{index}]"
     if not isinstance(d, dict) or "name" not in d:
         raise ConfigInvalidError(f"{where}: expected an object with a 'name'")
@@ -227,7 +257,22 @@ def _estimator_from_dict(d: dict, index: int) -> EstimatorRequest:
     params = []
     for key, default in sorted(spec.items()):
         value = d.get(key, default)
-        params.append((key, _freeze(value)))
+        if key == "functions" and isinstance(value, (list, tuple)):
+            value = tuple(
+                _function_from_dict(f, f"{name}.functions[{i}]") for i, f in enumerate(value)
+            )
+        elif isinstance(value, (list, tuple)):
+            value = _number_list(value, f"{name}.{key}")
+        elif isinstance(value, dict):
+            raise ConfigInvalidError(f"{name}.{key}: expected a number, string or list")
+        least = _COUNT_MIN.get(key)
+        if least is not None and not (value is None and default is None):
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ConfigInvalidError(f"{name}.{key}: expected an integer >= {least}")
+        least = _LIST_MIN.get(key)
+        if least is not None and (not isinstance(value, tuple) or len(value) < least):
+            raise ConfigInvalidError(f"{name}.{key}: expected a list of at least {least} entries")
+        params.append((key, value))
     return EstimatorRequest(name=name, params=tuple(params))
 
 
@@ -238,12 +283,8 @@ def _validate_estimator_against_model(
     additive = getattr(model, "additive", None) or getattr(model, "envelope")
     beta_1 = noise.tail_index(additive)
     for key in ("p", "p_grid"):
-        value = req.get(key)
-        if value is None:
-            continue
-        orders = value if isinstance(value, tuple) else (value,)
-        for p in orders:
-            if isinstance(p, bool) or not isinstance(p, (int, float)) or p <= 0:
+        for p in req.get(key) or ():
+            if p <= 0:
                 raise ConfigInvalidError(f"{req.name}.{key}: orders must be positive numbers")
             if p >= beta_1:
                 raise ConfigInvalidError(
@@ -260,15 +301,12 @@ def _validate_estimator_against_model(
 def _validate_estimator_against_grid(req: EstimatorRequest, grid: TimeGrid) -> None:
     """Cross-field checks the stages would otherwise only meet mid-run."""
     save_every = req.get("save_every")
-    if save_every is not None:
-        if isinstance(save_every, bool) or not isinstance(save_every, int) or save_every < 1:
-            raise ConfigInvalidError(f"{req.name}.save_every: must be a positive integer")
-        # beta builds its own grid and rounds its step count up to a multiple
-        # of save_every; moments subsamples the configured grid.
-        if req.name == "moments" and grid.n_steps % save_every:
-            raise ConfigInvalidError(
-                f"moments.save_every: {save_every} does not divide the {grid.n_steps} grid steps"
-            )
+    # beta builds its own grid and rounds its step count up to a multiple
+    # of save_every; moments subsamples the configured grid.
+    if req.name == "moments" and save_every is not None and grid.n_steps % save_every:
+        raise ConfigInvalidError(
+            f"moments.save_every: {save_every} does not divide the {grid.n_steps} grid steps"
+        )
     if req.name == "moments" and req.get("source") not in engine.PROCESS_LABELS:
         raise ConfigInvalidError(
             f"moments.source: expected one of {list(engine.PROCESS_LABELS)}"
@@ -333,9 +371,19 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw_estimators, list):
         raise ConfigInvalidError("estimators: expected a list")
     estimators = tuple(_estimator_from_dict(e, i) for i, e in enumerate(raw_estimators))
-    for req in estimators:
+    seen: set = set()
+    for i, req in enumerate(estimators):
         _validate_estimator_against_model(req, model)
         _validate_estimator_against_grid(req, grid)
+        # artifacts are named by estimator (and moments by source): a repeat would overwrite
+        key = (req.name, req.get("source"))
+        if key in seen:
+            also = f" for source {key[1]!r}" if key[1] else ""
+            raise ConfigInvalidError(
+                f"estimators[{i}]: a second {req.name!r} request{also} would overwrite the outputs"
+                " of the first"
+            )
+        seen.add(key)
 
     return ExperimentConfig(
         schema_version=SCHEMA_VERSION,

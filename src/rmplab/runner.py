@@ -53,9 +53,17 @@ from .tail import (
     hill_estimator,
     moment_transition,
 )
-from .weak import MODE_AUTO, TestFunction, convergence_diagnostic
+from .weak import convergence_diagnostic
 
-GROUPS = ("simulate", "moments", "beta", "verify", "converge")
+# Pipeline stage -> the estimators it runs, in run order.
+STAGES: dict[str, tuple[str, ...]] = {
+    "simulate": (),
+    "moments": ("moments",),
+    "beta": ("beta", "hill", "green_kubo", "dt_fit"),
+    "verify": ("condition1", "b_equals_h", "inequalities"),
+    "converge": ("converge",),
+}
+GROUPS = tuple(STAGES)
 
 
 @dataclass
@@ -96,43 +104,6 @@ def _stride(n_steps: int, target_nodes: int) -> int:
 
 def _reqs(cfg: ExperimentConfig, *names: str) -> list[EstimatorRequest]:
     return [r for r in cfg.estimators if r.name in names]
-
-
-def _unfreeze(v: object) -> object:
-    if isinstance(v, tuple) and all(
-        isinstance(x, tuple) and len(x) == 2 and isinstance(x[0], str) for x in v
-    ) and v:
-        return {k: _unfreeze(x) for k, x in v}
-    if isinstance(v, tuple):
-        return [_unfreeze(x) for x in v]
-    return v
-
-
-def test_function_from_dict(d: dict, where: str = "function") -> TestFunction:
-    from .errors import ConfigInvalidError
-
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ConfigInvalidError(f"{where}: expected an object with a 'kind'")
-    kind = d["kind"]
-    try:
-        if kind == "abs_power":
-            extra = set(d) - {"kind", "alpha", "z_real", "z_imag"}
-            if extra:
-                raise ConfigInvalidError(f"{where}: unknown fields {sorted(extra)}")
-            z = complex(d.get("z_real", 0.0), d.get("z_imag", 0.0))
-            return TestFunction(kind="abs_power", alpha=float(d.get("alpha", 1.0)), z=z)
-        if kind in ("lipschitz_table", "bounded_continuous"):
-            extra = set(d) - {"kind", "xs", "ys"}
-            if extra:
-                raise ConfigInvalidError(f"{where}: unknown fields {sorted(extra)}")
-            return TestFunction(
-                kind=kind,
-                xs=tuple(float(x) for x in d["xs"]),
-                ys=tuple(float(y) for y in d["ys"]),
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigInvalidError(f"{where}: {exc}") from exc
-    raise ConfigInvalidError(f"{where}.kind: unknown test function kind {kind!r}")
 
 
 def _simulate_state_ensemble(cfg: ExperimentConfig, save_every: int) -> PathEnsemble:
@@ -182,7 +153,7 @@ def do_simulate(state: RunState) -> None:
 def _curves_for(state: RunState, req: EstimatorRequest) -> MomentCurves:
     cfg = state.cfg
     ps = [float(p) for p in req.get("p")]
-    source = str(req.get("source", "X"))
+    source = req.get("source")
     save_every = req.get("save_every") or _stride(cfg.grid.n_steps, 400)
     if isinstance(cfg.model, NonlinearModel):
         if source != "X":
@@ -294,7 +265,7 @@ def do_beta(state: RunState) -> None:
         out["moment_transition"] = _report_to_dict(report)
 
     for req in _reqs(cfg, "hill"):
-        p_max = float(req.get("p_max", 1.0))
+        p_max = float(req.get("p_max"))
         t_star = req.get("t_star")
         t_star = float(t_star) if t_star is not None else stationary_horizon(model, p_max)
         n = int(req.get("n") or cfg.n_paths)
@@ -337,10 +308,10 @@ def do_verify(state: RunState) -> None:
     out: dict = {}
 
     for req in _reqs(cfg, "condition1"):
-        t_max = float(req.get("t_max", 50.0))
-        nodes = int(req.get("nodes", 26))
-        budget = float(req.get("ratio_budget", 1e3))
-        mc_n = int(req.get("mc_n", 0))
+        t_max = float(req.get("t_max"))
+        nodes = int(req.get("nodes"))
+        budget = float(req.get("ratio_budget"))
+        mc_n = int(req.get("mc_n"))
         ts = np.linspace(0.0, t_max, nodes)
         entries = []
         all_bounded = True
@@ -371,8 +342,8 @@ def do_verify(state: RunState) -> None:
             raise RmplabError("the distribution identity applies to the linear model")
         t = float(req.get("t") or cfg.grid.horizon)
         n = int(req.get("n") or cfg.n_paths)
-        replicates = int(req.get("replicates", 10))
-        level = float(req.get("level", 0.01))
+        replicates = int(req.get("replicates"))
+        level = float(req.get("level"))
         reports = b_h_replicates(
             model, t, n, replicates, cfg.master_seed, level=level, workers=cfg.workers
         )
@@ -389,8 +360,8 @@ def do_verify(state: RunState) -> None:
         state.verdicts["b_equals_h"] = "PASS" if ok else "FAIL"
 
     for req in _reqs(cfg, "inequalities"):
-        trials = int(req.get("trials", 1000))
-        n = int(req.get("n", 256))
+        trials = int(req.get("trials"))
+        n = int(req.get("n"))
         ps = [float(p) for p in req.get("p")]
         failures = _inequality_trials(cfg.master_seed, trials, n, ps)
         out["inequalities"] = {"trials": trials, "n": n, "p": ps, "failures": failures}
@@ -434,11 +405,7 @@ def do_converge(state: RunState) -> None:
     d = diffusion_constant(model.multiplicative)
     out: dict = {}
     for req in _reqs(cfg, "converge"):
-        fn_dicts = [_unfreeze(f) for f in req.get("functions")]
-        functions = [
-            test_function_from_dict(f, f"converge.functions[{i}]")
-            for i, f in enumerate(fn_dicts)
-        ]
+        functions = req.get("functions")
         times = np.array([float(t) for t in req.get("times")])
         x = state.state_ensemble(_stride(cfg.grid.n_steps, 400))
         grid_times = x.grid.times
@@ -461,7 +428,7 @@ def do_converge(state: RunState) -> None:
                 f,
                 model.a,
                 d,
-                mode=str(req.get("mode", MODE_AUTO)),
+                mode=req.get("mode"),
             )
             reports.append(rep)
             if "csv" in cfg.formats:

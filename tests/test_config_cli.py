@@ -10,10 +10,13 @@ import pytest
 import rmplab
 from rmplab import cli
 from rmplab.cli import main
-from rmplab.config import config_from_dict, config_hash, load_config
+from rmplab.config import ESTIMATOR_PARAMS, config_from_dict, config_hash, load_config
 from rmplab.engine import LinearModel, NonlinearModel
 from rmplab.errors import ConfigInvalidError
+from rmplab.runner import STAGES
+from rmplab.weak import TestFunction
 
+ROOT = Path(__file__).resolve().parents[1]
 
 def base_raw() -> dict:
     return {
@@ -150,6 +153,90 @@ class TestSchema:
         raw["estimators"] = [{"name": "hill", "p_max": 1.0}]
         config_from_dict(raw)
 
+    def test_converge_functions_round_trip_as_objects(self):
+        raw = base_raw()
+        functions = [
+            {"kind": "abs_power", "alpha": 0.5, "z_imag": 1.0},
+            {"kind": "lipschitz_table", "xs": [-1.0, 0.0, 2.0], "ys": [1.0, 0.0, 4.0]},
+            {"kind": "bounded_continuous", "xs": [0, 1], "ys": [0, 1]},
+        ]
+        raw["estimators"].append({"name": "converge", "functions": functions, "times": [1.0]})
+        cfg = config_from_dict(raw)
+        parsed = cfg.estimators[1].get("functions")
+        assert all(isinstance(f, TestFunction) for f in parsed)
+        assert [f.kind for f in parsed] == [f["kind"] for f in functions]
+        assert parsed[0].z == 1j and parsed[2].xs == (0.0, 1.0)
+        written = cfg.to_dict()["estimators"][1]["functions"]
+        assert written == [
+            {"kind": "abs_power", "alpha": 0.5, "z_real": 0.0, "z_imag": 1.0},
+            {"kind": "lipschitz_table", "xs": [-1.0, 0.0, 2.0], "ys": [1.0, 0.0, 4.0]},
+            {"kind": "bounded_continuous", "xs": [0.0, 1.0], "ys": [0.0, 1.0]},
+        ]
+        for again in (config_from_dict(cfg.to_dict()), config_from_dict(json.loads(cfg.to_json()))):
+            assert again == cfg
+            assert config_hash(again) == config_hash(cfg)
+
+    @pytest.mark.parametrize(
+        "function,needle",
+        [
+            ({"kind": "cosine"}, "kind"),
+            ([["kind", "abs_power"]], "kind"),
+            ({"kind": "abs_power", "alpha": -1.0}, "alpha"),
+            ({"kind": "abs_power", "alpha": "0.5"}, "alpha"),
+            ({"kind": "abs_power", "xs": [0.0, 1.0]}, "xs"),
+            ({"kind": "lipschitz_table", "xs": [0.0, 1.0]}, "ys"),
+            ({"kind": "lipschitz_table", "xs": [0.0, "1"], "ys": [0.0, 1.0]}, "xs"),
+            ({"kind": "bounded_continuous", "xs": [1.0, 0.0], "ys": [0.0, 1.0]}, "increasing"),
+        ],
+    )
+    def test_bad_converge_functions_rejected_at_load(self, function, needle):
+        raw = base_raw()
+        raw["estimators"] = [{"name": "converge", "functions": [function], "times": [1.0]}]
+        with pytest.raises(ConfigInvalidError, match=needle):
+            config_from_dict(raw)
+
+    def test_estimator_values_at_their_limits_load(self):
+        raw = base_raw()
+        raw["estimators"] = [
+            {"name": "condition1", "p": [0.5], "nodes": 2, "mc_n": 0},
+            {"name": "b_equals_h", "replicates": 1, "n": 1},
+            {"name": "inequalities", "trials": 1, "p": [1.0], "n": 1},
+            {"name": "hill", "k": None, "n": None},
+            {"name": "beta", "p_grid": [1.0, 2.0]},
+        ]
+        cfg = config_from_dict(raw)
+        assert cfg.estimators[0].get("nodes") == 2
+        assert cfg.estimators[3].get("k") is None
+        assert cfg.estimators[4].get("p_grid") == (1.0, 2.0)
+
+    def test_repeated_outputs_rejected(self):
+        x = {"name": "moments", "p": [0.5]}
+        a = {"name": "moments", "source": "A", "p": [0.5]}
+        c1 = {"name": "condition1", "p": [0.5]}
+        raw = base_raw()
+        raw["estimators"] = [x, a, c1]  # one artifact name per moments source: fine
+        config_from_dict(raw)
+        for repeat in ({"name": "moments", "source": "X", "p": [1.0]}, dict(c1, p=[1.0])):
+            raw["estimators"] = [x, a, c1, repeat]
+            with pytest.raises(ConfigInvalidError, match="overwrite"):
+                config_from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted((ROOT / "rmpbench" / "workloads").glob("*.json")) + [ROOT / "README.md"],
+        ids=lambda p: p.name,
+    )
+    def test_shipped_configs_load_and_round_trip(self, path):
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".md":
+            raw = json.loads(text.split("Example config:\n\n```json\n", 1)[1].split("```", 1)[0])
+        else:
+            raw = json.loads(text)["config"]
+        cfg = config_from_dict(raw)
+        assert cfg.estimators
+        again = config_from_dict(json.loads(cfg.to_json()))
+        assert again == cfg and again.to_json() == cfg.to_json()
+
     def test_load_config_errors(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -221,9 +308,59 @@ class TestCli:
         assert main(["report", "--out", str(out)]) == 1
 
     def test_stage_without_estimator_is_an_error(self, tmp_path, capsys):
-        cfg_path = write_config(tmp_path, base_raw())  # declares only "moments"
-        assert main(["beta", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
-        assert "declares no estimator" in capsys.readouterr().err
+        names = sorted(n for stage in STAGES.values() for n in stage)
+        assert names == sorted(ESTIMATOR_PARAMS)  # every estimator runs in exactly one stage
+        for stage, wanted in STAGES.items():
+            if stage == "simulate":
+                continue
+            raw = base_raw()
+            raw["estimators"] = [
+                {"name": "condition1", "p": [0.5]} if stage == "moments" else raw["estimators"][0]
+            ]
+            cfg_path = write_config(tmp_path, raw, name=f"{stage}.json")
+            out = tmp_path / stage
+            assert main([stage, "--config", str(cfg_path), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "declares no estimator" in err and ", ".join(wanted) in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "stage,request_,needle",
+        [
+            ("verify", {"name": "b_equals_h", "replicates": 0}, "b_equals_h.replicates"),
+            ("verify", {"name": "b_equals_h", "replicates": True}, "b_equals_h.replicates"),
+            ("verify", {"name": "inequalities", "trials": 0}, "inequalities.trials"),
+            ("verify", {"name": "inequalities", "trials": 2.5}, "inequalities.trials"),
+            ("verify", {"name": "inequalities", "trials": "many"}, "inequalities.trials"),
+            ("verify", {"name": "inequalities", "n": 0}, "inequalities.n"),
+            ("verify", {"name": "inequalities", "p": []}, "inequalities.p"),
+            ("verify", {"name": "condition1", "p": []}, "condition1.p"),
+            ("verify", {"name": "condition1", "p": [0.5], "nodes": 1}, "condition1.nodes"),
+            ("verify", {"name": "condition1", "p": [0.5], "mc_n": -1}, "condition1.mc_n"),
+            ("beta", {"name": "hill", "k": 0}, "hill.k"),
+            ("beta", {"name": "hill", "n": 0}, "hill.n"),
+            ("beta", {"name": "beta", "p_grid": [1.0]}, "beta.p_grid"),
+            ("moments", {"name": "moments", "p": []}, "moments.p"),
+            ("converge", {"name": "converge", "functions": [], "times": [1.0]}, "functions"),
+            (
+                "converge",
+                {"name": "converge", "functions": [{"kind": "abs_power"}], "times": []},
+                "converge.times",
+            ),
+        ],
+    )
+    def test_bad_estimator_values_exit_two_before_any_work(
+        self, tmp_path, capsys, stage, request_, needle
+    ):
+        raw = base_raw()
+        raw["estimators"] = [request_]
+        cfg_path = write_config(tmp_path, raw)
+        out = tmp_path / "x"
+        assert main([stage, "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "CONFIG_INVALID" in err and needle in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_config_errors_exit_two(self, tmp_path, capsys):
         raw = base_raw()
