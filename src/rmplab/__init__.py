@@ -47,7 +47,6 @@ from .noise import (
     NoiseSpec,
     correlation,
     diffusion_constant,
-    sample_path,
     tail_index,
     validate_multiplicative,
     y_variance_half,
@@ -112,7 +111,6 @@ __all__ = [
     "quasi_norm",
     "quasi_triangle_check",
     "resolvable_horizon",
-    "sample_path",
     "sample_y_marginal",
     "sigma_p",
     "solve_linear",

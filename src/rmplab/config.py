@@ -5,19 +5,21 @@ guaranteed to round-trip: load(dump(cfg)) reproduces cfg exactly,
 including defaults that were filled in.  Estimator requests are parsed
 here and only here, before any stage runs: defaults come from
 ESTIMATOR_PARAMS, lists are held as tuples, converge test functions are
-built, counts and order lists are range-checked, and two requests that
-would write the same artifacts are rejected.
+built, counts, order lists, windows, times, scales and modes are
+range-checked, and two requests that would write the same artifacts are
+rejected.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import engine, noise
 from .errors import ConfigInvalidError
 from .grid import TimeGrid, default_dt
-from .weak import ABS_POWER, MODE_AUTO, TEST_FUNCTION_KINDS, TestFunction
+from .weak import ABS_POWER, MODE_AUTO, MODES, TEST_FUNCTION_KINDS, TestFunction
 
 SCHEMA_VERSION = 1
 
@@ -40,6 +42,12 @@ ESTIMATOR_PARAMS: dict[str, dict[str, object]] = {
 _COUNT_MIN = {"k": 1, "mc_n": 0, "n": 1, "nodes": 2, "replicates": 1, "save_every": 1, "trials": 1}
 # List fields every request of theirs needs, and their least length.
 _LIST_MIN = {"p": 1, "p_grid": 2, "functions": 1, "times": 1}
+# Times and scales that must be positive and finite; null passes only
+# where the default is null.
+_POSITIVE = {"horizon", "t_star", "t", "t_max", "ratio_budget", "p_max"}
+# Windows with no usable null: green_kubo's is one positive lag, the
+# others are [lo, hi] fit windows.
+_WINDOW_REQUIRED = {"green_kubo", "dt_fit"}
 
 
 @dataclass(frozen=True)
@@ -106,13 +114,17 @@ def _check_keys(d: dict, allowed: "set[str]", required: "set[str]", where: str) 
         raise ConfigInvalidError(f"{where}: missing fields {sorted(missing)}")
 
 
+def _is_number(v: object) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _number(d: dict, key: str, where: str, *, default: "float | None" = None) -> float:
     if key not in d:
         if default is None:
             raise ConfigInvalidError(f"{where}: missing field {key!r}")
         return default
     v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if not _is_number(v):
         raise ConfigInvalidError(f"{where}.{key}: expected a number")
     return float(v)
 
@@ -237,11 +249,32 @@ def _function_from_dict(d: object, where: str) -> TestFunction:
 
 
 def _number_list(v: object, where: str) -> tuple:
-    if not isinstance(v, (list, tuple)) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in v
-    ):
+    if not isinstance(v, (list, tuple)) or not all(_is_number(x) for x in v):
         raise ConfigInvalidError(f"{where}: expected a list of numbers")
     return tuple(v)
+
+
+def _check_range(name: str, key: str, value: object, default: object) -> None:
+    """Range checks of the window, time, scale, level and mode fields."""
+    where = f"{name}.{key}"
+    if value is None and default is None and not (key == "window" and name in _WINDOW_REQUIRED):
+        return
+    if key in _POSITIVE or (key == "window" and name == "green_kubo"):
+        if not (_is_number(value) and 0.0 < value < math.inf):
+            raise ConfigInvalidError(f"{where}: expected a positive finite number")
+    elif key == "window":
+        if not (
+            isinstance(value, tuple)
+            and len(value) == 2
+            and all(map(math.isfinite, value))
+            and value[0] < value[1]
+        ):
+            raise ConfigInvalidError(f"{where}: expected [lo, hi], finite with lo < hi")
+    elif key == "level":
+        if not (_is_number(value) and 0.0 < value < 1.0):
+            raise ConfigInvalidError(f"{where}: expected a number in (0, 1)")
+    elif key == "mode" and value not in MODES:
+        raise ConfigInvalidError(f"{where}: expected one of {list(MODES)}")
 
 
 def _estimator_from_dict(d: dict, index: int) -> EstimatorRequest:
@@ -272,6 +305,7 @@ def _estimator_from_dict(d: dict, index: int) -> EstimatorRequest:
         least = _LIST_MIN.get(key)
         if least is not None and (not isinstance(value, tuple) or len(value) < least):
             raise ConfigInvalidError(f"{name}.{key}: expected a list of at least {least} entries")
+        _check_range(name, key, value, default)
         params.append((key, value))
     return EstimatorRequest(name=name, params=tuple(params))
 

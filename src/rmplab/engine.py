@@ -161,32 +161,37 @@ class NonlinearSolution:
 
 
 def _sanitize(arr: np.ndarray) -> np.ndarray:
-    """Saturate overflowed entries in place; return row mask of repairs."""
+    """Saturate overflowed entries in place; return the path mask of repairs.
+
+    arr is time-major, (n_nodes, n_paths), so a path is flagged when any
+    entry of its column was repaired.
+    """
     bad = ~np.isfinite(arr)
     if bad.any():
         np.nan_to_num(arr, copy=False, nan=0.0, posinf=SATURATION, neginf=-SATURATION)
-    return bad.any(axis=1)
+    return bad.any(axis=0)
 
 
 def cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
-    """Cumulative trapezoid rule along the last axis, starting from 0.
+    """Cumulative trapezoid rule along the first (time) axis, from 0.
 
+    Kernels are time-major, so each step adds one whole row of pair sums:
     cumsum(dt * (v[1:] + v[:-1]) / 2.0) behind a leading zero, the formula
     and operation order of scipy.integrate.cumulative_trapezoid.
     """
     out = np.empty(values.shape)
-    out[..., 0] = 0.0
-    np.cumsum(dt * (values[..., 1:] + values[..., :-1]) / 2.0, axis=-1, out=out[..., 1:])
+    out[0] = 0.0
+    np.cumsum(dt * (values[1:] + values[:-1]) / 2.0, axis=0, out=out[1:])
     return out
 
 
 def integrate_y_values(zeta: np.ndarray, dt: float) -> np.ndarray:
-    """Cumulative trapezoid of the multiplicative noise, Y_0 = 0."""
+    """Cumulative trapezoid of time-major multiplicative noise, Y_0 = 0."""
     return cumulative_trapezoid(zeta, dt)
 
 
 def integrate_y(zeta: PathEnsemble) -> PathEnsemble:
-    vals = integrate_y_values(zeta.values, zeta.grid.dt)
+    vals = np.ascontiguousarray(integrate_y_values(zeta.values.T, zeta.grid.dt).T)
     return PathEnsemble(
         grid=zeta.grid,
         label="Y",
@@ -201,20 +206,16 @@ def _response_from_log(log_a: np.ndarray, phi: np.ndarray, dt: float) -> np.ndar
 
     B_{k+1} = B_k exp(dlogA_k) + (dt/2) (phi_k exp(dlogA_k) + phi_{k+1}),
     the trapezoid rule applied inside each step after factoring out the
-    propagator ratio.
+    propagator ratio.  Arrays are time-major, so each step is one row.
     """
-    n, nodes = log_a.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        ratios = np.exp(np.diff(log_a, axis=1))
-        q = 0.5 * dt * (phi[:, :-1] * ratios + phi[:, 1:])
-        b = np.empty((n, nodes))
-        b[:, 0] = 0.0
-        for k in range(nodes - 1):
-            b[:, k + 1] = b[:, k] * ratios[:, k] + q[:, k]
+        ratios = np.exp(np.diff(log_a, axis=0))
+        q = 0.5 * dt * (phi[:-1] * ratios + phi[1:])
+        b = np.empty(log_a.shape)
+        b[0] = 0.0
+        for k in range(len(q)):
+            b[k + 1] = b[k] * ratios[k] + q[k]
     return b
-
-
-_NEEDS = {"zeta", "phi", "Y", "logA", "A", "B", "X", "H"}
 
 
 def linear_block_arrays(
@@ -228,15 +229,17 @@ def linear_block_arrays(
 ) -> dict[str, np.ndarray]:
     """Compute requested process arrays for a block of path indices.
 
-    Returns full-resolution dynamics subsampled to every save_every-th
-    node, plus a 'flagged' row mask.  This is the kernel every ensemble
-    estimator is built on.
+    This is the kernel every ensemble estimator is built on.  It works
+    time-major, (n_nodes, n_paths), from the noise to the last quadrature;
+    sub is its one transpose, keeping every save_every-th node of each
+    requested array as C-contiguous path-major rows (n_paths, n_saved).
+    'flagged' holds one entry per path.
     """
     need = frozenset(need)
-    unknown = need - _NEEDS
+    unknown = need.difference(PROCESS_LABELS)
     if unknown:
         raise ValueError(f"unknown process requests: {sorted(unknown)}")
-    want_y = bool(need & {"Y", "logA", "A", "B", "X", "H"})
+    want_y = bool(need & {"Y", "A", "B", "X", "H"})
     want_phi = bool(need & {"phi", "B", "X", "H"})
 
     out: dict[str, np.ndarray] = {}
@@ -255,8 +258,8 @@ def linear_block_arrays(
     y = None
     if want_y:
         y = integrate_y_values(zeta, grid.dt)
-        log_a = -model.a * grid.times[None, :] - y
-        flagged |= np.abs(log_a).max(axis=1) > LOG_BUDGET
+        log_a = -model.a * grid.times[:, None] - y
+        flagged |= np.abs(log_a).max(axis=0) > LOG_BUDGET
 
     a_vals = None
     if need & {"A", "X", "H"}:
@@ -268,7 +271,7 @@ def linear_block_arrays(
         flagged |= _sanitize(b)
 
     def sub(arr: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(arr[:, ::save_every])
+        return np.ascontiguousarray(arr[::save_every].T)
 
     if "zeta" in need:
         out["zeta"] = sub(zeta)
@@ -276,8 +279,6 @@ def linear_block_arrays(
         out["phi"] = sub(phi)
     if "Y" in need:
         out["Y"] = sub(y)
-    if "logA" in need:
-        out["logA"] = sub(log_a)
     if "A" in need:
         out["A"] = sub(a_vals)
     if "B" in need:
@@ -328,7 +329,7 @@ def solve_linear(
     the horizon; block_size is an upper bound on top of that.  The
     layout cannot change the output: every kernel a block runs (the
     keyed normals, the OU filter, the quadratures, the flags and the
-    saturation) works row by row, and blocks are only concatenated, so
+    saturation) works path by path, and blocks are only concatenated, so
     row i is the same bytes in any partition.
     """
     unknown = [label for label in need if label not in PROCESS_LABELS]
@@ -473,11 +474,9 @@ def _block_noise(
 ) -> tuple[np.ndarray, np.ndarray]:
     """zeta and |phi| for one block, time-major: shape (n_nodes, n_paths)."""
     zeta = noise_mod.sample_block(
-        model.multiplicative, grid, master_seed, indices, ROLE_MULTIPLICATIVE, time_major=True
+        model.multiplicative, grid, master_seed, indices, ROLE_MULTIPLICATIVE
     )
-    phi = noise_mod.sample_block(
-        model.envelope, grid, master_seed, indices, ROLE_ADDITIVE, time_major=True
-    )
+    phi = noise_mod.sample_block(model.envelope, grid, master_seed, indices, ROLE_ADDITIVE)
     return zeta, np.abs(phi, out=phi)
 
 
@@ -493,7 +492,8 @@ def _rk4_block(
     """Classical RK4 on one block, noise linearly interpolated in each step.
 
     zeta and phi are time-major (n_nodes, n_paths), so each node's values
-    are one contiguous row; psi is the model's nonlinearity.
+    are one contiguous row; psi is the model's nonlinearity.  The saved
+    states are flagged time-major and transposed once into path rows.
     """
     a = model.a
     h = grid.dt / substeps
@@ -523,9 +523,8 @@ def _rk4_block(
                 x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if (k + 1) % save_every == 0:
                 saved[(k + 1) // save_every] = x
-    saved = np.ascontiguousarray(saved.T)
     flagged = _sanitize(saved)
-    return {"X": saved, "flagged": flagged}
+    return {"X": np.ascontiguousarray(saved.T), "flagged": flagged}
 
 
 def solve_nonlinear(

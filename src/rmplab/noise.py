@@ -205,11 +205,6 @@ def stationary_moment(spec: NoiseSpec, p: float) -> float:
     raise UnsupportedKindError(f"no closed-form marginal moment for kind {spec.kind}")
 
 
-def _component_noise_shape(spec: NoiseSpec, grid: TimeGrid) -> tuple[int, ...]:
-    n_comp = max(len(spec.components), 1)
-    return (n_comp, grid.n_nodes)
-
-
 def _assemble_block(spec: NoiseSpec, grid: TimeGrid, draws: np.ndarray) -> np.ndarray:
     """Turn standard normal draws into noise paths on the grid, time-major.
 
@@ -253,33 +248,18 @@ def _assemble_block(spec: NoiseSpec, grid: TimeGrid, draws: np.ndarray) -> np.nd
 
 
 def sample_block(
-    spec: NoiseSpec,
-    grid: TimeGrid,
-    master_seed: int,
-    path_indices: np.ndarray,
-    role: int,
-    *,
-    time_major: bool = False,
+    spec: NoiseSpec, grid: TimeGrid, master_seed: int, path_indices: np.ndarray, role: int
 ) -> np.ndarray:
-    """Sample paths for a block of path indices.
+    """Sample paths for a block of path indices, time-major.
 
-    The result is C-contiguous with shape (n, n_nodes), one row per path,
-    or (n_nodes, n), one row per node, when time_major is set.
+    The result is C-contiguous with shape (n_nodes, n), one row per node
+    and one column per path, the layout every path kernel works in; path
+    i of the block is column i.
     """
     if spec.kind in (ZERO, CONSTANT):
-        noise = _assemble_block(spec, grid, np.empty((len(path_indices), 0, 0)))
-    else:
-        draws = block_normals(master_seed, path_indices, role, _component_noise_shape(spec, grid))
-        noise = _assemble_block(spec, grid, draws)
-    return noise if time_major else np.ascontiguousarray(noise.T)
-
-
-def sample_path(spec: NoiseSpec, grid: TimeGrid, stream: np.random.Generator) -> np.ndarray:
-    """Sample a single path on the grid from an explicit stream."""
-    if spec.kind in (ZERO, CONSTANT):
-        return _assemble_block(spec, grid, np.empty((1, 0, 0)))[:, 0]
-    draws = stream.standard_normal(_component_noise_shape(spec, grid))[None, ...]
-    return _assemble_block(spec, grid, draws)[:, 0]
+        return _assemble_block(spec, grid, np.empty((len(path_indices), 0, 0)))
+    draws = block_normals(master_seed, path_indices, role, (len(spec.components), grid.n_nodes))
+    return _assemble_block(spec, grid, draws)
 
 
 # Catalog of Gaussian specs exercised by the verification suite.  All of

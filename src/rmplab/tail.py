@@ -143,7 +143,7 @@ def moment_transition(
         raise ValueError("p_grid needs at least two orders")
     if dt is None:
         dt = default_dt(max(model.a, 1e-12), model.multiplicative.max_tau)
-    n_steps = int(round(horizon / dt))
+    n_steps = max(int(round(horizon / dt)), 1)
     if save_every is None:
         save_every = max(1, n_steps // 400)
     while n_steps % save_every != 0:

@@ -24,6 +24,7 @@ TEST_FUNCTION_KINDS = (ABS_POWER, LIPSCHITZ_TABLE, BOUNDED_CONTINUOUS)
 MODE_AUTO = "auto"
 MODE_CONVERGENCE = "convergence"
 MODE_DIVERGENCE = "divergence"
+MODES = (MODE_AUTO, MODE_CONVERGENCE, MODE_DIVERGENCE)
 
 
 @dataclass(frozen=True)

@@ -125,7 +125,7 @@ def test_c04_diffusion_estimators_agree():
     """Green-Kubo and variance-slope D on 1e4 paths: both near 1/2, mutually consistent."""
     grid = TimeGrid(dt=0.01, n_steps=1200)
     vals = np.concatenate(
-        [sample_block(OU, grid, MASTER_SEED, idx, ROLE_MULTIPLICATIVE)
+        [sample_block(OU, grid, MASTER_SEED, idx, ROLE_MULTIPLICATIVE).T
          for idx in block_ranges(10_000, 2048)],
         axis=0,
     )

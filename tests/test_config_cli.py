@@ -347,6 +347,38 @@ class TestCli:
                 {"name": "converge", "functions": [{"kind": "abs_power"}], "times": []},
                 "converge.times",
             ),
+            ("beta", {"name": "green_kubo"}, "green_kubo.window"),
+            ("beta", {"name": "green_kubo", "window": [1.0, 2.0]}, "green_kubo.window"),
+            ("beta", {"name": "dt_fit"}, "dt_fit.window"),
+            ("beta", {"name": "dt_fit", "window": [1.0]}, "dt_fit.window"),
+            ("moments", {"name": "moments", "p": [0.5], "window": [1.0]}, "moments.window"),
+            ("moments", {"name": "moments", "p": [0.5], "window": [2.0, 1.0]}, "moments.window"),
+            ("beta", {"name": "beta", "p_grid": [1.0, 3.0], "window": [1.0]}, "beta.window"),
+            ("beta", {"name": "beta", "p_grid": [1.0, 3.0], "horizon": -1.0}, "beta.horizon"),
+            ("beta", {"name": "hill", "p_max": "1"}, "hill.p_max"),
+            ("beta", {"name": "hill", "t_star": -1.0}, "hill.t_star"),
+            ("verify", {"name": "b_equals_h", "level": "x"}, "b_equals_h.level"),
+            ("verify", {"name": "b_equals_h", "level": 1.0}, "b_equals_h.level"),
+            ("verify", {"name": "b_equals_h", "t": -1.0}, "b_equals_h.t"),
+            (
+                "verify",
+                {"name": "condition1", "p": [0.5], "ratio_budget": "big"},
+                "condition1.ratio_budget",
+            ),
+            ("verify", {"name": "condition1", "p": [0.5], "t_max": -1.0}, "condition1.t_max"),
+            ("verify", {"name": "condition1", "p": [0.5], "t_max": None}, "condition1.t_max"),
+            (
+                "converge",
+                {"name": "converge", "functions": [{"kind": "abs_power"}], "times": [1.0],
+                 "t_star": -1.0},
+                "converge.t_star",
+            ),
+            (
+                "converge",
+                {"name": "converge", "functions": [{"kind": "abs_power"}], "times": [1.0],
+                 "mode": "bogus"},
+                "converge.mode",
+            ),
         ],
     )
     def test_bad_estimator_values_exit_two_before_any_work(
@@ -361,6 +393,15 @@ class TestCli:
         assert "CONFIG_INVALID" in err and needle in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_beta_horizon_under_half_a_step_reports_a_short_window(self, tmp_path, capsys):
+        # horizon / dt rounds to 0 steps; the run takes one and its fit window is empty
+        raw = base_raw()
+        raw["estimators"] = [{"name": "beta", "p_grid": [1.0, 3.0], "horizon": 1e-6}]
+        cfg_path = write_config(tmp_path, raw)
+        assert main(["beta", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "WINDOW_TOO_SHORT" in err and "Traceback" not in err
 
     def test_config_errors_exit_two(self, tmp_path, capsys):
         raw = base_raw()

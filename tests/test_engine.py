@@ -2,8 +2,11 @@
 
 Independent oracles: the deterministic ODE with constant forcing, the
 double-integral variance of the stationary response, and the exact
-Gaussian law of the integrated noise.
+Gaussian law of the integrated noise.  The kernel bytes themselves are
+pinned by sha256 digests, so a change of array layout inside the kernels
+cannot move a single output bit.
 """
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -57,9 +60,9 @@ def test_gamma_rate_pinned_values():
 
 
 def test_integrate_constant_noise_is_exact():
-    vals = np.full((3, 11), 2.0)
+    vals = np.full((11, 3), 2.0)
     y = integrate_y_values(vals, 0.1)
-    expected = np.tile(2.0 * 0.1 * np.arange(11), (3, 1))
+    expected = np.tile(2.0 * 0.1 * np.arange(11), (3, 1)).T
     np.testing.assert_allclose(y, expected, atol=1e-14)
 
 
@@ -287,13 +290,82 @@ def test_trapezoid_matches_scipy_including_overflow_rows():
     vals[4, 100:] = 1.7e308  # the pair sum overflows
     for dt in (0.01, 0.1):
         with np.errstate(over="ignore", invalid="ignore"):
-            got = engine.cumulative_trapezoid(vals, dt)
-            want = scipy_cumulative_trapezoid(vals, dx=dt, axis=-1, initial=0.0)
+            got = engine.cumulative_trapezoid(vals.T, dt)
+            want = scipy_cumulative_trapezoid(vals.T, dx=dt, axis=0, initial=0.0)
         assert np.array_equal(got, want, equal_nan=True)
-        assert np.isinf(got[1, -1]) and np.isnan(got[2, -1]) and np.isnan(got[3, -1])
-        assert np.isinf(got[4, -1])
+        assert np.isinf(got[-1, 1]) and np.isnan(got[-1, 2]) and np.isnan(got[-1, 3])
+        assert np.isinf(got[-1, 4])
     one_d = rng.standard_normal(151)
     assert np.array_equal(
         engine.integrate_y_values(one_d, 0.02),
         scipy_cumulative_trapezoid(one_d, dx=0.02, initial=0.0),
     )
+
+
+# Models whose every process is pinned: a stable one, one whose a = -10
+# drives 13 of 16 rows past the exponent budget and saturates B on 4 of
+# them, and Pareto and constant forcing.
+KERNEL_CASES = {
+    "stable": (LinearModel(a=1.0, multiplicative=OU_HALF, additive=ADD), TimeGrid(0.02, 150)),
+    "growth": (LinearModel(a=-10.0, multiplicative=OU_HALF, additive=ADD), TimeGrid(0.05, 1410)),
+    "pareto": (
+        LinearModel(a=1.0, multiplicative=OU_HALF, additive=NoiseSpec.pareto_ou(0.5, 2.5)),
+        TimeGrid(0.02, 150),
+    ),
+    "constant": (
+        LinearModel(a=1.0, multiplicative=OU_HALF, additive=NoiseSpec.constant(0.7)),
+        TimeGrid(0.02, 150),
+    ),
+}
+
+KERNEL_DIGESTS = {
+    ("constant", "1"): "4ead5d76f021d5a6df7c42fd995680844c36144b58d8e1b893fd94a60428fe65",
+    ("constant", "10"): "2140fd11253fe91e4c58e2644c55f39df9eaad5850d64f25f2cab4934c5910f9",
+    ("constant", "n_steps"): "2b3cebafda96f4aa42578487570765c70c82466de29de5206fd8c80d2080d841",
+    ("growth", "1"): "94d979c453cee770d6d6aa43322900dc8be0a389901b32d40ce8363ac63548ab",
+    ("growth", "10"): "f3f1c0a41d5460ee5a8cbd9226c9b4a762482f9964a1a98edcbd6d63c1463f17",
+    ("growth", "n_steps"): "2395996d10296c1f55ac61924060dbf69560241b25e69672c2a16dbc5f95b606",
+    ("pareto", "1"): "2b774233926b8b7d543d6c7f4374fa2889ec3fed2ff26b45e3b09ab3cca95a0a",
+    ("pareto", "10"): "3e04e0428b79601278bfe1f23f77f7413fb24e30a0b33a3e4277fd6b11f91cdb",
+    ("pareto", "n_steps"): "ee13eb76ba7f03621be3d6dba9ed177052625defb375e0d5ee30b0b4b4c60385",
+    ("stable", "1"): "53be9f12556c42e73194810131ec4d17f339fb564e18b9f7191c14139502ba8b",
+    ("stable", "10"): "370d8786a8e94a581c60fd3b3be5b80be04154e95f5e214e31c34655ed2a995d",
+    ("stable", "n_steps"): "d287d70ba68426511ebd36645638edeef11a28cce970ff5c67c548e79b89af05",
+}
+
+STATIONARY_DIGEST = "5f2d6bf380a1ecd512461a3e9b2e2f519506a3495b56b816fe7f0f8b0228f4ed"
+
+
+def _digest(*arrays: np.ndarray) -> str:
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(repr((arr.dtype.str, arr.shape)).encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def _kernel_digest(case: str, stride: str) -> str:
+    model, grid = KERNEL_CASES[case]
+    save_every = grid.n_steps if stride == "n_steps" else int(stride)
+    sol = solve_linear(model, grid, 2, 16, PROCESS_LABELS, save_every=save_every)
+    arrays = []
+    for label in PROCESS_LABELS:
+        assert sol[label].values.flags.c_contiguous
+        arrays += [sol[label].values, sol[label].flagged]
+    return _digest(*arrays)
+
+
+def _stationary_digest() -> str:
+    model = LinearModel(a=1.0, multiplicative=OU_HALF, additive=ADD)
+    sample = stationary_sample(model, 5.0, 300, 3, p_max=1.0)
+    return _digest(sample.values, np.array([sample.truncation_bound, sample.n_flagged]))
+
+
+@pytest.mark.parametrize("stride", ["1", "10", "n_steps"])
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_kernel_bytes_are_pinned(case, stride):
+    assert _kernel_digest(case, stride) == KERNEL_DIGESTS[case, stride]
+
+
+def test_stationary_sample_bytes_are_pinned():
+    assert _stationary_digest() == STATIONARY_DIGEST

@@ -21,13 +21,12 @@ from rmplab.noise import (
     diffusion_constant,
     require_multiplicative,
     sample_block,
-    sample_path,
     stationary_moment,
     tail_index,
     validate_multiplicative,
     y_variance_half,
 )
-from rmplab.rng import ROLE_ADDITIVE, ROLE_MULTIPLICATIVE, block_normals, path_stream
+from rmplab.rng import ROLE_ADDITIVE, ROLE_MULTIPLICATIVE, block_normals
 
 
 # ---------------------------------------------------------------- specs
@@ -154,27 +153,19 @@ def test_degenerate_kinds_sample_exactly():
     grid = TimeGrid(dt=0.1, n_steps=5)
     idx = np.arange(3)
     np.testing.assert_array_equal(
-        sample_block(NoiseSpec.zero(), grid, 0, idx, ROLE_ADDITIVE), np.zeros((3, 6))
+        sample_block(NoiseSpec.zero(), grid, 0, idx, ROLE_ADDITIVE).T, np.zeros((3, 6))
     )
     np.testing.assert_array_equal(
-        sample_block(NoiseSpec.constant(2.5), grid, 0, idx, ROLE_ADDITIVE),
+        sample_block(NoiseSpec.constant(2.5), grid, 0, idx, ROLE_ADDITIVE).T,
         np.full((3, 6), 2.5),
     )
-
-
-def test_sample_path_matches_block_row():
-    spec = SHIPPED_GAUSSIAN_SPECS["two_scale"]
-    grid = TimeGrid(dt=0.05, n_steps=20)
-    block = sample_block(spec, grid, 77, np.array([0, 5, 9]), ROLE_MULTIPLICATIVE)
-    single = sample_path(spec, grid, path_stream(77, 5, ROLE_MULTIPLICATIVE))
-    np.testing.assert_array_equal(block[1], single)
 
 
 def test_ou_block_is_stationary_with_exact_autocovariance():
     sigma, tau = 1.3, 0.5
     spec = NoiseSpec.ou(sigma, tau)
     grid = TimeGrid(dt=0.05, n_steps=40)
-    vals = sample_block(spec, grid, 2024, np.arange(8000), ROLE_MULTIPLICATIVE)
+    vals = sample_block(spec, grid, 2024, np.arange(8000), ROLE_MULTIPLICATIVE).T
 
     var0 = vals[:, 0].var()
     var_end = vals[:, -1].var()
@@ -191,7 +182,7 @@ def test_pareto_block_has_exact_pareto_marginal():
     beta, scale = 3.0, 2.0
     spec = NoiseSpec.pareto_ou(0.5, beta, scale)
     grid = TimeGrid(dt=0.1, n_steps=10)
-    vals = sample_block(spec, grid, 5, np.arange(8000), ROLE_ADDITIVE)
+    vals = sample_block(spec, grid, 5, np.arange(8000), ROLE_ADDITIVE).T
     terminal = vals[:, -1]
 
     assert terminal.min() >= scale  # support is [scale, inf)
@@ -206,8 +197,8 @@ def test_pareto_block_has_exact_pareto_marginal():
 def test_block_rows_do_not_depend_on_partition():
     spec = SHIPPED_GAUSSIAN_SPECS["three_scale"]
     grid = TimeGrid(dt=0.1, n_steps=7)
-    full = sample_block(spec, grid, 31, np.arange(6), ROLE_MULTIPLICATIVE)
-    part = sample_block(spec, grid, 31, np.array([4, 5]), ROLE_MULTIPLICATIVE)
+    full = sample_block(spec, grid, 31, np.arange(6), ROLE_MULTIPLICATIVE).T
+    part = sample_block(spec, grid, 31, np.array([4, 5]), ROLE_MULTIPLICATIVE).T
     np.testing.assert_array_equal(full[4:], part)
 
 
@@ -241,23 +232,5 @@ def test_recursion_equals_lfilter_bit_for_bit(spec, n_paths, n_steps):
     idx = np.arange(n_paths) + 17
     block = sample_block(spec, grid, 9, idx, ROLE_MULTIPLICATIVE)
     draws = block_normals(9, idx, ROLE_MULTIPLICATIVE, (len(spec.components), grid.n_nodes))
-    assert block.shape == (n_paths, grid.n_nodes) and block.flags.c_contiguous
-    assert np.array_equal(block, _lfilter_block(spec, grid, draws))
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [
-        SHIPPED_GAUSSIAN_SPECS["three_scale"],
-        NoiseSpec.pareto_ou(0.5, 3.0),
-        NoiseSpec.zero(),
-        NoiseSpec.constant(-0.75),
-    ],
-)
-def test_time_major_block_is_the_transpose(spec):
-    grid = TimeGrid(dt=0.05, n_steps=30)
-    idx = np.arange(5, 12)
-    rows = sample_block(spec, grid, 4, idx, ROLE_ADDITIVE)
-    nodes = sample_block(spec, grid, 4, idx, ROLE_ADDITIVE, time_major=True)
-    assert nodes.shape == (grid.n_nodes, len(idx)) and nodes.flags.c_contiguous
-    assert np.array_equal(nodes, rows.T)
+    assert block.shape == (grid.n_nodes, n_paths) and block.flags.c_contiguous
+    assert np.array_equal(block, _lfilter_block(spec, grid, draws).T)

@@ -38,7 +38,7 @@ ADD = NoiseSpec.ou(0.3, 0.5)
 def _noise_ensemble(spec, grid, seed, n):
     vals = sample_block(spec, grid, seed, np.arange(n), ROLE_MULTIPLICATIVE)
     return PathEnsemble(
-        grid=grid, label="zeta", values=vals,
+        grid=grid, label="zeta", values=np.ascontiguousarray(vals.T),
         flagged=np.zeros(n, dtype=bool), master_seed=seed,
     )
 
