@@ -41,7 +41,7 @@ ESTIMATOR_PARAMS: dict[str, dict[str, object]] = {
 # Count fields and their least value; null passes only where the default is null.
 _COUNT_MIN = {"k": 1, "mc_n": 0, "n": 1, "nodes": 2, "replicates": 1, "save_every": 1, "trials": 1}
 # List fields every request of theirs needs, and their least length.
-_LIST_MIN = {"p": 1, "p_grid": 2, "functions": 1, "times": 1}
+_LIST_MIN = {"p": 1, "p_grid": 2, "functions": 1, "times": 2}
 # Times and scales that must be positive and finite; null passes only
 # where the default is null.
 _POSITIVE = {"horizon", "t_star", "t", "t_max", "ratio_budget", "p_max"}
@@ -267,9 +267,12 @@ def _check_range(name: str, key: str, value: object, default: object) -> None:
             isinstance(value, tuple)
             and len(value) == 2
             and all(map(math.isfinite, value))
-            and value[0] < value[1]
+            and 0.0 <= value[0] < value[1]
         ):
-            raise ConfigInvalidError(f"{where}: expected [lo, hi], finite with lo < hi")
+            raise ConfigInvalidError(f"{where}: expected [lo, hi], finite with 0 <= lo < hi")
+    elif key == "times":
+        if not all(0.0 <= t < math.inf for t in value):
+            raise ConfigInvalidError(f"{where}: expected finite times >= 0")
     elif key == "level":
         if not (_is_number(value) and 0.0 < value < 1.0):
             raise ConfigInvalidError(f"{where}: expected a number in (0, 1)")

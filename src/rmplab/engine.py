@@ -297,12 +297,6 @@ def linear_block_arrays(
     return out
 
 
-def _stack_blocks(
-    parts: list[dict[str, np.ndarray]], key: str
-) -> np.ndarray:
-    return np.concatenate([p[key] for p in parts], axis=0)
-
-
 def solve_linear(
     model: LinearModel,
     grid: TimeGrid,
@@ -350,7 +344,7 @@ def solve_linear(
         label: PathEnsemble(
             grid=out_grid,
             label=label,
-            values=_stack_blocks(parts, label),
+            values=np.concatenate([p[label] for p in parts]),
             flagged=flagged,
             master_seed=master_seed,
         )
@@ -382,7 +376,6 @@ def stationary_sample(
     dt: float | None = None,
     p_max: float | None = None,
     workers: int = 1,
-    block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> StationarySample:
     """Approximate stationary draws via the reversed response at t_star.
 
@@ -409,14 +402,7 @@ def stationary_sample(
     save_every = n_steps // 8
 
     ens = solve_linear(
-        model,
-        grid,
-        master_seed,
-        n,
-        ("H",),
-        save_every=save_every,
-        workers=workers,
-        block_size=block_size,
+        model, grid, master_seed, n, ("H",), save_every=save_every, workers=workers
     )["H"]
     h = ens.values
     ok = ~ens.flagged
@@ -595,7 +581,7 @@ def solve_nonlinear(
     ensemble = PathEnsemble(
         grid=out_grid,
         label="X",
-        values=_stack_blocks(result, "X"),
+        values=np.concatenate([p["X"] for p in result]),
         flagged=np.concatenate([p["flagged"] for p in result]),
         master_seed=master_seed,
     )

@@ -18,8 +18,10 @@ import math
 
 import numpy as np
 
-from .blocks import DEFAULT_BLOCK_SIZE, pairwise_sum, run_blocks
-from .engine import LinearModel, PathEnsemble, linear_block_arrays
+from .blocks import block_ranges, pairwise_sum
+from .blocks import run_blocks  # noqa: F401  (rmpbench traces it here)
+from .engine import LinearModel, PathEnsemble, solve_linear
+from .engine import linear_block_arrays  # noqa: F401  (rmpbench traces it here)
 from .errors import (
     DNonpositiveError,
     EmptyInputError,
@@ -538,44 +540,20 @@ def linear_moment_curves(
     z: complex = 0.0,
     save_every: int = 1,
     workers: int = 1,
-    block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> MomentCurves:
-    """Stream quasi-norm curves of a linear-model process over blocks.
+    """Quasi-norm curves of a linear-model process: solve, then reduce.
 
-    Only power sums are held per block, so ensembles far larger than
-    memory are fine.  Flagged paths are excluded from every node.
+    The ensemble of source is solved at the output stride and reduced by
+    ensemble_moment_curves in fixed 2,048-path groups, so the bytes do
+    not depend on the solver's block layout or on workers.  A curve holds
+    the ensemble, n_paths x n_saved x 8 bytes, plus the working arrays of
+    one solver block of at most BLOCK_CELLS cells each.  Flagged paths
+    are excluded from every node.
     """
-    p_values = tuple(float(p) for p in p_values)
-    if not p_values:
-        raise EmptyInputError("need at least one order p")
-    if any(p <= 0.0 for p in p_values):
-        raise ValueError("orders must be positive")
-    out_grid = grid.subsampled(save_every)
-
-    def block_fn(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        arrays = linear_block_arrays(
-            model, grid, master_seed, idx, save_every=save_every, need=(source,)
-        )
-        ok = ~arrays["flagged"]
-        sums = _power_sums(arrays[source][ok], p_values, z)
-        counts = np.array([float(ok.sum()), float((~ok).sum())])
-        return sums, counts
-
-    parts = run_blocks(n_paths, block_fn, workers=workers, block_size=block_size)
-    sums = pairwise_sum([p[0] for p in parts])
-    counts = pairwise_sum([p[1] for p in parts])
-    if counts[0] == 0:
-        raise EmptyInputError("every path is flagged")
-    return _curves_from_sums(
-        source,
-        p_values,
-        out_grid.times,
-        sums,
-        int(counts[0]),
-        int(counts[1]),
-        master_seed,
-        z,
-    )
+    ensemble = solve_linear(
+        model, grid, master_seed, n_paths, (source,), save_every=save_every, workers=workers
+    )[source]
+    return ensemble_moment_curves(ensemble, p_values, z=z)
 
 
 def ensemble_moment_curves(
@@ -584,7 +562,16 @@ def ensemble_moment_curves(
     *,
     z: complex = 0.0,
 ) -> MomentCurves:
-    """Quasi-norm curves of an ensemble already held in memory."""
+    """Quasi-norm curves of an ensemble held in memory.
+
+    Power sums are taken over the fixed 2,048-path groups of
+    blocks.block_ranges in path order and the groups are added by a
+    pairwise tree, so the bytes depend on the ensemble alone, never on
+    the block layout or the worker count that solved it.  Beyond the
+    held ensemble (n_paths x n_saved x 8 bytes) the reduction needs a
+    few temporaries of one group.  Flagged paths are excluded from every
+    node.
+    """
     p_values = tuple(float(p) for p in p_values)
     if not p_values:
         raise EmptyInputError("need at least one order p")
@@ -593,14 +580,15 @@ def ensemble_moment_curves(
     ok = ~ensemble.flagged
     if not ok.any():
         raise EmptyInputError("every path is flagged")
-    sums = _power_sums(ensemble.values[ok], p_values, z)
+    groups = (idx[ok[idx]] for idx in block_ranges(ensemble.n_paths))
+    sums = pairwise_sum([_power_sums(ensemble.values[rows], p_values, z) for rows in groups])
     return _curves_from_sums(
         ensemble.label,
         p_values,
         ensemble.grid.times,
         sums,
         int(ok.sum()),
-        int((~ok).sum()),
+        ensemble.n_flagged,
         ensemble.master_seed,
         z,
     )

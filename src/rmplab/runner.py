@@ -31,7 +31,7 @@ from .metrics import (
     ensemble_moment_curves,
     gamma_p,
     jensen_check,
-    linear_moment_curves,
+    linear_moment_curves,  # noqa: F401  (rmpbench traces it here)
     quasi_triangle_check,
 )
 from .noise import diffusion_constant, sample_block  # noqa: F401  (rmpbench traces it here)
@@ -70,10 +70,13 @@ GROUPS = tuple(STAGES)
 class RunState:
     """What one `run` carries from stage to stage.
 
-    ensembles caches the state ensemble X by output stride for the length
-    of the run: simulate, nonlinear moments and converge each ask for X,
-    and every stage asking at the same stride gets the one solve.  The
-    state is dropped when `run` returns, so nothing outlives a run.
+    ensembles caches every solved ensemble by (label, output stride) for
+    the length of the run: simulate, moments and converge all read X, and
+    every stage asking for one label at one stride gets the one solve.
+    Each held ensemble takes n_paths x n_saved x 8 bytes; moment curves
+    reduce it in fixed 2,048-path groups, so their bytes do not depend on
+    the block layout or --workers.  The state is dropped when `run`
+    returns, so nothing outlives a run.
     """
 
     cfg: ExperimentConfig
@@ -81,18 +84,18 @@ class RunState:
     artifacts: list[str] = field(default_factory=list)
     flagged: dict[str, int] = field(default_factory=dict)
     verdicts: dict[str, str] = field(default_factory=dict)
-    payload: dict = field(default_factory=dict)
-    ensembles: dict[int, PathEnsemble] = field(default_factory=dict)
+    ensembles: dict[tuple[str, int], PathEnsemble] = field(default_factory=dict)
 
     def add(self, name: str) -> Path:
         self.artifacts.append(name)
         return self.out / name
 
-    def state_ensemble(self, save_every: int) -> PathEnsemble:
-        """The state ensemble X at output stride save_every, solved once per run."""
-        if save_every not in self.ensembles:
-            self.ensembles[save_every] = _simulate_state_ensemble(self.cfg, save_every)
-        return self.ensembles[save_every]
+    def ensemble(self, label: str, save_every: int) -> PathEnsemble:
+        """The ensemble of label at output stride save_every, solved once per run."""
+        key = (label, save_every)
+        if key not in self.ensembles:
+            self.ensembles[key] = _solve_ensemble(self.cfg, label, save_every)
+        return self.ensembles[key]
 
 
 def _stride(n_steps: int, target_nodes: int) -> int:
@@ -106,31 +109,18 @@ def _reqs(cfg: ExperimentConfig, *names: str) -> list[EstimatorRequest]:
     return [r for r in cfg.estimators if r.name in names]
 
 
-def _simulate_state_ensemble(cfg: ExperimentConfig, save_every: int) -> PathEnsemble:
+def _solve_ensemble(cfg: ExperimentConfig, label: str, save_every: int) -> PathEnsemble:
+    problem = (cfg.model, cfg.grid, cfg.master_seed, cfg.n_paths)
     if isinstance(cfg.model, NonlinearModel):
-        sol = solve_nonlinear(
-            cfg.model,
-            cfg.grid,
-            cfg.master_seed,
-            cfg.n_paths,
-            save_every=save_every,
-            workers=cfg.workers,
-        )
-        return sol.x
-    return solve_linear(
-        cfg.model,
-        cfg.grid,
-        cfg.master_seed,
-        cfg.n_paths,
-        ("X",),
-        save_every=save_every,
-        workers=cfg.workers,
-    )["X"]
+        if label != "X":
+            raise RmplabError("nonlinear models only expose the state process")
+        return solve_nonlinear(*problem, save_every=save_every, workers=cfg.workers).x
+    return solve_linear(*problem, (label,), save_every=save_every, workers=cfg.workers)[label]
 
 
 def do_simulate(state: RunState) -> None:
     cfg = state.cfg
-    ens = state.state_ensemble(_stride(cfg.grid.n_steps, 500))
+    ens = state.ensemble("X", _stride(cfg.grid.n_steps, 500))
     state.flagged["simulate"] = ens.n_flagged
     if "csv" in cfg.formats:
         write_ensemble_csv(state.add("ensemble_X.csv"), ens)
@@ -151,26 +141,9 @@ def do_simulate(state: RunState) -> None:
 
 
 def _curves_for(state: RunState, req: EstimatorRequest) -> MomentCurves:
-    cfg = state.cfg
-    ps = [float(p) for p in req.get("p")]
-    source = req.get("source")
-    save_every = req.get("save_every") or _stride(cfg.grid.n_steps, 400)
-    if isinstance(cfg.model, NonlinearModel):
-        if source != "X":
-            raise RmplabError("nonlinear models only expose the state process")
-        return ensemble_moment_curves(state.state_ensemble(int(save_every)), ps)
-    # Linear curves stream block power sums; their reduction order is
-    # part of the artifact bytes, so they are not taken from the cache.
-    return linear_moment_curves(
-        cfg.model,
-        cfg.grid,
-        cfg.master_seed,
-        cfg.n_paths,
-        ps,
-        source=source,
-        save_every=int(save_every),
-        workers=cfg.workers,
-    )
+    save_every = req.get("save_every") or _stride(state.cfg.grid.n_steps, 400)
+    ensemble = state.ensemble(req.get("source"), int(save_every))
+    return ensemble_moment_curves(ensemble, [float(p) for p in req.get("p")])
 
 
 def do_moments(state: RunState) -> None:
@@ -299,7 +272,6 @@ def do_beta(state: RunState) -> None:
 
     if out:
         write_json(state.add("beta.json"), out)
-        state.payload["beta"] = out
 
 
 def do_verify(state: RunState) -> None:
@@ -369,7 +341,6 @@ def do_verify(state: RunState) -> None:
 
     if out:
         write_json(state.add("verify.json"), out)
-        state.payload["verify"] = out
 
 
 def _inequality_trials(master_seed: int, trials: int, n: int, ps: list[float]) -> int:
@@ -407,7 +378,7 @@ def do_converge(state: RunState) -> None:
     for req in _reqs(cfg, "converge"):
         functions = req.get("functions")
         times = np.array([float(t) for t in req.get("times")])
-        x = state.state_ensemble(_stride(cfg.grid.n_steps, 400))
+        x = state.ensemble("X", _stride(cfg.grid.n_steps, 400))
         grid_times = x.grid.times
         node_idx = [int(np.argmin(np.abs(grid_times - t))) for t in times]
         snap_times = grid_times[node_idx]
@@ -454,7 +425,6 @@ def do_converge(state: RunState) -> None:
         ]
     if out:
         write_json(state.add("converge.json"), out)
-        state.payload["converge"] = out
 
 
 def _contains_failure(node: object) -> bool:

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import DEFAULT_BLOCK_SIZE
 from .engine import LinearModel, PathEnsemble, sample_y_marginal, solve_linear
 from .errors import (
     EmptyInputError,
@@ -129,7 +128,6 @@ def moment_transition(
     window: "tuple[float, float] | None" = None,
     save_every: "int | None" = None,
     workers: int = 1,
-    block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> ExponentReport:
     """Locate the transition order from fitted quasi-norm growth rates.
 
@@ -153,15 +151,7 @@ def moment_transition(
         window = (horizon / 2.0, horizon)
 
     curves = linear_moment_curves(
-        model,
-        grid,
-        master_seed,
-        n_paths,
-        ps,
-        source="X",
-        save_every=save_every,
-        workers=workers,
-        block_size=block_size,
+        model, grid, master_seed, n_paths, ps, save_every=save_every, workers=workers
     )
     fits: list[RateFit] = [curves.fit(p, window) for p in ps]
     slopes = np.array([f.slope for f in fits])
@@ -433,7 +423,6 @@ def b_h_replicates(
     dt: "float | None" = None,
     level: float = 0.01,
     workers: int = 1,
-    block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> list[KsReport]:
     """Repeated distribution tests of B_t against H_t, fresh seeds each time."""
     if dt is None:
@@ -443,14 +432,7 @@ def b_h_replicates(
 
     def horizon_sample(seed: int, label: str) -> np.ndarray:
         ens = solve_linear(
-            model,
-            grid,
-            seed,
-            n_per_side,
-            (label,),
-            save_every=grid.n_steps,
-            workers=workers,
-            block_size=block_size,
+            model, grid, seed, n_per_side, (label,), save_every=grid.n_steps, workers=workers
         )[label]
         return ens.final_values[~ens.flagged]
 

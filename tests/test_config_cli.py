@@ -160,7 +160,7 @@ class TestSchema:
             {"kind": "lipschitz_table", "xs": [-1.0, 0.0, 2.0], "ys": [1.0, 0.0, 4.0]},
             {"kind": "bounded_continuous", "xs": [0, 1], "ys": [0, 1]},
         ]
-        raw["estimators"].append({"name": "converge", "functions": functions, "times": [1.0]})
+        raw["estimators"].append({"name": "converge", "functions": functions, "times": [0.5, 1.0]})
         cfg = config_from_dict(raw)
         parsed = cfg.estimators[1].get("functions")
         assert all(isinstance(f, TestFunction) for f in parsed)
@@ -191,7 +191,7 @@ class TestSchema:
     )
     def test_bad_converge_functions_rejected_at_load(self, function, needle):
         raw = base_raw()
-        raw["estimators"] = [{"name": "converge", "functions": [function], "times": [1.0]}]
+        raw["estimators"] = [{"name": "converge", "functions": [function], "times": [0.5, 1.0]}]
         with pytest.raises(ConfigInvalidError, match=needle):
             config_from_dict(raw)
 
@@ -341,7 +341,7 @@ class TestCli:
             ("beta", {"name": "hill", "n": 0}, "hill.n"),
             ("beta", {"name": "beta", "p_grid": [1.0]}, "beta.p_grid"),
             ("moments", {"name": "moments", "p": []}, "moments.p"),
-            ("converge", {"name": "converge", "functions": [], "times": [1.0]}, "functions"),
+            ("converge", {"name": "converge", "functions": [], "times": [0.5, 1.0]}, "functions"),
             (
                 "converge",
                 {"name": "converge", "functions": [{"kind": "abs_power"}], "times": []},
@@ -369,16 +369,29 @@ class TestCli:
             ("verify", {"name": "condition1", "p": [0.5], "t_max": None}, "condition1.t_max"),
             (
                 "converge",
-                {"name": "converge", "functions": [{"kind": "abs_power"}], "times": [1.0],
+                {"name": "converge", "functions": [{"kind": "abs_power"}], "times": [0.5, 1.0],
                  "t_star": -1.0},
                 "converge.t_star",
             ),
             (
                 "converge",
-                {"name": "converge", "functions": [{"kind": "abs_power"}], "times": [1.0],
+                {"name": "converge", "functions": [{"kind": "abs_power"}], "times": [0.5, 1.0],
                  "mode": "bogus"},
                 "converge.mode",
             ),
+            (
+                "converge",
+                {"name": "converge", "functions": [{"kind": "abs_power"}], "times": [1.0]},
+                "converge.times",
+            ),
+            (
+                "converge",
+                {"name": "converge", "functions": [{"kind": "abs_power"}], "times": [-1.0, 1.0]},
+                "converge.times",
+            ),
+            ("moments", {"name": "moments", "p": [0.5], "window": [-1.0, 1.0]}, "moments.window"),
+            ("beta", {"name": "beta", "p_grid": [1.0, 3.0], "window": [-0.5, 1.0]}, "beta.window"),
+            ("beta", {"name": "dt_fit", "window": [-5.0, 1.0]}, "dt_fit.window"),
         ],
     )
     def test_bad_estimator_values_exit_two_before_any_work(

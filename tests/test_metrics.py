@@ -3,6 +3,8 @@
 Numeric pins are hand-computed; the inequalities are theorems for any
 empirical measure, so randomized inputs must never produce a failure.
 """
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -269,7 +271,7 @@ def test_moment_curves_match_direct_estimates():
         a=1.0, multiplicative=NoiseSpec.ou(1.0, 0.5), additive=NoiseSpec.ou(0.3, 0.5)
     )
     grid = TimeGrid(dt=0.01, n_steps=200)
-    curves = linear_moment_curves(model, grid, 7, 700, [0.5, 2.0], save_every=10, block_size=256)
+    curves = linear_moment_curves(model, grid, 7, 700, [0.5, 2.0], save_every=10)
     sol = solve_linear(model, grid, 7, 700, save_every=10, block_size=256)
 
     for p in (0.5, 2.0):
@@ -282,15 +284,41 @@ def test_moment_curves_match_direct_estimates():
     assert est.value == pytest.approx(abs(model.x0))
 
 
-def test_ensemble_moment_curves_agree_with_streaming():
-    model = LinearModel(
-        a=1.0, multiplicative=NoiseSpec.ou(1.0, 0.5), additive=NoiseSpec.ou(0.3, 0.5)
+# More than 2,048 paths, so the power sums span three fixed path groups.
+GROUPED_MODEL = LinearModel(
+    a=1.0, multiplicative=NoiseSpec.ou(1.0, 0.5), additive=NoiseSpec.ou(0.3, 0.5)
+)
+GROUPED_GRID = TimeGrid(dt=0.02, n_steps=40)
+GROUPED_DIGEST = "c9a0b6c483c36fc6cf3aa0ed0a6347c85e9baaa6eec296dea9c67b71ba5a189a"
+
+
+def _curve_digest(curves) -> str:
+    h = hashlib.sha256()
+    for arr in (curves.value, curves.std_err, curves.unstable):
+        h.update(repr((arr.dtype.str, arr.shape)).encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def test_grouped_moment_curve_bytes_are_pinned():
+    curves = linear_moment_curves(
+        GROUPED_MODEL, GROUPED_GRID, 11, 4500, [0.5, 2.0], save_every=4
     )
-    grid = TimeGrid(dt=0.02, n_steps=100)
-    sol = solve_linear(model, grid, 3, 300)
-    from_ens = ensemble_moment_curves(sol["X"], [1.0])
-    streamed = linear_moment_curves(model, grid, 3, 300, [1.0])
-    np.testing.assert_allclose(from_ens.value, streamed.value, rtol=1e-12)
+    assert _curve_digest(curves) == GROUPED_DIGEST
+
+
+def test_ensemble_moment_curves_agree_with_streaming():
+    # The path groups are fixed, so neither the block layout nor the
+    # worker count of the solve moves a bit of the curves.
+    streamed = linear_moment_curves(
+        GROUPED_MODEL, GROUPED_GRID, 11, 4500, [0.5, 2.0], save_every=4
+    )
+    for layout in ({"block_size": 7}, {"workers": 2}):
+        sol = solve_linear(GROUPED_MODEL, GROUPED_GRID, 11, 4500, save_every=4, **layout)
+        from_ens = ensemble_moment_curves(sol["X"], [0.5, 2.0])
+        for name in ("value", "std_err", "unstable"):
+            assert np.array_equal(getattr(from_ens, name), getattr(streamed, name))
+        assert (from_ens.n, from_ens.excluded) == (streamed.n, streamed.excluded)
 
 
 def test_streamed_curves_refuse_an_all_flagged_ensemble():

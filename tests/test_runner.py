@@ -9,7 +9,10 @@ inequality trials).  A speed-up must not move one of these bytes.  The digests
 depend on numpy's Philox and normal sampler, so they hold for the numpy
 release the package is tested with.
 """
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -149,3 +152,19 @@ def test_a_second_stride_gets_its_own_solve(tmp_path, monkeypatch):
     calls = _count_calls(monkeypatch, "solve_nonlinear")
     _digests(raw, ("simulate", "moments"), tmp_path)
     assert calls == [1, 4]
+
+
+def test_every_traced_binding_resolves():
+    # The benchmark's tracer wraps each (module, attr) of its TARGETS by
+    # name; a binding deleted here would only fail once a traced run starts.
+    path = Path(__file__).resolve().parents[1] / "rmpbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("rmpbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, _, _ in tracing.TARGETS
+        if not hasattr(importlib.import_module(f"rmplab.{module}"), attr)
+    ]
+    assert tracing.TARGETS
+    assert missing == []
