@@ -213,8 +213,9 @@ def _response_from_log(log_a: np.ndarray, phi: np.ndarray, dt: float) -> np.ndar
         q = 0.5 * dt * (phi[:-1] * ratios + phi[1:])
         b = np.empty(log_a.shape)
         b[0] = 0.0
-        for k in range(len(q)):
-            b[k + 1] = b[k] * ratios[k] + q[k]
+        for prev, cur, ratio, inc in zip(b, b[1:], ratios, q):
+            np.multiply(prev, ratio, out=cur)
+            np.add(cur, inc, out=cur)
     return b
 
 

@@ -5,6 +5,12 @@ stream, so path i draws the same numbers no matter how paths are
 batched, ordered, or spread across workers.  The role field separates
 the noise sources feeding one path: multiplicative noise, additive
 noise, and marginal draws used by exact-law estimators.
+
+A Philox stream is fixed by its 128-bit key alone: a fresh generator
+starts at counter zero with an empty output buffer.  So block_normals
+checks the keys once per call, builds every row's key in one array
+pass, and resets one generator per row to a fresh generator's state
+with that row's key, instead of constructing a generator per path.
 """
 from __future__ import annotations
 
@@ -67,22 +73,37 @@ def block_normals(
     layout: it equals path_stream(master_seed, path_indices[k],
     role).standard_normal(shape_per_path) bit for bit.
 
-    One Philox generator is built per call and, before each row, its key
-    is set to that row's stream key and its counter and output buffer are
-    reset to a fresh generator's, which is all the state Philox keeps.
-    This skips the per-path construction (and OS-entropy seeding) of
-    path_stream.  The generator is local to the call, so blocks drawn on
-    concurrent worker threads never share it.
+    The seed, the role and the smallest and largest index are checked
+    once, before anything is drawn, and every row's second key word
+    (index << 3 | role) is built in one array pass.  One Philox generator
+    is built per call; before each row its whole state (key, counter,
+    output buffer and buffer position) is set to that of a fresh
+    generator keyed for the row.  That is all the state Philox keeps and
+    Generator keeps none of its own, so the row draws exactly what
+    path_stream's new generator would.  The state is held in Python
+    lists, which the Philox state setter reads faster than numpy arrays.
+    The generator is local to the call, so blocks drawn on concurrent
+    worker threads never share it.
     """
-    out = np.empty((len(path_indices),) + shape_per_path, dtype=np.float64)
+    idx = np.asarray(path_indices)
+    out = np.empty((len(idx),) + shape_per_path, dtype=np.float64)
+    lo, hi = (int(idx.min()), int(idx.max())) if idx.size else (0, 0)
+    first_key = _stream_key(master_seed, lo, role)
+    _stream_key(master_seed, hi, role)
     if out.size == 0:
         return out
-    bit_gen = np.random.Philox(key=_stream_key(master_seed, 0, role))
+    words = ((idx.astype(np.uint64) << _ROLE_BITS) | role).tolist()
+    bit_gen = np.random.Philox(key=first_key)
     gen = np.random.Generator(bit_gen)
     fresh = bit_gen.state
-    rows = out.reshape(len(path_indices), -1)
-    for row, idx in enumerate(path_indices):
-        fresh["state"]["key"] = _stream_key(master_seed, int(idx), role)
-        bit_gen.state = fresh
-        gen.standard_normal(out=rows[row])
+    state = {
+        **fresh,
+        "state": {name: v.tolist() for name, v in fresh["state"].items()},
+        "buffer": fresh["buffer"].tolist(),
+    }
+    key = state["state"]["key"]
+    for row, word in zip(out.reshape(len(idx), -1), words):
+        key[1] = word
+        bit_gen.state = state
+        gen.standard_normal(out=row)
     return out

@@ -87,3 +87,62 @@ def test_seed_wraps_modulo_two_to_the_64():
     np.testing.assert_array_equal(top, path_stream(0, 3, ROLE_GENERIC).standard_normal(4))
     with pytest.raises(ValueError):
         path_stream(-1, 0, ROLE_GENERIC)
+
+
+def test_block_rows_at_the_top_of_the_keyable_range():
+    # the largest keyable index beside small ones, under a seed that wraps
+    seed = 2**64 + 9
+    indices = np.array([3, 2**61 - 1, 0, 2**61 - 1])
+    block = block_normals(seed, indices, ROLE_MARGINAL, (2, 5))
+    for row, idx in enumerate(indices):
+        fresh = path_stream(seed, int(idx), ROLE_MARGINAL).standard_normal((2, 5))
+        np.testing.assert_array_equal(block[row], fresh)
+
+
+def _count_philox_builds(monkeypatch) -> list:
+    built = []
+    real_philox = np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        built.append(args)
+        return real_philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    return built
+
+
+@pytest.mark.parametrize(
+    "seed, indices, role",
+    [
+        (1, [4, -1, 2], ROLE_GENERIC),
+        (1, [0, 1 << 61, 2], ROLE_GENERIC),
+        (1, [0, 1], 17),
+        (-1, [0, 1], ROLE_GENERIC),
+    ],
+)
+def test_block_rejects_unkeyable_requests_before_drawing(monkeypatch, seed, indices, role):
+    # no generator is built, so nothing can have been drawn
+    built = _count_philox_builds(monkeypatch)
+    with pytest.raises(ValueError):
+        block_normals(seed, np.array(indices), role, (3,))
+    assert built == []
+
+
+def test_empty_block_keeps_its_shape():
+    out = block_normals(5, np.array([], dtype=np.int64), ROLE_ADDITIVE, (2, 7))
+    assert out.shape == (0, 2, 7)
+
+
+def test_index_dtype_and_container_do_not_change_bytes():
+    indices = [11, 0, 7, 2**20]
+    ref = block_normals(8, np.array(indices, dtype=np.int64), ROLE_MULTIPLICATIVE, (9,))
+    for given in (np.array(indices, dtype=np.int32), indices):
+        out = block_normals(8, given, ROLE_MULTIPLICATIVE, (9,))
+        assert out.tobytes() == ref.tobytes()
+
+
+def test_one_generator_per_block(monkeypatch):
+    # the byte tests cannot tell per-row construction from a per-row reset
+    built = _count_philox_builds(monkeypatch)
+    block_normals(4, np.arange(300), ROLE_ADDITIVE, (1, 151))
+    assert len(built) == 1
