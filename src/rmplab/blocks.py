@@ -14,6 +14,12 @@ import numpy as np
 
 DEFAULT_BLOCK_SIZE = 2048
 
+# Cells one working array may hold: the 2,048-path blocks of a 151-node
+# grid.  solve_linear caps its blocks at this many paths x fine-grid
+# nodes, and noise.sample_block draws its normals in path chunks of at
+# most this many values (paths x components x nodes).
+BLOCK_CELLS = 2048 * 151
+
 T = TypeVar("T")
 
 

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import noise as noise_mod
-from .blocks import DEFAULT_BLOCK_SIZE, pairwise_sum, run_blocks
+from .blocks import BLOCK_CELLS, DEFAULT_BLOCK_SIZE, pairwise_sum, run_blocks
 from .errors import TruncationWarningError
 from .grid import TimeGrid
 from .noise import NoiseSpec, diffusion_constant, require_multiplicative, y_variance_half
@@ -36,10 +36,6 @@ ENVELOPE_ITSELF = "envelope_itself"
 NONLINEARITIES = (SIN_MODULATED, CLIPPED, ENVELOPE_ITSELF)
 
 PROCESS_LABELS = ("X", "Y", "A", "B", "H", "zeta", "phi")
-
-# Cells (rows x fine-grid nodes) one solve_linear block may hold per
-# array: the 2,048-path blocks of a 151-node grid, so that layout stays.
-BLOCK_CELLS = 2048 * 151
 
 
 def _beta_c(a: float, multiplicative: NoiseSpec) -> float:
@@ -538,7 +534,8 @@ def solve_nonlinear(
     count 1 when max_refines is 0); each later pass draws again and
     integrates the next doubled count, so noise memory stays one block.
     A block keeps the horizon partials of every count it integrates and
-    the paths of its last count only.
+    the paths of its last count only; one count's paths are freed before
+    the next count is integrated.
     """
     out_grid = grid.subsampled(save_every)
     psi = _psi_function(model.nonlinearity)
@@ -548,6 +545,7 @@ def solve_nonlinear(
         zeta, phi = _block_noise(model, grid, master_seed, idx)
         partials = []
         for substeps in counts:
+            part = None  # free the previous count's paths first
             part = _rk4_block(model, grid, zeta, phi, psi, substeps, save_every)
             ok = ~part["flagged"]
             partials.append(

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import BLOCK_CELLS
 from .errors import SpecRejectedError, UnsupportedKindError
 from .grid import TimeGrid
 from .rng import block_normals
@@ -205,45 +206,50 @@ def stationary_moment(spec: NoiseSpec, p: float) -> float:
     raise UnsupportedKindError(f"no closed-form marginal moment for kind {spec.kind}")
 
 
-def _assemble_block(spec: NoiseSpec, grid: TimeGrid, draws: np.ndarray) -> np.ndarray:
-    """Turn standard normal draws into noise paths on the grid, time-major.
+def _assemble_block(spec: NoiseSpec, grid: TimeGrid, buf: np.ndarray) -> np.ndarray:
+    """Run each component's OU recursion in place and sum the components.
 
-    draws has shape (n_paths, n_components, n_nodes); column 0 seeds the
-    stationary initial value g_0 = sigma xi_0, the rest drive the exact
-    one-step update g_{k+1} = r g_k + sigma sqrt(1 - r^2) xi_{k+1} with
-    r = exp(-dt/tau).  The result has shape (n_nodes, n_paths): the
-    recursion runs over time on whole rows, one row per step.  Each step
-    is one multiply r * g_k and one add of the innovation, in that order,
-    which is the arithmetic of the direct-form filter lfilter([1], [1, -r])
-    started from r * g_0, so the paths equal that filter's bit for bit.
-    Components are summed into a zero array in their listed order.
+    buf has shape (n_components, n_nodes, n_paths) and holds scaled
+    innovations, time-major: node 0 of component j is the stationary
+    initial value g_0 = sigma xi_0, node k + 1 the term
+    sigma sqrt(1 - r^2) xi_{k+1} of the exact one-step update
+    g_{k+1} = r g_k + sigma sqrt(1 - r^2) xi_{k+1}, r = exp(-dt/tau).
+    The recursion overwrites buf over time on whole rows, one row per
+    step.  Each step is one multiply r * g_k and one add of the
+    innovation, in that order, which is the arithmetic of the
+    direct-form filter lfilter([1], [1, -r]) started from r * g_0, so
+    the paths equal that filter's bit for bit.  The components are then
+    summed into buf[0] in their listed order, starting from 0.0 + g
+    (which turns a -0.0 into 0.0, as a sum into a zero array does).  The
+    result has shape (n_nodes, n_paths) and is C-contiguous.  With one
+    component it is buf itself, so no second full-size array is built;
+    with several, the sum is copied out so the others can be freed.
     """
-    n_paths = draws.shape[0]
-    if spec.kind == ZERO:
-        return np.zeros((grid.n_nodes, n_paths))
-    if spec.kind == CONSTANT:
-        return np.full((grid.n_nodes, n_paths), spec.level)
-
-    out = np.zeros((grid.n_nodes, n_paths))
-    g = np.empty_like(out)
-    rows = list(g)
-    step = np.empty(n_paths)
-    for j, (sigma, tau) in enumerate(spec.components):
+    step = np.empty(buf.shape[2])
+    for g, (_, tau) in zip(buf, spec.components):
         r = np.exp(-grid.dt / tau)
-        s = sigma * np.sqrt(-np.expm1(-2.0 * grid.dt / tau))
-        np.multiply(draws[:, j, 0], sigma, out=g[0])
-        np.multiply(draws[:, j, 1:].T, s, out=g[1:])
+        rows = list(g)
         for prev, cur in zip(rows, rows[1:]):
             np.multiply(prev, r, out=step)
             np.add(cur, step, out=cur)
-        out += g
+    out = buf[0]
+    np.add(out, 0.0, out=out)
+    for g in buf[1:]:
+        np.add(out, g, out=out)
+    if len(buf) > 1:
+        out = out.copy()
 
     if spec.kind == PARETO_TRANSFORMED_OU:
         from scipy.special import ndtr  # imported on use: import rmplab loads numpy only
 
         # Latent path has unit variance; ndtr(-w) is the exact survival
-        # function, safe from cancellation for large w.
-        out = spec.scale * ndtr(-out) ** (-1.0 / spec.tail_index)
+        # function, safe from cancellation for large w.  Each operation
+        # runs in place, with the arithmetic of
+        # scale * ndtr(-w) ** (-1 / tail_index).
+        np.negative(out, out=out)
+        ndtr(out, out=out)
+        out **= -1.0 / spec.tail_index
+        out *= spec.scale
     return out
 
 
@@ -255,11 +261,36 @@ def sample_block(
     The result is C-contiguous with shape (n_nodes, n), one row per node
     and one column per path, the layout every path kernel works in; path
     i of the block is column i.
+
+    The normals are drawn in path chunks of at most BLOCK_CELLS values
+    (paths x components x nodes), one block_normals call per chunk, and
+    each chunk is scaled as it is copied into one time-major buffer of
+    shape (n_components, n_nodes, n) that _assemble_block then filters in
+    place.  Row k of block_normals depends only on (master_seed,
+    path_indices[k], role), so the chunking changes no byte; it keeps the
+    path-major draws down to one chunk instead of a second full block.
     """
-    if spec.kind in (ZERO, CONSTANT):
-        return _assemble_block(spec, grid, np.empty((len(path_indices), 0, 0)))
-    draws = block_normals(master_seed, path_indices, role, (len(spec.components), grid.n_nodes))
-    return _assemble_block(spec, grid, draws)
+    idx = np.asarray(path_indices)
+    n = len(idx)
+    if spec.kind == ZERO:
+        return np.zeros((grid.n_nodes, n))
+    if spec.kind == CONSTANT:
+        return np.full((grid.n_nodes, n), spec.level)
+
+    shape = (len(spec.components), grid.n_nodes)
+    scales = [
+        (sigma, sigma * np.sqrt(-np.expm1(-2.0 * grid.dt / tau)))
+        for sigma, tau in spec.components
+    ]
+    buf = np.empty(shape + (n,))
+    width = max(1, BLOCK_CELLS // (shape[0] * shape[1]))
+    for lo in range(0, max(n, 1), width):  # an empty block still checks its keys
+        cols = slice(lo, lo + width)
+        chunk = block_normals(master_seed, idx[cols], role, shape)
+        for j, (sigma, s) in enumerate(scales):
+            np.multiply(chunk[:, j, 0], sigma, out=buf[j, 0, cols])
+            np.multiply(chunk[:, j, 1:].T, s, out=buf[j, 1:, cols])
+    return _assemble_block(spec, grid, buf)
 
 
 # Catalog of Gaussian specs exercised by the verification suite.  All of

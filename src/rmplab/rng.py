@@ -73,8 +73,9 @@ def block_normals(
     layout: it equals path_stream(master_seed, path_indices[k],
     role).standard_normal(shape_per_path) bit for bit.
 
-    The seed, the role and the smallest and largest index are checked
-    once, before anything is drawn, and every row's second key word
+    The index dtype (integer, unless the block is empty), the seed, the
+    role and the smallest and largest index are checked once, before
+    anything is drawn, and every row's second key word
     (index << 3 | role) is built in one array pass.  One Philox generator
     is built per call; before each row its whole state (key, counter,
     output buffer and buffer position) is set to that of a fresh
@@ -86,6 +87,8 @@ def block_normals(
     worker threads never share it.
     """
     idx = np.asarray(path_indices)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ValueError(f"path indices must be integers, got dtype {idx.dtype}")
     out = np.empty((len(idx),) + shape_per_path, dtype=np.float64)
     lo, hi = (int(idx.min()), int(idx.max())) if idx.size else (0, 0)
     first_key = _stream_key(master_seed, lo, role)

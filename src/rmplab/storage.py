@@ -71,9 +71,8 @@ def write_ensemble_csv(path: "str | Path", ensemble: PathEnsemble) -> None:
     with _text_out(path) as fh:
         fh.write("path_index,flagged," + ",".join(_fmt(t) for t in ensemble.grid.times) + "\n")
         for i in range(ensemble.n_paths):
-            # repr of a float list is "[v0, v1, ...]" with repr(v) per value,
-            # the _fmt text, and no float repr contains ", "
-            row = repr(ensemble.values[i].tolist())[1:-1].replace(", ", ",")
+            # tolist gives Python floats, so repr is the _fmt text
+            row = ",".join(map(repr, ensemble.values[i].tolist()))
             fh.write(f"{i},{int(ensemble.flagged[i])},{row}\n")
 
 

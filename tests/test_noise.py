@@ -4,6 +4,8 @@ The integrated-noise variance oracle is independent quadrature of the
 autocovariance over the time wedge; marginal laws of the transformed
 kind are pinned against exact Pareto formulas.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,8 @@ from scipy.integrate import quad
 from scipy.signal import lfilter
 from scipy.special import ndtr
 
+from rmplab import noise
+from rmplab.blocks import BLOCK_CELLS
 from rmplab.errors import SpecRejectedError, UnsupportedKindError
 from rmplab.grid import TimeGrid
 from rmplab.noise import (
@@ -225,6 +229,9 @@ def _lfilter_block(spec: NoiseSpec, grid: TimeGrid, draws: np.ndarray) -> np.nda
         (NoiseSpec.ou(0.5, 2.0), 1, 400),
         (SHIPPED_GAUSSIAN_SPECS["three_scale"], 300, 200),
         (NoiseSpec.pareto_ou(0.5, 3.0, 2.0), 50, 100),
+        # several draw chunks per block
+        (NoiseSpec.ou(1.0, 0.5), 300, 1500),
+        (SHIPPED_GAUSSIAN_SPECS["three_scale"], 2048, 300),
     ],
 )
 def test_recursion_equals_lfilter_bit_for_bit(spec, n_paths, n_steps):
@@ -234,3 +241,63 @@ def test_recursion_equals_lfilter_bit_for_bit(spec, n_paths, n_steps):
     draws = block_normals(9, idx, ROLE_MULTIPLICATIVE, (len(spec.components), grid.n_nodes))
     assert block.shape == (grid.n_nodes, n_paths) and block.flags.c_contiguous
     assert np.array_equal(block, _lfilter_block(spec, grid, draws).T)
+
+
+def _count_draw_calls(monkeypatch) -> list:
+    calls = []
+    real = noise.block_normals
+
+    def counted(master_seed, path_indices, role, shape_per_path):
+        calls.append(len(path_indices) * int(np.prod(shape_per_path)))
+        return real(master_seed, path_indices, role, shape_per_path)
+
+    monkeypatch.setattr(noise, "block_normals", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "spec,n_paths,n_steps",
+    [
+        (NoiseSpec.ou(1.0, 0.5), 2048, 150),
+        (NoiseSpec.ou(1.0, 0.5), 2, 2500),
+        (SHIPPED_GAUSSIAN_SPECS["three_scale"], 600, 150),
+    ],
+)
+def test_block_within_the_cell_budget_draws_once(monkeypatch, spec, n_paths, n_steps):
+    grid = TimeGrid(dt=0.02, n_steps=n_steps)
+    assert n_paths * len(spec.components) * grid.n_nodes <= BLOCK_CELLS
+    calls = _count_draw_calls(monkeypatch)
+    sample_block(spec, grid, 3, np.arange(n_paths), ROLE_MULTIPLICATIVE)
+    assert len(calls) == 1
+
+
+def test_large_block_draws_in_chunks_within_the_budget(monkeypatch):
+    grid = TimeGrid(dt=0.02, n_steps=2500)
+    calls = _count_draw_calls(monkeypatch)
+    sample_block(NoiseSpec.ou(1.0, 0.5), grid, 3, np.arange(2048), ROLE_MULTIPLICATIVE)
+    assert len(calls) > 1
+    assert max(calls) <= BLOCK_CELLS
+    assert sum(calls) == 2048 * grid.n_nodes
+
+
+def test_empty_block_checks_its_keys():
+    grid = TimeGrid(dt=0.02, n_steps=10)
+    empty = np.array([], dtype=np.int64)
+    block = sample_block(NoiseSpec.ou(1.0, 0.5), grid, 3, empty, ROLE_MULTIPLICATIVE)
+    assert block.shape == (grid.n_nodes, 0)
+    with pytest.raises(ValueError):
+        sample_block(NoiseSpec.ou(1.0, 0.5), grid, -1, empty, ROLE_MULTIPLICATIVE)
+
+
+def test_sample_block_holds_one_full_size_array():
+    # the path-major draws, a separate sum and a scratch copy would each
+    # add a full result's bytes to the peak
+    grid = TimeGrid(dt=0.02, n_steps=2500)
+    idx = np.arange(2048)
+    tracemalloc.start()
+    try:
+        block = sample_block(NoiseSpec.ou(1.0, 0.5), grid, 5, idx, ROLE_MULTIPLICATIVE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * block.nbytes

@@ -128,6 +128,17 @@ def test_block_rejects_unkeyable_requests_before_drawing(monkeypatch, seed, indi
     assert built == []
 
 
+@pytest.mark.parametrize(
+    "indices", [np.array([2.7]), np.array([0.0, 3.0]), np.array([True, False])]
+)
+def test_block_rejects_non_integer_indices_before_drawing(monkeypatch, indices):
+    # a float index would otherwise be truncated onto another path's stream
+    built = _count_philox_builds(monkeypatch)
+    with pytest.raises(ValueError):
+        block_normals(1, indices, ROLE_GENERIC, (3,))
+    assert built == []
+
+
 def test_empty_block_keeps_its_shape():
     out = block_normals(5, np.array([], dtype=np.int64), ROLE_ADDITIVE, (2, 7))
     assert out.shape == (0, 2, 7)
