@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import engine, noise
-from .errors import ConfigInvalidError
+from .errors import ConfigInvalidError, WindowTooShortError
 from .grid import TimeGrid, default_dt
 from .weak import ABS_POWER, MODE_AUTO, MODES, TEST_FUNCTION_KINDS, TestFunction
 
@@ -329,9 +329,13 @@ def _validate_estimator_against_model(
                 )
     p_max = req.get("p_max")
     if p_max is not None and req.name == "hill":
-        if p_max >= model.beta_c:
+        # the stationary tail is the heavier of the Kesten tail and the forcing's
+        tail = min(model.beta_c, beta_1)
+        if p_max >= tail:
             raise ConfigInvalidError(
-                f"hill.p_max: {p_max} is not below the transition order {model.beta_c}"
+                f"hill.p_max: {p_max} is not below the stationary tail index {tail}, the"
+                f" smaller of the transition order {model.beta_c} and the additive tail"
+                f" index {beta_1}"
             )
 
 
@@ -348,6 +352,15 @@ def _validate_estimator_against_grid(req: EstimatorRequest, grid: TimeGrid) -> N
         raise ConfigInvalidError(
             f"moments.source: expected one of {list(engine.PROCESS_LABELS)}"
         )
+    # A fit window that starts past its stage's horizon covers no node;
+    # partial overlap is fine, the fit uses the nodes that exist.
+    if req.name in ("moments", "beta", "dt_fit") and req.get("window") is not None:
+        horizon = req.get("horizon") or grid.horizon
+        lo = req.get("window")[0]
+        if lo > horizon:
+            raise WindowTooShortError(
+                f"{req.name}.window: starts at {lo}, past the horizon {horizon}"
+            )
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:

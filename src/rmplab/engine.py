@@ -37,6 +37,9 @@ NONLINEARITIES = (SIN_MODULATED, CLIPPED, ENVELOPE_ITSELF)
 
 PROCESS_LABELS = ("X", "Y", "A", "B", "H", "zeta", "phi")
 
+# Bytes of noise coefficient rows one RK4 time chunk holds.
+RK4_CHUNK_BYTES = 1 << 20
+
 
 def _beta_c(a: float, multiplicative: NoiseSpec) -> float:
     d = diffusion_constant(multiplicative)
@@ -162,10 +165,10 @@ def _sanitize(arr: np.ndarray) -> np.ndarray:
     arr is time-major, (n_nodes, n_paths), so a path is flagged when any
     entry of its column was repaired.
     """
-    bad = ~np.isfinite(arr)
-    if bad.any():
+    finite = np.isfinite(arr)
+    if not finite.all():
         np.nan_to_num(arr, copy=False, nan=0.0, posinf=SATURATION, neginf=-SATURATION)
-    return bad.any(axis=0)
+    return ~finite.all(axis=0)
 
 
 def cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
@@ -443,13 +446,27 @@ def sample_y_marginal(
     return out if np.ndim(ts) else out[0]
 
 
-def _psi_function(nonlinearity: str) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """psi(phi, x) for the named nonlinearity, |psi| <= phi."""
+def _psi_function(
+    nonlinearity: str,
+) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """psi(phi, x, out) for the named nonlinearity, |psi| <= phi.
+
+    psi writes its value into the buffer out and returns it; the envelope
+    returns phi itself.  phi sin(x) is np.sin into out, then phi times out;
+    the clamp is np.clip(x, -phi, phi, out=out).  These are the ufuncs and
+    operand orders of phi * np.sin(x) and np.clip(x, -phi, phi), so every
+    element is rounded as it was when each call allocated its result.
+    """
     if nonlinearity == SIN_MODULATED:
-        return lambda phi, x: phi * np.sin(x)
+
+        def psi(phi, x, out):
+            np.sin(x, out=out)
+            return np.multiply(phi, out, out=out)
+
+        return psi
     if nonlinearity == CLIPPED:
-        return lambda phi, x: np.clip(x, -phi, phi)
-    return lambda phi, x: phi
+        return lambda phi, x, out: np.clip(x, -phi, phi, out=out)
+    return lambda phi, x, out: phi
 
 
 def _block_noise(
@@ -468,46 +485,98 @@ def _rk4_block(
     grid: TimeGrid,
     zeta: np.ndarray,
     phi: np.ndarray,
-    psi: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    psi: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     substeps: int,
     save_every: int,
 ) -> dict[str, np.ndarray]:
     """Classical RK4 on one block, noise linearly interpolated in each step.
 
     zeta and phi are time-major (n_nodes, n_paths), so each node's values
-    are one contiguous row; psi is the model's nonlinearity.  The saved
-    states are flagged time-major and transposed once into path rows.
+    are one contiguous row; psi is the model's nonlinearity (_psi_function).
+    Substep j of a step evaluates the noise at the fractions f = j/s,
+    (j+0.5)/s and (j+1)/s of the step, 2s+1 distinct values.  For a chunk
+    of steps at a time (RK4_CHUNK_BYTES of rows, at least one step) the
+    coefficient rows m_f = -(a + (z0 + dz*f)) and p_f = p0 + dp*f are
+    built once per fraction, vectorized over the chunk, instead of once
+    per substep.  Every stage is then written with out= into a handful of
+    preallocated path vectors: k = m*x + psi(p, x), x + (0.5*h)*k,
+    x + h*k and x + (h/6)*(((k1 + 2*k2) + 2*k3) + k4).  Each element goes
+    through the same ufuncs, with the same operands in the same order, as
+    in the form that evaluated these expressions per substep, so it meets
+    the same roundings and the output is the same bytes.  States are saved
+    straight into path rows, then flagged and saturated where they
+    overflowed.
+    """
+    saved = np.empty((zeta.shape[1], grid.n_steps // save_every + 1))
+    _rk4_steps(model, grid, zeta, phi, psi, substeps, save_every, saved)
+    flagged = _sanitize(saved.T)
+    return {"X": saved, "flagged": flagged}
+
+
+def _rk4_steps(
+    model: NonlinearModel,
+    grid: TimeGrid,
+    zeta: np.ndarray,
+    phi: np.ndarray,
+    psi: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    substeps: int,
+    save_every: int,
+    saved: np.ndarray,
+) -> None:
+    """The time loop of _rk4_block: state k * save_every goes to saved[:, k].
+
+    A function of its own so that its step buffers are freed before the
+    flag scan of saved.
     """
     a = model.a
     h = grid.dt / substeps
+    half_h, sixth_h = 0.5 * h, h / 6.0
     n = zeta.shape[1]
-    saved = np.empty((grid.n_steps // save_every + 1, n))
+    n_rows = 2 * substeps + 1
+    fractions = [(i / 2) / substeps for i in range(n_rows)]  # j/s, (j+0.5)/s, exactly
+    # m and p rows plus dz and dp: 2 (n_rows + 1) rows of n floats per step
+    chunk = max(1, min(grid.n_steps, RK4_CHUNK_BYTES // (16 * (n_rows + 1) * n)))
+    dz, dp = np.empty((chunk, n)), np.empty((chunk, n))
+    m_rows, p_rows = np.empty((n_rows, chunk, n)), np.empty((n_rows, chunk, n))
+    k1, k2, k3, k4, xs, ps = (np.empty(n) for _ in range(6))
+
+    def stage(m, p, xin, k):
+        np.multiply(m, xin, out=k)
+        return np.add(k, psi(p, xin, ps), out=k)
+
     x = np.full(n, float(model.x0))
-    saved[0] = x
+    saved[:, 0] = x
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(grid.n_steps):
-            z0 = zeta[k]
-            dz = zeta[k + 1] - z0
-            p0 = phi[k]
-            dp = phi[k + 1] - p0
-            for j in range(substeps):
-                t0 = j / substeps
-                th = (j + 0.5) / substeps
-                t1 = (j + 1) / substeps
-                za, zb, zc = z0 + dz * t0, z0 + dz * th, z0 + dz * t1
-                pa, pb, pc = p0 + dp * t0, p0 + dp * th, p0 + dp * t1
-                k1 = -(a + za) * x + psi(pa, x)
-                x2 = x + 0.5 * h * k1
-                k2 = -(a + zb) * x2 + psi(pb, x2)
-                x3 = x + 0.5 * h * k2
-                k3 = -(a + zb) * x3 + psi(pb, x3)
-                x4 = x + h * k3
-                k4 = -(a + zc) * x4 + psi(pc, x4)
-                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if (k + 1) % save_every == 0:
-                saved[(k + 1) // save_every] = x
-    flagged = _sanitize(saved)
-    return {"X": np.ascontiguousarray(saved.T), "flagged": flagged}
+        for k0 in range(0, grid.n_steps, chunk):
+            c = min(chunk, grid.n_steps - k0)
+            z0, p0 = zeta[k0 : k0 + c], phi[k0 : k0 + c]
+            np.subtract(zeta[k0 + 1 : k0 + c + 1], z0, out=dz[:c])
+            np.subtract(phi[k0 + 1 : k0 + c + 1], p0, out=dp[:c])
+            for f, mf, pf in zip(fractions, m_rows[:, :c], p_rows[:, :c]):
+                np.multiply(dz[:c], f, out=mf)
+                np.add(z0, mf, out=mf)
+                np.add(a, mf, out=mf)
+                np.negative(mf, out=mf)
+                np.multiply(dp[:c], f, out=pf)
+                np.add(p0, pf, out=pf)
+            for i in range(c):
+                ms, pm = m_rows[:, i], p_rows[:, i]
+                for r in range(0, 2 * substeps, 2):  # substep r/2: rows r, r+1, r+2
+                    mb, pb = ms[r + 1], pm[r + 1]
+                    stage(ms[r], pm[r], x, k1)
+                    np.multiply(half_h, k1, out=xs)
+                    stage(mb, pb, np.add(x, xs, out=xs), k2)
+                    np.multiply(half_h, k2, out=xs)
+                    stage(mb, pb, np.add(x, xs, out=xs), k3)
+                    np.multiply(h, k3, out=xs)
+                    stage(ms[r + 2], pm[r + 2], np.add(x, xs, out=xs), k4)
+                    np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
+                    np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
+                    np.add(k1, k4, out=k1)
+                    np.add(x, np.multiply(sixth_h, k1, out=k1), out=x)
+                k = k0 + i + 1
+                if k % save_every == 0:
+                    saved[:, k // save_every] = x
 
 
 def solve_nonlinear(

@@ -34,7 +34,8 @@ from .metrics import (
     linear_moment_curves,  # noqa: F401  (rmpbench traces it here)
     quasi_triangle_check,
 )
-from .noise import diffusion_constant, sample_block  # noqa: F401  (rmpbench traces it here)
+from .noise import sample_block  # noqa: F401  (rmpbench traces it here)
+from .noise import diffusion_constant, tail_index
 from .rng import ROLE_GENERIC, path_stream
 from .storage import (
     build_manifest,
@@ -246,9 +247,10 @@ def do_beta(state: RunState) -> None:
             model, t_star, n, cfg.master_seed + 1, p_max=p_max, workers=cfg.workers
         )
         k = req.get("k")
-        report = hill_estimator(
-            sample.values, None if k is None else int(k), analytic=model.beta_c
-        )
+        # Heavy forcing sets the stationary tail when its index is the smaller
+        # (Breiman); otherwise the multiplicative (Kesten) tail does.
+        analytic = min(model.beta_c, tail_index(model.additive))
+        report = hill_estimator(sample.values, None if k is None else int(k), analytic=analytic)
         out["hill"] = _report_to_dict(report)
         out["hill"]["t_star"] = t_star
         out["hill"]["truncation_bound"] = sample.truncation_bound

@@ -36,6 +36,14 @@ def base_raw() -> dict:
     }
 
 
+def pareto_raw() -> dict:
+    """base_raw with a = 2 and Pareto forcing of index 1.5 < beta_c = 4."""
+    raw = base_raw()
+    raw["model"]["a"] = 2.0
+    raw["model"]["additive"] = {"kind": "pareto_transformed_ou", "tau_c": 0.5, "tail_index": 1.5}
+    return raw
+
+
 class TestSchema:
     def test_round_trip(self):
         cfg = config_from_dict(base_raw())
@@ -151,6 +159,24 @@ class TestSchema:
         with pytest.raises(ConfigInvalidError, match="transition"):
             config_from_dict(raw)
         raw["estimators"] = [{"name": "hill", "p_max": 1.0}]
+        config_from_dict(raw)
+
+    def test_hill_p_max_must_stay_below_the_additive_tail_index(self):
+        raw = pareto_raw()
+        for p_max in (1.5, 2.0):  # below beta_c = 4.0, not below the index 1.5
+            raw["estimators"] = [{"name": "hill", "p_max": p_max}]
+            with pytest.raises(ConfigInvalidError, match="additive tail index 1.5"):
+                config_from_dict(raw)
+        raw["estimators"] = [{"name": "hill", "p_max": 1.0}]
+        config_from_dict(raw)
+
+    def test_windows_reaching_partly_past_the_horizon_load(self):
+        raw = base_raw()
+        raw["estimators"] = [
+            {"name": "moments", "p": [0.5], "window": [1.0, 50.0]},
+            {"name": "dt_fit", "window": [1.9, 5.0]},
+            {"name": "beta", "p_grid": [1.0, 3.0], "horizon": 1.0, "window": [0.5, 2.0]},
+        ]
         config_from_dict(raw)
 
     def test_converge_functions_round_trip_as_objects(self):
@@ -392,18 +418,36 @@ class TestCli:
             ("moments", {"name": "moments", "p": [0.5], "window": [-1.0, 1.0]}, "moments.window"),
             ("beta", {"name": "beta", "p_grid": [1.0, 3.0], "window": [-0.5, 1.0]}, "beta.window"),
             ("beta", {"name": "dt_fit", "window": [-5.0, 1.0]}, "dt_fit.window"),
+            # fit windows that start past the 2.0 horizon (beta: past its own)
+            (
+                "moments",
+                {"name": "moments", "p": [0.5], "window": [10.0, 50.0]},
+                ("moments.window", "WINDOW_TOO_SHORT"),
+            ),
+            ("beta", {"name": "dt_fit", "window": [2.5, 5.0]}, ("dt_fit.window", "WINDOW_TOO_SHORT")),
+            (
+                "beta",
+                {"name": "beta", "p_grid": [1.0, 3.0], "window": [3.0, 4.0]},
+                ("beta.window", "WINDOW_TOO_SHORT"),
+            ),
+            (
+                "beta",
+                {"name": "beta", "p_grid": [1.0, 3.0], "horizon": 1.0, "window": [1.5, 2.0]},
+                ("beta.window", "WINDOW_TOO_SHORT"),
+            ),
         ],
     )
     def test_bad_estimator_values_exit_two_before_any_work(
         self, tmp_path, capsys, stage, request_, needle
     ):
+        needle, code = needle if isinstance(needle, tuple) else (needle, "CONFIG_INVALID")
         raw = base_raw()
         raw["estimators"] = [request_]
         cfg_path = write_config(tmp_path, raw)
         out = tmp_path / "x"
         assert main([stage, "--config", str(cfg_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "CONFIG_INVALID" in err and needle in err
+        assert f"[{code}]" in err and needle in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -511,6 +555,13 @@ class TestCli:
         raw["estimators"] = [{"name": "hill", "n": 200, "k": 20, "p_max": 1.0}]
         cfg_path = write_config(tmp_path, raw)
         assert main(["beta", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 0
+
+    def test_hill_targets_the_heavy_forcing_tail(self, tmp_path):
+        raw = pareto_raw()
+        raw["estimators"] = [{"name": "hill", "n": 200, "k": 20, "p_max": 1.0}]
+        out = tmp_path / "x"
+        assert main(["beta", "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 0
+        assert json.loads((out / "beta.json").read_text())["hill"]["analytic"] == 1.5
 
     def test_seed_and_n_paths_overrides(self, tmp_path):
         cfg_path = write_config(tmp_path, base_raw())

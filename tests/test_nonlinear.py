@@ -1,7 +1,15 @@
-"""Nonlinear solver: degenerate reductions and the envelope sandwich."""
+"""Nonlinear solver: degenerate reductions and the envelope sandwich.
+
+The solver's bytes are pinned by sha256 digests, so a rewrite of the RK4
+kernel's buffering cannot move a single output bit.
+"""
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from rmplab import engine
 from rmplab.engine import (
     CLIPPED,
     ENVELOPE_ITSELF,
@@ -148,3 +156,80 @@ def test_blocks_and_workers_do_not_change_the_solution():
         np.testing.assert_array_equal(one.x.flagged, sol.x.flagged)
     # the horizon quasi-norm sums block partials, so only the worker count is free
     assert split.refinement == pooled.refinement
+
+
+def _nl(kind: str, a: float = 1.0) -> NonlinearModel:
+    return NonlinearModel(a=a, multiplicative=MULT, envelope=ENV, nonlinearity=kind, x0=1.0)
+
+
+# 2,048 paths make the kernel's coefficient rows span several time chunks,
+# with a partial last one; "coarse" refines to 4 substeps; "saturated" has
+# a = -20 drive 31 of 40 paths past overflow, so saturated values and
+# flags are pinned too (rel_tol 1.0 stops it after three counts).
+NONLINEAR_CASES = {
+    **{
+        f"{kind}-{save_every}": (
+            lambda kind=kind, save_every=save_every: solve_nonlinear(
+                _nl(kind), TimeGrid(0.05, 45), 11, 2048, save_every=save_every
+            )
+        )
+        for kind in (SIN_MODULATED, CLIPPED, ENVELOPE_ITSELF)
+        for save_every in (1, 5)
+    },
+    "coarse": lambda: solve_nonlinear(
+        _nl(SIN_MODULATED), TimeGrid(0.4, 15), 4, 2048, save_every=3, rel_tol=1e-4
+    ),
+    "saturated": lambda: solve_nonlinear(
+        _nl(CLIPPED, a=-20.0), TimeGrid(0.05, 710), 5, 40, save_every=10, rel_tol=1.0
+    ),
+}
+
+NONLINEAR_DIGESTS = {
+    "clipped-1": "3a4b23c501ee3453470f09ae1b058ffe4644bfcceb9658ecd1892dfa9504dba9",
+    "clipped-5": "0f851bad48f08b805553d20e3edee6423609166607d8f0d580c9a4d9a509bde3",
+    "coarse": "04cab99e786339a14a0bbdc78576442c325c4cfc21f7c4eba383dce28ebf536b",
+    "envelope_itself-1": "38f5daf9e13aeeeb18c7118f08d43cb20341668453a915a60eba5d003420dc8e",
+    "envelope_itself-5": "f187d17ec602bb539199b08e793421f6cc0b97f0a5238ae16748bab24f60cede",
+    "saturated": "c00edb005ab08cc9fa5549aa5caf723176c88cb47b14c7ba5f6dc6e7b3652512",
+    "sin_modulated-1": "3b91d963e38f07ec7fbf55e5dfa677327be702f910d53b09169d156df6e1a898",
+    "sin_modulated-5": "29b3d2bea10e8ee333569169832d2c157a929b508247cb382ccc647ef47e724d",
+}
+
+
+def _solution_digest(sol) -> str:
+    h = hashlib.sha256()
+    for arr in (sol.x.values, sol.x.flagged, np.array(sol.refinement, dtype=np.float64)):
+        h.update(repr((arr.dtype.str, arr.shape)).encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(NONLINEAR_CASES))
+def test_nonlinear_bytes_are_pinned(case):
+    sol = NONLINEAR_CASES[case]()
+    if case == "coarse":
+        assert sol.substeps >= 4
+    if case == "saturated":
+        assert 0 < sol.x.n_flagged < sol.x.n_paths
+        assert np.any(sol.x.values == 1e300)
+    assert _solution_digest(sol) == NONLINEAR_DIGESTS[case]
+
+
+def test_rk4_block_memory_stays_near_its_output():
+    # The nonlinear workload's block: the time chunk's coefficient rows, the
+    # stage vectors and the flag scan add at most 1.5 MiB to the saved states.
+    model = NonlinearModel(
+        a=1.0, multiplicative=MULT, envelope=NoiseSpec.ou(0.5, 1.0),
+        nonlinearity=SIN_MODULATED,
+    )
+    grid = TimeGrid(0.02, 2500)
+    zeta, phi = engine._block_noise(model, grid, 3, np.arange(2048))
+    psi = engine._psi_function(model.nonlinearity)
+    tracemalloc.start()
+    try:
+        saved = engine._rk4_block(model, grid, zeta, phi, psi, 2, 5)["X"]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert saved.shape == (2048, 501)
+    assert peak < saved.nbytes + 1.5 * 2**20
