@@ -38,6 +38,14 @@ class TimeGrid:
         return TimeGrid(dt=self.dt * stride, n_steps=self.n_steps // stride)
 
 
+def node_stride(n_steps: int, target_nodes: int) -> int:
+    """Output stride for about target_nodes nodes: n_steps // target_nodes, lowered to a divisor."""
+    s = max(1, n_steps // target_nodes)
+    while n_steps % s:
+        s -= 1
+    return s
+
+
 def default_dt(a: float, *tau_cs: float) -> float:
     """Step small enough to resolve both relaxation scales.
 

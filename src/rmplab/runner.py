@@ -14,7 +14,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import EstimatorRequest, ExperimentConfig, config_hash
+from .config import (
+    MOMENT_NODES,
+    EstimatorRequest,
+    ExperimentConfig,
+    check_fit_windows,
+    config_hash,
+    moments_stride,
+)
 from .engine import (
     LinearModel,
     NonlinearModel,
@@ -26,6 +33,7 @@ from .engine import (
     stationary_sample,
 )
 from .errors import IOFailureError, RmplabError
+from .grid import node_stride
 from .metrics import (
     MomentCurves,
     ensemble_moment_curves,
@@ -99,13 +107,6 @@ class RunState:
         return self.ensembles[key]
 
 
-def _stride(n_steps: int, target_nodes: int) -> int:
-    s = max(1, n_steps // target_nodes)
-    while n_steps % s:
-        s -= 1
-    return s
-
-
 def _reqs(cfg: ExperimentConfig, *names: str) -> list[EstimatorRequest]:
     return [r for r in cfg.estimators if r.name in names]
 
@@ -121,7 +122,7 @@ def _solve_ensemble(cfg: ExperimentConfig, label: str, save_every: int) -> PathE
 
 def do_simulate(state: RunState) -> None:
     cfg = state.cfg
-    ens = state.ensemble("X", _stride(cfg.grid.n_steps, 500))
+    ens = state.ensemble("X", node_stride(cfg.grid.n_steps, 500))
     state.flagged["simulate"] = ens.n_flagged
     if "csv" in cfg.formats:
         write_ensemble_csv(state.add("ensemble_X.csv"), ens)
@@ -142,8 +143,7 @@ def do_simulate(state: RunState) -> None:
 
 
 def _curves_for(state: RunState, req: EstimatorRequest) -> MomentCurves:
-    save_every = req.get("save_every") or _stride(state.cfg.grid.n_steps, 400)
-    ensemble = state.ensemble(req.get("source"), int(save_every))
+    ensemble = state.ensemble(req.get("source"), moments_stride(req, state.cfg.grid))
     return ensemble_moment_curves(ensemble, [float(p) for p in req.get("p")])
 
 
@@ -380,7 +380,7 @@ def do_converge(state: RunState) -> None:
     for req in _reqs(cfg, "converge"):
         functions = req.get("functions")
         times = np.array([float(t) for t in req.get("times")])
-        x = state.ensemble("X", _stride(cfg.grid.n_steps, 400))
+        x = state.ensemble("X", node_stride(cfg.grid.n_steps, MOMENT_NODES))
         grid_times = x.grid.times
         node_idx = [int(np.argmin(np.abs(grid_times - t))) for t in times]
         snap_times = grid_times[node_idx]
@@ -472,6 +472,7 @@ def run(
 ) -> tuple[dict, int]:
     """Execute the configured pipeline; returns (manifest, exit_code)."""
     t0 = time.monotonic()
+    check_fit_windows(cfg, tuple(name for g in groups for name in STAGES[g]))
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -9,6 +9,7 @@ Cross-checking them against each other and against a/D is the point.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +24,7 @@ from .errors import (
     WindowTooShortError,
 )
 from .grid import TimeGrid, default_dt
-from .metrics import RateFit, linear_moment_curves
+from .metrics import MIN_FIT_NODES, RateFit, linear_moment_curves
 from .noise import NoiseSpec, diffusion_constant, y_variance_half
 
 FLAG_NONSTABLE = "NONSTABLE"
@@ -117,6 +118,29 @@ def hill_estimator(
     )
 
 
+def transition_grid(
+    model: LinearModel,
+    horizon: float,
+    *,
+    dt: "float | None" = None,
+    save_every: "int | None" = None,
+) -> tuple[TimeGrid, int]:
+    """The grid moment_transition solves on and its output stride.
+
+    dt defaults to default_dt of a and the multiplicative correlation
+    time, save_every to about 400 output nodes; the step count is
+    rounded up to a multiple of save_every and the grid ends at horizon.
+    """
+    if dt is None:
+        dt = default_dt(max(model.a, 1e-12), model.multiplicative.max_tau)
+    n_steps = max(int(round(horizon / dt)), 1)
+    if save_every is None:
+        save_every = max(1, n_steps // 400)
+    while n_steps % save_every != 0:
+        n_steps += 1
+    return TimeGrid(dt=horizon / n_steps, n_steps=n_steps), save_every
+
+
 def moment_transition(
     model: LinearModel,
     p_grid: "list[float] | tuple[float, ...]",
@@ -139,14 +163,7 @@ def moment_transition(
     ps = tuple(sorted(float(p) for p in p_grid))
     if len(ps) < 2:
         raise ValueError("p_grid needs at least two orders")
-    if dt is None:
-        dt = default_dt(max(model.a, 1e-12), model.multiplicative.max_tau)
-    n_steps = max(int(round(horizon / dt)), 1)
-    if save_every is None:
-        save_every = max(1, n_steps // 400)
-    while n_steps % save_every != 0:
-        n_steps += 1
-    grid = TimeGrid(dt=horizon / n_steps, n_steps=n_steps)
+    grid, save_every = transition_grid(model, horizon, dt=dt, save_every=save_every)
     if window is None:
         window = (horizon / 2.0, horizon)
 
@@ -188,14 +205,33 @@ def moment_transition(
     )
 
 
-def _batch_ci(batch_values: np.ndarray) -> tuple[float, float]:
-    from scipy.stats import t as student_t  # imported on use: import rmplab loads numpy only
+# t_{0.975, df} for df = 1 .. 19, each the float of scipy.special.stdtrit(df, 0.975),
+# which equals scipy.stats.t.ppf(0.975, df) bit for bit: every df that green_kubo_d
+# and dt_fit_d reach at their default 20 batches, with no scipy import.
+_T975 = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078, 2.7764451051977934,
+    2.5705818356363146, 2.4469118511449786, 2.364624251592784, 2.306004135204166,
+    2.262157162798205, 2.228138851986274, 2.200985160091639, 2.1788128296672284,
+    2.1603686564627913, 2.144786687917804, 2.131449545559776, 2.1199052992212546,
+    2.1098155778333156, 2.1009220402410382, 2.0930240544083087,
+)
 
+
+def _t975(df: int) -> float:
+    """Two-sided 95% Student-t quantile: the table, or stdtrit beyond it."""
+    if df <= len(_T975):
+        return _T975[df - 1]
+    from scipy.special import stdtrit  # imported on use: only past the table
+
+    return float(stdtrit(df, 0.975))
+
+
+def _batch_ci(batch_values: np.ndarray) -> tuple[float, float]:
     b = batch_values.size
     mean = float(batch_values.mean())
     if b < 2:
         return mean, mean
-    half = float(student_t.ppf(0.975, b - 1) * batch_values.std(ddof=1) / np.sqrt(b))
+    half = float(_t975(b - 1) * batch_values.std(ddof=1) / np.sqrt(b))
     return mean - half, mean + half
 
 
@@ -266,8 +302,10 @@ def dt_fit_d(
     lo, hi = window
     times = y.grid.times
     mask = (times >= lo) & (times <= hi)
-    if mask.sum() < 5:
-        raise WindowTooShortError("variance-slope window must cover at least 5 nodes")
+    if mask.sum() < MIN_FIT_NODES:
+        raise WindowTooShortError(
+            f"variance-slope window must cover at least {MIN_FIT_NODES} nodes"
+        )
     vals = y.values[~y.flagged][:, mask]
     if vals.shape[0] < n_batches:
         raise EmptyInputError("too few unflagged paths for batching")
@@ -380,6 +418,102 @@ class KsReport:
     passed: bool
 
 
+# scipy's ks_2samp(method="auto") uses its exact p-value up to this many samples a side.
+KS_EXACT_MAX_N = 10_000
+# The unequal-size count visits at most 2 (h gcd + max(n1, n2)) lattice cells, about
+# 0.2 us each in Python; past this bound (about 0.8 s) scipy's compiled count runs.
+KS_LATTICE_MAX_CELLS = 4_000_000
+
+
+def _ks_square_tail(n: int, h: int) -> float:
+    """P(D_{n,n} >= h/n) by the Horner-form alternating binomial sum.
+
+    Operation for operation scipy.stats._stats_py._compute_prob_outside_square.
+    """
+    total = 0.0
+    k = n // h
+    while k >= 0:
+        p1 = 1.0
+        for j in range(h):
+            p1 = (n - k * h - j) * p1 / (n + k * h + j + 1)
+        total = p1 * (1.0 - total)
+        k -= 1
+    return 2 * total
+
+
+def _ks_lattice_tail(m: int, n: int, g: int, h: int) -> float:
+    """P(D_{m,n} >= h/lcm(m, n)) for m != n by Hodges' inside method.
+
+    Lattice paths from (0, 0) to (m, n) that stay strictly inside
+    |x/m - y/n| < h/lcm are counted one column at a time in a sliding
+    window, in the 1 - p form of Viehmann (arXiv:2102.08037); operation
+    for operation scipy's compiled _compute_outer_prob_inside_method,
+    on Python floats.
+    """
+    if m < n:
+        m, n = n, m
+    mg, ng = m // g, n // g
+    minj, maxj = 0, min(math.ceil(h / mg), n + 1)
+    curlen = maxj
+    col = [1.0] * min(2 * maxj + 2, n + 1)
+    col[:maxj] = [0.0] * maxj
+    for i in range(1, m + 1):
+        lastminj, lastlen = minj, curlen
+        minj = min(max(math.floor((ng * i - h) / mg) + 1, 0), n)
+        maxj = min(math.ceil((ng * i + h) / mg), n + 1)
+        if maxj <= minj:
+            return 1.0
+        val = 0.0 if minj == 0 else 1.0
+        for j in range(minj, maxj):
+            val = (col[j - lastminj] * i + val * j) / (i + j)
+            col[j - minj] = val
+        curlen = maxj - minj
+        if lastlen > curlen:
+            col[curlen:lastlen] = [1.0] * (lastlen - curlen)
+    return col[curlen - 1]
+
+
+def _ks_2samp(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Two-sided two-sample KS statistic and p-value, as scipy's ks_2samp gives them.
+
+    Exact route of ks_2samp(x, y) with method "auto", ported with the
+    same operations in the same order: ECDF differences on the pooled
+    sample, the statistic rounded to the lattice h/lcm(n1, n2), and the
+    null tail P(D >= h/lcm) by Hodges' count (Hodges, Ark. Mat. 3 (1958)
+    469).  Where scipy itself leaves the exact method -- more than
+    KS_EXACT_MAX_N samples on a side, or an exact p outside [0, 1] -- for
+    samples holding a NaN, and for an unequal-size count past
+    KS_LATTICE_MAX_CELLS, scipy.stats.ks_2samp is called instead.
+    """
+    n1, n2 = x.size, y.size
+    if max(n1, n2) <= KS_EXACT_MAX_N and not (np.isnan(x).any() or np.isnan(y).any()):
+        xs, ys = np.sort(x), np.sort(y)
+        pooled = np.concatenate([xs, ys])
+        diffs = (
+            np.searchsorted(xs, pooled, side="right") / n1
+            - np.searchsorted(ys, pooled, side="right") / n2
+        )
+        d_minus = np.clip(-diffs[np.argmin(diffs)], 0, 1)
+        d_plus = diffs[np.argmax(diffs)]
+        g = math.gcd(n1, n2)
+        lcm = (n1 // g) * n2
+        h = round(float(d_minus if d_minus > d_plus else d_plus) * lcm)
+        if h == 0:
+            return 0.0, 1.0
+        if n1 == n2:
+            p = _ks_square_tail(n1, h)
+        elif 2 * (h * g + max(n1, n2)) <= KS_LATTICE_MAX_CELLS:
+            p = _ks_lattice_tail(n1, n2, g, h)
+        else:
+            p = math.nan
+        if 0.0 <= p <= 1.0:
+            return h / lcm, p
+    from scipy.stats import ks_2samp  # imported on use: only off scipy's exact route
+
+    result = ks_2samp(x, y)
+    return float(result.statistic), float(result.pvalue)
+
+
 def b_equals_h_test(
     b_samples: np.ndarray,
     h_samples: np.ndarray,
@@ -391,25 +525,25 @@ def b_equals_h_test(
     """Two-sample KS test of the forward response against the reversed one.
 
     The two ensembles must come from independently seeded simulations;
-    reusing a seed couples the samples and voids the test.
+    reusing a seed couples the samples and voids the test.  Statistic
+    and p-value equal scipy.stats.ks_2samp(b, h) bit for bit (see
+    _ks_2samp; tests/test_tail.py holds scipy as the oracle), and scipy
+    is imported only off its exact route.
     """
-    from scipy.stats import ks_2samp  # imported on use: import rmplab loads numpy only
-
     if seed_b is not None and seed_b == seed_h:
         raise SameSeedError("B and H ensembles share a master seed")
     b = np.asarray(b_samples, dtype=np.float64).ravel()
     h = np.asarray(h_samples, dtype=np.float64).ravel()
     if b.size == 0 or h.size == 0:
         raise EmptyInputError("both sample sets must be nonempty")
-    result = ks_2samp(b, h)
-    passed = bool(result.pvalue > level)
+    statistic, p_value = _ks_2samp(b, h)
     return KsReport(
-        statistic=float(result.statistic),
-        p_value=float(result.pvalue),
+        statistic=statistic,
+        p_value=p_value,
         n_first=int(b.size),
         n_second=int(h.size),
         level=level,
-        passed=passed,
+        passed=bool(p_value > level),
     )
 
 

@@ -435,6 +435,32 @@ class TestCli:
                 {"name": "beta", "p_grid": [1.0, 3.0], "horizon": 1.0, "window": [1.5, 2.0]},
                 ("beta.window", "WINDOW_TOO_SHORT"),
             ),
+            # fit windows with fewer than MIN_FIT_NODES nodes on their stage's own grid
+            (
+                "moments",
+                {"name": "moments", "p": [0.5], "window": [2.0, 3.0]},
+                ("moments.window", "WINDOW_TOO_SHORT"),
+            ),
+            (
+                "moments",
+                {"name": "moments", "p": [0.5], "window": [1.0, 2.0], "save_every": 25},
+                ("moments.window", "WINDOW_TOO_SHORT"),
+            ),
+            (
+                "beta",
+                {"name": "dt_fit", "window": [1.95, 3.0]},
+                ("dt_fit.window", "WINDOW_TOO_SHORT"),
+            ),
+            (
+                "beta",
+                {"name": "beta", "p_grid": [1.0, 3.0], "window": [1.99, 2.0]},
+                ("beta.window", "WINDOW_TOO_SHORT"),
+            ),
+            (
+                "beta",
+                {"name": "beta", "p_grid": [1.0, 3.0], "horizon": 0.01},
+                ("beta.window", "WINDOW_TOO_SHORT"),
+            ),
         ],
     )
     def test_bad_estimator_values_exit_two_before_any_work(
@@ -604,14 +630,31 @@ import json, sys
 from pathlib import Path
 import rmplab.cli
 work = Path(sys.argv[1])
-for name, raw in json.loads(sys.argv[2]).items():
+for name, (raw, commands) in json.loads(sys.argv[2]).items():
     path = work / (name + ".json")
     path.write_text(json.dumps(raw))
-    for command in ("simulate", "moments"):
-        code = rmplab.cli.main([command, "--config", str(path), "--out", str(work / name)])
+    out = ["--out", str(work / name)]
+    for command in commands:
+        config = [] if command == "report" else ["--config", str(path)]
+        code = rmplab.cli.main([command, *config, *out])
         assert code == 0, (name, command, code)
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
 """
+_SCIPY_HEAVY = {"scipy.signal", "scipy.integrate", "scipy.stats", "scipy.special"}
+
+
+def _scipy_modules_loaded(tmp_path, runs: dict) -> set:
+    """scipy modules one fresh interpreter holds after running every (config, commands) of runs."""
+    src = str(Path(rmplab.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_RUN, str(tmp_path), json.dumps(runs)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
 
 
 def test_gaussian_and_nonlinear_runs_import_no_scipy(tmp_path):
@@ -626,15 +669,46 @@ def test_gaussian_and_nonlinear_runs_import_no_scipy(tmp_path):
     }
     linear = base_raw()
     linear["outputs"]["formats"] = ["csv", "json", "binary"]
+    commands = ["simulate", "moments"]
+    loaded = _scipy_modules_loaded(
+        tmp_path, {"linear": [linear, commands], "nonlinear": [nonlinear, commands]}
+    )
+    assert not loaded & _SCIPY_HEAVY
+
+
+def test_every_stage_of_a_c10_shaped_run_imports_no_scipy(tmp_path):
+    # The C10 acceptance pipeline at a fifth of its sizes: Student-t batch
+    # intervals in beta and the KS test in verify stay off scipy.
+    raw = base_raw()
+    raw["model"]["x0"] = 50.0
+    raw["grid"] = {"t_max": 3.0, "dt": 0.02}
+    raw["ensemble"]["n_paths"] = 1000
+    raw["outputs"]["formats"] = ["csv", "json", "binary", "plotdata"]
+    raw["estimators"] = [
+        {"name": "moments", "p": [0.5, 1.0], "window": [1.0, 3.0]},
+        {"name": "beta", "p_grid": [1.0, 2.0, 3.0], "horizon": 1.5, "window": [0.5, 1.5]},
+        {"name": "hill", "n": 800, "k": 40, "p_max": 1.0},
+        {"name": "green_kubo", "window": 1.5},
+        {"name": "dt_fit", "window": [1.0, 3.0]},
+        {"name": "condition1", "p": [0.5, 1.0]},
+        {"name": "b_equals_h", "t": 1.5, "n": 300, "replicates": 5},
+        {"name": "inequalities", "trials": 40},
+        {"name": "converge", "functions": [{"kind": "abs_power", "alpha": 0.5}],
+         "times": [0.5, 1.0, 2.0], "n": 400},
+    ]
+    commands = ["simulate", "moments", "beta", "verify", "converge", "report"]
+    loaded = _scipy_modules_loaded(tmp_path, {"c10": [raw, commands]})
+    assert not loaded & _SCIPY_HEAVY, sorted(loaded)
+
+
+def test_python_dash_m_runs_the_cli():
     src = str(Path(rmplab.__file__).resolve().parents[1])
     done = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_RUN, str(tmp_path),
-         json.dumps({"linear": linear, "nonlinear": nonlinear})],
+        [sys.executable, "-m", "rmplab", "--help"],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    loaded = set(json.loads(done.stdout.splitlines()[-1]))
-    assert not loaded & {"scipy.signal", "scipy.integrate", "scipy.stats", "scipy.special"}
+    assert "simulate" in done.stdout

@@ -7,6 +7,8 @@ pinned against the closed-form envelope of its compensated moment.
 """
 import numpy as np
 import pytest
+import scipy.special
+import scipy.stats
 
 from rmplab.engine import LinearModel, PathEnsemble, integrate_y
 from rmplab.errors import (
@@ -20,7 +22,11 @@ from rmplab.grid import TimeGrid
 from rmplab.noise import NoiseSpec, sample_block
 from rmplab.rng import ROLE_MULTIPLICATIVE
 from rmplab.tail import (
+    _T975,
     FLAG_NONSTABLE,
+    KS_EXACT_MAX_N,
+    KS_LATTICE_MAX_CELLS,
+    _batch_ci,
     b_equals_h_test,
     b_h_replicates,
     condition1_diagnostic,
@@ -202,3 +208,61 @@ def test_b_equals_h_detects_distinct_laws():
     rng = np.random.default_rng(3)
     rep = b_equals_h_test(rng.normal(size=5000), rng.normal(1.0, 1.0, size=5000))
     assert not rep.passed
+
+
+def _ks_cases():
+    rng = np.random.default_rng(13)
+    x300 = rng.normal(size=300)
+    with_nan = rng.normal(size=200)
+    with_nan[17] = np.nan
+    return {
+        "equal-1": ([0.0], [1.0]),
+        "equal-1-tied": ([2.0], [2.0]),
+        "equal-300": (x300, rng.normal(0.1, 1.0, size=300)),
+        "equal-10000": (rng.normal(size=10_000), rng.normal(0.02, 1.0, size=10_000)),
+        "unequal-gcd-1": (rng.normal(size=701), rng.normal(0.1, 1.0, size=500)),
+        "unequal-gcd-300": (rng.normal(size=900), rng.normal(0.1, 1.0, size=600)),
+        "ties-equal": (rng.integers(0, 5, size=1000), rng.integers(0, 5, size=1000)),
+        "ties-unequal": (rng.integers(0, 5, size=800), rng.integers(0, 6, size=640)),
+        "identical": (x300, x300.copy()),
+        "nan": (with_nan, rng.normal(size=150)),
+        "above-exact-limit": (rng.normal(size=KS_EXACT_MAX_N + 1), rng.normal(size=700)),
+        "past-lattice-cap": (rng.normal(size=4000), rng.normal(0.5, 1.0, size=3999)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_ks_cases()))
+def test_ks_matches_scipy_bit_for_bit(case):
+    x, y = _ks_cases()[case]
+    rep = b_equals_h_test(x, y)
+    want = scipy.stats.ks_2samp(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
+    got = (rep.statistic, rep.p_value)
+    assert [v.hex() for v in got] == [float(want.statistic).hex(), float(want.pvalue).hex()]
+    assert type(rep.statistic) is float and type(rep.p_value) is float
+
+
+def test_ks_cases_reach_every_route():
+    cases = _ks_cases()
+    n1, n2 = (len(v) for v in cases["past-lattice-cap"])
+    d = b_equals_h_test(*cases["past-lattice-cap"]).statistic
+    h = round(d * n1 * n2)  # the sizes are coprime
+    assert 2 * (h + n1) > KS_LATTICE_MAX_CELLS
+    n1, n2 = (len(v) for v in cases["unequal-gcd-1"])
+    assert 2 * (n1 * n2 + n1) <= KS_LATTICE_MAX_CELLS  # any h stays in Python
+    assert b_equals_h_test(*cases["identical"]).p_value == 1.0
+    assert np.isnan(b_equals_h_test(*cases["nan"]).p_value)
+
+
+def test_t_quantile_table_is_scipys():
+    assert len(_T975) == 19
+    for df, q in enumerate(_T975, start=1):
+        assert q.hex() == float(scipy.special.stdtrit(df, 0.975)).hex()
+        assert q.hex() == float(scipy.stats.t.ppf(0.975, df)).hex()
+
+
+@pytest.mark.parametrize("b", [2, 20, 21])
+def test_batch_ci_matches_scipy_t_interval(b):
+    vals = np.random.default_rng(b).normal(size=b)
+    half = float(scipy.stats.t.ppf(0.975, b - 1) * vals.std(ddof=1) / np.sqrt(b))
+    mean = float(vals.mean())
+    assert _batch_ci(vals) == (mean - half, mean + half)
