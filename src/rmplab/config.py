@@ -17,10 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import engine, noise
-from .errors import ConfigInvalidError, WindowTooShortError
-from .grid import TimeGrid, default_dt, node_stride
-from .metrics import MIN_FIT_NODES
-from .tail import transition_grid
+from .errors import ConfigInvalidError
+from .grid import TimeGrid, default_dt
 from .weak import ABS_POWER, MODE_AUTO, MODES, TEST_FUNCTION_KINDS, TestFunction
 
 SCHEMA_VERSION = 1
@@ -50,8 +48,6 @@ _POSITIVE = {"horizon", "t_star", "t", "t_max", "ratio_budget", "p_max"}
 # Windows with no usable null: green_kubo's is one positive lag, the
 # others are [lo, hi] fit windows.
 _WINDOW_REQUIRED = {"green_kubo", "dt_fit"}
-# Output nodes moments and converge keep when save_every is null.
-MOMENT_NODES = 400
 
 
 @dataclass(frozen=True)
@@ -343,23 +339,6 @@ def _validate_estimator_against_model(
             )
 
 
-def moments_stride(req: EstimatorRequest, grid: TimeGrid) -> int:
-    """Output stride of a moments request: its save_every, else about MOMENT_NODES nodes."""
-    return int(req.get("save_every") or node_stride(grid.n_steps, MOMENT_NODES))
-
-
-def _fit_grid(req: EstimatorRequest, cfg: "ExperimentConfig") -> TimeGrid:
-    """The output grid on which req's stage fits its window."""
-    if req.name == "moments":
-        return cfg.grid.subsampled(moments_stride(req, cfg.grid))
-    if req.name == "beta":
-        fine, stride = transition_grid(
-            cfg.model, req.get("horizon") or cfg.grid.horizon, save_every=req.get("save_every")
-        )
-        return fine.subsampled(stride)
-    return cfg.grid  # dt_fit fits the integrated noise on the configured grid
-
-
 def _validate_estimator_against_grid(req: EstimatorRequest, grid: TimeGrid) -> None:
     """Cross-field checks the stages would otherwise only meet mid-run."""
     save_every = req.get("save_every")
@@ -373,32 +352,6 @@ def _validate_estimator_against_grid(req: EstimatorRequest, grid: TimeGrid) -> N
         raise ConfigInvalidError(
             f"moments.source: expected one of {list(engine.PROCESS_LABELS)}"
         )
-
-
-def check_fit_windows(cfg: "ExperimentConfig", names: "tuple[str, ...]") -> None:
-    """Each fit window of the named estimators covers MIN_FIT_NODES nodes of its stage's grid.
-
-    Checked for the estimators a run will use, before it writes anything:
-    a config that also serves a shorter simulate-only run (--t-max) stays
-    valid.  beta's null window is the second half of its horizon.
-    """
-    for req in cfg.estimators:
-        if req.name not in names or req.name not in ("moments", "beta", "dt_fit"):
-            continue
-        window = req.get("window")
-        if window is None and req.name == "beta":
-            horizon = float(req.get("horizon") or cfg.grid.horizon)
-            window = (horizon / 2.0, horizon)
-        if window is None:
-            continue
-        lo, hi = window
-        times = _fit_grid(req, cfg).times
-        nodes = int(((times >= lo) & (times <= hi)).sum())
-        if nodes < MIN_FIT_NODES:
-            raise WindowTooShortError(
-                f"{req.name}.window: [{lo}, {hi}] covers {nodes} nodes of its stage's grid"
-                f" (step {times[1]:.6g}, horizon {times[-1]:.6g}), need {MIN_FIT_NODES}"
-            )
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:

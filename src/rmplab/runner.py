@@ -14,14 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (
-    MOMENT_NODES,
-    EstimatorRequest,
-    ExperimentConfig,
-    check_fit_windows,
-    config_hash,
-    moments_stride,
-)
+from .config import EstimatorRequest, ExperimentConfig, config_hash
 from .engine import (
     LinearModel,
     NonlinearModel,
@@ -32,9 +25,10 @@ from .engine import (
     stationary_horizon,
     stationary_sample,
 )
-from .errors import IOFailureError, RmplabError
-from .grid import node_stride
+from .errors import IOFailureError, RmplabError, WindowTooShortError
+from .grid import TimeGrid, node_stride
 from .metrics import (
+    MIN_FIT_NODES,
     MomentCurves,
     ensemble_moment_curves,
     gamma_p,
@@ -61,6 +55,8 @@ from .tail import (
     green_kubo_d,
     hill_estimator,
     moment_transition,
+    transition_grid,
+    transition_window,
 )
 from .weak import convergence_diagnostic
 
@@ -73,6 +69,8 @@ STAGES: dict[str, tuple[str, ...]] = {
     "converge": ("converge",),
 }
 GROUPS = tuple(STAGES)
+# Output nodes moments and converge keep when save_every is null.
+MOMENT_NODES = 400
 
 
 @dataclass
@@ -109,6 +107,49 @@ class RunState:
 
 def _reqs(cfg: ExperimentConfig, *names: str) -> list[EstimatorRequest]:
     return [r for r in cfg.estimators if r.name in names]
+
+
+def moments_stride(req: EstimatorRequest, grid: TimeGrid) -> int:
+    """Output stride of a moments request: its save_every, else about MOMENT_NODES nodes."""
+    return int(req.get("save_every") or node_stride(grid.n_steps, MOMENT_NODES))
+
+
+def _fit_window(
+    req: EstimatorRequest, cfg: ExperimentConfig
+) -> "tuple[TimeGrid, tuple[float, float]] | None":
+    """The output grid and window on which req's stage fits, or None if it fits none."""
+    window = req.get("window")
+    if req.name == "moments" and window is not None and "json" in cfg.formats:
+        return cfg.grid.subsampled(moments_stride(req, cfg.grid)), window
+    if req.name == "beta":
+        horizon = float(req.get("horizon") or cfg.grid.horizon)
+        fine, stride = transition_grid(cfg.model, horizon, save_every=req.get("save_every"))
+        return fine.subsampled(stride), transition_window(horizon, window)
+    if req.name == "dt_fit":
+        return cfg.grid, window  # the integrated noise on the configured grid
+    return None
+
+
+def check_fit_windows(cfg: ExperimentConfig, names: "tuple[str, ...]") -> None:
+    """Each fit window of the named estimators covers MIN_FIT_NODES nodes of its stage's grid.
+
+    Checked for the estimators a run will use, before it writes anything,
+    and only where the stage fits: a config that also serves a shorter
+    simulate-only or CSV-only run (--t-max) stays valid.  A window reaching
+    partly past the horizon is fitted on the nodes that exist.
+    """
+    for req in cfg.estimators:
+        fit = _fit_window(req, cfg) if req.name in names else None
+        if fit is None:
+            continue
+        grid, (lo, hi) = fit
+        times = grid.times
+        nodes = int(((times >= lo) & (times <= hi)).sum())
+        if nodes < MIN_FIT_NODES:
+            raise WindowTooShortError(
+                f"{req.name}.window: [{lo}, {hi}] covers {nodes} nodes of its stage's grid"
+                f" (step {times[1]:.6g}, horizon {times[-1]:.6g}), need {MIN_FIT_NODES}"
+            )
 
 
 def _solve_ensemble(cfg: ExperimentConfig, label: str, save_every: int) -> PathEnsemble:

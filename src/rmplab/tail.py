@@ -9,7 +9,6 @@ Cross-checking them against each other and against a/D is the point.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,6 +140,13 @@ def transition_grid(
     return TimeGrid(dt=horizon / n_steps, n_steps=n_steps), save_every
 
 
+def transition_window(
+    horizon: float, window: "tuple[float, float] | None" = None
+) -> tuple[float, float]:
+    """The window moment_transition fits on: window, else the second half of horizon."""
+    return (horizon / 2.0, horizon) if window is None else window
+
+
 def moment_transition(
     model: LinearModel,
     p_grid: "list[float] | tuple[float, ...]",
@@ -164,8 +170,7 @@ def moment_transition(
     if len(ps) < 2:
         raise ValueError("p_grid needs at least two orders")
     grid, save_every = transition_grid(model, horizon, dt=dt, save_every=save_every)
-    if window is None:
-        window = (horizon / 2.0, horizon)
+    window = transition_window(horizon, window)
 
     curves = linear_moment_curves(
         model, grid, master_seed, n_paths, ps, save_every=save_every, workers=workers
@@ -420,9 +425,6 @@ class KsReport:
 
 # scipy's ks_2samp(method="auto") uses its exact p-value up to this many samples a side.
 KS_EXACT_MAX_N = 10_000
-# The unequal-size count visits at most 2 (h gcd + max(n1, n2)) lattice cells, about
-# 0.2 us each in Python; past this bound (about 0.8 s) scipy's compiled count runs.
-KS_LATTICE_MAX_CELLS = 4_000_000
 
 
 def _ks_square_tail(n: int, h: int) -> float:
@@ -441,52 +443,20 @@ def _ks_square_tail(n: int, h: int) -> float:
     return 2 * total
 
 
-def _ks_lattice_tail(m: int, n: int, g: int, h: int) -> float:
-    """P(D_{m,n} >= h/lcm(m, n)) for m != n by Hodges' inside method.
-
-    Lattice paths from (0, 0) to (m, n) that stay strictly inside
-    |x/m - y/n| < h/lcm are counted one column at a time in a sliding
-    window, in the 1 - p form of Viehmann (arXiv:2102.08037); operation
-    for operation scipy's compiled _compute_outer_prob_inside_method,
-    on Python floats.
-    """
-    if m < n:
-        m, n = n, m
-    mg, ng = m // g, n // g
-    minj, maxj = 0, min(math.ceil(h / mg), n + 1)
-    curlen = maxj
-    col = [1.0] * min(2 * maxj + 2, n + 1)
-    col[:maxj] = [0.0] * maxj
-    for i in range(1, m + 1):
-        lastminj, lastlen = minj, curlen
-        minj = min(max(math.floor((ng * i - h) / mg) + 1, 0), n)
-        maxj = min(math.ceil((ng * i + h) / mg), n + 1)
-        if maxj <= minj:
-            return 1.0
-        val = 0.0 if minj == 0 else 1.0
-        for j in range(minj, maxj):
-            val = (col[j - lastminj] * i + val * j) / (i + j)
-            col[j - minj] = val
-        curlen = maxj - minj
-        if lastlen > curlen:
-            col[curlen:lastlen] = [1.0] * (lastlen - curlen)
-    return col[curlen - 1]
-
-
 def _ks_2samp(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Two-sided two-sample KS statistic and p-value, as scipy's ks_2samp gives them.
 
-    Exact route of ks_2samp(x, y) with method "auto", ported with the
-    same operations in the same order: ECDF differences on the pooled
-    sample, the statistic rounded to the lattice h/lcm(n1, n2), and the
-    null tail P(D >= h/lcm) by Hodges' count (Hodges, Ark. Mat. 3 (1958)
-    469).  Where scipy itself leaves the exact method -- more than
-    KS_EXACT_MAX_N samples on a side, or an exact p outside [0, 1] -- for
-    samples holding a NaN, and for an unequal-size count past
-    KS_LATTICE_MAX_CELLS, scipy.stats.ks_2samp is called instead.
+    Exact route of ks_2samp(x, y) with method "auto" for equal sizes,
+    ported with the same operations in the same order: ECDF differences
+    on the pooled sample, the statistic rounded to the lattice h/n, and
+    the null tail P(D >= h/n) by Hodges' count in its Horner form
+    (Hodges, Ark. Mat. 3 (1958) 469).  scipy.stats.ks_2samp is called
+    instead for unequal sizes (flagged paths), where scipy itself leaves
+    the exact method -- more than KS_EXACT_MAX_N samples a side, or an
+    exact p outside [0, 1] -- and for samples holding a NaN.
     """
     n1, n2 = x.size, y.size
-    if max(n1, n2) <= KS_EXACT_MAX_N and not (np.isnan(x).any() or np.isnan(y).any()):
+    if n1 == n2 <= KS_EXACT_MAX_N and not (np.isnan(x).any() or np.isnan(y).any()):
         xs, ys = np.sort(x), np.sort(y)
         pooled = np.concatenate([xs, ys])
         diffs = (
@@ -495,20 +465,13 @@ def _ks_2samp(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
         )
         d_minus = np.clip(-diffs[np.argmin(diffs)], 0, 1)
         d_plus = diffs[np.argmax(diffs)]
-        g = math.gcd(n1, n2)
-        lcm = (n1 // g) * n2
-        h = round(float(d_minus if d_minus > d_plus else d_plus) * lcm)
+        h = round(float(d_minus if d_minus > d_plus else d_plus) * n1)
         if h == 0:
             return 0.0, 1.0
-        if n1 == n2:
-            p = _ks_square_tail(n1, h)
-        elif 2 * (h * g + max(n1, n2)) <= KS_LATTICE_MAX_CELLS:
-            p = _ks_lattice_tail(n1, n2, g, h)
-        else:
-            p = math.nan
+        p = _ks_square_tail(n1, h)
         if 0.0 <= p <= 1.0:
-            return h / lcm, p
-    from scipy.stats import ks_2samp  # imported on use: only off scipy's exact route
+            return h / n1, p
+    from scipy.stats import ks_2samp  # imported on use: unequal sizes, or off the exact route
 
     result = ks_2samp(x, y)
     return float(result.statistic), float(result.pvalue)
@@ -528,7 +491,7 @@ def b_equals_h_test(
     reusing a seed couples the samples and voids the test.  Statistic
     and p-value equal scipy.stats.ks_2samp(b, h) bit for bit (see
     _ks_2samp; tests/test_tail.py holds scipy as the oracle), and scipy
-    is imported only off its exact route.
+    is imported only for unequal sizes or off its exact route.
     """
     if seed_b is not None and seed_b == seed_h:
         raise SameSeedError("B and H ensembles share a master seed")

@@ -13,7 +13,7 @@ from rmplab.cli import main
 from rmplab.config import ESTIMATOR_PARAMS, config_from_dict, config_hash, load_config
 from rmplab.engine import LinearModel, NonlinearModel
 from rmplab.errors import ConfigInvalidError
-from rmplab.runner import STAGES
+from rmplab.runner import STAGES, check_fit_windows
 from rmplab.weak import TestFunction
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -177,7 +177,7 @@ class TestSchema:
             {"name": "dt_fit", "window": [1.9, 5.0]},
             {"name": "beta", "p_grid": [1.0, 3.0], "horizon": 1.0, "window": [0.5, 2.0]},
         ]
-        config_from_dict(raw)
+        check_fit_windows(config_from_dict(raw), ("moments", "beta", "dt_fit"))
 
     def test_converge_functions_round_trip_as_objects(self):
         raw = base_raw()
@@ -476,6 +476,15 @@ class TestCli:
         assert f"[{code}]" in err and needle in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_moments_window_is_not_checked_when_no_json_fits_it(self, tmp_path):
+        raw = base_raw()
+        raw["outputs"]["formats"] = ["csv", "plotdata"]
+        raw["estimators"] = [{"name": "moments", "p": [0.5], "window": [10.0, 50.0]}]
+        cfg_path = write_config(tmp_path, raw)
+        out = tmp_path / "x"
+        assert main(["moments", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert (out / "moments_X.csv").exists() and not (out / "moments_X.json").exists()
 
     def test_beta_horizon_under_half_a_step_reports_a_short_window(self, tmp_path, capsys):
         # horizon / dt rounds to 0 steps; the run takes one and its fit window is empty

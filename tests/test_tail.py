@@ -25,7 +25,6 @@ from rmplab.tail import (
     _T975,
     FLAG_NONSTABLE,
     KS_EXACT_MAX_N,
-    KS_LATTICE_MAX_CELLS,
     _batch_ci,
     b_equals_h_test,
     b_h_replicates,
@@ -227,7 +226,6 @@ def _ks_cases():
         "identical": (x300, x300.copy()),
         "nan": (with_nan, rng.normal(size=150)),
         "above-exact-limit": (rng.normal(size=KS_EXACT_MAX_N + 1), rng.normal(size=700)),
-        "past-lattice-cap": (rng.normal(size=4000), rng.normal(0.5, 1.0, size=3999)),
     }
 
 
@@ -243,12 +241,6 @@ def test_ks_matches_scipy_bit_for_bit(case):
 
 def test_ks_cases_reach_every_route():
     cases = _ks_cases()
-    n1, n2 = (len(v) for v in cases["past-lattice-cap"])
-    d = b_equals_h_test(*cases["past-lattice-cap"]).statistic
-    h = round(d * n1 * n2)  # the sizes are coprime
-    assert 2 * (h + n1) > KS_LATTICE_MAX_CELLS
-    n1, n2 = (len(v) for v in cases["unequal-gcd-1"])
-    assert 2 * (n1 * n2 + n1) <= KS_LATTICE_MAX_CELLS  # any h stays in Python
     assert b_equals_h_test(*cases["identical"]).p_value == 1.0
     assert np.isnan(b_equals_h_test(*cases["nan"]).p_value)
 
