@@ -469,71 +469,45 @@ def _psi_function(
     return lambda phi, x, out: phi
 
 
-def _block_noise(
-    model: NonlinearModel, grid: TimeGrid, master_seed: int, indices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """zeta and |phi| for one block, time-major: shape (n_nodes, n_paths)."""
-    zeta = noise_mod.sample_block(
-        model.multiplicative, grid, master_seed, indices, ROLE_MULTIPLICATIVE
-    )
-    phi = noise_mod.sample_block(model.envelope, grid, master_seed, indices, ROLE_ADDITIVE)
-    return zeta, np.abs(phi, out=phi)
-
-
-def _rk4_block(
+def _rk4_sweep(
     model: NonlinearModel,
     grid: TimeGrid,
-    zeta: np.ndarray,
-    phi: np.ndarray,
+    master_seed: int,
+    indices: np.ndarray,
     psi: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    substeps: int,
+    counts: tuple[int, ...],
     save_every: int,
-) -> dict[str, np.ndarray]:
-    """Classical RK4 on one block, noise linearly interpolated in each step.
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """Classical RK4 on one block for every substep count in counts, in one sweep.
 
-    zeta and phi are time-major (n_nodes, n_paths), so each node's values
-    are one contiguous row; psi is the model's nonlinearity (_psi_function).
-    Substep j of a step evaluates the noise at the fractions f = j/s,
-    (j+0.5)/s and (j+1)/s of the step, 2s+1 distinct values.  For a chunk
-    of steps at a time (RK4_CHUNK_BYTES of rows, at least one step) the
-    coefficient rows m_f = -(a + (z0 + dz*f)) and p_f = p0 + dp*f are
-    built once per fraction, vectorized over the chunk, instead of once
-    per substep.  Every stage is then written with out= into a handful of
-    preallocated path vectors: k = m*x + psi(p, x), x + (0.5*h)*k,
-    x + h*k and x + (h/6)*(((k1 + 2*k2) + 2*k3) + k4).  Each element goes
-    through the same ufuncs, with the same operands in the same order, as
-    in the form that evaluated these expressions per substep, so it meets
-    the same roundings and the output is the same bytes.  States are saved
-    straight into path rows, then flagged and saturated where they
-    overflowed.
-    """
-    saved = np.empty((zeta.shape[1], grid.n_steps // save_every + 1))
-    _rk4_steps(model, grid, zeta, phi, psi, substeps, save_every, saved)
-    flagged = _sanitize(saved.T)
-    return {"X": saved, "flagged": flagged}
+    counts are increasing powers of two.  zeta and |phi| come from
+    noise.sample_chunks in time chunks of BLOCK_CELLS // n_paths steps,
+    so the block holds one chunk of noise per role, never its whole
+    paths.  Noise is linearly interpolated in each step: substep j
+    of count s evaluates it at the fractions j/s, (j+0.5)/s and (j+1)/s
+    of the step.  For a chunk of steps at a time (RK4_CHUNK_BYTES of
+    rows, at least one step) the coefficient rows m_f = -(a + (z0 + dz*f))
+    and p_f = p0 + dp*f are built once per fraction of the finest count,
+    vectorized over the chunk; count s reads every (top/s)-th of them,
+    whose fractions are the same floats as its own (i/2)/s.  Every stage
+    is then written with out= into a handful of preallocated path vectors
+    shared by the counts: k = m*x + psi(p, x), x + (0.5*h)*k, x + h*k and
+    x + (h/6)*(((k1 + 2*k2) + 2*k3) + k4).  Each element goes through the
+    same ufuncs, with the same operands in the same order, as when each
+    count integrated the whole paths on its own, so the output is the
+    same bytes.
 
-
-def _rk4_steps(
-    model: NonlinearModel,
-    grid: TimeGrid,
-    zeta: np.ndarray,
-    phi: np.ndarray,
-    psi: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    substeps: int,
-    save_every: int,
-    saved: np.ndarray,
-) -> None:
-    """The time loop of _rk4_block: state k * save_every goes to saved[:, k].
-
-    A function of its own so that its step buffers are freed before the
-    flag scan of saved.
+    Returns (x, flagged) per count and the saved states of the last count,
+    path-major (n_paths, n_steps // save_every + 1).  A count's flags mark
+    paths whose state was not finite at a saved node; the last count's
+    saved states are saturated there.  x is the state at the horizon, for
+    the last count the last saved column.
     """
     a = model.a
-    h = grid.dt / substeps
-    half_h, sixth_h = 0.5 * h, h / 6.0
-    n = zeta.shape[1]
-    n_rows = 2 * substeps + 1
-    fractions = [(i / 2) / substeps for i in range(n_rows)]  # j/s, (j+0.5)/s, exactly
+    n = len(indices)
+    top = counts[-1]
+    n_rows = 2 * top + 1
+    fractions = [(i / 2) / top for i in range(n_rows)]  # j/s, (j+0.5)/s, exactly
     # m and p rows plus dz and dp: 2 (n_rows + 1) rows of n floats per step
     chunk = max(1, min(grid.n_steps, RK4_CHUNK_BYTES // (16 * (n_rows + 1) * n)))
     dz, dp = np.empty((chunk, n)), np.empty((chunk, n))
@@ -544,39 +518,66 @@ def _rk4_steps(
         np.multiply(m, xin, out=k)
         return np.add(k, psi(p, xin, ps), out=k)
 
-    x = np.full(n, float(model.x0))
-    saved[:, 0] = x
+    runs = []  # per count: row stride, substep h, 0.5 h, h/6 and the state x
+    for s in counts:
+        h = grid.dt / s
+        runs.append((top // s, h, 0.5 * h, h / 6.0, np.full(n, float(model.x0))))
+    last = runs[-1][-1]
+    flags = [np.zeros(n, dtype=bool) for _ in counts[:-1]]
+    saved = np.empty((n, grid.n_steps // save_every + 1))
+    saved[:, 0] = last
+    noise_steps = BLOCK_CELLS // n
+    chunks = zip(
+        noise_mod.sample_chunks(
+            model.multiplicative, grid, master_seed, indices, ROLE_MULTIPLICATIVE, noise_steps
+        ),
+        noise_mod.sample_chunks(
+            model.envelope, grid, master_seed, indices, ROLE_ADDITIVE, noise_steps
+        ),
+    )
+    k = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in range(0, grid.n_steps, chunk):
-            c = min(chunk, grid.n_steps - k0)
-            z0, p0 = zeta[k0 : k0 + c], phi[k0 : k0 + c]
-            np.subtract(zeta[k0 + 1 : k0 + c + 1], z0, out=dz[:c])
-            np.subtract(phi[k0 + 1 : k0 + c + 1], p0, out=dp[:c])
-            for f, mf, pf in zip(fractions, m_rows[:, :c], p_rows[:, :c]):
-                np.multiply(dz[:c], f, out=mf)
-                np.add(z0, mf, out=mf)
-                np.add(a, mf, out=mf)
-                np.negative(mf, out=mf)
-                np.multiply(dp[:c], f, out=pf)
-                np.add(p0, pf, out=pf)
-            for i in range(c):
-                ms, pm = m_rows[:, i], p_rows[:, i]
-                for r in range(0, 2 * substeps, 2):  # substep r/2: rows r, r+1, r+2
-                    mb, pb = ms[r + 1], pm[r + 1]
-                    stage(ms[r], pm[r], x, k1)
-                    np.multiply(half_h, k1, out=xs)
-                    stage(mb, pb, np.add(x, xs, out=xs), k2)
-                    np.multiply(half_h, k2, out=xs)
-                    stage(mb, pb, np.add(x, xs, out=xs), k3)
-                    np.multiply(h, k3, out=xs)
-                    stage(ms[r + 2], pm[r + 2], np.add(x, xs, out=xs), k4)
-                    np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
-                    np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
-                    np.add(k1, k4, out=k1)
-                    np.add(x, np.multiply(sixth_h, k1, out=k1), out=x)
-                k = k0 + i + 1
-                if k % save_every == 0:
-                    saved[:, k // save_every] = x
+        for zeta, phi in chunks:
+            np.abs(phi, out=phi)
+            for j0 in range(0, len(zeta) - 1, chunk):
+                c = min(chunk, len(zeta) - 1 - j0)
+                z0, p0 = zeta[j0 : j0 + c], phi[j0 : j0 + c]
+                np.subtract(zeta[j0 + 1 : j0 + c + 1], z0, out=dz[:c])
+                np.subtract(phi[j0 + 1 : j0 + c + 1], p0, out=dp[:c])
+                for f, mf, pf in zip(fractions, m_rows[:, :c], p_rows[:, :c]):
+                    np.multiply(dz[:c], f, out=mf)
+                    np.add(z0, mf, out=mf)
+                    np.add(a, mf, out=mf)
+                    np.negative(mf, out=mf)
+                    np.multiply(dp[:c], f, out=pf)
+                    np.add(p0, pf, out=pf)
+                for i in range(c):
+                    for stride, h, half_h, sixth_h, x in runs:
+                        ms, pm = m_rows[::stride, i], p_rows[::stride, i]
+                        for r in range(0, len(ms) - 1, 2):  # substep r/2: rows r, r+1, r+2
+                            mb, pb = ms[r + 1], pm[r + 1]
+                            stage(ms[r], pm[r], x, k1)
+                            np.multiply(half_h, k1, out=xs)
+                            stage(mb, pb, np.add(x, xs, out=xs), k2)
+                            np.multiply(half_h, k2, out=xs)
+                            stage(mb, pb, np.add(x, xs, out=xs), k3)
+                            np.multiply(h, k3, out=xs)
+                            stage(ms[r + 2], pm[r + 2], np.add(x, xs, out=xs), k4)
+                            np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
+                            np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
+                            np.add(k1, k4, out=k1)
+                            np.add(x, np.multiply(sixth_h, k1, out=k1), out=x)
+                    k += 1
+                    if k % save_every == 0:
+                        for flagged, run in zip(flags, runs):
+                            flagged |= ~np.isfinite(run[-1])
+                        saved[:, k // save_every] = last
+    # zip stops at the first exhausted chunk stream; closing both frees
+    # their buffers, with the rows', before the flag scan of saved
+    del chunks, dz, dp, m_rows, p_rows
+    flags.append(_sanitize(saved.T))
+    finals = [run[-1] for run in runs[:-1]] + [saved[:, -1]]
+    return list(zip(finals, flags)), saved
 
 
 def solve_nonlinear(
@@ -598,31 +599,25 @@ def solve_nonlinear(
     until the order-p_check ensemble quasi-norm at the horizon moves by
     less than rel_tol between consecutive refinements.
 
-    Each refinement pass draws every block's zeta and phi once.  The
-    first pass integrates substep counts 1 and 2 from that one draw (only
-    count 1 when max_refines is 0); each later pass draws again and
-    integrates the next doubled count, so noise memory stays one block.
-    A block keeps the horizon partials of every count it integrates and
-    the paths of its last count only; one count's paths are freed before
-    the next count is integrated.
+    Each refinement pass draws every block's zeta and phi once and
+    integrates all of its substep counts from that draw in one sweep
+    through time (_rk4_sweep): counts 1 and 2 in the first pass (only 1
+    when max_refines is 0), the next doubled count in each later pass.
+    A block holds its saved states of the pass's last count, one time
+    chunk of noise per role and the coefficient rows of one RK4 chunk, so
+    its memory does not grow with the horizon beyond the saved states.
     """
     out_grid = grid.subsampled(save_every)
     psi = _psi_function(model.nonlinearity)
     n_levels = max_refines + 1
 
     def refine_block(idx: np.ndarray, counts: tuple[int, ...]):
-        zeta, phi = _block_noise(model, grid, master_seed, idx)
-        partials = []
-        for substeps in counts:
-            part = None  # free the previous count's paths first
-            part = _rk4_block(model, grid, zeta, phi, psi, substeps, save_every)
-            ok = ~part["flagged"]
-            partials.append(
-                np.array(
-                    [float(np.sum(np.abs(part["X"][ok, -1]) ** p_check)), float(ok.sum())]
-                )
-            )
-        return partials, part
+        runs, saved = _rk4_sweep(model, grid, master_seed, idx, psi, counts, save_every)
+        partials = [
+            np.array([float(np.sum(np.abs(x[~flagged]) ** p_check)), float((~flagged).sum())])
+            for x, flagged in runs
+        ]
+        return partials, {"X": saved, "flagged": runs[-1][1]}
 
     history: list[tuple[int, float]] = []
     counts = (1, 2)[:n_levels]

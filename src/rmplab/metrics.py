@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .blocks import block_ranges, pairwise_sum
+from .blocks import BLOCK_CELLS, block_ranges, pairwise_sum
 from .blocks import run_blocks  # noqa: F401  (rmpbench traces it here)
 from .engine import LinearModel, PathEnsemble, solve_linear
 from .engine import linear_block_arrays  # noqa: F401  (rmpbench traces it here)
@@ -469,18 +469,32 @@ class MomentCurves:
         )
 
 
-def _power_sums(vals: np.ndarray, p_values: tuple[float, ...], z: complex) -> np.ndarray:
-    """Raw power sums S1..S4 of |x + z|^p per order and node."""
-    n_p = len(p_values)
-    out = np.empty((n_p, 4, vals.shape[1]))
-    base = np.abs(vals + z) if z else np.abs(vals)
-    for i, p in enumerate(p_values):
-        w = base**p
-        out[i, 0] = w.sum(axis=0)
-        w2 = w * w
-        out[i, 1] = w2.sum(axis=0)
-        out[i, 2] = (w2 * w).sum(axis=0)
-        out[i, 3] = (w2 * w2).sum(axis=0)
+def _power_sums(
+    values: np.ndarray, rows: np.ndarray, p_values: tuple[float, ...], z: complex
+) -> np.ndarray:
+    """Raw power sums S1..S4 of |x + z|^p per order and node, over the given rows.
+
+    The nodes are reduced in column slices of about BLOCK_CELLS cells, so
+    the temporaries hold one slice of the rows, not all their nodes.  A
+    sum over axis 0 adds the slice row after row whatever its width, so
+    the slices give the bytes of one whole sum, except for a single
+    column, which numpy sums pairwise down the column: every slice is at
+    least two columns wide.
+    """
+    n_p, n_nodes = len(p_values), values.shape[1]
+    out = np.empty((n_p, 4, n_nodes))
+    width = max(2, BLOCK_CELLS // max(len(rows), 1))
+    starts = list(range(0, n_nodes - 1, width))
+    for lo, hi in zip(starts, starts[1:] + [n_nodes]):
+        vals = values[rows, lo:hi]
+        base = np.abs(vals + z) if z else np.abs(vals)
+        for i, p in enumerate(p_values):
+            w = base**p
+            out[i, 0, lo:hi] = w.sum(axis=0)
+            w2 = w * w
+            out[i, 1, lo:hi] = w2.sum(axis=0)
+            out[i, 2, lo:hi] = (w2 * w).sum(axis=0)
+            out[i, 3, lo:hi] = (w2 * w2).sum(axis=0)
     return out
 
 
@@ -569,8 +583,8 @@ def ensemble_moment_curves(
     pairwise tree, so the bytes depend on the ensemble alone, never on
     the block layout or the worker count that solved it.  Beyond the
     held ensemble (n_paths x n_saved x 8 bytes) the reduction needs a
-    few temporaries of one group.  Flagged paths are excluded from every
-    node.
+    few temporaries of one column slice of one group (_power_sums).
+    Flagged paths are excluded from every node.
     """
     p_values = tuple(float(p) for p in p_values)
     if not p_values:
@@ -581,7 +595,7 @@ def ensemble_moment_curves(
     if not ok.any():
         raise EmptyInputError("every path is flagged")
     groups = (idx[ok[idx]] for idx in block_ranges(ensemble.n_paths))
-    sums = pairwise_sum([_power_sums(ensemble.values[rows], p_values, z) for rows in groups])
+    sums = pairwise_sum([_power_sums(ensemble.values, rows, p_values, z) for rows in groups])
     return _curves_from_sums(
         ensemble.label,
         p_values,

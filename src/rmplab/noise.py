@@ -14,6 +14,7 @@ are reproducible path-by-path regardless of batching.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -206,6 +207,33 @@ def stationary_moment(spec: NoiseSpec, p: float) -> float:
     raise UnsupportedKindError(f"no closed-form marginal moment for kind {spec.kind}")
 
 
+def _ou_filter(g: np.ndarray, r: float) -> None:
+    """Run the OU recursion g_{k+1} = r g_k + g_{k+1} in place over the rows of g.
+
+    Each step is one multiply r * g_k and one add of the innovation, in
+    that order, which is the arithmetic of the direct-form filter
+    lfilter([1], [1, -r]) started from r * g_0.
+    """
+    step = np.empty(g.shape[1:])
+    rows = list(g)
+    for prev, cur in zip(rows, rows[1:]):
+        np.multiply(prev, r, out=step)
+        np.add(cur, step, out=cur)
+
+
+def _pareto_marginal(spec: NoiseSpec, out: np.ndarray) -> None:
+    """Map a unit-variance latent path onto the Pareto marginal, in place."""
+    from scipy.special import ndtr  # imported on use: import rmplab loads numpy only
+
+    # ndtr(-w) is the exact survival function, safe from cancellation for
+    # large w.  Each operation runs in place, with the arithmetic of
+    # scale * ndtr(-w) ** (-1 / tail_index).
+    np.negative(out, out=out)
+    ndtr(out, out=out)
+    out **= -1.0 / spec.tail_index
+    out *= spec.scale
+
+
 def _assemble_block(spec: NoiseSpec, grid: TimeGrid, buf: np.ndarray) -> np.ndarray:
     """Run each component's OU recursion in place and sum the components.
 
@@ -214,42 +242,24 @@ def _assemble_block(spec: NoiseSpec, grid: TimeGrid, buf: np.ndarray) -> np.ndar
     initial value g_0 = sigma xi_0, node k + 1 the term
     sigma sqrt(1 - r^2) xi_{k+1} of the exact one-step update
     g_{k+1} = r g_k + sigma sqrt(1 - r^2) xi_{k+1}, r = exp(-dt/tau).
-    The recursion overwrites buf over time on whole rows, one row per
-    step.  Each step is one multiply r * g_k and one add of the
-    innovation, in that order, which is the arithmetic of the
-    direct-form filter lfilter([1], [1, -r]) started from r * g_0, so
-    the paths equal that filter's bit for bit.  The components are then
+    _ou_filter overwrites buf over time on whole rows, one row per step,
+    so the paths equal lfilter's bit for bit.  The components are then
     summed into buf[0] in their listed order, starting from 0.0 + g
     (which turns a -0.0 into 0.0, as a sum into a zero array does).  The
     result has shape (n_nodes, n_paths) and is C-contiguous.  With one
     component it is buf itself, so no second full-size array is built;
     with several, the sum is copied out so the others can be freed.
     """
-    step = np.empty(buf.shape[2])
     for g, (_, tau) in zip(buf, spec.components):
-        r = np.exp(-grid.dt / tau)
-        rows = list(g)
-        for prev, cur in zip(rows, rows[1:]):
-            np.multiply(prev, r, out=step)
-            np.add(cur, step, out=cur)
+        _ou_filter(g, np.exp(-grid.dt / tau))
     out = buf[0]
     np.add(out, 0.0, out=out)
     for g in buf[1:]:
         np.add(out, g, out=out)
     if len(buf) > 1:
         out = out.copy()
-
     if spec.kind == PARETO_TRANSFORMED_OU:
-        from scipy.special import ndtr  # imported on use: import rmplab loads numpy only
-
-        # Latent path has unit variance; ndtr(-w) is the exact survival
-        # function, safe from cancellation for large w.  Each operation
-        # runs in place, with the arithmetic of
-        # scale * ndtr(-w) ** (-1 / tail_index).
-        np.negative(out, out=out)
-        ndtr(out, out=out)
-        out **= -1.0 / spec.tail_index
-        out *= spec.scale
+        _pareto_marginal(spec, out)
     return out
 
 
@@ -291,6 +301,76 @@ def sample_block(
             np.multiply(chunk[:, j, 0], sigma, out=buf[j, 0, cols])
             np.multiply(chunk[:, j, 1:].T, s, out=buf[j, 1:, cols])
     return _assemble_block(spec, grid, buf)
+
+
+def sample_chunks(
+    spec: NoiseSpec,
+    grid: TimeGrid,
+    master_seed: int,
+    path_indices: np.ndarray,
+    role: int,
+    steps: int,
+) -> Iterator[np.ndarray]:
+    """Sample paths for a block of path indices in time chunks of steps steps.
+
+    Chunk j is time-major with shape (c + 1, n): the nodes j * steps to
+    j * steps + c, with c = min(steps, n_steps - j * steps), so its row 0
+    repeats the last row of the chunk before.  Joined without those
+    repeated rows the chunks are sample_block's paths, bit for bit.  A
+    chunk is the caller's to overwrite, and is reused once the next one
+    is asked for.
+
+    A single-component spec holds one chunk at a time: each chunk draws
+    its normals through block_normals with the rows' streams continued
+    from the chunk before, sets row 0 to the latent OU state carried over
+    from there, and runs the recursion, the +0.0 and the Pareto map of
+    _assemble_block on its rows, so every element meets the same
+    operations as in the whole path.  A superposition draws its normals
+    component after component, so its paths are sampled whole and handed
+    out chunk by chunk.  The zero and constant kinds are filled per
+    chunk.  With one chunk this is sample_block itself, whose draw resets
+    one generator per row instead of keeping one.
+    """
+    idx = np.asarray(path_indices)
+    n = len(idx)
+    steps = max(1, steps)
+    if steps >= grid.n_steps:
+        yield sample_block(spec, grid, master_seed, idx, role)
+        return
+    bounds = [(k0, min(steps, grid.n_steps - k0)) for k0 in range(0, grid.n_steps, steps)]
+    if spec.kind in (ZERO, CONSTANT):
+        level = spec.level if spec.kind == CONSTANT else 0.0
+        for _, c in bounds:
+            yield np.full((c + 1, n), level)
+        return
+    if len(spec.components) > 1:
+        whole = sample_block(spec, grid, master_seed, idx, role)
+        for k0, c in bounds:
+            yield whole[k0 : k0 + c + 1].copy()
+        return
+
+    ((sigma, tau),) = spec.components
+    r = np.exp(-grid.dt / tau)
+    s = sigma * np.sqrt(-np.expm1(-2.0 * grid.dt / tau))
+    buf, carry = np.empty((steps + 1, n)), np.empty(n)
+    streams: list[np.random.Generator] = []
+    for k0, c in bounds:
+        rows = buf[: c + 1]
+        if k0 == 0:
+            draws = block_normals(master_seed, idx, role, (c + 1,), streams)
+            np.multiply(draws[:, 0], sigma, out=rows[0])
+            np.multiply(draws[:, 1:].T, s, out=rows[1:])
+        else:
+            rows[0] = carry
+            draws = block_normals(master_seed, idx, role, (c,), streams)
+            np.multiply(draws.T, s, out=rows[1:])
+        del draws  # not held while the caller has the chunk
+        _ou_filter(rows, r)
+        carry[:] = rows[c]
+        np.add(rows, 0.0, out=rows)
+        if spec.kind == PARETO_TRANSFORMED_OU:
+            _pareto_marginal(spec, rows)
+        yield rows
 
 
 # Catalog of Gaussian specs exercised by the verification suite.  All of

@@ -11,6 +11,8 @@ starts at counter zero with an empty output buffer.  So block_normals
 checks the keys once per call, builds every row's key in one array
 pass, and resets one generator per row to a fresh generator's state
 with that row's key, instead of constructing a generator per path.
+A draw split into pieces instead keeps one generator per row, so each
+row's stream continues from piece to piece.
 """
 from __future__ import annotations
 
@@ -60,11 +62,35 @@ def path_stream(master_seed: int, path_index: int, role: int) -> np.random.Gener
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _fresh_generators(master_seed: int, words: list[int]) -> list[np.random.Generator]:
+    """One fresh generator per row, keyed [master_seed, word], without OS entropy.
+
+    Philox(key=...) still seeds a SeedSequence from the OS before it
+    sets the key.  Given a seed sequence, Philox instead takes its two
+    key words from generate_state(2, uint64) and starts at counter zero
+    with an empty buffer, so a sequence that hands over the key builds
+    the state of Philox(key=key) at about a third of the cost.
+    """
+    from numpy.random.bit_generator import ISeedSequence  # numpy loads numpy.random on use
+
+    class Key(ISeedSequence):
+        def __init__(self, word: int) -> None:
+            self.key = np.array([master_seed & _MASK64, word], dtype=np.uint64)
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise ValueError("a Philox key is two uint64 words")
+            return self.key
+
+    return [np.random.Generator(np.random.Philox(Key(w))) for w in words]
+
+
 def block_normals(
     master_seed: int,
     path_indices: np.ndarray,
     role: int,
     shape_per_path: tuple[int, ...],
+    streams: "list[np.random.Generator] | None" = None,
 ) -> np.ndarray:
     """Standard normal draws for a block of paths, one stream per path.
 
@@ -85,6 +111,16 @@ def block_normals(
     lists, which the Philox state setter reads faster than numpy arrays.
     The generator is local to the call, so blocks drawn on concurrent
     worker threads never share it.
+
+    streams continues the rows' streams across calls, for a draw made in
+    pieces: pass an empty list on the first call and the same list, with
+    the same rows, on every later one.  The first call fills it with one
+    generator per row, keyed as above, and each call draws on from where
+    the last one stopped.  Generator.standard_normal keeps nothing between
+    calls, so row k of the pieces, joined, equals
+    path_stream(master_seed, path_indices[k], role).standard_normal(total).
+    Building a generator costs a few times a reset, which a draw in one
+    piece (streams None) does not pay.
     """
     idx = np.asarray(path_indices)
     if idx.size and idx.dtype.kind not in "iu":
@@ -93,9 +129,18 @@ def block_normals(
     lo, hi = (int(idx.min()), int(idx.max())) if idx.size else (0, 0)
     first_key = _stream_key(master_seed, lo, role)
     _stream_key(master_seed, hi, role)
+    if streams and len(streams) != len(idx):
+        raise ValueError("streams must hold one generator per row")
     if out.size == 0:
         return out
     words = ((idx.astype(np.uint64) << _ROLE_BITS) | role).tolist()
+    rows = out.reshape(len(idx), -1)
+    if streams is not None:
+        if not streams:
+            streams.extend(_fresh_generators(master_seed, words))
+        for row, gen in zip(rows, streams):
+            gen.standard_normal(out=row)
+        return out
     bit_gen = np.random.Philox(key=first_key)
     gen = np.random.Generator(bit_gen)
     fresh = bit_gen.state
@@ -105,7 +150,7 @@ def block_normals(
         "buffer": fresh["buffer"].tolist(),
     }
     key = state["state"]["key"]
-    for row, word in zip(out.reshape(len(idx), -1), words):
+    for row, word in zip(rows, words):
         key[1] = word
         bit_gen.state = state
         gen.standard_normal(out=row)

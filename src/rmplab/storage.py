@@ -149,10 +149,16 @@ def write_ensemble_binary(path: "str | Path", ensemble: PathEnsemble) -> None:
         ensemble.grid.dt,
         ensemble.master_seed,
     )
-    body = np.ascontiguousarray(ensemble.values, dtype="<f8").tobytes()
-    flags = np.ascontiguousarray(ensemble.flagged, dtype=np.uint8).tobytes()
+    # Each part goes straight to the file: values (C order, little-endian
+    # float64, a view when the ensemble already is) are never joined into
+    # one bytes object with the header and flags.
+    body = np.ascontiguousarray(ensemble.values, dtype="<f8")
+    flags = np.ascontiguousarray(ensemble.flagged, dtype=np.uint8)
     try:
-        Path(path).write_bytes(header + body + flags)
+        with open(path, "wb") as fh:
+            fh.write(header)
+            fh.write(body.data)
+            fh.write(flags.data)
     except OSError as exc:
         raise IOFailureError(f"cannot write {path}: {exc}") from exc
 

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from rmplab import metrics
 from rmplab.engine import LinearModel, PathEnsemble, solve_linear
 from rmplab.errors import (
     DNonpositiveError,
@@ -305,6 +306,38 @@ def test_grouped_moment_curve_bytes_are_pinned():
         GROUPED_MODEL, GROUPED_GRID, 11, 4500, [0.5, 2.0], save_every=4
     )
     assert _curve_digest(curves) == GROUPED_DIGEST
+
+
+# Every 7th path flagged and a complex shift z, on 11 saved nodes.
+SHIFTED_DIGEST = "fcb15232d475d926ab2851a00240c6726be6ea75fb5676cf92db3fbf102cd037"
+
+
+def _whole_power_sums(vals, p_values, z):
+    """Reference: the power sums of one group over all its nodes at once."""
+    out = np.empty((len(p_values), 4, vals.shape[1]))
+    base = np.abs(vals + z) if z else np.abs(vals)
+    for i, p in enumerate(p_values):
+        w = base**p
+        out[i] = [w.sum(axis=0), (w * w).sum(axis=0), (w * w * w).sum(axis=0),
+                  ((w * w) * (w * w)).sum(axis=0)]
+    return out
+
+
+@pytest.mark.parametrize("cells", [1, 3 * 2048, 7 * 2048, 10**9])
+def test_column_slices_keep_the_curve_bytes(monkeypatch, cells):
+    # Slices 2, about 3, about 7 columns wide and whole: a one-column slice
+    # would be summed pairwise and move bits, so none is ever made.
+    x = solve_linear(GROUPED_MODEL, GROUPED_GRID, 11, 4500, save_every=4)["X"]
+    flagged = x.flagged.copy()
+    flagged[::7] = True
+    ens = PathEnsemble(grid=x.grid, label="X", values=x.values, flagged=flagged, master_seed=11)
+    monkeypatch.setattr(metrics, "BLOCK_CELLS", cells)
+    z = 0.25 + 0.5j
+    for lo in (0, 2048, 4096):
+        rows = np.flatnonzero(~flagged[lo : lo + 2048]) + lo
+        sums = metrics._power_sums(ens.values, rows, (0.5, 2.0), z)
+        assert sums.tobytes() == _whole_power_sums(ens.values[rows], (0.5, 2.0), z).tobytes()
+    assert _curve_digest(ensemble_moment_curves(ens, [0.5, 2.0], z=z)) == SHIFTED_DIGEST
 
 
 def test_ensemble_moment_curves_agree_with_streaming():

@@ -25,6 +25,7 @@ from rmplab.noise import (
     diffusion_constant,
     require_multiplicative,
     sample_block,
+    sample_chunks,
     stationary_moment,
     tail_index,
     validate_multiplicative,
@@ -301,3 +302,56 @@ def test_sample_block_holds_one_full_size_array():
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * block.nbytes
+
+
+CHUNK_GRID = TimeGrid(dt=0.05, n_steps=30)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 7, CHUNK_GRID.n_nodes])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        NoiseSpec.ou(1.0, 0.5),
+        NoiseSpec.pareto_ou(0.5, 3.0, 2.0),
+        NoiseSpec.zero(),
+        NoiseSpec.constant(-1.5),
+        SHIPPED_GAUSSIAN_SPECS["three_scale"],
+    ],
+    ids=["ou", "pareto", "zero", "constant", "three_scale"],
+)
+def test_chunks_join_to_the_block_bit_for_bit(spec, steps):
+    idx = np.array([5, 0, 9, 2, 5, 300])
+    whole = sample_block(spec, CHUNK_GRID, 7, idx, ROLE_ADDITIVE)
+    chunks = [c.copy() for c in sample_chunks(spec, CHUNK_GRID, 7, idx, ROLE_ADDITIVE, steps)]
+    n_steps = CHUNK_GRID.n_steps
+    assert [len(c) - 1 for c in chunks] == [min(steps, n_steps - k) for k in range(0, n_steps, steps)]
+    for before, after in zip(chunks, chunks[1:]):
+        assert after[0].tobytes() == before[-1].tobytes()  # the one-row overlap
+    joined = np.concatenate([chunks[0]] + [c[1:] for c in chunks[1:]])
+    assert joined.tobytes() == whole.tobytes()
+
+
+def test_chunks_draw_each_normal_once_and_hold_one_chunk(monkeypatch):
+    grid = TimeGrid(dt=0.02, n_steps=2500)
+    idx = np.arange(2048)
+    drawn = []
+    real = noise.block_normals
+
+    def counted(*args):
+        out = real(*args)
+        drawn.append(out.size)
+        return out
+
+    monkeypatch.setattr(noise, "block_normals", counted)
+    tracemalloc.start()
+    try:
+        for chunk in sample_chunks(NoiseSpec.ou(1.0, 0.5), grid, 5, idx, ROLE_ADDITIVE, 150):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(drawn) == len(idx) * grid.n_nodes and len(drawn) == 17
+    # the chunk buffer, one chunk's draws and a generator per row (under
+    # 1 KiB each): not the 41 MB of whole paths
+    chunk_bytes = 8 * len(idx) * 151
+    assert peak < 2 * chunk_bytes + len(idx) * 1024 + 2**20

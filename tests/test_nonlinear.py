@@ -21,7 +21,7 @@ from rmplab.engine import (
 )
 from rmplab.errors import SpecRejectedError
 from rmplab.grid import TimeGrid
-from rmplab.noise import NoiseSpec
+from rmplab.noise import SHIPPED_GAUSSIAN_SPECS, NoiseSpec
 
 MULT = NoiseSpec.ou(1.0, 0.5)
 ENV = NoiseSpec.pareto_ou(0.5, 2.5)  # positive support, |phi| = phi
@@ -111,17 +111,27 @@ def _counting(monkeypatch, module, name):
 def test_noise_is_drawn_once_per_block_per_pass(monkeypatch, dt, n_steps):
     from rmplab import noise
 
-    calls = _counting(monkeypatch, noise, "sample_block")
+    drawn = []
+    real = noise.block_normals
+
+    def counted(*args):
+        out = real(*args)
+        drawn.append(out.size)
+        return out
+
+    monkeypatch.setattr(noise, "block_normals", counted)
+    # 7-step time chunks in the 16-path blocks, so the draws come in pieces
+    monkeypatch.setattr(engine, "BLOCK_CELLS", 16 * 7)
     model = NonlinearModel(
         a=1.0, multiplicative=MULT, envelope=ENV, nonlinearity=SIN_MODULATED, x0=1.0
     )
-    sol = solve_nonlinear(
-        model, TimeGrid(dt=dt, n_steps=n_steps), 4, 40, block_size=16, rel_tol=1e-3
-    )
+    grid = TimeGrid(dt=dt, n_steps=n_steps)
+    sol = solve_nonlinear(model, grid, 4, 40, block_size=16, rel_tol=1e-3)
     # pass 1 integrates substeps 1 and 2, every later pass one new count
     passes = len(sol.refinement) - 1
     assert [s for s, _ in sol.refinement] == [2**i for i in range(len(sol.refinement))]
-    assert len(calls) == 2 * 3 * passes  # one zeta and one phi draw per block
+    assert sum(drawn) == 2 * 40 * grid.n_nodes * passes  # zeta and phi, once per pass
+    assert len(drawn) > 2 * 3 * passes
     if dt == 0.05:
         assert passes == 1
 
@@ -133,14 +143,18 @@ def test_refinement_respects_max_refines(monkeypatch):
         a=1.0, multiplicative=MULT, envelope=ENV, nonlinearity=CLIPPED, x0=1.0
     )
     grid = TimeGrid(dt=0.05, n_steps=40)
-    calls = _counting(monkeypatch, engine, "_rk4_block")
+    calls = _counting(monkeypatch, engine, "_rk4_sweep")
     with pytest.raises(RuntimeError):
         solve_nonlinear(model, grid, 4, 32, max_refines=0)
-    assert [c[5] for c in calls] == [1]  # substep counts integrated
+    assert [c[5] for c in calls] == [(1,)]  # substep counts of each sweep
     calls.clear()
     with pytest.raises(RuntimeError):
         solve_nonlinear(model, grid, 4, 32, max_refines=1, rel_tol=0.0)
-    assert [c[5] for c in calls] == [1, 2]
+    assert [c[5] for c in calls] == [(1, 2)]
+    calls.clear()
+    with pytest.raises(RuntimeError):
+        solve_nonlinear(model, grid, 4, 32, max_refines=3, rel_tol=0.0)
+    assert [c[5] for c in calls] == [(1, 2), (4,), (8,)]
 
 
 def test_blocks_and_workers_do_not_change_the_solution():
@@ -165,7 +179,8 @@ def _nl(kind: str, a: float = 1.0) -> NonlinearModel:
 # 2,048 paths make the kernel's coefficient rows span several time chunks,
 # with a partial last one; "coarse" refines to 4 substeps; "saturated" has
 # a = -20 drive 31 of 40 paths past overflow, so saturated values and
-# flags are pinned too (rel_tol 1.0 stops it after three counts).
+# flags are pinned too (rel_tol 1.0 stops it after three counts);
+# "three_scale" draws a superposition beside a plain OU envelope.
 NONLINEAR_CASES = {
     **{
         f"{kind}-{save_every}": (
@@ -182,6 +197,13 @@ NONLINEAR_CASES = {
     "saturated": lambda: solve_nonlinear(
         _nl(CLIPPED, a=-20.0), TimeGrid(0.05, 710), 5, 40, save_every=10, rel_tol=1.0
     ),
+    "three_scale": lambda: solve_nonlinear(
+        NonlinearModel(
+            a=1.0, multiplicative=SHIPPED_GAUSSIAN_SPECS["three_scale"],
+            envelope=NoiseSpec.ou(0.5, 1.0), nonlinearity=SIN_MODULATED, x0=1.0,
+        ),
+        TimeGrid(0.05, 45), 12, 2048, save_every=5,
+    ),
 }
 
 NONLINEAR_DIGESTS = {
@@ -193,6 +215,7 @@ NONLINEAR_DIGESTS = {
     "saturated": "c00edb005ab08cc9fa5549aa5caf723176c88cb47b14c7ba5f6dc6e7b3652512",
     "sin_modulated-1": "3b91d963e38f07ec7fbf55e5dfa677327be702f910d53b09169d156df6e1a898",
     "sin_modulated-5": "29b3d2bea10e8ee333569169832d2c157a929b508247cb382ccc647ef47e724d",
+    "three_scale": "f2b245a598f5da47a4267745c532d67cd15b35ee860b67012ffe6ff0c34acc8d",
 }
 
 
@@ -215,21 +238,48 @@ def test_nonlinear_bytes_are_pinned(case):
     assert _solution_digest(sol) == NONLINEAR_DIGESTS[case]
 
 
-def test_rk4_block_memory_stays_near_its_output():
-    # The nonlinear workload's block: the time chunk's coefficient rows, the
-    # stage vectors and the flag scan add at most 1.5 MiB to the saved states.
+@pytest.mark.parametrize("steps", [3, 7])
+@pytest.mark.parametrize("case", sorted(NONLINEAR_CASES))
+def test_time_chunks_do_not_change_the_bytes(monkeypatch, case, steps):
+    from rmplab import noise
+
+    real = noise.sample_chunks
+    monkeypatch.setattr(noise, "sample_chunks", lambda *args: real(*args[:5], steps))
+    assert _solution_digest(NONLINEAR_CASES[case]()) == NONLINEAR_DIGESTS[case]
+
+
+def _solve_peak(t_max: float, save_every: int) -> tuple[int, int]:
+    """tracemalloc peak of a solve of the nonlinear workload's 2,048-path block."""
     model = NonlinearModel(
         a=1.0, multiplicative=MULT, envelope=NoiseSpec.ou(0.5, 1.0),
         nonlinearity=SIN_MODULATED,
     )
-    grid = TimeGrid(0.02, 2500)
-    zeta, phi = engine._block_noise(model, grid, 3, np.arange(2048))
-    psi = engine._psi_function(model.nonlinearity)
     tracemalloc.start()
     try:
-        saved = engine._rk4_block(model, grid, zeta, phi, psi, 2, 5)["X"]
+        sol = solve_nonlinear(
+            model, TimeGrid(0.02, round(t_max / 0.02)), 3, 2048, save_every=save_every
+        )
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert saved.shape == (2048, 501)
-    assert peak < saved.nbytes + 1.5 * 2**20
+    return peak, sol.x.values.nbytes
+
+
+def test_rk4_block_memory_stays_near_its_output():
+    # The workload's block, 2,501 nodes saved every 5th: one time chunk of
+    # noise per role, a generator per row and role, the coefficient rows,
+    # the stage vectors and the ensemble's copy of the saved states stay
+    # within 20 MiB of the saved states (whole noise paths were 82 MB).
+    peak, saved = _solve_peak(50.0, 5)
+    assert saved == 2048 * 501 * 8
+    assert peak < saved + 20 * 2**20
+
+
+def test_solve_memory_does_not_grow_with_the_horizon():
+    # Four times the horizon at four times the output stride saves as many
+    # states; only the number of noise chunks grows.  (t_max 50 -> 200
+    # runs 16 s under tracemalloc, so the pair starts at t_max 10.)
+    peak, saved = _solve_peak(10.0, 1)
+    longer, same = _solve_peak(40.0, 4)
+    assert same == saved
+    assert longer < peak + 2 * 2**20

@@ -157,3 +157,29 @@ def test_one_generator_per_block(monkeypatch):
     built = _count_philox_builds(monkeypatch)
     block_normals(4, np.arange(300), ROLE_ADDITIVE, (1, 151))
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("pieces", [(1, 1, 1, 1, 1), (2, 7, 1), (0, 151, 0, 3), (2501,)])
+@pytest.mark.parametrize("seed", [31, 2**64 + 31, 2**63 - 1])
+@pytest.mark.parametrize("role", [ROLE_MULTIPLICATIVE, ROLE_ADDITIVE])
+def test_continued_rows_equal_fresh_streams(pieces, seed, role):
+    # unsorted, with a repeat: each row continues its own stream
+    indices = np.array([9, 2, 40, 2, 0, 9, (1 << 61) - 1])
+    streams = []
+    joined = np.concatenate(
+        [block_normals(seed, indices, role, (c,), streams) for c in pieces], axis=1
+    )
+    assert len(streams) == len(indices)
+    for row, idx in zip(joined, indices):
+        fresh = path_stream(seed, int(idx), role).standard_normal(sum(pieces))
+        assert row.tobytes() == fresh.tobytes()
+
+
+def test_continued_streams_are_built_once_and_keep_their_rows(monkeypatch):
+    built = _count_philox_builds(monkeypatch)
+    streams = []
+    for _ in range(3):
+        block_normals(4, np.arange(5), ROLE_ADDITIVE, (7,), streams)
+    assert len(built) == 5  # one generator per row, on the first piece only
+    with pytest.raises(ValueError, match="one generator per row"):
+        block_normals(4, np.arange(6), ROLE_ADDITIVE, (7,), streams)

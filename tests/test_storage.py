@@ -1,5 +1,7 @@
 """Artifact formats: round trips, byte stability, corruption handling."""
+import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from rmplab.engine import PathEnsemble
 from rmplab.errors import IOFailureError
 from rmplab.grid import TimeGrid
 from rmplab.storage import (
+    BINARY_VERSION,
     MAGIC,
     build_manifest,
     read_ensemble_binary,
@@ -124,6 +127,21 @@ def test_write_is_byte_stable(tmp_path, ensemble):
     write_ensemble_binary(a, ensemble)
     write_ensemble_binary(b, ensemble)
     assert sha256_file(a) == sha256_file(b)
+
+
+def test_binary_bytes_are_header_values_and_flags(tmp_path):
+    # Fortran-ordered values are written in C order, as tobytes() joins them.
+    values = np.asfortranarray(np.random.default_rng(2).normal(size=(300, 700)))
+    ens = PathEnsemble(
+        grid=TimeGrid(dt=0.5, n_steps=699), label="X", values=values,
+        flagged=np.arange(300) % 3 == 0, master_seed=4,
+    )
+    path = tmp_path / "ens.bin"
+    write_ensemble_binary(path, ens)
+    header = struct.pack("<8sI8sQQdQ12x", MAGIC, BINARY_VERSION, b"X", 300, 699, 0.5, 4)
+    expected = header + values.astype("<f8").tobytes() + ens.flagged.astype(np.uint8).tobytes()
+    assert path.read_bytes() == expected
+    assert sha256_file(path) == hashlib.sha256(expected).hexdigest()
 
 
 def test_json_output_is_canonical(tmp_path):
