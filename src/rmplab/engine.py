@@ -572,9 +572,10 @@ def _rk4_sweep(
                         for flagged, run in zip(flags, runs):
                             flagged |= ~np.isfinite(run[-1])
                         saved[:, k // save_every] = last
-    # zip stops at the first exhausted chunk stream; closing both frees
-    # their buffers, with the rows', before the flag scan of saved
-    del chunks, dz, dp, m_rows, p_rows
+    # zip stops at the first exhausted chunk stream; dropping both streams
+    # and the views of their last chunks frees the chunk buffers, with the
+    # rows', before the flag scan of saved
+    del chunks, zeta, phi, z0, p0, dz, dp, m_rows, p_rows
     flags.append(_sanitize(saved.T))
     finals = [run[-1] for run in runs[:-1]] + [saved[:, -1]]
     return list(zip(finals, flags)), saved

@@ -328,15 +328,11 @@ def sample_chunks(
     operations as in the whole path.  A superposition draws its normals
     component after component, so its paths are sampled whole and handed
     out chunk by chunk.  The zero and constant kinds are filled per
-    chunk.  With one chunk this is sample_block itself, whose draw resets
-    one generator per row instead of keeping one.
+    chunk.
     """
     idx = np.asarray(path_indices)
     n = len(idx)
-    steps = max(1, steps)
-    if steps >= grid.n_steps:
-        yield sample_block(spec, grid, master_seed, idx, role)
-        return
+    steps = max(1, min(steps, grid.n_steps))
     bounds = [(k0, min(steps, grid.n_steps - k0)) for k0 in range(0, grid.n_steps, steps)]
     if spec.kind in (ZERO, CONSTANT):
         level = spec.level if spec.kind == CONSTANT else 0.0

@@ -62,29 +62,6 @@ def path_stream(master_seed: int, path_index: int, role: int) -> np.random.Gener
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _fresh_generators(master_seed: int, words: list[int]) -> list[np.random.Generator]:
-    """One fresh generator per row, keyed [master_seed, word], without OS entropy.
-
-    Philox(key=...) still seeds a SeedSequence from the OS before it
-    sets the key.  Given a seed sequence, Philox instead takes its two
-    key words from generate_state(2, uint64) and starts at counter zero
-    with an empty buffer, so a sequence that hands over the key builds
-    the state of Philox(key=key) at about a third of the cost.
-    """
-    from numpy.random.bit_generator import ISeedSequence  # numpy loads numpy.random on use
-
-    class Key(ISeedSequence):
-        def __init__(self, word: int) -> None:
-            self.key = np.array([master_seed & _MASK64, word], dtype=np.uint64)
-
-        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            if n_words != 2 or np.dtype(dtype) != np.uint64:
-                raise ValueError("a Philox key is two uint64 words")
-            return self.key
-
-    return [np.random.Generator(np.random.Philox(Key(w))) for w in words]
-
-
 def block_normals(
     master_seed: int,
     path_indices: np.ndarray,
@@ -119,7 +96,7 @@ def block_normals(
     the last one stopped.  Generator.standard_normal keeps nothing between
     calls, so row k of the pieces, joined, equals
     path_stream(master_seed, path_indices[k], role).standard_normal(total).
-    Building a generator costs a few times a reset, which a draw in one
+    Building a generator costs about ten times a reset, which a draw in one
     piece (streams None) does not pay.
     """
     idx = np.asarray(path_indices)
@@ -137,7 +114,10 @@ def block_normals(
     rows = out.reshape(len(idx), -1)
     if streams is not None:
         if not streams:
-            streams.extend(_fresh_generators(master_seed, words))
+            streams.extend(
+                np.random.Generator(np.random.Philox(key=np.array([first_key[0], w], np.uint64)))
+                for w in words
+            )
         for row, gen in zip(rows, streams):
             gen.standard_normal(out=row)
         return out
