@@ -16,10 +16,10 @@ DEFAULT_BLOCK_SIZE = 2048
 
 # Cells one working array may hold: the 2,048-path blocks of a 151-node
 # grid.  solve_linear caps its blocks at this many paths x fine-grid
-# nodes, noise.sample_block draws its normals in path chunks of at most
-# this many values (paths x components x nodes), solve_nonlinear draws
-# its noise in time chunks of about this many values per role, and the
-# power sums of metrics reduce column slices of about this many values.
+# nodes, noise.sample_chunks draws single-component noise in time chunks
+# of at most this many values (paths x nodes, the overlap row included),
+# and the power sums of metrics reduce column slices of about this many
+# values.
 BLOCK_CELLS = 2048 * 151
 
 T = TypeVar("T")

@@ -14,8 +14,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import FORMATS, config_from_dict
-from .errors import ConfigInvalidError, IOFailureError, RmplabError
+from .config import FORMATS, config_from_dict, read_config
+from .errors import ConfigInvalidError, RmplabError
 from .runner import STAGES, do_report, run
 from .storage import write_json
 
@@ -118,9 +118,7 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         if args.command == "report":
             return _run_report(Path(args.out))
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        raw = _apply_overrides(raw, args)
+        raw = _apply_overrides(read_config(args.config), args)
         cfg = config_from_dict(raw)
         wanted = STAGES[args.command]
         if args.command != "simulate" and not any(r.name in wanted for r in cfg.estimators):
@@ -133,13 +131,6 @@ def main(argv: "list[str] | None" = None) -> int:
             print(f"{name}: {verdict}")
         print(f"wrote {len(manifest['artifacts'])} artifacts to {cfg.out_dir}")
         return code
-    except json.JSONDecodeError as exc:
-        print(f"error [CONFIG_INVALID]: config is not valid JSON: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigInvalidError, IOFailureError, FileNotFoundError) as exc:
-        code = getattr(exc, "code", "IO_FAILURE")
-        print(f"error [{code}]: {exc}", file=sys.stderr)
-        return 2
     except RmplabError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return 2

@@ -439,16 +439,22 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     )
 
 
-def load_config(path: "str | Path") -> ExperimentConfig:
+def read_config(path: "str | Path") -> object:
+    """Parse a config file's JSON.
+
+    A file that cannot be read as UTF-8 JSON (missing, a directory,
+    undecodable or malformed) raises ConfigInvalidError.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigInvalidError(f"cannot read config {path}: {exc}") from exc
-    try:
-        raw = json.loads(text)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigInvalidError(f"config {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(raw)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigInvalidError(f"cannot read config {path}: {exc}") from exc
+
+
+def load_config(path: "str | Path") -> ExperimentConfig:
+    return config_from_dict(read_config(path))
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

@@ -320,11 +320,13 @@ def solve_linear(
 
     A block holds at most BLOCK_CELLS // grid.n_nodes rows (at least
     one), so its fine-grid arrays take a fixed budget of memory whatever
-    the horizon; block_size is an upper bound on top of that.  The
-    layout cannot change the output: every kernel a block runs (the
-    keyed normals, the OU filter, the quadratures, the flags and the
-    saturation) works path by path, and blocks are only concatenated, so
-    row i is the same bytes in any partition.
+    the horizon, and its noise is one chunk of noise.sample_chunks,
+    drawn with a reset per row instead of a generator per row;
+    block_size is an upper bound on top of that.  The layout cannot
+    change the output: every kernel a block runs (the keyed normals, the
+    OU filter, the quadratures, the flags and the saturation) works path
+    by path, and blocks are only concatenated, so row i is the same bytes
+    in any partition.
     """
     unknown = [label for label in need if label not in PROCESS_LABELS]
     if unknown:
@@ -481,11 +483,10 @@ def _rk4_sweep(
     """Classical RK4 on one block for every substep count in counts, in one sweep.
 
     counts are increasing powers of two.  zeta and |phi| come from
-    noise.sample_chunks in time chunks of BLOCK_CELLS // n_paths steps,
-    so the block holds one chunk of noise per role, never its whole
-    paths.  Noise is linearly interpolated in each step: substep j
-    of count s evaluates it at the fractions j/s, (j+0.5)/s and (j+1)/s
-    of the step.  For a chunk of steps at a time (RK4_CHUNK_BYTES of
+    noise.sample_chunks in time chunks of at most BLOCK_CELLS values, so
+    the block holds one chunk of noise per role, never its whole paths.
+    Noise is linearly interpolated in each step: substep j of count s
+    evaluates it at the fractions j/s, (j+0.5)/s and (j+1)/s of the step.  For a chunk of steps at a time (RK4_CHUNK_BYTES of
     rows, at least one step) the coefficient rows m_f = -(a + (z0 + dz*f))
     and p_f = p0 + dp*f are built once per fraction of the finest count,
     vectorized over the chunk; count s reads every (top/s)-th of them,
@@ -526,14 +527,9 @@ def _rk4_sweep(
     flags = [np.zeros(n, dtype=bool) for _ in counts[:-1]]
     saved = np.empty((n, grid.n_steps // save_every + 1))
     saved[:, 0] = last
-    noise_steps = BLOCK_CELLS // n
     chunks = zip(
-        noise_mod.sample_chunks(
-            model.multiplicative, grid, master_seed, indices, ROLE_MULTIPLICATIVE, noise_steps
-        ),
-        noise_mod.sample_chunks(
-            model.envelope, grid, master_seed, indices, ROLE_ADDITIVE, noise_steps
-        ),
+        noise_mod.sample_chunks(model.multiplicative, grid, master_seed, indices, ROLE_MULTIPLICATIVE),
+        noise_mod.sample_chunks(model.envelope, grid, master_seed, indices, ROLE_ADDITIVE),
     )
     k = 0
     with np.errstate(over="ignore", invalid="ignore"):

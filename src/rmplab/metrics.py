@@ -106,6 +106,21 @@ def _moment_stats(weights: np.ndarray) -> tuple[float, float, bool]:
     return m, float(se), unstable
 
 
+def _usable_samples(samples: np.ndarray, flagged: "np.ndarray | None") -> tuple[np.ndarray, int]:
+    """The samples, flattened, without the flagged ones, and how many those were."""
+    x = np.asarray(samples, dtype=np.float64).ravel()
+    excluded = 0
+    if flagged is not None:
+        mask = np.asarray(flagged, dtype=bool).ravel()
+        if mask.shape != x.shape:
+            raise LengthMismatchError("flag mask must match the sample count")
+        excluded = int(mask.sum())
+        x = x[~mask]
+    if x.size == 0:
+        raise EmptyInputError("no usable samples")
+    return x, excluded
+
+
 def quasi_norm(
     samples: np.ndarray,
     p: float,
@@ -122,16 +137,7 @@ def quasi_norm(
     """
     if p <= 0.0:
         raise ValueError("order p must be positive")
-    x = np.asarray(samples, dtype=np.float64).ravel()
-    excluded = 0
-    if flagged is not None:
-        mask = np.asarray(flagged, dtype=bool).ravel()
-        if mask.shape != x.shape:
-            raise LengthMismatchError("flag mask must match the sample count")
-        excluded = int(mask.sum())
-        x = x[~mask]
-    if x.size == 0:
-        raise EmptyInputError("no usable samples")
+    x, excluded = _usable_samples(samples, flagged)
     mx = float(np.max(np.abs(x)))
     scale = mx if 0.0 < mx < np.inf else 1.0
     w = np.abs(x / scale) ** p
@@ -162,16 +168,7 @@ def fractional_moment(
     """
     if p <= 0.0:
         raise ValueError("order p must be positive")
-    x = np.asarray(samples, dtype=np.float64).ravel()
-    excluded = 0
-    if flagged is not None:
-        mask = np.asarray(flagged, dtype=bool).ravel()
-        if mask.shape != x.shape:
-            raise LengthMismatchError("flag mask must match the sample count")
-        excluded = int(mask.sum())
-        x = x[~mask]
-    if x.size == 0:
-        raise EmptyInputError("no usable samples")
+    x, excluded = _usable_samples(samples, flagged)
     w = np.abs(x + z) ** p
     m, se_m, unstable = _moment_stats(w)
     return QuasiNormEstimate(

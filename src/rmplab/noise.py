@@ -13,6 +13,7 @@ are reproducible path-by-path regardless of batching.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -234,32 +235,24 @@ def _pareto_marginal(spec: NoiseSpec, out: np.ndarray) -> None:
     out *= spec.scale
 
 
-def _assemble_block(spec: NoiseSpec, grid: TimeGrid, buf: np.ndarray) -> np.ndarray:
-    """Run each component's OU recursion in place and sum the components.
+def _superposition(
+    spec: NoiseSpec, grid: TimeGrid, master_seed: int, idx: np.ndarray, role: int
+) -> np.ndarray:
+    """Sample a superposition's paths whole, time-major (n_nodes, n).
 
-    buf has shape (n_components, n_nodes, n_paths) and holds scaled
-    innovations, time-major: node 0 of component j is the stationary
-    initial value g_0 = sigma xi_0, node k + 1 the term
-    sigma sqrt(1 - r^2) xi_{k+1} of the exact one-step update
-    g_{k+1} = r g_k + sigma sqrt(1 - r^2) xi_{k+1}, r = exp(-dt/tau).
-    _ou_filter overwrites buf over time on whole rows, one row per step,
-    so the paths equal lfilter's bit for bit.  The components are then
-    summed into buf[0] in their listed order, starting from 0.0 + g
-    (which turns a -0.0 into 0.0, as a sum into a zero array does).  The
-    result has shape (n_nodes, n_paths) and is C-contiguous.  With one
-    component it is buf itself, so no second full-size array is built;
-    with several, the sum is copied out so the others can be freed.
+    A row's normals are drawn component-major, so they cannot be split
+    in time.  Each component is scaled and filtered as in sample_chunks
+    and added into a zero array in the listed order.
     """
-    for g, (_, tau) in zip(buf, spec.components):
+    draws = block_normals(master_seed, idx, role, (len(spec.components), grid.n_nodes))
+    out = np.zeros((grid.n_nodes, len(idx)))
+    g = np.empty_like(out)
+    for j, (sigma, tau) in enumerate(spec.components):
+        s = sigma * np.sqrt(-np.expm1(-2.0 * grid.dt / tau))
+        np.multiply(draws[:, j, 0], sigma, out=g[0])
+        np.multiply(draws[:, j, 1:].T, s, out=g[1:])
         _ou_filter(g, np.exp(-grid.dt / tau))
-    out = buf[0]
-    np.add(out, 0.0, out=out)
-    for g in buf[1:]:
         np.add(out, g, out=out)
-    if len(buf) > 1:
-        out = out.copy()
-    if spec.kind == PARETO_TRANSFORMED_OU:
-        _pareto_marginal(spec, out)
     return out
 
 
@@ -270,37 +263,21 @@ def sample_block(
 
     The result is C-contiguous with shape (n_nodes, n), one row per node
     and one column per path, the layout every path kernel works in; path
-    i of the block is column i.
-
-    The normals are drawn in path chunks of at most BLOCK_CELLS values
-    (paths x components x nodes), one block_normals call per chunk, and
-    each chunk is scaled as it is copied into one time-major buffer of
-    shape (n_components, n_nodes, n) that _assemble_block then filters in
-    place.  Row k of block_normals depends only on (master_seed,
-    path_indices[k], role), so the chunking changes no byte; it keeps the
-    path-major draws down to one chunk instead of a second full block.
+    i of the block is column i.  It is sample_chunks joined: a draw that
+    fits in one chunk, as every solve_linear block does, is that chunk,
+    and a larger one is copied chunk by chunk into one full-size array.
     """
-    idx = np.asarray(path_indices)
-    n = len(idx)
-    if spec.kind == ZERO:
-        return np.zeros((grid.n_nodes, n))
-    if spec.kind == CONSTANT:
-        return np.full((grid.n_nodes, n), spec.level)
-
-    shape = (len(spec.components), grid.n_nodes)
-    scales = [
-        (sigma, sigma * np.sqrt(-np.expm1(-2.0 * grid.dt / tau)))
-        for sigma, tau in spec.components
-    ]
-    buf = np.empty(shape + (n,))
-    width = max(1, BLOCK_CELLS // (shape[0] * shape[1]))
-    for lo in range(0, max(n, 1), width):  # an empty block still checks its keys
-        cols = slice(lo, lo + width)
-        chunk = block_normals(master_seed, idx[cols], role, shape)
-        for j, (sigma, s) in enumerate(scales):
-            np.multiply(chunk[:, j, 0], sigma, out=buf[j, 0, cols])
-            np.multiply(chunk[:, j, 1:].T, s, out=buf[j, 1:, cols])
-    return _assemble_block(spec, grid, buf)
+    n = len(path_indices)
+    chunks = sample_chunks(spec, grid, master_seed, path_indices, role)
+    first = next(chunks)
+    if len(first) == grid.n_nodes:
+        return first
+    out = np.empty((grid.n_nodes, n))
+    k = 0
+    for chunk in itertools.chain([first], chunks):
+        out[k : k + len(chunk)] = chunk
+        k += len(chunk) - 1
+    return out
 
 
 def sample_chunks(
@@ -309,47 +286,52 @@ def sample_chunks(
     master_seed: int,
     path_indices: np.ndarray,
     role: int,
-    steps: int,
 ) -> Iterator[np.ndarray]:
-    """Sample paths for a block of path indices in time chunks of steps steps.
+    """Sample paths for a block of path indices in time chunks.
 
-    Chunk j is time-major with shape (c + 1, n): the nodes j * steps to
-    j * steps + c, with c = min(steps, n_steps - j * steps), so its row 0
-    repeats the last row of the chunk before.  Joined without those
-    repeated rows the chunks are sample_block's paths, bit for bit.  A
-    chunk is the caller's to overwrite, and is reused once the next one
-    is asked for.
+    A chunk holds at most BLOCK_CELLS values, its overlap row included,
+    so it spans steps = max(1, BLOCK_CELLS // n - 1) steps (all of them
+    if fewer).  Chunk j is time-major with shape (c + 1, n): the nodes
+    j * steps to j * steps + c, with c = min(steps, n_steps - j * steps),
+    so its row 0 repeats the last row of the chunk before.  A chunk is
+    the caller's to overwrite, and is reused once the next one is asked
+    for.
 
-    A single-component spec holds one chunk at a time: each chunk draws
-    its normals through block_normals with the rows' streams continued
-    from the chunk before, sets row 0 to the latent OU state carried over
-    from there, and runs the recursion, the +0.0 and the Pareto map of
-    _assemble_block on its rows, so every element meets the same
-    operations as in the whole path.  A superposition draws its normals
-    component after component, so its paths are sampled whole and handed
-    out chunk by chunk.  The zero and constant kinds are filled per
-    chunk.
+    A single-component spec draws row k's normals from the keyed stream
+    of (master_seed, path_indices[k], role) through block_normals.  Node
+    0 is the stationary initial value g_0 = sigma xi_0, node k + 1 the
+    term sigma sqrt(1 - r^2) xi_{k+1} of the exact one-step update
+    g_{k+1} = r g_k + sigma sqrt(1 - r^2) xi_{k+1}, r = exp(-dt/tau);
+    _ou_filter runs it in place on whole rows, so the paths equal
+    lfilter's bit for bit.  Then 0.0 is added (which turns a -0.0 into
+    0.0, as a sum into a zero array does) and the Pareto kind is mapped
+    onto its marginal.  A draw in one chunk resets one generator per row
+    (streams None); a draw split into chunks continues one generator per
+    row from chunk to chunk, and each chunk's row 0 is the latent OU
+    state carried over from the chunk before, so every element meets the
+    same operations as in one chunk.  A superposition is sampled whole
+    by _superposition and handed out chunk by chunk.  The zero and
+    constant kinds are filled per chunk.
     """
     idx = np.asarray(path_indices)
     n = len(idx)
-    steps = max(1, min(steps, grid.n_steps))
+    steps = min(grid.n_steps, max(1, BLOCK_CELLS // max(n, 1) - 1))
     bounds = [(k0, min(steps, grid.n_steps - k0)) for k0 in range(0, grid.n_steps, steps)]
     if spec.kind in (ZERO, CONSTANT):
-        level = spec.level if spec.kind == CONSTANT else 0.0
         for _, c in bounds:
-            yield np.full((c + 1, n), level)
+            yield np.zeros((c + 1, n)) if spec.kind == ZERO else np.full((c + 1, n), spec.level)
         return
     if len(spec.components) > 1:
-        whole = sample_block(spec, grid, master_seed, idx, role)
+        whole = _superposition(spec, grid, master_seed, idx, role)
         for k0, c in bounds:
-            yield whole[k0 : k0 + c + 1].copy()
+            yield whole if len(bounds) == 1 else whole[k0 : k0 + c + 1].copy()
         return
 
     ((sigma, tau),) = spec.components
     r = np.exp(-grid.dt / tau)
     s = sigma * np.sqrt(-np.expm1(-2.0 * grid.dt / tau))
     buf, carry = np.empty((steps + 1, n)), np.empty(n)
-    streams: list[np.random.Generator] = []
+    streams: "list[np.random.Generator] | None" = None if len(bounds) == 1 else []
     for k0, c in bounds:
         rows = buf[: c + 1]
         if k0 == 0:

@@ -24,6 +24,9 @@ matrix and the flag vector:
     52      12    reserved (zero)
     64      8*n_paths*(n_steps+1)   values, float64, row-major
     ...     n_paths                 flag bytes (0 or 1)
+The reader refuses (IOFailureError) a short or long file, a bad magic or
+version, a dt, n_steps or label that does not make an ensemble, and a
+flag byte other than 0 or 1.
 
 JSON summaries: UTF-8, sorted keys, two-space indent, no timestamps.
 """
@@ -186,15 +189,19 @@ def read_ensemble_binary(path: "str | Path") -> PathEnsemble:
     ).reshape(n_paths, n_nodes)
     flags = np.frombuffer(
         blob, dtype=np.uint8, count=n_paths, offset=_HEADER.size + 8 * n_paths * n_nodes
-    ).astype(bool)
-    grid = TimeGrid(dt=dt, n_steps=n_steps)
-    return PathEnsemble(
-        grid=grid,
-        label=label.rstrip(b"\x00").decode("ascii"),
-        values=values.copy(),
-        flagged=flags,
-        master_seed=master_seed,
     )
+    if np.any(flags > 1):
+        raise IOFailureError("bad ensemble file: a flag byte is neither 0 nor 1")
+    try:  # a bad dt, n_steps or label; UnicodeDecodeError is a ValueError
+        return PathEnsemble(
+            grid=TimeGrid(dt=dt, n_steps=n_steps),
+            label=label.rstrip(b"\x00").decode("ascii"),
+            values=values.copy(),
+            flagged=flags.astype(bool),
+            master_seed=master_seed,
+        )
+    except ValueError as exc:
+        raise IOFailureError(f"bad ensemble header: {exc}") from exc
 
 
 def to_jsonable(obj: object) -> object:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClassMismatchError, DNonpositiveError, EmptyInputError, LengthMismatchError
-from .metrics import RateFit, fit_rate, gamma_p
+from .errors import ClassMismatchError, DNonpositiveError, LengthMismatchError
+from .metrics import RateFit, _usable_samples, fit_rate, gamma_p
 
 ABS_POWER = "abs_power"
 LIPSCHITZ_TABLE = "lipschitz_table"
@@ -145,14 +145,7 @@ def expectation_functional(
     flagged: "np.ndarray | None" = None,
 ) -> FunctionalEstimate:
     """Sample mean of f over an ensemble with its standard error."""
-    x = np.asarray(samples, dtype=np.float64).ravel()
-    if flagged is not None:
-        mask = np.asarray(flagged, dtype=bool).ravel()
-        if mask.shape != x.shape:
-            raise LengthMismatchError("flag mask must match the sample count")
-        x = x[~mask]
-    if x.size == 0:
-        raise EmptyInputError("no usable samples")
+    x, _ = _usable_samples(samples, flagged)
     w = f(x)
     se = float(w.std(ddof=1) / np.sqrt(x.size)) if x.size > 1 else 0.0
     return FunctionalEstimate(value=float(w.mean()), std_err=se, n=int(x.size))

@@ -507,6 +507,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert "CONFIG_INVALID" in err
 
+    @pytest.mark.parametrize("kind", ["directory", "non_utf8", "missing"])
+    def test_unreadable_config_is_config_invalid(self, tmp_path, capsys, kind):
+        path = tmp_path / "cfg.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "non_utf8":
+            path.write_bytes(b'{"model": "\xff"}')
+        with pytest.raises(ConfigInvalidError, match="cannot read config"):
+            load_config(path)
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [CONFIG_INVALID]: cannot read config")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "mutate,needle",
         [

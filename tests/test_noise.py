@@ -230,7 +230,7 @@ def _lfilter_block(spec: NoiseSpec, grid: TimeGrid, draws: np.ndarray) -> np.nda
         (NoiseSpec.ou(0.5, 2.0), 1, 400),
         (SHIPPED_GAUSSIAN_SPECS["three_scale"], 300, 200),
         (NoiseSpec.pareto_ou(0.5, 3.0, 2.0), 50, 100),
-        # several draw chunks per block
+        # several time chunks per block, and a superposition past the cell budget
         (NoiseSpec.ou(1.0, 0.5), 300, 1500),
         (SHIPPED_GAUSSIAN_SPECS["three_scale"], 2048, 300),
     ],
@@ -248,9 +248,9 @@ def _count_draw_calls(monkeypatch) -> list:
     calls = []
     real = noise.block_normals
 
-    def counted(master_seed, path_indices, role, shape_per_path):
+    def counted(master_seed, path_indices, role, shape_per_path, *args):
         calls.append(len(path_indices) * int(np.prod(shape_per_path)))
-        return real(master_seed, path_indices, role, shape_per_path)
+        return real(master_seed, path_indices, role, shape_per_path, *args)
 
     monkeypatch.setattr(noise, "block_normals", counted)
     return calls
@@ -319,10 +319,12 @@ CHUNK_GRID = TimeGrid(dt=0.05, n_steps=30)
     ],
     ids=["ou", "pareto", "zero", "constant", "three_scale"],
 )
-def test_chunks_join_to_the_block_bit_for_bit(spec, steps):
+def test_chunks_join_to_the_block_bit_for_bit(monkeypatch, spec, steps):
     idx = np.array([5, 0, 9, 2, 5, 300])
     whole = sample_block(spec, CHUNK_GRID, 7, idx, ROLE_ADDITIVE)
-    chunks = [c.copy() for c in sample_chunks(spec, CHUNK_GRID, 7, idx, ROLE_ADDITIVE, steps)]
+    assert len(idx) * CHUNK_GRID.n_nodes <= BLOCK_CELLS  # one chunk
+    monkeypatch.setattr(noise, "BLOCK_CELLS", len(idx) * (steps + 1))
+    chunks = [c.copy() for c in sample_chunks(spec, CHUNK_GRID, 7, idx, ROLE_ADDITIVE)]
     n_steps = CHUNK_GRID.n_steps
     assert [len(c) - 1 for c in chunks] == [min(steps, n_steps - k) for k in range(0, n_steps, steps)]
     for before, after in zip(chunks, chunks[1:]):
@@ -345,7 +347,7 @@ def test_chunks_draw_each_normal_once_and_hold_one_chunk(monkeypatch):
     monkeypatch.setattr(noise, "block_normals", counted)
     tracemalloc.start()
     try:
-        for chunk in sample_chunks(NoiseSpec.ou(1.0, 0.5), grid, 5, idx, ROLE_ADDITIVE, 150):
+        for chunk in sample_chunks(NoiseSpec.ou(1.0, 0.5), grid, 5, idx, ROLE_ADDITIVE):
             pass
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -355,3 +357,22 @@ def test_chunks_draw_each_normal_once_and_hold_one_chunk(monkeypatch):
     # 1 KiB each): not the 41 MB of whole paths
     chunk_bytes = 8 * len(idx) * 151
     assert peak < 2 * chunk_bytes + len(idx) * 1024 + 2**20
+
+
+@pytest.mark.parametrize(
+    "spec,n_paths,n_steps",
+    [(NoiseSpec.ou(1.0, 0.5), 2048, 150), (NoiseSpec.pareto_ou(0.5, 3.0, 2.0), 3, 2500)],
+)
+def test_one_chunk_draws_reset_instead_of_building_generators(monkeypatch, spec, n_paths, n_steps):
+    grid = TimeGrid(dt=0.02, n_steps=n_steps)
+    streams = []
+    real = noise.block_normals
+
+    def counted(*args):
+        streams.append(args[4:])
+        return real(*args)
+
+    monkeypatch.setattr(noise, "block_normals", counted)
+    chunks = list(sample_chunks(spec, grid, 5, np.arange(n_paths), ROLE_ADDITIVE))
+    assert len(chunks) == 1 and chunks[0].shape == (grid.n_nodes, n_paths)
+    assert streams == [(None,)]

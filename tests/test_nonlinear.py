@@ -121,7 +121,7 @@ def test_noise_is_drawn_once_per_block_per_pass(monkeypatch, dt, n_steps):
 
     monkeypatch.setattr(noise, "block_normals", counted)
     # 7-step time chunks in the 16-path blocks, so the draws come in pieces
-    monkeypatch.setattr(engine, "BLOCK_CELLS", 16 * 7)
+    monkeypatch.setattr(noise, "BLOCK_CELLS", 16 * (7 + 1))
     model = NonlinearModel(
         a=1.0, multiplicative=MULT, envelope=ENV, nonlinearity=SIN_MODULATED, x0=1.0
     )
@@ -243,8 +243,8 @@ def test_nonlinear_bytes_are_pinned(case):
 def test_time_chunks_do_not_change_the_bytes(monkeypatch, case, steps):
     from rmplab import noise
 
-    real = noise.sample_chunks
-    monkeypatch.setattr(noise, "sample_chunks", lambda *args: real(*args[:5], steps))
+    # steps-step time chunks in the 2,048-path blocks, longer ones in "saturated"'s 40
+    monkeypatch.setattr(noise, "BLOCK_CELLS", 2048 * (steps + 1))
     assert _solution_digest(NONLINEAR_CASES[case]()) == NONLINEAR_DIGESTS[case]
 
 

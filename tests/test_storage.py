@@ -73,6 +73,27 @@ def test_binary_corruption_detected(tmp_path, ensemble):
         read_ensemble_binary(tmp_path / "missing.bin")
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("dt", float("nan")), ("n_steps", 0), ("label", b"Q"), ("label", b"\xc3\xa9"), ("flag", 2)],
+    ids=["nan_dt", "zero_steps", "unknown_label", "non_ascii_label", "flag_two"],
+)
+def test_binary_reader_refuses_bad_fields(tmp_path, field, value):
+    n_paths, n_steps, dt, label = 3, 4, 0.25, b"X"
+    if field == "n_steps":
+        n_steps = value
+    elif field == "dt":
+        dt = value
+    elif field == "label":
+        label = value
+    header = struct.pack("<8sI8sQQdQ12x", MAGIC, BINARY_VERSION, label, n_paths, n_steps, dt, 7)
+    flags = bytes([0, value if field == "flag" else 1, 0])
+    path = tmp_path / "ens.bin"
+    path.write_bytes(header + np.zeros(n_paths * (n_steps + 1)).tobytes() + flags)
+    with pytest.raises(IOFailureError):
+        read_ensemble_binary(path)
+
+
 def test_csv_round_trip(tmp_path, ensemble):
     path = tmp_path / "ens.csv"
     write_ensemble_csv(path, ensemble)
