@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import noise as noise_mod
-from .blocks import BLOCK_CELLS, DEFAULT_BLOCK_SIZE, pairwise_sum, run_blocks
+from .blocks import BLOCK_CELLS, DEFAULT_BLOCK_SIZE, run_blocks
 from .errors import TruncationWarningError
 from .grid import TimeGrid
 from .noise import NoiseSpec, diffusion_constant, require_multiplicative, y_variance_half
@@ -39,6 +39,11 @@ PROCESS_LABELS = ("X", "Y", "A", "B", "H", "zeta", "phi")
 
 # Bytes of noise coefficient rows one RK4 time chunk holds.
 RK4_CHUNK_BYTES = 1 << 20
+# The nonlinear solve's pilot: the keyed paths 0 .. PILOT_PATHS - 1 choose
+# its RK4 substep count, whose step-bias bound must lie within
+# BIAS_SE_FRACTION of the ensemble's Monte Carlo standard error.
+PILOT_PATHS = 128
+BIAS_SE_FRACTION = 0.1
 
 
 def _beta_c(a: float, multiplicative: NoiseSpec) -> float:
@@ -154,9 +159,20 @@ class StationarySample:
 
 @dataclass
 class NonlinearSolution:
+    """A nonlinear ensemble and how its RK4 substep count was chosen.
+
+    substeps is the count every path was integrated at.  refinement holds
+    the pilot's (substeps, order-p_check quasi-norm) pairs, step_bias its
+    bound on the bias of E|X_T|^p_check at the chosen count and mc_se the
+    Monte Carlo standard error of the ensemble that bound was held
+    against; all are empty or None when no pilot ran (max_refines 0).
+    """
+
     x: PathEnsemble
     substeps: int
     refinement: tuple[tuple[int, float], ...]
+    step_bias: float | None = None
+    mc_se: float | None = None
 
 
 def _sanitize(arr: np.ndarray) -> np.ndarray:
@@ -577,6 +593,38 @@ def _rk4_sweep(
     return list(zip(finals, flags)), saved
 
 
+def _step_bias(
+    coarse: tuple[np.ndarray, np.ndarray],
+    fine: tuple[np.ndarray, np.ndarray],
+    p: float,
+    n_paths: int,
+) -> tuple[float, float, bool]:
+    """Step-bias bound, production Monte Carlo error and verdict of one doubling.
+
+    coarse and fine are the pilot's (x, flagged) at the horizon for the
+    substep counts s and 2s.  Over the paths unflagged at both, the
+    coupled per-path gap g = |x_2s|^p - |x_s|^p gives the bound
+    |mean g| + 2 SE(g) on the bias of E|X_T|^p at count s (step doubling);
+    the Monte Carlo error of an n_paths ensemble is the SD of |x_s|^p over
+    sqrt(n_paths).  Count s is fine enough when the bound is at most
+    BIAS_SE_FRACTION of that error.  The verdict is taken on |x| / max|x|, so no power or square
+    overflows or divides by zero; with no usable path, or states all 0,
+    both figures are 0 and count s stands.
+    """
+    ok = ~(coarse[1] | fine[1])
+    xs, xf = np.abs(coarse[0][ok]), np.abs(fine[0][ok])
+    scale = max(xs.max(initial=0.0), xf.max(initial=0.0))
+    if scale == 0.0:
+        return 0.0, 0.0, True
+    us, uf = (xs / scale) ** p, (xf / scale) ** p
+    gap = uf - us
+    bias = abs(gap.mean()) + 2.0 * gap.std() / np.sqrt(gap.size)
+    se = us.std() / np.sqrt(n_paths)
+    with np.errstate(over="ignore"):
+        unit = min(np.float64(scale) ** p, np.finfo(np.float64).max)
+        return float(bias * unit), float(se * unit), bool(bias <= BIAS_SE_FRACTION * se)
+
+
 def solve_nonlinear(
     model: NonlinearModel,
     grid: TimeGrid,
@@ -587,62 +635,69 @@ def solve_nonlinear(
     workers: int = 1,
     block_size: int = DEFAULT_BLOCK_SIZE,
     p_check: float = 0.5,
-    rel_tol: float = 5e-3,
     max_refines: int = 6,
 ) -> NonlinearSolution:
-    """Integrate the nonlinear model with automatic step refinement.
+    """Integrate the nonlinear model at a substep count a coupled pilot chose.
 
-    The ODE substep is halved (noise grid fixed, values interpolated)
-    until the order-p_check ensemble quasi-norm at the horizon moves by
-    less than rel_tol between consecutive refinements.
+    The pilot is the keyed paths 0 .. min(n_paths, PILOT_PATHS) - 1, so the
+    choice does not depend on block_size, workers or the noise chunk
+    length.  It halves the ODE substep (noise grid fixed, values
+    interpolated) by step doubling: counts 1 and 2 in one _rk4_sweep, then
+    each next doubled count in a sweep of its own.  It stops at the
+    smallest count s whose coupled gap to 2s at the horizon, at order
+    p_check, lies within BIAS_SE_FRACTION of the Monte Carlo error of the
+    whole ensemble (_step_bias).  max_refines caps the doublings: with 0
+    no pilot runs and the count is 1; a pilot that reaches count
+    2**max_refines unsettled raises RuntimeError.
 
-    Each refinement pass draws every block's zeta and phi once and
-    integrates all of its substep counts from that draw in one sweep
-    through time (_rk4_sweep): counts 1 and 2 in the first pass (only 1
-    when max_refines is 0), the next doubled count in each later pass.
-    A block holds its saved states of the pass's last count, one time
+    The production sweep then runs count s alone over every block.  A
+    block draws its zeta and phi once and holds its saved states, one time
     chunk of noise per role and the coefficient rows of one RK4 chunk, so
     its memory does not grow with the horizon beyond the saved states.
+    The pilot keeps only its horizon states, PILOT_PATHS per count.  Both
+    of its figures come from its own paths, so a gap or a spread carried
+    by paths rarer than about one in PILOT_PATHS goes unseen.
     """
-    out_grid = grid.subsampled(save_every)
     psi = _psi_function(model.nonlinearity)
-    n_levels = max_refines + 1
-
-    def refine_block(idx: np.ndarray, counts: tuple[int, ...]):
-        runs, saved = _rk4_sweep(model, grid, master_seed, idx, psi, counts, save_every)
-        partials = [
-            np.array([float(np.sum(np.abs(x[~flagged]) ** p_check)), float((~flagged).sum())])
-            for x, flagged in runs
-        ]
-        return partials, {"X": saved, "flagged": runs[-1][1]}
-
     history: list[tuple[int, float]] = []
-    counts = (1, 2)[:n_levels]
-    while counts:
-        parts = run_blocks(
-            n_paths,
-            lambda idx: refine_block(idx, counts),
-            workers=workers,
-            block_size=block_size,
-        )
-        for i, substeps in enumerate(counts):
-            total = pairwise_sum([partials[i] for partials, _ in parts])
-            moment = total[0] / max(total[1], 1.0)
-            history.append((substeps, float(moment ** (min(1.0, p_check) / p_check))))
-        if len(history) >= 2:
-            prev_q, q = history[-2][1], history[-1][1]
-            if abs(q - prev_q) <= rel_tol * max(abs(prev_q), 1e-300):
-                break
-        counts = (2 * history[-1][0],) if len(history) < n_levels else ()
-    else:
-        raise RuntimeError("step refinement did not settle within max_refines")
+    substeps, step_bias, mc_se = 1, None, None
+    if max_refines > 0:
+        pilot = np.arange(min(n_paths, PILOT_PATHS), dtype=np.int64)
 
-    result = [part for _, part in parts]
+        def pilot_pass(counts: tuple[int, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
+            runs, _ = _rk4_sweep(model, grid, master_seed, pilot, psi, counts, grid.n_steps)
+            for s, (x, flagged) in zip(counts, runs):
+                moment = np.sum(np.abs(x[~flagged]) ** p_check) / max((~flagged).sum(), 1)
+                history.append((s, float(moment ** (min(1.0, p_check) / p_check))))
+            return runs
+
+        levels = pilot_pass((1, 2))
+        while True:
+            step_bias, mc_se, settled = _step_bias(levels[-2], levels[-1], p_check, n_paths)
+            if settled:
+                break
+            if len(levels) > max_refines:
+                raise RuntimeError("step refinement did not settle within max_refines")
+            levels += pilot_pass((2 * history[-1][0],))
+        substeps = history[-2][0]
+
+    parts = run_blocks(
+        n_paths,
+        lambda idx: _rk4_sweep(model, grid, master_seed, idx, psi, (substeps,), save_every),
+        workers=workers,
+        block_size=block_size,
+    )
     ensemble = PathEnsemble(
-        grid=out_grid,
+        grid=grid.subsampled(save_every),
         label="X",
-        values=np.concatenate([p["X"] for p in result]),
-        flagged=np.concatenate([p["flagged"] for p in result]),
+        values=np.concatenate([saved for _, saved in parts]),
+        flagged=np.concatenate([runs[0][1] for runs, _ in parts]),
         master_seed=master_seed,
     )
-    return NonlinearSolution(x=ensemble, substeps=history[-1][0], refinement=tuple(history))
+    return NonlinearSolution(
+        x=ensemble,
+        substeps=substeps,
+        refinement=tuple(history),
+        step_bias=step_bias,
+        mc_se=mc_se,
+    )

@@ -18,6 +18,7 @@ from .config import EstimatorRequest, ExperimentConfig, config_hash
 from .engine import (
     LinearModel,
     NonlinearModel,
+    NonlinearSolution,
     PathEnsemble,
     integrate_y,
     solve_linear,
@@ -77,9 +78,11 @@ MOMENT_NODES = 400
 class RunState:
     """What one `run` carries from stage to stage.
 
-    ensembles caches every solved ensemble by (label, output stride) for
-    the length of the run: simulate, moments and converge all read X, and
-    every stage asking for one label at one stride gets the one solve.
+    solved caches every solve by (label, output stride) for the length of
+    the run: simulate, moments and converge all read X, and every stage
+    asking for one label at one stride gets the one solve.  A nonlinear
+    solve is kept as its NonlinearSolution, so simulate can report the
+    substep count the solve chose.
     Each held ensemble takes n_paths x n_saved x 8 bytes; moment curves
     reduce it in fixed 2,048-path groups, so their bytes do not depend on
     the block layout or --workers.  The state is dropped when `run`
@@ -91,18 +94,25 @@ class RunState:
     artifacts: list[str] = field(default_factory=list)
     flagged: dict[str, int] = field(default_factory=dict)
     verdicts: dict[str, str] = field(default_factory=dict)
-    ensembles: dict[tuple[str, int], PathEnsemble] = field(default_factory=dict)
+    solved: dict[tuple[str, int], "PathEnsemble | NonlinearSolution"] = field(
+        default_factory=dict
+    )
 
     def add(self, name: str) -> Path:
         self.artifacts.append(name)
         return self.out / name
 
-    def ensemble(self, label: str, save_every: int) -> PathEnsemble:
-        """The ensemble of label at output stride save_every, solved once per run."""
+    def solve(self, label: str, save_every: int) -> "PathEnsemble | NonlinearSolution":
+        """The solve of label at output stride save_every, run once per run."""
         key = (label, save_every)
-        if key not in self.ensembles:
-            self.ensembles[key] = _solve_ensemble(self.cfg, label, save_every)
-        return self.ensembles[key]
+        if key not in self.solved:
+            self.solved[key] = _solve(self.cfg, label, save_every)
+        return self.solved[key]
+
+    def ensemble(self, label: str, save_every: int) -> PathEnsemble:
+        """The ensemble of label at output stride save_every."""
+        solved = self.solve(label, save_every)
+        return solved.x if isinstance(solved, NonlinearSolution) else solved
 
 
 def _reqs(cfg: ExperimentConfig, *names: str) -> list[EstimatorRequest]:
@@ -152,35 +162,40 @@ def check_fit_windows(cfg: ExperimentConfig, names: "tuple[str, ...]") -> None:
             )
 
 
-def _solve_ensemble(cfg: ExperimentConfig, label: str, save_every: int) -> PathEnsemble:
+def _solve(
+    cfg: ExperimentConfig, label: str, save_every: int
+) -> "PathEnsemble | NonlinearSolution":
     problem = (cfg.model, cfg.grid, cfg.master_seed, cfg.n_paths)
     if isinstance(cfg.model, NonlinearModel):
         if label != "X":
             raise RmplabError("nonlinear models only expose the state process")
-        return solve_nonlinear(*problem, save_every=save_every, workers=cfg.workers).x
+        return solve_nonlinear(*problem, save_every=save_every, workers=cfg.workers)
     return solve_linear(*problem, (label,), save_every=save_every, workers=cfg.workers)[label]
 
 
 def do_simulate(state: RunState) -> None:
     cfg = state.cfg
-    ens = state.ensemble("X", node_stride(cfg.grid.n_steps, 500))
+    stride = node_stride(cfg.grid.n_steps, 500)
+    solved, ens = state.solve("X", stride), state.ensemble("X", stride)
     state.flagged["simulate"] = ens.n_flagged
     if "csv" in cfg.formats:
         write_ensemble_csv(state.add("ensemble_X.csv"), ens)
     if "binary" in cfg.formats:
         write_ensemble_binary(state.add("ensemble_X.bin"), ens)
     if "json" in cfg.formats:
-        write_json(
-            state.add("simulate.json"),
-            {
-                "label": ens.label,
-                "n_paths": ens.n_paths,
-                "n_flagged": ens.n_flagged,
-                "dt": ens.grid.dt,
-                "t_max": ens.grid.horizon,
-                "master_seed": ens.master_seed,
-            },
-        )
+        record = {
+            "label": ens.label,
+            "n_paths": ens.n_paths,
+            "n_flagged": ens.n_flagged,
+            "dt": ens.grid.dt,
+            "t_max": ens.grid.horizon,
+            "master_seed": ens.master_seed,
+        }
+        if isinstance(solved, NonlinearSolution):
+            record.update(
+                substeps=solved.substeps, step_bias=solved.step_bias, mc_se=solved.mc_se
+            )
+        write_json(state.add("simulate.json"), record)
 
 
 def _curves_for(state: RunState, req: EstimatorRequest) -> MomentCurves:

@@ -1,4 +1,5 @@
-"""Nonlinear solver: degenerate reductions and the envelope sandwich.
+"""Nonlinear solver: degenerate reductions, the envelope sandwich and the
+pilot that chooses the RK4 substep count.
 
 The solver's bytes are pinned by sha256 digests, so a rewrite of the RK4
 kernel's buffering cannot move a single output bit.
@@ -8,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rmplab import engine
 from rmplab.engine import (
@@ -74,15 +77,23 @@ def test_envelope_sandwich_bounds_the_forced_part():
 
 
 def test_refinement_history_settles():
+    # the pilot stops at the smallest count within the bias budget
     grid = TimeGrid(dt=0.2, n_steps=20)  # deliberately coarse
     model = NonlinearModel(
         a=1.0, multiplicative=MULT, envelope=ENV, nonlinearity=SIN_MODULATED, x0=1.0
     )
-    sol = solve_nonlinear(model, grid, 4, 128, rel_tol=1e-3)
-    assert len(sol.refinement) >= 2
-    assert sol.substeps == sol.refinement[-1][0]
-    q_last, q_prev = sol.refinement[-1][1], sol.refinement[-2][1]
-    assert abs(q_last - q_prev) <= 1e-3 * abs(q_prev)
+    sol = solve_nonlinear(model, grid, 4, 512)
+    counts = [s for s, _ in sol.refinement]
+    assert counts == [2**i for i in range(len(counts))]
+    assert sol.substeps == counts[-2] >= 2
+    # the pilot's verdict at every doubling, recomputed from one sweep of its counts
+    pilot = np.arange(engine.PILOT_PATHS)
+    psi = engine._psi_function(SIN_MODULATED)
+    runs, _ = engine._rk4_sweep(model, grid, 4, pilot, psi, tuple(counts), grid.n_steps)
+    verdicts = [engine._step_bias(c, f, 0.5, 512) for c, f in zip(runs, runs[1:])]
+    assert [v[2] for v in verdicts] == [False] * (len(counts) - 2) + [True]
+    assert (sol.step_bias, sol.mc_se) == verdicts[-1][:2]
+    assert 0.0 < sol.step_bias <= engine.BIAS_SE_FRACTION * sol.mc_se
 
 
 def test_solution_shape_respects_save_every():
@@ -120,41 +131,46 @@ def test_noise_is_drawn_once_per_block_per_pass(monkeypatch, dt, n_steps):
         return out
 
     monkeypatch.setattr(noise, "block_normals", counted)
-    # 7-step time chunks in the 16-path blocks, so the draws come in pieces
+    # 7-step time chunks in the 16-path blocks, 4-step ones in the
+    # 24-path pilot, so the draws come in pieces
     monkeypatch.setattr(noise, "BLOCK_CELLS", 16 * (7 + 1))
+    monkeypatch.setattr(engine, "PILOT_PATHS", 24)
     model = NonlinearModel(
         a=1.0, multiplicative=MULT, envelope=ENV, nonlinearity=SIN_MODULATED, x0=1.0
     )
     grid = TimeGrid(dt=dt, n_steps=n_steps)
-    sol = solve_nonlinear(model, grid, 4, 40, block_size=16, rel_tol=1e-3)
-    # pass 1 integrates substeps 1 and 2, every later pass one new count
+    sol = solve_nonlinear(model, grid, 4, 40, block_size=16)
+    # pilot pass 1 integrates substeps 1 and 2, every later pass one new
+    # count; the production pass integrates the chosen count alone
     passes = len(sol.refinement) - 1
     assert [s for s, _ in sol.refinement] == [2**i for i in range(len(sol.refinement))]
-    assert sum(drawn) == 2 * 40 * grid.n_nodes * passes  # zeta and phi, once per pass
-    assert len(drawn) > 2 * 3 * passes
-    if dt == 0.05:
-        assert passes == 1
+    # zeta and phi, once per pilot pass over the pilot and once over every block
+    assert sum(drawn) == 2 * grid.n_nodes * (24 * passes + 40)
+    assert len(drawn) > 2 * 3 * (passes + 1)
+    assert passes == (1 if dt == 0.05 else 2)
 
 
 def test_refinement_respects_max_refines(monkeypatch):
-    from rmplab import engine
-
-    model = NonlinearModel(
-        a=1.0, multiplicative=MULT, envelope=ENV, nonlinearity=CLIPPED, x0=1.0
-    )
-    grid = TimeGrid(dt=0.05, n_steps=40)
+    # "coarse" needs substeps 2 and "saturated" 8 (test_nonlinear_bytes_are_pinned)
+    coarse, saturated = NONLINEAR_CASES["coarse"], NONLINEAR_CASES["saturated"]
     calls = _counting(monkeypatch, engine, "_rk4_sweep")
-    with pytest.raises(RuntimeError):
-        solve_nonlinear(model, grid, 4, 32, max_refines=0)
-    assert [c[5] for c in calls] == [(1,)]  # substep counts of each sweep
-    calls.clear()
-    with pytest.raises(RuntimeError):
-        solve_nonlinear(model, grid, 4, 32, max_refines=1, rel_tol=0.0)
-    assert [c[5] for c in calls] == [(1, 2)]
-    calls.clear()
-    with pytest.raises(RuntimeError):
-        solve_nonlinear(model, grid, 4, 32, max_refines=3, rel_tol=0.0)
-    assert [c[5] for c in calls] == [(1, 2), (4,), (8,)]
+
+    def sweeps():  # (paths, substep counts) of each sweep since the last call
+        out = [(len(c[3]), c[5]) for c in calls]
+        calls.clear()
+        return out
+
+    sol = coarse(max_refines=0)  # count 1 over every path, no pilot
+    assert sweeps() == [(2048, (1,))]
+    assert (sol.substeps, sol.refinement, sol.step_bias, sol.mc_se) == (1, (), None, None)
+    with pytest.raises(RuntimeError, match="did not settle"):
+        coarse(max_refines=1)
+    assert sweeps() == [(128, (1, 2))]
+    assert coarse(max_refines=2).substeps == 2
+    assert sweeps() == [(128, (1, 2)), (128, (4,)), (2048, (2,))]
+    with pytest.raises(RuntimeError, match="did not settle"):
+        saturated(max_refines=3)
+    assert sweeps() == [(40, (1, 2)), (40, (4,)), (40, (8,))]
 
 
 def test_blocks_and_workers_do_not_change_the_solution():
@@ -168,8 +184,10 @@ def test_blocks_and_workers_do_not_change_the_solution():
     for sol in (split, pooled):
         np.testing.assert_array_equal(one.x.values, sol.x.values)
         np.testing.assert_array_equal(one.x.flagged, sol.x.flagged)
-    # the horizon quasi-norm sums block partials, so only the worker count is free
-    assert split.refinement == pooled.refinement
+        # the pilot is keyed paths, so the layout cannot move the choice
+        assert (sol.substeps, sol.refinement, sol.step_bias, sol.mc_se) == (
+            one.substeps, one.refinement, one.step_bias, one.mc_se
+        )
 
 
 def _nl(kind: str, a: float = 1.0) -> NonlinearModel:
@@ -177,10 +195,10 @@ def _nl(kind: str, a: float = 1.0) -> NonlinearModel:
 
 
 # 2,048 paths make the kernel's coefficient rows span several time chunks,
-# with a partial last one; "coarse" refines to 4 substeps; "saturated" has
-# a = -20 drive 31 of 40 paths past overflow, so saturated values and
-# flags are pinned too (rel_tol 1.0 stops it after three counts);
-# "three_scale" draws a superposition beside a plain OU envelope.
+# with a partial last one; "coarse" refines to 2 substeps; "saturated" has
+# a = -20 drive 32 of 40 paths past overflow, so saturated values and
+# flags are pinned too, and its unflagged states near 1e305 refine to 8
+# substeps; "three_scale" draws a superposition beside a plain OU envelope.
 NONLINEAR_CASES = {
     **{
         f"{kind}-{save_every}": (
@@ -191,11 +209,11 @@ NONLINEAR_CASES = {
         for kind in (SIN_MODULATED, CLIPPED, ENVELOPE_ITSELF)
         for save_every in (1, 5)
     },
-    "coarse": lambda: solve_nonlinear(
-        _nl(SIN_MODULATED), TimeGrid(0.4, 15), 4, 2048, save_every=3, rel_tol=1e-4
+    "coarse": lambda **kw: solve_nonlinear(
+        _nl(SIN_MODULATED), TimeGrid(0.4, 15), 4, 2048, save_every=3, **kw
     ),
-    "saturated": lambda: solve_nonlinear(
-        _nl(CLIPPED, a=-20.0), TimeGrid(0.05, 710), 5, 40, save_every=10, rel_tol=1.0
+    "saturated": lambda **kw: solve_nonlinear(
+        _nl(CLIPPED, a=-20.0), TimeGrid(0.05, 710), 5, 40, save_every=10, **kw
     ),
     "three_scale": lambda: solve_nonlinear(
         NonlinearModel(
@@ -207,21 +225,22 @@ NONLINEAR_CASES = {
 }
 
 NONLINEAR_DIGESTS = {
-    "clipped-1": "3a4b23c501ee3453470f09ae1b058ffe4644bfcceb9658ecd1892dfa9504dba9",
-    "clipped-5": "0f851bad48f08b805553d20e3edee6423609166607d8f0d580c9a4d9a509bde3",
-    "coarse": "04cab99e786339a14a0bbdc78576442c325c4cfc21f7c4eba383dce28ebf536b",
-    "envelope_itself-1": "38f5daf9e13aeeeb18c7118f08d43cb20341668453a915a60eba5d003420dc8e",
-    "envelope_itself-5": "f187d17ec602bb539199b08e793421f6cc0b97f0a5238ae16748bab24f60cede",
-    "saturated": "c00edb005ab08cc9fa5549aa5caf723176c88cb47b14c7ba5f6dc6e7b3652512",
-    "sin_modulated-1": "3b91d963e38f07ec7fbf55e5dfa677327be702f910d53b09169d156df6e1a898",
-    "sin_modulated-5": "29b3d2bea10e8ee333569169832d2c157a929b508247cb382ccc647ef47e724d",
-    "three_scale": "f2b245a598f5da47a4267745c532d67cd15b35ee860b67012ffe6ff0c34acc8d",
+    "clipped-1": "e34077e6bb7c1e575bc047a8371c5f680144f821eb97c651a55ea9e03490687c",
+    "clipped-5": "8e16d5e33717249e4753948966715c6d6947091f113827d3a372bba0857da7da",
+    "coarse": "c136e53952a018c44462bcdc0201e426eea4a7ebf9c16d52938aecf22a81abe5",
+    "envelope_itself-1": "93fb479b3d09aa97ad4be1ea1e0b6ecfad5d1d25f88a92ac01929f7918c3d028",
+    "envelope_itself-5": "bba62c13b7a0547ae5f94310e0190c01ea9d07bab65359299a817d529f30b03e",
+    "saturated": "eb7c3a65c995f3fee3ecd4a3fb3440a44914c033208173ccf0e547e7de055992",
+    "sin_modulated-1": "59536dd55ae4dfdc2fd5433a37bc40d8e32a61790783eab903c814881dd47701",
+    "sin_modulated-5": "ec0157acaca617a0fcd2fdad03c033dbfe5a6abacccb7b1db73e30ce00240a17",
+    "three_scale": "ac50f81b2af1c01d384d230de428316c65ad1719286f5ea5b7b5e31c51940515",
 }
 
 
 def _solution_digest(sol) -> str:
     h = hashlib.sha256()
-    for arr in (sol.x.values, sol.x.flagged, np.array(sol.refinement, dtype=np.float64)):
+    choice = np.array([sol.substeps, sol.step_bias, sol.mc_se], dtype=np.float64)
+    for arr in (sol.x.values, sol.x.flagged, np.array(sol.refinement, dtype=np.float64), choice):
         h.update(repr((arr.dtype.str, arr.shape)).encode())
         h.update(arr.tobytes())
     return h.hexdigest()
@@ -231,7 +250,7 @@ def _solution_digest(sol) -> str:
 def test_nonlinear_bytes_are_pinned(case):
     sol = NONLINEAR_CASES[case]()
     if case == "coarse":
-        assert sol.substeps >= 4
+        assert sol.substeps >= 2
     if case == "saturated":
         assert 0 < sol.x.n_flagged < sol.x.n_paths
         assert np.any(sol.x.values == 1e300)
@@ -246,6 +265,69 @@ def test_time_chunks_do_not_change_the_bytes(monkeypatch, case, steps):
     # steps-step time chunks in the 2,048-path blocks, longer ones in "saturated"'s 40
     monkeypatch.setattr(noise, "BLOCK_CELLS", 2048 * (steps + 1))
     assert _solution_digest(NONLINEAR_CASES[case]()) == NONLINEAR_DIGESTS[case]
+
+
+def _coarse_gaps(s: int, n_paths: int) -> tuple[list, np.ndarray]:
+    """Horizon runs of "coarse" at counts s and 2s over paths 0 .. n_paths - 1,
+    and the per-path gaps |x_2s|^0.5 - |x_s|^0.5 of the paths unflagged at both."""
+    model, grid = _nl(SIN_MODULATED), TimeGrid(0.4, 15)
+    psi = engine._psi_function(SIN_MODULATED)
+    runs, _ = engine._rk4_sweep(model, grid, 4, np.arange(n_paths), psi, (s, 2 * s), grid.n_steps)
+    (xs, fs), (xf, ff) = runs
+    ok = ~(fs | ff)
+    return runs, np.abs(xf[ok]) ** 0.5 - np.abs(xs[ok]) ** 0.5
+
+
+def test_pilot_chooses_what_the_whole_ensemble_would():
+    # The rule, run with all 2,048 paths as its pilot, rejects count s / 2
+    # and accepts the count s the 128-path pilot chose.
+    sol = NONLINEAR_CASES["coarse"]()
+    s = sol.substeps
+    assert s >= 2  # the coarse grid still refines past count 1
+    pilot, gaps = _coarse_gaps(s, engine.PILOT_PATHS)
+    assert sol.step_bias == pytest.approx(abs(gaps.mean()) + 2.0 * gaps.std() / np.sqrt(gaps.size))
+    assert engine._step_bias(*_coarse_gaps(s // 2, 2048)[0], 0.5, 2048)[2] is False
+    assert engine._step_bias(*_coarse_gaps(s, 2048)[0], 0.5, 2048)[2] is True
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the gap is heavy-tailed: one stiff path of 2,048 carries the whole-ensemble "
+    "mean, which no 128-path pilot sees (5.8 pilot SEs apart at s = 2)",
+)
+def test_pilot_gap_agrees_with_the_whole_ensemble():
+    # The pilot's coupled gap from the chosen count s to 2s agrees, within
+    # 3 of its standard errors, with the gap over all 2,048 paths.
+    s = NONLINEAR_CASES["coarse"]().substeps
+    pilot, full = _coarse_gaps(s, engine.PILOT_PATHS)[1], _coarse_gaps(s, 2048)[1]
+    assert abs(pilot.mean() - full.mean()) <= 3.0 * pilot.std() / np.sqrt(pilot.size)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.tuples(_FINITE, _FINITE, st.booleans(), st.booleans()), max_size=40),
+    p=st.sampled_from([0.5, 1.0, 3.0]),
+    n_paths=st.integers(1, 10**6),
+)
+@example(rows=[(1e300, 1e300, True, False)] * 9, p=0.5, n_paths=40)  # all flagged
+@example(rows=[(0.0, 0.0, False, False)] * 9, p=0.5, n_paths=64)  # zero-start fixed point
+@example(rows=[(2.5, 2.5, False, False)] * 9, p=3.0, n_paths=64)  # constant, SE 0
+@example(rows=[(5e-324, 1e-320, False, False), (0.0, 2e-323, False, False)], p=3.0, n_paths=2)
+@example(rows=[(1.7e308, -1.6e308, False, False), (1e300, 1e305, False, False)], p=3.0, n_paths=9)
+def test_step_bias_is_always_defined(rows, p, n_paths):
+    xs, xf, fs, ff = (np.array(col) for col in zip(*rows)) if rows else [np.empty(0)] * 4
+    bias, se, settled = engine._step_bias(
+        (xs, fs.astype(bool)), (xf, ff.astype(bool)), p, n_paths
+    )
+    assert isinstance(settled, bool)
+    assert bias >= 0.0 and se >= 0.0  # neither is NaN
+    if not np.any(~(fs.astype(bool) | ff.astype(bool)) & ((xs != 0) | (xf != 0))):
+        assert (bias, se, settled) == (0.0, 0.0, True)  # nothing to measure: count s stands
+    elif np.array_equal(np.abs(xs), np.abs(xf)) and len(set(np.abs(xs))) == 1:
+        assert (bias, settled) == (0.0, True)
 
 
 def _solve_peak(t_max: float, save_every: int) -> tuple[int, int]:

@@ -1,8 +1,8 @@
 """Runner: artifact bytes are pinned, and stages share one state solve.
 
 Three small seeded runs are pinned by the sha256 of every artifact they
-write: a nonlinear simulate+moments run (the RK4 solver with step
-refinement), a C10-shaped linear run over simulate, moments and
+write: a nonlinear simulate+moments run (the RK4 solver at the substep
+count its pilot chose), a C10-shaped linear run over simulate, moments and
 converge, and a C10-shaped linear run over beta and verify (moment
 transition, Hill, Green-Kubo, dt_fit, condition 1, B = H and the
 inequality trials).  A speed-up must not move one of these bytes.  The digests
@@ -73,13 +73,13 @@ ESTIMATORS_RAW = dict(
 
 GOLDEN = {
     "nonlinear": {
-        "ensemble_X.bin": "9c8559d982d5c28c36795a4427e5624e85be2be51f9750f626c164b33a5dc0e4",
-        "ensemble_X.csv": "6237aeaf9f19ddda51c87dbb61fff913d440cbde7d89cb64cbfd7d762676482a",
-        "moments_X.csv": "8cde866ff72e583c1812d8c070996617e6b981d76c0eb2edb24174898a44b550",
-        "moments_X.dat": "0145ac4fe5a14e6fee413837d33476d2705808b0428df4dc1de6f1163d0730a4",
-        "moments_X.json": "cec4dfd7df266805338d09877f69bce5093a846a407c8eba619235d6a205825d",
+        "ensemble_X.bin": "7fcad631508ceaf30ae74e1eb1a52758db35798f70bc7d5bade14935ce3d4dd2",
+        "ensemble_X.csv": "9cc0ca5e588d13ca28f26fc652feb1d078f586d0b30b74afa6551fd1dc85c53e",
+        "moments_X.csv": "b78ccf46cafac56e84426325e5fcb8ff53be46ccb9cb2b401dd1d4abf6a9aa0a",
+        "moments_X.dat": "d4bdeb9af5eee7daa95bb670055aa71f663bb61975f0deffa8c73a531ea35985",
+        "moments_X.json": "a46bd6546ace425054ff2a7f522702f8772318da16b65fb6198bb50809e9e161",
         "plot_moments_X.py": "3df52c351f046369e801a33c37e89cabcb6724d82adc2fdf6f33a269769ced2f",
-        "simulate.json": "11273c9894be906a1bab5a3a7d9faf71b8419c9a00ef8a66dde9556ab961a2ff",
+        "simulate.json": "5ca457ae16fa9a67945449bbd954625e1c0d50afa9bbe3df96ada3499c2e30a2",
     },
     "linear": {
         "converge.json": "58049e1cbf46de3e17850f4427cca7c47f63fd3b92c6cba7fef1766631d25e68",
