@@ -39,11 +39,15 @@ PROCESS_LABELS = ("X", "Y", "A", "B", "H", "zeta", "phi")
 
 # Bytes of noise coefficient rows one RK4 time chunk holds.
 RK4_CHUNK_BYTES = 1 << 20
-# The nonlinear solve's pilot: the keyed paths 0 .. PILOT_PATHS - 1 choose
-# its RK4 substep count, whose step-bias bound must lie within
-# BIAS_SE_FRACTION of the ensemble's Monte Carlo standard error.
+# The nonlinear solve's pilot: the keyed paths 0 .. PILOT_PATHS - 1, with
+# the ensemble's paths stiffer or larger than all of them, choose its RK4
+# substep count, whose step-bias bound must lie within BIAS_SE_FRACTION of the
+# ensemble's Monte Carlo standard error.  That error is taken to be at
+# least MC_SE_FLOOR of the moment, so an ensemble without spread (a model
+# with no noise) still gets a verdict: a relative bias of at most 1e-7.
 PILOT_PATHS = 128
 BIAS_SE_FRACTION = 0.1
+MC_SE_FLOOR = 1e-6
 
 
 def _beta_c(a: float, multiplicative: NoiseSpec) -> float:
@@ -514,11 +518,13 @@ def _rk4_sweep(
     count integrated the whole paths on its own, so the output is the
     same bytes.
 
-    Returns (x, flagged) per count and the saved states of the last count,
-    path-major (n_paths, n_steps // save_every + 1).  A count's flags mark
-    paths whose state was not finite at a saved node; the last count's
-    saved states are saturated there.  x is the state at the horizon, for
-    the last count the last saved column.
+    Returns (x, flagged) per count, the saved states of the last count,
+    path-major (n_paths, n_steps // save_every + 1), and each path's
+    stiffness max|a + zeta| + max|phi| over the nodes, which bounds
+    |d/dx (-(a + zeta) x + phi sin x)|.  A count's flags mark paths whose
+    state was not finite at a saved node; the last count's saved states
+    are saturated there.  x is the state at the horizon, for the last
+    count the last saved column.
     """
     a = model.a
     n = len(indices)
@@ -530,6 +536,7 @@ def _rk4_sweep(
     dz, dp = np.empty((chunk, n)), np.empty((chunk, n))
     m_rows, p_rows = np.empty((n_rows, chunk, n)), np.empty((n_rows, chunk, n))
     k1, k2, k3, k4, xs, ps = (np.empty(n) for _ in range(6))
+    reach, envelope = np.zeros(n), np.zeros(n)  # max |a + zeta| and max |phi| so far
 
     def stage(m, p, xin, k):
         np.multiply(m, xin, out=k)
@@ -551,6 +558,9 @@ def _rk4_sweep(
     with np.errstate(over="ignore", invalid="ignore"):
         for zeta, phi in chunks:
             np.abs(phi, out=phi)
+            np.maximum(reach, np.abs(a + zeta.max(axis=0)), out=reach)
+            np.maximum(reach, np.abs(a + zeta.min(axis=0)), out=reach)
+            np.maximum(envelope, phi.max(axis=0), out=envelope)
             for j0 in range(0, len(zeta) - 1, chunk):
                 c = min(chunk, len(zeta) - 1 - j0)
                 z0, p0 = zeta[j0 : j0 + c], phi[j0 : j0 + c]
@@ -590,36 +600,50 @@ def _rk4_sweep(
     del chunks, zeta, phi, z0, p0, dz, dp, m_rows, p_rows
     flags.append(_sanitize(saved.T))
     finals = [run[-1] for run in runs[:-1]] + [saved[:, -1]]
-    return list(zip(finals, flags)), saved
+    return list(zip(finals, flags)), saved, reach + envelope
 
 
 def _step_bias(
     coarse: tuple[np.ndarray, np.ndarray],
     fine: tuple[np.ndarray, np.ndarray],
+    spread: tuple[np.ndarray, np.ndarray],
     p: float,
     n_paths: int,
+    n_tail: int,
 ) -> tuple[float, float, bool]:
     """Step-bias bound, production Monte Carlo error and verdict of one doubling.
 
     coarse and fine are the pilot's (x, flagged) at the horizon for the
-    substep counts s and 2s.  Over the paths unflagged at both, the
-    coupled per-path gap g = |x_2s|^p - |x_s|^p gives the bound
-    |mean g| + 2 SE(g) on the bias of E|X_T|^p at count s (step doubling);
-    the Monte Carlo error of an n_paths ensemble is the SD of |x_s|^p over
-    sqrt(n_paths).  Count s is fine enough when the bound is at most
-    BIAS_SE_FRACTION of that error.  The verdict is taken on |x| / max|x|, so no power or square
-    overflows or divides by zero; with no usable path, or states all 0,
-    both figures are 0 and count s stands.
+    substep counts s and 2s: the keyed pilot paths, then the n_tail paths
+    of the ensemble's tail (solve_nonlinear).  The coupled per-path gap
+    g = |x_2s|^p - |x_s|^p is taken over the paths unflagged at both.  The
+    tail, a share w = n_tail / n_paths of the ensemble, is counted path by
+    path and the keyed paths stand for the rest, so the bound on the bias
+    of E|X_T|^p at count s (step doubling) is
+    |(1 - w) mean g_pilot + w mean g_tail| + 2 (1 - w) SE(g_pilot).
+    spread is the count-1 (x, flagged) of the keyed paths
+    0 .. max(n_paths, PILOT_PATHS) - 1; the Monte Carlo error of an n_paths
+    ensemble is the SD of its unflagged |x|^p over sqrt(n_paths), and at
+    least MC_SE_FLOOR of their mean.  Count s is fine enough when the bound
+    is at most BIAS_SE_FRACTION of that error.  All figures are taken on
+    |x| / max|x|, so no power or square overflows or divides by zero; with
+    no usable path, or states all 0, both figures are 0 and count s stands.
     """
     ok = ~(coarse[1] | fine[1])
     xs, xf = np.abs(coarse[0][ok]), np.abs(fine[0][ok])
-    scale = max(xs.max(initial=0.0), xf.max(initial=0.0))
+    xu = np.abs(spread[0][~spread[1]])
+    scale = max(xs.max(initial=0.0), xf.max(initial=0.0), xu.max(initial=0.0))
     if scale == 0.0:
         return 0.0, 0.0, True
-    us, uf = (xs / scale) ** p, (xf / scale) ** p
-    gap = uf - us
-    bias = abs(gap.mean()) + 2.0 * gap.std() / np.sqrt(gap.size)
-    se = us.std() / np.sqrt(n_paths)
+    gap = (xf / scale) ** p - (xs / scale) ** p
+    split = int(ok[: len(ok) - n_tail].sum())
+    bulk, tail = gap[:split], gap[split:]
+    w = n_tail / n_paths
+    mean = (1.0 - w) * bulk.sum() / max(bulk.size, 1) + w * tail.sum() / max(tail.size, 1)
+    se_bulk = bulk.std() / np.sqrt(bulk.size) if bulk.size else 0.0
+    bias = abs(mean) + 2.0 * (1.0 - w) * se_bulk
+    u = (xu / scale) ** p
+    se = max(u.std() / np.sqrt(n_paths), MC_SE_FLOOR * u.mean()) if u.size else 0.0
     with np.errstate(over="ignore"):
         unit = min(np.float64(scale) ** p, np.finfo(np.float64).max)
         return float(bias * unit), float(se * unit), bool(bias <= BIAS_SE_FRACTION * se)
@@ -639,59 +663,85 @@ def solve_nonlinear(
 ) -> NonlinearSolution:
     """Integrate the nonlinear model at a substep count a coupled pilot chose.
 
-    The pilot is the keyed paths 0 .. min(n_paths, PILOT_PATHS) - 1, so the
-    choice does not depend on block_size, workers or the noise chunk
-    length.  It halves the ODE substep (noise grid fixed, values
-    interpolated) by step doubling: counts 1 and 2 in one _rk4_sweep, then
-    each next doubled count in a sweep of its own.  It stops at the
-    smallest count s whose coupled gap to 2s at the horizon, at order
-    p_check, lies within BIAS_SE_FRACTION of the Monte Carlo error of the
-    whole ensemble (_step_bias).  max_refines caps the doublings: with 0
-    no pilot runs and the count is 1; a pilot that reaches count
-    2**max_refines unsettled raises RuntimeError.
+    The production sweep first runs count 1 over every block.  A block
+    draws its zeta and phi once and holds its saved states, one time chunk
+    of noise per role and the coefficient rows of one RK4 chunk, so its
+    memory does not grow with the horizon beyond the saved states.  The
+    sweep also gives each path's stiffness (_rk4_sweep).
 
-    The production sweep then runs count s alone over every block.  A
-    block draws its zeta and phi once and holds its saved states, one time
-    chunk of noise per role and the coefficient rows of one RK4 chunk, so
-    its memory does not grow with the horizon beyond the saved states.
-    The pilot keeps only its horizon states, PILOT_PATHS per count.  Both
-    of its figures come from its own paths, so a gap or a spread carried
-    by paths rarer than about one in PILOT_PATHS goes unseen.
+    The pilot is the keyed paths 0 .. PILOT_PATHS - 1, whatever n_paths,
+    followed by the tail: every other ensemble path that is stiffer, or
+    whose unflagged count-1 |X_T| is larger, than all of the keyed ones.
+    The step gap of |X_T|^p is heavy-tailed and carried by such paths: on
+    a coarse grid by stiff ones, on a fine one by the few states that have
+    not decayed.  Both sets are fixed by the keyed noise, so the choice
+    does not depend on block_size, workers or the noise chunk length.  It halves the ODE substep (noise
+    grid fixed, values interpolated) by step doubling: counts 1 and 2 in
+    one _rk4_sweep, then each next doubled count in a sweep of its own.  It
+    stops at the smallest count s whose coupled gap to 2s at the horizon,
+    at order p_check, lies within BIAS_SE_FRACTION of the Monte Carlo
+    error of the whole ensemble, the SD over the count-1 states of
+    max(n_paths, PILOT_PATHS) keyed paths (_step_bias).  If s is above 1,
+    the production sweep runs again at count s alone.  max_refines caps
+    the doublings: with 0 no pilot runs and the count is 1; a pilot that
+    reaches count 2**max_refines unsettled raises RuntimeError.
+
+    The pilot keeps only its horizon states.  A gap carried by rare paths
+    that are neither among the stiffest nor among the largest goes unseen.
     """
     psi = _psi_function(model.nonlinearity)
+
+    def production(s: int) -> list:
+        return run_blocks(
+            n_paths,
+            lambda idx: _rk4_sweep(model, grid, master_seed, idx, psi, (s,), save_every),
+            workers=workers,
+            block_size=block_size,
+        )
+
+    parts = production(1)
     history: list[tuple[int, float]] = []
     substeps, step_bias, mc_se = 1, None, None
     if max_refines > 0:
-        pilot = np.arange(min(n_paths, PILOT_PATHS), dtype=np.int64)
+        x1, f1 = (np.concatenate([runs[0][i] for runs, _, _ in parts]) for i in (0, 1))
+        size = np.where(f1, 0.0, np.abs(x1))
+        stiffness = np.concatenate([k for _, _, k in parts])
+        tail = PILOT_PATHS + np.flatnonzero(
+            (stiffness[PILOT_PATHS:] > stiffness[:PILOT_PATHS].max())
+            | (size[PILOT_PATHS:] > size[:PILOT_PATHS].max())
+        )
+        pilot = np.concatenate([np.arange(PILOT_PATHS), tail])
 
         def pilot_pass(counts: tuple[int, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
-            runs, _ = _rk4_sweep(model, grid, master_seed, pilot, psi, counts, grid.n_steps)
+            runs, _, _ = _rk4_sweep(model, grid, master_seed, pilot, psi, counts, grid.n_steps)
             for s, (x, flagged) in zip(counts, runs):
+                x, flagged = x[:PILOT_PATHS], flagged[:PILOT_PATHS]
                 moment = np.sum(np.abs(x[~flagged]) ** p_check) / max((~flagged).sum(), 1)
                 history.append((s, float(moment ** (min(1.0, p_check) / p_check))))
             return runs
 
         levels = pilot_pass((1, 2))
+        # count 1 over the keyed paths 0 .. max(n_paths, PILOT_PATHS) - 1
+        spread = tuple(np.concatenate([y, z[n_paths:PILOT_PATHS]]) for y, z in zip((x1, f1), levels[0]))
         while True:
-            step_bias, mc_se, settled = _step_bias(levels[-2], levels[-1], p_check, n_paths)
+            step_bias, mc_se, settled = _step_bias(
+                levels[-2], levels[-1], spread, p_check, n_paths, len(tail)
+            )
             if settled:
                 break
             if len(levels) > max_refines:
                 raise RuntimeError("step refinement did not settle within max_refines")
             levels += pilot_pass((2 * history[-1][0],))
         substeps = history[-2][0]
+        if substeps > 1:
+            del parts
+            parts = production(substeps)
 
-    parts = run_blocks(
-        n_paths,
-        lambda idx: _rk4_sweep(model, grid, master_seed, idx, psi, (substeps,), save_every),
-        workers=workers,
-        block_size=block_size,
-    )
     ensemble = PathEnsemble(
         grid=grid.subsampled(save_every),
         label="X",
-        values=np.concatenate([saved for _, saved in parts]),
-        flagged=np.concatenate([runs[0][1] for runs, _ in parts]),
+        values=np.concatenate([saved for _, saved, _ in parts]),
+        flagged=np.concatenate([runs[0][1] for runs, _, _ in parts]),
         master_seed=master_seed,
     )
     return NonlinearSolution(
