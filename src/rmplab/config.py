@@ -12,7 +12,7 @@ rejected.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -118,14 +118,19 @@ def _is_number(v: object) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_finite(v: object) -> bool:
+    # False for NaN, the infinities and ints past the float range
+    return _is_number(v) and abs(v) <= sys.float_info.max
+
+
 def _number(d: dict, key: str, where: str, *, default: "float | None" = None) -> float:
     if key not in d:
         if default is None:
             raise ConfigInvalidError(f"{where}: missing field {key!r}")
         return default
     v = d[key]
-    if not _is_number(v):
-        raise ConfigInvalidError(f"{where}.{key}: expected a number")
+    if not _is_finite(v):
+        raise ConfigInvalidError(f"{where}.{key}: expected a finite number")
     return float(v)
 
 
@@ -162,7 +167,9 @@ def spec_from_dict(d: dict, where: str) -> noise.NoiseSpec:
                 isinstance(c, list) and len(c) == 2 for c in comps
             ):
                 raise ConfigInvalidError(f"{where}.components: expected [[sigma, tau_c], ...]")
-            return noise.NoiseSpec.superposition([(float(s), float(t)) for s, t in comps])
+            return noise.NoiseSpec.superposition(
+                [tuple(map(float, _number_list(c, f"{where}.components"))) for c in comps]
+            )
         if kind == "zero":
             _check_keys(d, {"kind"}, set(), where)
             return noise.NoiseSpec.zero()
@@ -249,8 +256,8 @@ def _function_from_dict(d: object, where: str) -> TestFunction:
 
 
 def _number_list(v: object, where: str) -> tuple:
-    if not isinstance(v, (list, tuple)) or not all(_is_number(x) for x in v):
-        raise ConfigInvalidError(f"{where}: expected a list of numbers")
+    if not isinstance(v, (list, tuple)) or not all(map(_is_finite, v)):
+        raise ConfigInvalidError(f"{where}: expected a list of finite numbers")
     return tuple(v)
 
 
@@ -260,19 +267,14 @@ def _check_range(name: str, key: str, value: object, default: object) -> None:
     if value is None and default is None and not (key == "window" and name in _WINDOW_REQUIRED):
         return
     if key in _POSITIVE or (key == "window" and name == "green_kubo"):
-        if not (_is_number(value) and 0.0 < value < math.inf):
+        if not (_is_finite(value) and value > 0.0):
             raise ConfigInvalidError(f"{where}: expected a positive finite number")
     elif key == "window":
-        if not (
-            isinstance(value, tuple)
-            and len(value) == 2
-            and all(map(math.isfinite, value))
-            and 0.0 <= value[0] < value[1]
-        ):
+        if not (isinstance(value, tuple) and len(value) == 2 and 0.0 <= value[0] < value[1]):
             raise ConfigInvalidError(f"{where}: expected [lo, hi], finite with 0 <= lo < hi")
     elif key == "times":
-        if not all(0.0 <= t < math.inf for t in value):
-            raise ConfigInvalidError(f"{where}: expected finite times >= 0")
+        if not all(t >= 0.0 for t in value):
+            raise ConfigInvalidError(f"{where}: expected times >= 0")
     elif key == "level":
         if not (_is_number(value) and 0.0 < value < 1.0):
             raise ConfigInvalidError(f"{where}: expected a number in (0, 1)")
@@ -316,7 +318,13 @@ def _estimator_from_dict(d: dict, index: int) -> EstimatorRequest:
 def _validate_estimator_against_model(
     req: EstimatorRequest, model: "engine.LinearModel | engine.NonlinearModel"
 ) -> None:
-    """Cross-field checks: requested orders must make sense for the model."""
+    """Cross-field checks: the model must have what req reads, at orders that make sense."""
+    if isinstance(model, engine.NonlinearModel):
+        # the nonlinear solve gives the state X alone, with no linear exponents
+        if req.name in ("beta", "hill", "green_kubo", "dt_fit", "b_equals_h", "converge"):
+            raise ConfigInvalidError(f"{req.name}: defined for the linear model only")
+        if req.name == "moments" and req.get("source") != "X":
+            raise ConfigInvalidError("moments.source: a nonlinear model has only 'X'")
     additive = getattr(model, "additive", None) or getattr(model, "envelope")
     beta_1 = noise.tail_index(additive)
     for key in ("p", "p_grid"):

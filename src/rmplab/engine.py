@@ -497,40 +497,34 @@ def _rk4_sweep(
     master_seed: int,
     indices: np.ndarray,
     psi: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    counts: tuple[int, ...],
+    s: int,
     save_every: int,
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """Classical RK4 on one block for every substep count in counts, in one sweep.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Classical RK4 on one block at s substeps per noise step.
 
-    counts are increasing powers of two.  zeta and |phi| come from
-    noise.sample_chunks in time chunks of at most BLOCK_CELLS values, so
-    the block holds one chunk of noise per role, never its whole paths.
-    Noise is linearly interpolated in each step: substep j of count s
-    evaluates it at the fractions j/s, (j+0.5)/s and (j+1)/s of the step.  For a chunk of steps at a time (RK4_CHUNK_BYTES of
-    rows, at least one step) the coefficient rows m_f = -(a + (z0 + dz*f))
-    and p_f = p0 + dp*f are built once per fraction of the finest count,
-    vectorized over the chunk; count s reads every (top/s)-th of them,
-    whose fractions are the same floats as its own (i/2)/s.  Every stage
-    is then written with out= into a handful of preallocated path vectors
-    shared by the counts: k = m*x + psi(p, x), x + (0.5*h)*k, x + h*k and
-    x + (h/6)*(((k1 + 2*k2) + 2*k3) + k4).  Each element goes through the
-    same ufuncs, with the same operands in the same order, as when each
-    count integrated the whole paths on its own, so the output is the
-    same bytes.
+    zeta and |phi| come from noise.sample_chunks in time chunks of at most
+    BLOCK_CELLS values, so the block holds one chunk of noise per role,
+    never its whole paths.  Noise is linearly interpolated in each step:
+    substep j evaluates it at the fractions j/s, (j+0.5)/s and (j+1)/s of
+    the step.  For a chunk of steps at a time (RK4_CHUNK_BYTES of rows, at
+    least one step) the coefficient rows m_f = -(a + (z0 + dz*f)) and
+    p_f = p0 + dp*f are built once per fraction, vectorized over the chunk.
+    Every stage is then written with out= into a handful of preallocated
+    path vectors: k = m*x + psi(p, x), x + (0.5*h)*k, x + h*k and
+    x + (h/6)*(((k1 + 2*k2) + 2*k3) + k4), so each element's bytes do not
+    depend on the block or the chunking.
 
-    Returns (x, flagged) per count, the saved states of the last count,
-    path-major (n_paths, n_steps // save_every + 1), and each path's
-    stiffness max|a + zeta| + max|phi| over the nodes, which bounds
-    |d/dx (-(a + zeta) x + phi sin x)|.  A count's flags mark paths whose
-    state was not finite at a saved node; the last count's saved states
-    are saturated there.  x is the state at the horizon, for the last
-    count the last saved column.
+    Returns the saved states, path-major (n_paths, n_steps // save_every
+    + 1) and saturated where not finite, whose last column is the horizon;
+    each path's flag, set when its state was not finite at a saved node
+    (a state that is not finite stays so, so this is its flag at the
+    horizon); and each path's stiffness max|a + zeta| + max|phi| over the
+    nodes, which bounds |d/dx (-(a + zeta) x + phi sin x)|.
     """
     a = model.a
     n = len(indices)
-    top = counts[-1]
-    n_rows = 2 * top + 1
-    fractions = [(i / 2) / top for i in range(n_rows)]  # j/s, (j+0.5)/s, exactly
+    n_rows = 2 * s + 1
+    fractions = [(i / 2) / s for i in range(n_rows)]  # j/s, (j+0.5)/s, exactly
     # m and p rows plus dz and dp: 2 (n_rows + 1) rows of n floats per step
     chunk = max(1, min(grid.n_steps, RK4_CHUNK_BYTES // (16 * (n_rows + 1) * n)))
     dz, dp = np.empty((chunk, n)), np.empty((chunk, n))
@@ -542,14 +536,11 @@ def _rk4_sweep(
         np.multiply(m, xin, out=k)
         return np.add(k, psi(p, xin, ps), out=k)
 
-    runs = []  # per count: row stride, substep h, 0.5 h, h/6 and the state x
-    for s in counts:
-        h = grid.dt / s
-        runs.append((top // s, h, 0.5 * h, h / 6.0, np.full(n, float(model.x0))))
-    last = runs[-1][-1]
-    flags = [np.zeros(n, dtype=bool) for _ in counts[:-1]]
+    h = grid.dt / s
+    half_h, sixth_h = 0.5 * h, h / 6.0
+    x = np.full(n, float(model.x0))
     saved = np.empty((n, grid.n_steps // save_every + 1))
-    saved[:, 0] = last
+    saved[:, 0] = x
     chunks = zip(
         noise_mod.sample_chunks(model.multiplicative, grid, master_seed, indices, ROLE_MULTIPLICATIVE),
         noise_mod.sample_chunks(model.envelope, grid, master_seed, indices, ROLE_ADDITIVE),
@@ -574,33 +565,28 @@ def _rk4_sweep(
                     np.multiply(dp[:c], f, out=pf)
                     np.add(p0, pf, out=pf)
                 for i in range(c):
-                    for stride, h, half_h, sixth_h, x in runs:
-                        ms, pm = m_rows[::stride, i], p_rows[::stride, i]
-                        for r in range(0, len(ms) - 1, 2):  # substep r/2: rows r, r+1, r+2
-                            mb, pb = ms[r + 1], pm[r + 1]
-                            stage(ms[r], pm[r], x, k1)
-                            np.multiply(half_h, k1, out=xs)
-                            stage(mb, pb, np.add(x, xs, out=xs), k2)
-                            np.multiply(half_h, k2, out=xs)
-                            stage(mb, pb, np.add(x, xs, out=xs), k3)
-                            np.multiply(h, k3, out=xs)
-                            stage(ms[r + 2], pm[r + 2], np.add(x, xs, out=xs), k4)
-                            np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
-                            np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
-                            np.add(k1, k4, out=k1)
-                            np.add(x, np.multiply(sixth_h, k1, out=k1), out=x)
+                    ms, pm = m_rows[:, i], p_rows[:, i]
+                    for r in range(0, n_rows - 1, 2):  # substep r/2: rows r, r+1, r+2
+                        mb, pb = ms[r + 1], pm[r + 1]
+                        stage(ms[r], pm[r], x, k1)
+                        np.multiply(half_h, k1, out=xs)
+                        stage(mb, pb, np.add(x, xs, out=xs), k2)
+                        np.multiply(half_h, k2, out=xs)
+                        stage(mb, pb, np.add(x, xs, out=xs), k3)
+                        np.multiply(h, k3, out=xs)
+                        stage(ms[r + 2], pm[r + 2], np.add(x, xs, out=xs), k4)
+                        np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
+                        np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
+                        np.add(k1, k4, out=k1)
+                        np.add(x, np.multiply(sixth_h, k1, out=k1), out=x)
                     k += 1
                     if k % save_every == 0:
-                        for flagged, run in zip(flags, runs):
-                            flagged |= ~np.isfinite(run[-1])
-                        saved[:, k // save_every] = last
+                        saved[:, k // save_every] = x
     # zip stops at the first exhausted chunk stream; dropping both streams
     # and the views of their last chunks frees the chunk buffers, with the
     # rows', before the flag scan of saved
     del chunks, zeta, phi, z0, p0, dz, dp, m_rows, p_rows
-    flags.append(_sanitize(saved.T))
-    finals = [run[-1] for run in runs[:-1]] + [saved[:, -1]]
-    return list(zip(finals, flags)), saved, reach + envelope
+    return saved, _sanitize(saved.T), reach + envelope
 
 
 def _step_bias(
@@ -675,54 +661,62 @@ def solve_nonlinear(
     The step gap of |X_T|^p is heavy-tailed and carried by such paths: on
     a coarse grid by stiff ones, on a fine one by the few states that have
     not decayed.  Both sets are fixed by the keyed noise, so the choice
-    does not depend on block_size, workers or the noise chunk length.  It halves the ODE substep (noise
-    grid fixed, values interpolated) by step doubling: counts 1 and 2 in
-    one _rk4_sweep, then each next doubled count in a sweep of its own.  It
-    stops at the smallest count s whose coupled gap to 2s at the horizon,
-    at order p_check, lies within BIAS_SE_FRACTION of the Monte Carlo
-    error of the whole ensemble, the SD over the count-1 states of
+    does not depend on block_size, workers or the noise chunk length.  It
+    halves the ODE substep (noise grid fixed, values interpolated) by step
+    doubling.  Its count 1 is the production's horizon column, and keyed
+    paths past n_paths get a count-1 sweep that keeps only the horizon;
+    each doubled count is one horizon-only sweep of the pilot.  It stops
+    at the smallest count s whose coupled gap to 2s at the horizon, at
+    order p_check, lies within BIAS_SE_FRACTION of the Monte Carlo error
+    of the whole ensemble, the SD over the count-1 states of
     max(n_paths, PILOT_PATHS) keyed paths (_step_bias).  If s is above 1,
     the production sweep runs again at count s alone.  max_refines caps
     the doublings: with 0 no pilot runs and the count is 1; a pilot that
     reaches count 2**max_refines unsettled raises RuntimeError.
 
-    The pilot keeps only its horizon states.  A gap carried by rare paths
-    that are neither among the stiffest nor among the largest goes unseen.
+    A gap carried by rare paths that are neither among the stiffest nor
+    among the largest goes unseen.
     """
+    out_grid = grid.subsampled(save_every)  # refuses a stride that does not divide n_steps
     psi = _psi_function(model.nonlinearity)
 
-    def production(s: int) -> list:
-        return run_blocks(
+    def production(s: int) -> tuple[np.ndarray, ...]:
+        parts = run_blocks(
             n_paths,
-            lambda idx: _rk4_sweep(model, grid, master_seed, idx, psi, (s,), save_every),
+            lambda idx: _rk4_sweep(model, grid, master_seed, idx, psi, s, save_every),
             workers=workers,
             block_size=block_size,
         )
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
-    parts = production(1)
+    def horizon(indices: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
+        saved, flagged, _ = _rk4_sweep(model, grid, master_seed, indices, psi, s, grid.n_steps)
+        return saved[:, -1], flagged
+
+    values, flagged, stiffness = production(1)
     history: list[tuple[int, float]] = []
     substeps, step_bias, mc_se = 1, None, None
     if max_refines > 0:
-        x1, f1 = (np.concatenate([runs[0][i] for runs, _, _ in parts]) for i in (0, 1))
+        x1, f1 = values[:, -1].copy(), flagged  # a copy, so a re-run can free values
         size = np.where(f1, 0.0, np.abs(x1))
-        stiffness = np.concatenate([k for _, _, k in parts])
         tail = PILOT_PATHS + np.flatnonzero(
             (stiffness[PILOT_PATHS:] > stiffness[:PILOT_PATHS].max())
             | (size[PILOT_PATHS:] > size[:PILOT_PATHS].max())
         )
         pilot = np.concatenate([np.arange(PILOT_PATHS), tail])
+        if n_paths < PILOT_PATHS:
+            rest = horizon(np.arange(n_paths, PILOT_PATHS), 1)
+            x1, f1 = (np.concatenate(pair) for pair in zip((x1, f1), rest))
+        spread = (x1, f1)  # count 1 over the keyed paths 0 .. max(n_paths, PILOT_PATHS) - 1
 
-        def pilot_pass(counts: tuple[int, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
-            runs, _, _ = _rk4_sweep(model, grid, master_seed, pilot, psi, counts, grid.n_steps)
-            for s, (x, flagged) in zip(counts, runs):
-                x, flagged = x[:PILOT_PATHS], flagged[:PILOT_PATHS]
-                moment = np.sum(np.abs(x[~flagged]) ** p_check) / max((~flagged).sum(), 1)
-                history.append((s, float(moment ** (min(1.0, p_check) / p_check))))
-            return runs
+        def level(s: int) -> tuple[np.ndarray, np.ndarray]:
+            x, flags = (x1[pilot], f1[pilot]) if s == 1 else horizon(pilot, s)
+            ok = ~flags[:PILOT_PATHS]
+            moment = np.sum(np.abs(x[:PILOT_PATHS][ok]) ** p_check) / max(ok.sum(), 1)
+            history.append((s, float(moment ** (min(1.0, p_check) / p_check))))
+            return x, flags
 
-        levels = pilot_pass((1, 2))
-        # count 1 over the keyed paths 0 .. max(n_paths, PILOT_PATHS) - 1
-        spread = tuple(np.concatenate([y, z[n_paths:PILOT_PATHS]]) for y, z in zip((x1, f1), levels[0]))
+        levels = [level(1), level(2)]
         while True:
             step_bias, mc_se, settled = _step_bias(
                 levels[-2], levels[-1], spread, p_check, n_paths, len(tail)
@@ -731,21 +725,14 @@ def solve_nonlinear(
                 break
             if len(levels) > max_refines:
                 raise RuntimeError("step refinement did not settle within max_refines")
-            levels += pilot_pass((2 * history[-1][0],))
+            levels.append(level(2 * history[-1][0]))
         substeps = history[-2][0]
         if substeps > 1:
-            del parts
-            parts = production(substeps)
+            del values, flagged
+            values, flagged, _ = production(substeps)
 
-    ensemble = PathEnsemble(
-        grid=grid.subsampled(save_every),
-        label="X",
-        values=np.concatenate([saved for _, saved, _ in parts]),
-        flagged=np.concatenate([runs[0][1] for runs, _, _ in parts]),
-        master_seed=master_seed,
-    )
     return NonlinearSolution(
-        x=ensemble,
+        x=PathEnsemble(out_grid, "X", values, flagged, master_seed),
         substeps=substeps,
         refinement=tuple(history),
         step_bias=step_bias,

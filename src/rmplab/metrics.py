@@ -227,6 +227,38 @@ def exact_propagator_quasi_norm(
     return np.exp((sigma_p(p) / p) * log_moment)
 
 
+def _line_fit(
+    t: np.ndarray, y: np.ndarray, w: "np.ndarray | None"
+) -> tuple[float, float, float, float]:
+    """Least-squares line y = intercept + slope * t: (slope, intercept, r_squared, slope_var).
+
+    With weights w, the inverse variances of y, the fit is known-variance
+    WLS, its slope variance inflated by reduced chi^2 when the model
+    under-fits; node errors share paths so this is a lower bound.
+    Without, every weight is 1 and the variance is the residual one.
+    """
+    weighted = w is not None
+    if w is None:
+        w = np.ones_like(y)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        wsum = w.sum()
+        t_bar = float((w * t).sum() / wsum)
+        y_bar = float((w * y).sum() / wsum)
+        dt = t - t_bar
+        s_tt = float((w * dt * dt).sum())
+        if s_tt <= 0.0:
+            raise WindowTooShortError("window has no time spread")
+        slope = float((w * dt * (y - y_bar)).sum() / s_tt)
+        intercept = y_bar - slope * t_bar
+        resid = y - (intercept + slope * t)
+        rss = float((w * resid * resid).sum())
+        tss = float((w * (y - y_bar) ** 2).sum())
+        chi2_red = rss / max(t.size - 2, 1)
+        slope_var = (max(chi2_red, 1.0) if weighted else chi2_red) / s_tt
+    r_squared = 1.0 - rss / tss if tss > 0.0 else 1.0
+    return slope, intercept, r_squared, slope_var
+
+
 def fit_rate(
     times: np.ndarray,
     values: np.ndarray,
@@ -240,7 +272,9 @@ def fit_rate(
     When per-node standard errors are supplied the fit is weighted by
     the implied variance of log(value); nodes where the estimate has
     O(1) relative error then contribute almost nothing, which keeps
-    tail-dominated late-time nodes from bending the fit.
+    tail-dominated late-time nodes from bending the fit.  Errors that are
+    not all positive and finite, or weights whose fit leaves the float
+    range, give the unweighted fit.
     """
     t = np.asarray(times, dtype=np.float64).ravel()
     v = np.asarray(values, dtype=np.float64).ravel()
@@ -260,49 +294,28 @@ def fit_rate(
         raise NonpositiveValueError("rate fit needs strictly positive finite values")
     y = np.log(v)
 
-    weighted = False
+    w = None
     if std_errs is not None:
         se = np.asarray(std_errs, dtype=np.float64).ravel()
         if se.shape != mask.shape:
             raise LengthMismatchError("std_errs must match times")
         se = se[mask]
         if np.all(np.isfinite(se)) and np.all(se > 0.0):
-            w = (v / se) ** 2
-            weighted = True
-        else:
-            w = np.ones_like(y)
-    else:
-        w = np.ones_like(y)
-
-    wsum = w.sum()
-    t_bar = float((w * t).sum() / wsum)
-    y_bar = float((w * y).sum() / wsum)
-    dt = t - t_bar
-    s_tt = float((w * dt * dt).sum())
-    if s_tt <= 0.0:
-        raise WindowTooShortError("window has no time spread")
-    slope = float((w * dt * (y - y_bar)).sum() / s_tt)
-    intercept = y_bar - slope * t_bar
-    resid = y - (intercept + slope * t)
-    rss = float((w * resid * resid).sum())
-    tss = float((w * (y - y_bar) ** 2).sum())
-    r_squared = 1.0 - rss / tss if tss > 0.0 else 1.0
-    n_pts = int(t.size)
-    if weighted:
-        # Known-variance WLS, inflated by reduced chi^2 when the model
-        # under-fits; node errors share paths so this is a lower bound.
-        chi2_red = rss / max(n_pts - 2, 1)
-        slope_var = max(chi2_red, 1.0) / s_tt
-    else:
-        s2 = rss / max(n_pts - 2, 1)
-        slope_var = s2 / s_tt
+            with np.errstate(over="ignore"):
+                w = (v / se) ** 2
+    fit = _line_fit(t, y, w) if w is not None else None
+    weighted = fit is not None and all(map(np.isfinite, fit))
+    if not weighted:
+        # no usable errors, or weights or weighted sums past the float range
+        fit = _line_fit(t, y, None)
+    slope, intercept, r_squared, slope_var = fit
     return RateFit(
         slope=slope,
-        intercept=float(intercept),
+        intercept=intercept,
         window=(float(lo), float(hi)),
         r_squared=float(r_squared),
         slope_std_err=float(np.sqrt(slope_var)),
-        n_points=n_pts,
+        n_points=int(t.size),
         weighted=weighted,
         predicted=predicted,
     )

@@ -16,7 +16,6 @@ import numpy as np
 from . import __version__
 from .config import EstimatorRequest, ExperimentConfig, config_hash
 from .engine import (
-    LinearModel,
     NonlinearModel,
     NonlinearSolution,
     PathEnsemble,
@@ -26,7 +25,7 @@ from .engine import (
     stationary_horizon,
     stationary_sample,
 )
-from .errors import IOFailureError, RmplabError, WindowTooShortError
+from .errors import ConfigInvalidError, IOFailureError, RmplabError, WindowTooShortError
 from .grid import TimeGrid, node_stride
 from .metrics import (
     MIN_FIT_NODES,
@@ -50,6 +49,7 @@ from .storage import (
     write_plotdata,
 )
 from .tail import (
+    _green_kubo_lags,
     b_h_replicates,
     condition1_diagnostic,
     dt_fit_d,
@@ -162,13 +162,30 @@ def check_fit_windows(cfg: ExperimentConfig, names: "tuple[str, ...]") -> None:
             )
 
 
+def _check_reach(cfg: ExperimentConfig, names: "tuple[str, ...]") -> None:
+    """Converge times and green_kubo's lag fit the run's grid, checked with the fit windows.
+
+    Converge reads each time at the nearest saved node, so a time past the
+    horizon would be read at the horizon; green_kubo's lag must span at
+    least two steps and at most half the horizon (tail._green_kubo_lags).
+    """
+    for req in cfg.estimators:
+        if req.name not in names:
+            continue
+        if req.name == "converge" and max(req.get("times")) > cfg.grid.horizon + 1e-12:
+            raise ConfigInvalidError(
+                f"converge.times: {max(req.get('times'))} is past the grid horizon"
+                f" {cfg.grid.horizon:.6g}"
+            )
+        if req.name == "green_kubo":
+            _green_kubo_lags(float(req.get("window")), cfg.grid)
+
+
 def _solve(
     cfg: ExperimentConfig, label: str, save_every: int
 ) -> "PathEnsemble | NonlinearSolution":
     problem = (cfg.model, cfg.grid, cfg.master_seed, cfg.n_paths)
-    if isinstance(cfg.model, NonlinearModel):
-        if label != "X":
-            raise RmplabError("nonlinear models only expose the state process")
+    if isinstance(cfg.model, NonlinearModel):  # config admits only X here
         return solve_nonlinear(*problem, save_every=save_every, workers=cfg.workers)
     return solve_linear(*problem, (label,), save_every=save_every, workers=cfg.workers)[label]
 
@@ -274,8 +291,6 @@ def _report_to_dict(report) -> dict:
 def do_beta(state: RunState) -> None:
     cfg = state.cfg
     model = cfg.model
-    if not isinstance(model, LinearModel):
-        raise RmplabError("exponent estimation is defined for the linear model")
     out: dict = {}
     d_analytic = diffusion_constant(model.multiplicative)
 
@@ -368,8 +383,6 @@ def do_verify(state: RunState) -> None:
         state.verdicts["condition1"] = "PASS" if all_bounded else "FAIL"
 
     for req in _reqs(cfg, "b_equals_h"):
-        if not isinstance(model, LinearModel):
-            raise RmplabError("the distribution identity applies to the linear model")
         t = float(req.get("t") or cfg.grid.horizon)
         n = int(req.get("n") or cfg.n_paths)
         replicates = int(req.get("replicates"))
@@ -429,8 +442,6 @@ def _inequality_trials(master_seed: int, trials: int, n: int, ps: list[float]) -
 def do_converge(state: RunState) -> None:
     cfg = state.cfg
     model = cfg.model
-    if not isinstance(model, LinearModel):
-        raise RmplabError("convergence diagnostics are defined for the linear model")
     d = diffusion_constant(model.multiplicative)
     out: dict = {}
     for req in _reqs(cfg, "converge"):
@@ -528,7 +539,9 @@ def run(
 ) -> tuple[dict, int]:
     """Execute the configured pipeline; returns (manifest, exit_code)."""
     t0 = time.monotonic()
-    check_fit_windows(cfg, tuple(name for g in groups for name in STAGES[g]))
+    names = tuple(name for g in groups for name in STAGES[g])
+    check_fit_windows(cfg, names)
+    _check_reach(cfg, names)
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

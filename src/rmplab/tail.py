@@ -245,6 +245,18 @@ def _batch_slices(n: int, n_batches: int) -> list[slice]:
     return [slice(edges[i], edges[i + 1]) for i in range(n_batches) if edges[i + 1] > edges[i]]
 
 
+def _green_kubo_lags(window: float, grid: TimeGrid) -> int:
+    """Lags of a green_kubo window on grid: at least 2, spanning at most half its horizon."""
+    if window > grid.horizon / 2.0 + 1e-12:
+        raise WindowTooLongError(
+            f"lag window {window} exceeds half the grid horizon {grid.horizon:.6g}"
+        )
+    n_lags = int(round(window / grid.dt))
+    if n_lags < 2:
+        raise WindowTooShortError(f"lag window {window} spans fewer than two steps of {grid.dt:.6g}")
+    return n_lags
+
+
 def green_kubo_d(
     zeta: PathEnsemble,
     window: float,
@@ -260,11 +272,7 @@ def green_kubo_d(
     comes from batching paths.
     """
     dt = zeta.grid.dt
-    if window > zeta.grid.horizon / 2.0 + 1e-12:
-        raise WindowTooLongError("lag window must not exceed half the grid horizon")
-    n_lags = int(round(window / dt))
-    if n_lags < 2:
-        raise WindowTooShortError("lag window must span at least two steps")
+    n_lags = _green_kubo_lags(window, zeta.grid)
     vals = zeta.values[~zeta.flagged]
     if vals.shape[0] < n_batches:
         raise EmptyInputError("too few unflagged paths for batching")

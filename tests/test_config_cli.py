@@ -1,5 +1,6 @@
 """Config schema (fail-closed) and the command line front end."""
 import json
+import math
 import os
 import subprocess
 import sys
@@ -41,6 +42,19 @@ def pareto_raw() -> dict:
     raw = base_raw()
     raw["model"]["a"] = 2.0
     raw["model"]["additive"] = {"kind": "pareto_transformed_ou", "tau_c": 0.5, "tail_index": 1.5}
+    return raw
+
+
+def nonlinear_raw() -> dict:
+    """base_raw with the sin-modulated nonlinear model."""
+    raw = base_raw()
+    raw["model"] = {
+        "kind": "nonlinear",
+        "a": 1.0,
+        "nonlinearity": "sin_modulated",
+        "multiplicative": {"kind": "ou", "sigma": 1.0, "tau_c": 0.5},
+        "envelope": {"kind": "ou", "sigma": 0.5, "tau_c": 1.0},
+    }
     return raw
 
 
@@ -126,6 +140,34 @@ class TestSchema:
         node[path[-1]] = value
         with pytest.raises(ConfigInvalidError):
             config_from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "request_,needle",
+        [
+            ({"name": "beta", "p_grid": [1.0, 2.0]}, "beta: defined for the linear model"),
+            ({"name": "hill"}, "hill: defined for the linear model"),
+            ({"name": "green_kubo", "window": 0.5}, "green_kubo: defined for the linear model"),
+            ({"name": "dt_fit", "window": [0.5, 2.0]}, "dt_fit: defined for the linear model"),
+            ({"name": "b_equals_h"}, "b_equals_h: defined for the linear model"),
+            (
+                {"name": "converge", "functions": [{"kind": "abs_power"}], "times": [0.5, 1.0]},
+                "converge: defined for the linear model",
+            ),
+            ({"name": "moments", "p": [0.5], "source": "A"}, "moments.source"),
+        ],
+    )
+    def test_nonlinear_model_refuses_what_it_cannot_run(self, request_, needle):
+        raw = nonlinear_raw()
+        raw["estimators"] = [request_]
+        with pytest.raises(ConfigInvalidError, match=needle):
+            config_from_dict(raw)
+        # the state's moments and the model-free checks load
+        raw["estimators"] = [
+            {"name": "moments", "p": [0.5]},
+            {"name": "condition1", "p": [0.5]},
+            {"name": "inequalities"},
+        ]
+        config_from_dict(raw)
 
     def test_unknown_estimator_name(self):
         raw = base_raw()
@@ -476,6 +518,76 @@ class TestCli:
         assert f"[{code}]" in err and needle in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "stage,mutate,needle",
+        [
+            ("simulate", lambda r: r["grid"].update(t_max=math.inf), "grid.t_max"),
+            ("simulate", lambda r: r["grid"].update(t_max=10**400), "grid.t_max"),
+            ("simulate", lambda r: r["grid"].update(dt=math.nan), "grid.dt"),
+            ("simulate", lambda r: r["model"].update(a=math.nan), "model.a"),
+            (
+                "simulate",
+                lambda r: r["model"].update(
+                    multiplicative={"kind": "ou_superposition", "components": [["1.0", 0.5]]}
+                ),
+                "model.multiplicative.components",
+            ),
+            ("moments", lambda r: r["estimators"][0].update(p=[0.5, math.nan]), "moments.p"),
+            (
+                "beta",
+                lambda r: r.update(estimators=[{"name": "beta", "p_grid": [1.0, math.nan]}]),
+                "beta.p_grid",
+            ),
+            (
+                "verify",
+                lambda r: r.update(estimators=[{"name": "inequalities", "p": [math.nan]}]),
+                "inequalities.p",
+            ),
+        ],
+    )
+    def test_non_finite_numbers_exit_two(self, tmp_path, capsys, stage, mutate, needle):
+        raw = base_raw()
+        mutate(raw)
+        with pytest.raises(ConfigInvalidError, match=needle):
+            config_from_dict(raw)
+        cfg_path = write_config(tmp_path, raw)  # JSON's NaN and Infinity read back as floats
+        out = tmp_path / "x"
+        assert main([stage, "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "[CONFIG_INVALID]" in err and needle in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "stage,request_,t_max,needle",
+        [
+            (
+                "converge",
+                {"name": "converge", "functions": [{"kind": "abs_power"}], "times": [0.5, 1.0]},
+                0.8,
+                ("converge.times: 1.0 is past", "CONFIG_INVALID"),
+            ),
+            ("beta", {"name": "green_kubo", "window": 0.8}, 1.5, ("exceeds half", "WINDOW_TOO_LONG")),
+            ("beta", {"name": "green_kubo", "window": 0.02}, 2.0, ("two steps", "WINDOW_TOO_SHORT")),
+        ],
+    )
+    def test_times_and_lags_are_judged_on_the_run_grid(
+        self, tmp_path, capsys, stage, request_, t_max, needle
+    ):
+        # converge times past the horizon and green_kubo lags over half of it
+        # or under two steps exit 2 before anything is written, also when
+        # --t-max shortens a grid that fits them; a stage that does not run
+        # them does not check them
+        raw = base_raw()
+        raw["estimators"] = [request_]
+        cfg_path = write_config(tmp_path, raw)
+        out = tmp_path / "x"
+        argv = ["--config", str(cfg_path), "--out", str(out), "--t-max", str(t_max)]
+        assert main([stage, *argv]) == 2
+        err = capsys.readouterr().err
+        assert f"[{needle[1]}]" in err and needle[0] in err
+        assert not out.exists()
+        assert main(["simulate", *argv]) == 0
 
     def test_moments_window_is_not_checked_when_no_json_fits_it(self, tmp_path):
         raw = base_raw()

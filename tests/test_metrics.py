@@ -18,6 +18,7 @@ from rmplab.errors import (
     EmptyInputError,
     LengthMismatchError,
     NonpositiveValueError,
+    RmplabError,
     WindowTooShortError,
 )
 from rmplab.grid import TimeGrid
@@ -186,6 +187,42 @@ def test_fit_rate_weighting_suppresses_noise_drowned_nodes():
     assert abs(weighted.slope + 0.5) < 0.01
     assert abs(unweighted.slope + 0.5) > 0.05
     assert weighted.weighted
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    t0=st.floats(0.0, 100.0),
+    step=st.floats(1e-3, 10.0),
+    rows=st.lists(
+        st.tuples(st.floats(min_value=5e-324, max_value=np.finfo(np.float64).max), st.floats()),
+        min_size=3,
+        max_size=30,
+    ),
+    weighted=st.booleans(),
+)
+@example(  # every weight (1 / 5e-324)^2 overflows
+    t0=0.0, step=1.0, rows=[(float(np.exp(-k)), 5e-324) for k in range(6)], weighted=True
+)
+@example(  # values near 1e308 over an SE of 1e-10
+    t0=0.0, step=1.0, rows=[(1e308 / 2.0**k, 1e-10) for k in range(6)], weighted=True
+)
+@example(  # weights near 1e-320: the weighted slope variance overflows
+    t0=0.0, step=1.0, rows=[(1e-160 / 2.0**k, 1.0) for k in range(6)], weighted=True
+)
+def test_fit_rate_refuses_or_returns_a_finite_fit(t0, step, rows, weighted):
+    # On a uniform time grid, any positive values and any per-node errors
+    # give a finite slope and SE with r_squared <= 1, or an RmplabError;
+    # errors the weights cannot use give the unweighted fit.
+    v, se = (np.array(col) for col in zip(*rows))
+    t = t0 + step * np.arange(v.size)
+    try:
+        fit = fit_rate(t, v, std_errs=se if weighted else None)
+    except RmplabError:
+        return
+    assert np.isfinite(fit.slope) and np.isfinite(fit.slope_std_err)
+    assert fit.r_squared <= 1.0
+    if not fit.weighted:
+        assert fit == fit_rate(t, v)
 
 
 def test_fit_rate_window_and_input_errors():

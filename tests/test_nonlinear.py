@@ -165,8 +165,8 @@ def test_noise_is_drawn_once_per_block_per_pass(monkeypatch, dt, n_steps):
     monkeypatch.setattr(noise, "block_normals", counted)
     sol = solve_nonlinear(model, grid, 4, 40, block_size=16)
     # the production pass integrates count 1, and again the chosen count if
-    # that is higher; pilot pass 1 integrates substeps 1 and 2, every later
-    # pass one new count
+    # that is higher; the pilot reads count 1 from it, and every pilot pass
+    # integrates one doubled count
     passes = len(sol.refinement) - 1
     productions = 1 + (sol.substeps > 1)
     assert [s for s, _ in sol.refinement] == [2**i for i in range(len(sol.refinement))]
@@ -182,26 +182,35 @@ def test_refinement_respects_max_refines(monkeypatch):
     coarse, saturated = NONLINEAR_CASES["coarse"], NONLINEAR_CASES["saturated"]
     calls = _counting(monkeypatch, engine, "_rk4_sweep")
 
-    def sweeps():  # (paths, substep counts) of each sweep since the last call
-        out = [(len(c[3]), c[5]) for c in calls]
+    def sweeps():  # (paths, substep count, save_every) of each sweep since the last call
+        out = [(len(c[3]), c[5], c[6]) for c in calls]
         calls.clear()
         return out
 
     sol = coarse(max_refines=0)  # count 1 over every path, no pilot
-    assert sweeps() == [(2048, (1,))]
+    assert sweeps() == [(2048, 1, 3)]
     assert (sol.substeps, sol.refinement, sol.step_bias, sol.mc_se) == (1, (), None, None)
+    # the pilot reads count 1 from the production sweep and keeps only the horizon
     with pytest.raises(RuntimeError, match="did not settle"):
         coarse(max_refines=1)
     done = sweeps()
     pilot = done[1][0]  # the keyed 128 and the tail
     assert pilot > 128
-    assert done == [(2048, (1,)), (pilot, (1, 2))]
+    assert done == [(2048, 1, 3), (pilot, 2, 15)]
     assert coarse(max_refines=2).substeps == 2
-    assert sweeps() == [(2048, (1,)), (pilot, (1, 2)), (pilot, (4,)), (2048, (2,))]
+    assert sweeps() == [(2048, 1, 3), (pilot, 2, 15), (pilot, 4, 15), (2048, 2, 3)]
     with pytest.raises(RuntimeError, match="did not settle"):
         saturated(max_refines=3)
-    # 40 paths: the pilot is the keyed 128 alone
-    assert sweeps() == [(40, (1,)), (128, (1, 2)), (128, (4,)), (128, (8,))]
+    # 40 paths: the pilot is the keyed 128 alone, and keyed paths 40 .. 127
+    # get a count-1 sweep of their own
+    assert sweeps() == [(40, 1, 10), (88, 1, 710), (128, 2, 710), (128, 4, 710), (128, 8, 710)]
+
+
+def test_a_stride_that_does_not_divide_the_steps_is_refused_before_any_sweep(monkeypatch):
+    calls = _counting(monkeypatch, engine, "_rk4_sweep")
+    with pytest.raises(ValueError, match="stride"):
+        solve_nonlinear(_nl(CLIPPED), TimeGrid(0.05, 45), 1, 8, save_every=7)
+    assert calls == []
 
 
 def test_blocks_and_workers_do_not_change_the_solution():
@@ -298,6 +307,13 @@ def test_time_chunks_do_not_change_the_bytes(monkeypatch, case, steps):
     assert _solution_digest(NONLINEAR_CASES[case]()) == NONLINEAR_DIGESTS[case]
 
 
+def _horizon(model, grid, seed, indices, s):
+    """(x, flagged) at the horizon of the given paths at s substeps."""
+    psi = engine._psi_function(model.nonlinearity)
+    saved, flagged, _ = engine._rk4_sweep(model, grid, seed, indices, psi, s, grid.n_steps)
+    return saved[:, -1], flagged
+
+
 def _pilot_runs(model, grid, seed, n_paths, counts):
     """The solve's pilot, rebuilt: the tail (ensemble paths stiffer or larger
     at count 1 than every keyed pilot path), the pilot's horizon runs at
@@ -305,15 +321,15 @@ def _pilot_runs(model, grid, seed, n_paths, counts):
     0 .. max(n_paths, PILOT_PATHS) - 1."""
     psi = engine._psi_function(model.nonlinearity)
     n, keyed = max(n_paths, engine.PILOT_PATHS), engine.PILOT_PATHS
-    (spread,), _, stiffness = engine._rk4_sweep(model, grid, seed, np.arange(n), psi, (1,), grid.n_steps)
+    saved, flagged, stiffness = engine._rk4_sweep(model, grid, seed, np.arange(n), psi, 1, grid.n_steps)
+    spread = (saved[:, -1], flagged)
     size = np.where(spread[1], 0.0, np.abs(spread[0]))
     outside = slice(keyed, n_paths)
     tail = keyed + np.flatnonzero(
         (stiffness[outside] > stiffness[:keyed].max()) | (size[outside] > size[:keyed].max())
     )
     pilot = np.concatenate([np.arange(engine.PILOT_PATHS), tail])
-    runs, _, _ = engine._rk4_sweep(model, grid, seed, pilot, psi, counts, grid.n_steps)
-    return tail, runs, spread
+    return tail, [_horizon(model, grid, seed, pilot, s) for s in counts], spread
 
 
 def _gaps(runs) -> tuple[np.ndarray, np.ndarray]:
@@ -332,9 +348,8 @@ def test_pilot_chooses_what_the_whole_ensemble_would():
     model, grid = _nl(SIN_MODULATED), TimeGrid(0.4, 15)
     tail, runs, spread = _pilot_runs(model, grid, 4, 2048, (s, 2 * s))
     assert sol.step_bias == engine._step_bias(*runs, spread, 0.5, 2048, tail.size)[0]
-    psi = engine._psi_function(SIN_MODULATED)
     for count, verdict in ((s // 2, False), (s, True)):
-        whole, _, _ = engine._rk4_sweep(model, grid, 4, np.arange(2048), psi, (count, 2 * count), 15)
+        whole = [_horizon(model, grid, 4, np.arange(2048), c) for c in (count, 2 * count)]
         assert engine._step_bias(*whole, spread, 0.5, 2048, 0)[2] is verdict
 
 
@@ -369,9 +384,7 @@ def test_pilot_gap_agrees_with_the_whole_ensemble(model, grid, seed, carrier):
     bulk, rest = gap[:keyed][ok[:keyed]], gap[keyed:][ok[keyed:]]
     w = tail.size / 2048
     estimate = (1 - w) * bulk.mean() + w * rest.mean()
-    psi = engine._psi_function(model.nonlinearity)
-    whole, _, _ = engine._rk4_sweep(model, grid, seed, np.arange(2048), psi, (s, 2 * s), grid.n_steps)
-    gap, ok = _gaps(whole)
+    gap, ok = _gaps([_horizon(model, grid, seed, np.arange(2048), c) for c in (s, 2 * s)])
     assert abs(gap[ok]).argmax() == carrier
     assert abs(estimate - gap[ok].mean()) <= 3.0 * (1 - w) * bulk.std() / np.sqrt(bulk.size)
 

@@ -129,6 +129,11 @@ def test_artifact_bytes_are_pinned(tmp_path, name):
     assert _digests(raw, groups, tmp_path) == GOLDEN[name]
 
 
+def test_nonlinear_run_over_every_group_writes_only_what_it_requests(tmp_path):
+    # beta, verify and converge hold no request, so they write nothing
+    assert _digests(NONLINEAR_RAW, runner.GROUPS, tmp_path) == GOLDEN["nonlinear"]
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stages_share_one_solve_and_keep_their_bytes(tmp_path, monkeypatch, name):
     raw, groups, solver = CASES[name]
