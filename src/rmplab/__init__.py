@@ -48,7 +48,6 @@ from .noise import (
     correlation,
     diffusion_constant,
     tail_index,
-    validate_multiplicative,
     y_variance_half,
 )
 from .tail import (
@@ -118,6 +117,5 @@ __all__ = [
     "stationary_horizon",
     "stationary_sample",
     "tail_index",
-    "validate_multiplicative",
     "y_variance_half",
 ]

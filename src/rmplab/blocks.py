@@ -37,23 +37,17 @@ def block_ranges(n_paths: int, block_size: int = DEFAULT_BLOCK_SIZE) -> list[np.
     ]
 
 
-def pairwise_combine(items: Sequence[T], combine: Callable[[T, T], T]) -> T:
-    """Reduce items with a balanced pairwise tree in list order."""
-    if not items:
+def pairwise_sum(values: Sequence[np.ndarray]) -> np.ndarray:
+    """Add values with a balanced pairwise tree in list order."""
+    if not values:
         raise ValueError("nothing to combine")
-    level = list(items)
+    level = list(values)
     while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level) - 1, 2):
-            nxt.append(combine(level[i], level[i + 1]))
+        nxt = [level[i] + level[i + 1] for i in range(0, len(level) - 1, 2)]
         if len(level) % 2 == 1:
             nxt.append(level[-1])
         level = nxt
     return level[0]
-
-
-def pairwise_sum(values: Sequence[np.ndarray]) -> np.ndarray:
-    return pairwise_combine(list(values), lambda a, b: a + b)
 
 
 def run_blocks(

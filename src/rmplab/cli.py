@@ -79,8 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, needs_config: bool = True) -> None:
-        p.add_argument("--config", required=needs_config, help="path to a JSON experiment config")
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--config", required=True, help="path to a JSON experiment config")
         p.add_argument("--seed", type=int, help="override the master seed")
         p.add_argument("--workers", type=int, help="override the worker count")
         p.add_argument("--out", help="override the output directory")

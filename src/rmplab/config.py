@@ -262,7 +262,7 @@ def _number_list(v: object, where: str) -> tuple:
 
 
 def _check_range(name: str, key: str, value: object, default: object) -> None:
-    """Range checks of the window, time, scale, level and mode fields."""
+    """Range checks of the window, time, scale, level, mode and source fields."""
     where = f"{name}.{key}"
     if value is None and default is None and not (key == "window" and name in _WINDOW_REQUIRED):
         return
@@ -280,6 +280,8 @@ def _check_range(name: str, key: str, value: object, default: object) -> None:
             raise ConfigInvalidError(f"{where}: expected a number in (0, 1)")
     elif key == "mode" and value not in MODES:
         raise ConfigInvalidError(f"{where}: expected one of {list(MODES)}")
+    elif key == "source" and value not in engine.PROCESS_LABELS:
+        raise ConfigInvalidError(f"{where}: expected one of {list(engine.PROCESS_LABELS)}")
 
 
 def _estimator_from_dict(d: dict, index: int) -> EstimatorRequest:
@@ -325,6 +327,12 @@ def _validate_estimator_against_model(
             raise ConfigInvalidError(f"{req.name}: defined for the linear model only")
         if req.name == "moments" and req.get("source") != "X":
             raise ConfigInvalidError("moments.source: a nonlinear model has only 'X'")
+    elif req.name in ("beta", "converge") and noise.diffusion_constant(model.multiplicative) <= 0:
+        # both judge orders against the transition order a/D, which D = 0 leaves infinite
+        raise ConfigInvalidError(
+            f"{req.name}: needs a diffusion constant D > 0, and the multiplicative noise has"
+            " D = 0, so the transition order a/D is not finite"
+        )
     additive = getattr(model, "additive", None) or getattr(model, "envelope")
     beta_1 = noise.tail_index(additive)
     for key in ("p", "p_grid"):
@@ -345,21 +353,6 @@ def _validate_estimator_against_model(
                 f" smaller of the transition order {model.beta_c} and the additive tail"
                 f" index {beta_1}"
             )
-
-
-def _validate_estimator_against_grid(req: EstimatorRequest, grid: TimeGrid) -> None:
-    """Cross-field checks the stages would otherwise only meet mid-run."""
-    save_every = req.get("save_every")
-    # beta builds its own grid and rounds its step count up to a multiple
-    # of save_every; moments subsamples the configured grid.
-    if req.name == "moments" and save_every is not None and grid.n_steps % save_every:
-        raise ConfigInvalidError(
-            f"moments.save_every: {save_every} does not divide the {grid.n_steps} grid steps"
-        )
-    if req.name == "moments" and req.get("source") not in engine.PROCESS_LABELS:
-        raise ConfigInvalidError(
-            f"moments.source: expected one of {list(engine.PROCESS_LABELS)}"
-        )
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -423,7 +416,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     seen: set = set()
     for i, req in enumerate(estimators):
         _validate_estimator_against_model(req, model)
-        _validate_estimator_against_grid(req, grid)
         # artifacts are named by estimator (and moments by source): a repeat would overwrite
         key = (req.name, req.get("source"))
         if key in seen:

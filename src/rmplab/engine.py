@@ -45,9 +45,13 @@ RK4_CHUNK_BYTES = 1 << 20
 # ensemble's Monte Carlo standard error.  That error is taken to be at
 # least MC_SE_FLOOR of the moment, so an ensemble without spread (a model
 # with no noise) still gets a verdict: a relative bias of at most 1e-7.
+# The bias is that of E|X_T|^P_CHECK, and a pilot that reaches count
+# 2**MAX_REFINES unsettled raises.
 PILOT_PATHS = 128
 BIAS_SE_FRACTION = 0.1
 MC_SE_FLOOR = 1e-6
+P_CHECK = 0.5
+MAX_REFINES = 6
 
 
 def _beta_c(a: float, multiplicative: NoiseSpec) -> float:
@@ -166,17 +170,17 @@ class NonlinearSolution:
     """A nonlinear ensemble and how its RK4 substep count was chosen.
 
     substeps is the count every path was integrated at.  refinement holds
-    the pilot's (substeps, order-p_check quasi-norm) pairs, step_bias its
-    bound on the bias of E|X_T|^p_check at the chosen count and mc_se the
+    the pilot's (substeps, order-P_CHECK quasi-norm) pairs, step_bias its
+    bound on the bias of E|X_T|^P_CHECK at the chosen count and mc_se the
     Monte Carlo standard error of the ensemble that bound was held
-    against; all are empty or None when no pilot ran (max_refines 0).
+    against.
     """
 
     x: PathEnsemble
     substeps: int
     refinement: tuple[tuple[int, float], ...]
-    step_bias: float | None = None
-    mc_se: float | None = None
+    step_bias: float
+    mc_se: float
 
 
 def _sanitize(arr: np.ndarray) -> np.ndarray:
@@ -379,14 +383,14 @@ def gamma_rate(a: float, d: float, p: float) -> float:
     return min(1.0, p) * (d * p - a)
 
 
-def stationary_horizon(model: LinearModel, p_max: float, tail_tol: float = 1e-3) -> float:
-    """Horizon t_star with exp(gamma_p t_star) < tail_tol for p = p_max."""
+def stationary_horizon(model: LinearModel, p_max: float) -> float:
+    """Horizon t_star with exp(gamma_p t_star) = 1e-3 for p = p_max."""
     rate = gamma_rate(model.a, diffusion_constant(model.multiplicative), p_max)
     if rate >= 0.0:
         raise TruncationWarningError(
             f"moment order {p_max} is at or above the transition order; no stationary moment"
         )
-    return float(np.log(tail_tol) / rate)
+    return float(np.log(1e-3) / rate)
 
 
 def stationary_sample(
@@ -395,16 +399,17 @@ def stationary_sample(
     n: int,
     master_seed: int,
     *,
-    dt: float | None = None,
     p_max: float | None = None,
     workers: int = 1,
 ) -> StationarySample:
     """Approximate stationary draws via the reversed response at t_star.
 
     H_{t_star} has the law of the stationary state up to a tail the
-    caller controls through t_star.  When p_max is given, a fitted
-    truncation bound K exp(gamma_p t_star) is attached: K is calibrated
-    from quasi-norm increments of H between intermediate horizons.
+    caller controls through t_star.  The grid steps by about
+    min(0.02 t_star, 0.01), in a multiple of 8 steps.  When p_max is
+    given, a fitted truncation bound K exp(gamma_p t_star) is attached:
+    K is calibrated from quasi-norm increments of H between intermediate
+    horizons.
     """
     d = diffusion_constant(model.multiplicative)
     rate = None
@@ -414,9 +419,7 @@ def stationary_sample(
             raise TruncationWarningError(
                 f"moment order {p_max} is at or above the transition order {model.beta_c}"
             )
-    if dt is None:
-        dt = min(0.02 * t_star, 0.01)
-    n_steps = max(int(round(t_star / dt)), 8)
+    n_steps = max(int(round(t_star / min(0.02 * t_star, 0.01))), 8)
     # Keep a handful of interior nodes to calibrate the truncation bound.
     while n_steps % 8 != 0:
         n_steps += 1
@@ -644,8 +647,6 @@ def solve_nonlinear(
     save_every: int = 1,
     workers: int = 1,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    p_check: float = 0.5,
-    max_refines: int = 6,
 ) -> NonlinearSolution:
     """Integrate the nonlinear model at a substep count a coupled pilot chose.
 
@@ -667,12 +668,11 @@ def solve_nonlinear(
     paths past n_paths get a count-1 sweep that keeps only the horizon;
     each doubled count is one horizon-only sweep of the pilot.  It stops
     at the smallest count s whose coupled gap to 2s at the horizon, at
-    order p_check, lies within BIAS_SE_FRACTION of the Monte Carlo error
+    order P_CHECK, lies within BIAS_SE_FRACTION of the Monte Carlo error
     of the whole ensemble, the SD over the count-1 states of
     max(n_paths, PILOT_PATHS) keyed paths (_step_bias).  If s is above 1,
-    the production sweep runs again at count s alone.  max_refines caps
-    the doublings: with 0 no pilot runs and the count is 1; a pilot that
-    reaches count 2**max_refines unsettled raises RuntimeError.
+    the production sweep runs again at count s alone.  A pilot that
+    reaches count 2**MAX_REFINES unsettled raises RuntimeError.
 
     A gap carried by rare paths that are neither among the stiffest nor
     among the largest goes unseen.
@@ -694,42 +694,40 @@ def solve_nonlinear(
         return saved[:, -1], flagged
 
     values, flagged, stiffness = production(1)
+    x1, f1 = values[:, -1].copy(), flagged  # a copy, so a re-run can free values
+    size = np.where(f1, 0.0, np.abs(x1))
+    tail = PILOT_PATHS + np.flatnonzero(
+        (stiffness[PILOT_PATHS:] > stiffness[:PILOT_PATHS].max())
+        | (size[PILOT_PATHS:] > size[:PILOT_PATHS].max())
+    )
+    pilot = np.concatenate([np.arange(PILOT_PATHS), tail])
+    if n_paths < PILOT_PATHS:
+        rest = horizon(np.arange(n_paths, PILOT_PATHS), 1)
+        x1, f1 = (np.concatenate(pair) for pair in zip((x1, f1), rest))
+    spread = (x1, f1)  # count 1 over the keyed paths 0 .. max(n_paths, PILOT_PATHS) - 1
     history: list[tuple[int, float]] = []
-    substeps, step_bias, mc_se = 1, None, None
-    if max_refines > 0:
-        x1, f1 = values[:, -1].copy(), flagged  # a copy, so a re-run can free values
-        size = np.where(f1, 0.0, np.abs(x1))
-        tail = PILOT_PATHS + np.flatnonzero(
-            (stiffness[PILOT_PATHS:] > stiffness[:PILOT_PATHS].max())
-            | (size[PILOT_PATHS:] > size[:PILOT_PATHS].max())
+
+    def level(s: int) -> tuple[np.ndarray, np.ndarray]:
+        x, flags = (x1[pilot], f1[pilot]) if s == 1 else horizon(pilot, s)
+        ok = ~flags[:PILOT_PATHS]
+        moment = np.sum(np.abs(x[:PILOT_PATHS][ok]) ** P_CHECK) / max(ok.sum(), 1)
+        history.append((s, float(moment ** (min(1.0, P_CHECK) / P_CHECK))))
+        return x, flags
+
+    levels = [level(1), level(2)]
+    while True:
+        step_bias, mc_se, settled = _step_bias(
+            levels[-2], levels[-1], spread, P_CHECK, n_paths, len(tail)
         )
-        pilot = np.concatenate([np.arange(PILOT_PATHS), tail])
-        if n_paths < PILOT_PATHS:
-            rest = horizon(np.arange(n_paths, PILOT_PATHS), 1)
-            x1, f1 = (np.concatenate(pair) for pair in zip((x1, f1), rest))
-        spread = (x1, f1)  # count 1 over the keyed paths 0 .. max(n_paths, PILOT_PATHS) - 1
-
-        def level(s: int) -> tuple[np.ndarray, np.ndarray]:
-            x, flags = (x1[pilot], f1[pilot]) if s == 1 else horizon(pilot, s)
-            ok = ~flags[:PILOT_PATHS]
-            moment = np.sum(np.abs(x[:PILOT_PATHS][ok]) ** p_check) / max(ok.sum(), 1)
-            history.append((s, float(moment ** (min(1.0, p_check) / p_check))))
-            return x, flags
-
-        levels = [level(1), level(2)]
-        while True:
-            step_bias, mc_se, settled = _step_bias(
-                levels[-2], levels[-1], spread, p_check, n_paths, len(tail)
-            )
-            if settled:
-                break
-            if len(levels) > max_refines:
-                raise RuntimeError("step refinement did not settle within max_refines")
-            levels.append(level(2 * history[-1][0]))
-        substeps = history[-2][0]
-        if substeps > 1:
-            del values, flagged
-            values, flagged, _ = production(substeps)
+        if settled:
+            break
+        if len(levels) > MAX_REFINES:
+            raise RuntimeError("step refinement did not settle within MAX_REFINES")
+        levels.append(level(2 * history[-1][0]))
+    substeps = history[-2][0]
+    if substeps > 1:
+        del values, flagged
+        values, flagged, _ = production(substeps)
 
     return NonlinearSolution(
         x=PathEnsemble(out_grid, "X", values, flagged, master_seed),

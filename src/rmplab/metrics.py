@@ -68,7 +68,6 @@ class RateFit:
     window: tuple[float, float]
     r_squared: float
     slope_std_err: float
-    n_points: int
     weighted: bool
     predicted: float | None = None
 
@@ -81,10 +80,6 @@ class InequalityReport:
     rhs: float
     n: int
     passed: bool
-
-    @property
-    def slack(self) -> float:
-        return self.rhs - self.lhs
 
 
 def _moment_stats(weights: np.ndarray) -> tuple[float, float, bool]:
@@ -156,8 +151,6 @@ def fractional_moment(
     samples: np.ndarray,
     p: float,
     z: complex = 0.0,
-    *,
-    flagged: "np.ndarray | None" = None,
 ) -> QuasiNormEstimate:
     """Raw moment E|x + z|^p with a complex shift, no quasi-norm power.
 
@@ -168,12 +161,10 @@ def fractional_moment(
     """
     if p <= 0.0:
         raise ValueError("order p must be positive")
-    x, excluded = _usable_samples(samples, flagged)
+    x, _ = _usable_samples(samples, None)
     w = np.abs(x + z) ** p
     m, se_m, unstable = _moment_stats(w)
-    return QuasiNormEstimate(
-        p, sigma_p(p), m, x.size, se_m, excluded, unstable, raw_moment=True
-    )
+    return QuasiNormEstimate(p, sigma_p(p), m, x.size, se_m, 0, unstable, raw_moment=True)
 
 
 def gamma_p(a: float, d: float, p: float) -> float:
@@ -185,21 +176,19 @@ def gamma_p(a: float, d: float, p: float) -> float:
     return sigma_p(p) * (d * p - a)
 
 
-def resolvable_horizon(
-    spec: NoiseSpec, p: float, n: int, t_max: float, *, floor: float = 30.0
-) -> float:
+def resolvable_horizon(spec: NoiseSpec, p: float, n: int, t_max: float) -> float:
     """Largest t <= t_max where the order-p propagator moment is resolvable.
 
     E[|A_t|^p] is a lognormal mean with log-variance p^2 2 d(t); once that
-    passes 2 ln(n / floor) the heaviest sampled quantile no longer covers
+    passes 2 ln(n / 30) the heaviest sampled quantile no longer covers
     the mass carrying the mean, and the empirical estimate is biased low
     no matter how the fit is weighted.
     """
     if p <= 0.0:
         raise ValueError("order p must be positive")
-    if n < 2 or n <= floor:
+    if n <= 30:
         raise EmptyInputError("sample too small for any resolvable horizon")
-    budget = math.log(n / floor) / (p * p)  # d(t) budget
+    budget = math.log(n / 30.0) / (p * p)  # d(t) budget
     if float(y_variance_half(spec, np.array([t_max]))[0]) <= budget:
         return float(t_max)
     lo, hi = 0.0, float(t_max)
@@ -315,7 +304,6 @@ def fit_rate(
         window=(float(lo), float(hi)),
         r_squared=float(r_squared),
         slope_std_err=float(np.sqrt(slope_var)),
-        n_points=int(t.size),
         weighted=weighted,
         predicted=predicted,
     )
@@ -338,7 +326,7 @@ def jensen_check(u: np.ndarray, v: np.ndarray, p: float) -> InequalityReport:
     Each log-sum is shifted by its largest term, so no product over- or
     underflows and the check holds for any such sample; equality-breaking
     noise at machine precision is absorbed by the factor (1 + n eps).
-    lhs and rhs (hence slack) are reported in the caller's units, as the
+    lhs and rhs are reported in the caller's units, as the
     exponential of the log values rescaled by the maxima; they read 0 or
     inf where the true value lies outside the float range.
     """
@@ -396,7 +384,7 @@ def quasi_triangle_check(
     for p <= 500 no power over- or underflows except on entries some 1e308
     below the largest, which both sides see alike.  Where alpha f itself
     falls in the subnormal range, it is formed in the frame and keeps full
-    precision.  lhs and rhs (hence slack) are reported in the
+    precision.  lhs and rhs are reported in the
     caller's units, the frame values times 2^(k sigma_p) for the frame
     exponent k; they read 0 or inf where the true value lies outside the
     float range.
@@ -466,17 +454,11 @@ class MomentCurves:
         p: float,
         window: "tuple[float, float] | None" = None,
         *,
-        weighted: bool = True,
         predicted: "float | None" = None,
     ) -> RateFit:
+        """fit_rate of the order-p curve, weighted by its error bars."""
         times, value, std_err = self.curve(p)
-        return fit_rate(
-            times,
-            value,
-            window,
-            std_errs=std_err if weighted else None,
-            predicted=predicted,
-        )
+        return fit_rate(times, value, window, std_errs=std_err, predicted=predicted)
 
 
 def _power_sums(
@@ -561,7 +543,6 @@ def linear_moment_curves(
     p_values: "tuple[float, ...] | list[float]",
     *,
     source: str = "X",
-    z: complex = 0.0,
     save_every: int = 1,
     workers: int = 1,
 ) -> MomentCurves:
@@ -577,7 +558,7 @@ def linear_moment_curves(
     ensemble = solve_linear(
         model, grid, master_seed, n_paths, (source,), save_every=save_every, workers=workers
     )[source]
-    return ensemble_moment_curves(ensemble, p_values, z=z)
+    return ensemble_moment_curves(ensemble, p_values)
 
 
 def ensemble_moment_curves(

@@ -103,48 +103,17 @@ class NoiseSpec:
         return max((t for _, t in self.components), default=0.0)
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    accepted: bool
-    warnings: tuple[str, ...] = ()
-    reason: str = ""
-    code: str = ""
-
-
-def validate_multiplicative(spec: NoiseSpec) -> ValidationResult:
-    """Decide whether a spec may multiply the state.
+def require_multiplicative(spec: NoiseSpec) -> None:
+    """Raise unless the spec may multiply the state.
 
     Only centered Gaussian kinds qualify: the moment machinery downstream
     rests on the Gaussian law of the integrated noise.  The degenerate
-    zero spec is accepted with a warning since it voids the transition
-    order a/D.
+    zero spec passes, though it voids the transition order a/D (D = 0).
     """
-    if spec.kind in (OU, OU_SUPERPOSITION):
-        return ValidationResult(accepted=True)
-    if spec.kind == ZERO:
-        return ValidationResult(
-            accepted=True,
-            warnings=("zero multiplicative noise: D = 0, no finite transition order",),
-        )
     if spec.kind == PARETO_TRANSFORMED_OU:
-        return ValidationResult(
-            accepted=False,
-            reason="heavy-tailed multiplicative noise is outside the Gaussian route",
-            code=SpecRejectedError.code,
-        )
-    return ValidationResult(
-        accepted=False,
-        reason=f"{spec.kind} is not a centered Gaussian process",
-        code=SpecRejectedError.code,
-    )
-
-
-def require_multiplicative(spec: NoiseSpec) -> tuple[str, ...]:
-    """Raise unless the spec is a valid multiplicative source; return warnings."""
-    result = validate_multiplicative(spec)
-    if not result.accepted:
-        raise SpecRejectedError(result.reason)
-    return result.warnings
+        raise SpecRejectedError("heavy-tailed multiplicative noise is outside the Gaussian route")
+    if spec.kind not in GAUSSIAN_KINDS:
+        raise SpecRejectedError(f"{spec.kind} is not a centered Gaussian process")
 
 
 def _require_gaussian(spec: NoiseSpec, op: str) -> None:

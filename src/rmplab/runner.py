@@ -163,8 +163,11 @@ def check_fit_windows(cfg: ExperimentConfig, names: "tuple[str, ...]") -> None:
 
 
 def _check_reach(cfg: ExperimentConfig, names: "tuple[str, ...]") -> None:
-    """Converge times and green_kubo's lag fit the run's grid, checked with the fit windows.
+    """The moments stride, converge times and green_kubo's lag fit the run's grid.
 
+    Checked before the fit windows, which subsample by the moments stride.
+    A moments save_every must divide the grid steps (beta builds its own
+    grid and rounds its step count up to a multiple of its save_every).
     Converge reads each time at the nearest saved node, so a time past the
     horizon would be read at the horizon; green_kubo's lag must span at
     least two steps and at most half the horizon (tail._green_kubo_lags).
@@ -172,6 +175,12 @@ def _check_reach(cfg: ExperimentConfig, names: "tuple[str, ...]") -> None:
     for req in cfg.estimators:
         if req.name not in names:
             continue
+        save_every = req.get("save_every")
+        if req.name == "moments" and save_every is not None and cfg.grid.n_steps % save_every:
+            raise ConfigInvalidError(
+                f"moments.save_every: {save_every} does not divide the {cfg.grid.n_steps}"
+                " grid steps"
+            )
         if req.name == "converge" and max(req.get("times")) > cfg.grid.horizon + 1e-12:
             raise ConfigInvalidError(
                 f"converge.times: {max(req.get('times'))} is past the grid horizon"
@@ -540,8 +549,8 @@ def run(
     """Execute the configured pipeline; returns (manifest, exit_code)."""
     t0 = time.monotonic()
     names = tuple(name for g in groups for name in STAGES[g])
-    check_fit_windows(cfg, names)
     _check_reach(cfg, names)
+    check_fit_windows(cfg, names)
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

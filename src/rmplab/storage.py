@@ -284,9 +284,15 @@ def write_plotdata(
         _write_text(stub_path, stub)
 
 
+# Bytes sha256_file reads at a time, so hashing never holds a whole artifact.
+HASH_BLOCK = 1 << 20
+
+
 def sha256_file(path: "str | Path") -> str:
     h = hashlib.sha256()
-    h.update(Path(path).read_bytes())
+    with open(path, "rb") as fh:
+        while block := fh.read(HASH_BLOCK):
+            h.update(block)
     return h.hexdigest()
 
 

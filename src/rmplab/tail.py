@@ -23,10 +23,12 @@ from .errors import (
     WindowTooShortError,
 )
 from .grid import TimeGrid, default_dt
-from .metrics import MIN_FIT_NODES, RateFit, linear_moment_curves
+from .metrics import MIN_FIT_NODES, RateFit, _line_fit, linear_moment_curves
 from .noise import NoiseSpec, diffusion_constant, y_variance_half
 
 FLAG_NONSTABLE = "NONSTABLE"
+# Path batches behind the green_kubo and dt_fit confidence intervals.
+N_BATCHES = 20
 
 
 @dataclass(frozen=True)
@@ -211,8 +213,8 @@ def moment_transition(
 
 
 # t_{0.975, df} for df = 1 .. 19, each the float of scipy.special.stdtrit(df, 0.975),
-# which equals scipy.stats.t.ppf(0.975, df) bit for bit: every df that green_kubo_d
-# and dt_fit_d reach at their default 20 batches, with no scipy import.
+# which equals scipy.stats.t.ppf(0.975, df) bit for bit: every df of at most
+# N_BATCHES batches, with no scipy import.
 _T975 = (
     12.706204736174694, 4.302652729749462, 3.1824463052837078, 2.7764451051977934,
     2.5705818356363146, 2.4469118511449786, 2.364624251592784, 2.306004135204166,
@@ -222,27 +224,18 @@ _T975 = (
 )
 
 
-def _t975(df: int) -> float:
-    """Two-sided 95% Student-t quantile: the table, or stdtrit beyond it."""
-    if df <= len(_T975):
-        return _T975[df - 1]
-    from scipy.special import stdtrit  # imported on use: only past the table
-
-    return float(stdtrit(df, 0.975))
-
-
 def _batch_ci(batch_values: np.ndarray) -> tuple[float, float]:
+    """95% Student-t interval of the mean of 2 .. N_BATCHES batch values."""
     b = batch_values.size
     mean = float(batch_values.mean())
-    if b < 2:
-        return mean, mean
-    half = float(_t975(b - 1) * batch_values.std(ddof=1) / np.sqrt(b))
+    half = float(_T975[b - 2] * batch_values.std(ddof=1) / np.sqrt(b))  # df = b - 1
     return mean - half, mean + half
 
 
-def _batch_slices(n: int, n_batches: int) -> list[slice]:
-    edges = np.linspace(0, n, n_batches + 1, dtype=int)
-    return [slice(edges[i], edges[i + 1]) for i in range(n_batches) if edges[i + 1] > edges[i]]
+def _batch_slices(n: int) -> list[slice]:
+    """N_BATCHES contiguous slices of n >= N_BATCHES paths, none empty."""
+    edges = np.linspace(0, n, N_BATCHES + 1, dtype=int)
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
 def _green_kubo_lags(window: float, grid: TimeGrid) -> int:
@@ -261,7 +254,6 @@ def green_kubo_d(
     zeta: PathEnsemble,
     window: float,
     *,
-    n_batches: int = 20,
     analytic: "float | None" = None,
 ) -> ExponentReport:
     """Integrate the empirical autocovariance of the noise up to a lag cap.
@@ -269,18 +261,18 @@ def green_kubo_d(
     The covariance at each lag is an ensemble average against the
     initial node (stationarity makes the base node irrelevant), then a
     trapezoid integral over lags gives the diffusion constant.  The CI
-    comes from batching paths.
+    comes from N_BATCHES batches of paths.
     """
     dt = zeta.grid.dt
     n_lags = _green_kubo_lags(window, zeta.grid)
     vals = zeta.values[~zeta.flagged]
-    if vals.shape[0] < n_batches:
+    if vals.shape[0] < N_BATCHES:
         raise EmptyInputError("too few unflagged paths for batching")
     products = vals[:, :1] * vals[:, : n_lags + 1]
     corr = products.mean(axis=0)
     estimate = float(np.trapezoid(corr, dx=dt))
     batch_d = np.array(
-        [float(np.trapezoid(products[s].mean(axis=0), dx=dt)) for s in _batch_slices(vals.shape[0], n_batches)]
+        [float(np.trapezoid(products[s].mean(axis=0), dx=dt)) for s in _batch_slices(len(vals))]
     )
     ci_low, ci_high = _batch_ci(batch_d)
     return ExponentReport(
@@ -294,23 +286,17 @@ def green_kubo_d(
     )
 
 
-def _linear_slope(ts: np.ndarray, ys: np.ndarray) -> float:
-    t_bar = ts.mean()
-    y_bar = ys.mean()
-    return float(((ts - t_bar) * (ys - y_bar)).sum() / ((ts - t_bar) ** 2).sum())
-
-
 def dt_fit_d(
     y: PathEnsemble,
     window: tuple[float, float],
     *,
-    n_batches: int = 20,
     analytic: "float | None" = None,
 ) -> ExponentReport:
     """Slope of half the integrated-noise variance over a late window.
 
     E[Y_t^2]/2 approaches D t plus a constant once t passes a few
-    correlation times, so the least-squares slope estimates D.
+    correlation times, so the least-squares slope estimates D.  The CI
+    comes from N_BATCHES batches of paths.
     """
     lo, hi = window
     times = y.grid.times
@@ -320,14 +306,14 @@ def dt_fit_d(
             f"variance-slope window must cover at least {MIN_FIT_NODES} nodes"
         )
     vals = y.values[~y.flagged][:, mask]
-    if vals.shape[0] < n_batches:
+    if vals.shape[0] < N_BATCHES:
         raise EmptyInputError("too few unflagged paths for batching")
     ts = times[mask]
-    estimate = _linear_slope(ts, 0.5 * (vals**2).mean(axis=0))
+    estimate = _line_fit(ts, 0.5 * (vals**2).mean(axis=0), None)[0]
     batch_slopes = np.array(
         [
-            _linear_slope(ts, 0.5 * (vals[s] ** 2).mean(axis=0))
-            for s in _batch_slices(vals.shape[0], n_batches)
+            _line_fit(ts, 0.5 * (vals[s] ** 2).mean(axis=0), None)[0]
+            for s in _batch_slices(len(vals))
         ]
     )
     ci_low, ci_high = _batch_ci(batch_slopes)
@@ -364,7 +350,6 @@ class Condition1Report:
     ratio_budget: float
     verdict: str
     r_mc: "np.ndarray | None" = None
-    mc_std_err: "np.ndarray | None" = None
     mc_consistent: "bool | None" = None
     mc_max_z: "float | None" = None
 
@@ -415,7 +400,6 @@ def condition1_diagnostic(
         ratio_budget=ratio_budget,
         verdict=verdict,
         r_mc=r_mc,
-        mc_std_err=mc_se,
         mc_consistent=consistent,
         mc_max_z=max_z,
     )

@@ -103,10 +103,8 @@ class PGammaNormReport:
     not_in_class: bool
 
 
-def p_gamma_norm(
-    f: TestFunction, gamma: float, grid: "np.ndarray | None" = None
-) -> PGammaNormReport:
-    """Grid supremum of |f(x)| / (1 + |x|)^gamma.
+def p_gamma_norm(f: TestFunction, gamma: float) -> PGammaNormReport:
+    """Supremum of |f(x)| / (1 + |x|)^gamma over default_eval_grid.
 
     If the ratio still grows across the outermost decade of the grid the
     supremum is an artifact of the grid extent and the report is flagged
@@ -114,7 +112,7 @@ def p_gamma_norm(
     """
     if gamma < 0.0:
         raise ValueError("gamma must be nonnegative")
-    x = default_eval_grid() if grid is None else np.asarray(grid, dtype=np.float64)
+    x = default_eval_grid()
     vals = np.abs(f(x)) / (1.0 + np.abs(x)) ** gamma
     if not np.all(np.isfinite(vals)):
         raise ValueError("test function produced non-finite values on the grid")
@@ -160,7 +158,6 @@ class ConvergenceReport:
     values: np.ndarray
     std_errs: np.ndarray
     limit: float
-    limit_std_err: float
     delta: np.ndarray
     gamma_class: float
     beta_c: float
@@ -179,14 +176,14 @@ def convergence_diagnostic(
     d: float,
     *,
     mode: str = MODE_AUTO,
-    window: "tuple[float, float] | None" = None,
 ) -> ConvergenceReport:
     """Track E f(X_t) toward (or away from) its stationary value.
 
     In convergence mode the gap |E f(X_t) - E f(X_inf)| is fitted for an
-    exponential rate and compared with the rate predicted at order
-    gamma_class; in divergence mode the expectation itself is fitted for
-    growth.  Forcing convergence mode on a function whose growth class
+    exponential rate, over every time where it stands above its noise,
+    and compared with the rate predicted at order gamma_class; in
+    divergence mode the expectation itself is fitted for growth, over
+    every time.  Forcing convergence mode on a function whose growth class
     reaches the transition order raises CLASS_MISMATCH.
     """
     ts = np.asarray(times, dtype=np.float64).ravel()
@@ -230,11 +227,7 @@ def convergence_diagnostic(
         usable = delta > 2.0 * gap_se
         if usable.sum() >= 5:
             rate = fit_rate(
-                ts[usable],
-                delta[usable],
-                window,
-                std_errs=gap_se[usable],
-                predicted=predicted,
+                ts[usable], delta[usable], std_errs=gap_se[usable], predicted=predicted
             )
         else:
             flags.append("DELTA_BELOW_NOISE")
@@ -243,7 +236,7 @@ def convergence_diagnostic(
         decayed = final_gap <= max(final_tol, 0.05 * float(delta.max()))
         verdict = "CONVERGED" if decayed or (rate is not None and rate.slope < 0.0) else "NOT_CONVERGED"
     else:
-        rate = fit_rate(ts, np.maximum(values, 1e-300), window, std_errs=std_errs, predicted=predicted)
+        rate = fit_rate(ts, np.maximum(values, 1e-300), std_errs=std_errs, predicted=predicted)
         verdict = "DIVERGING" if rate.slope > 0.0 else "NOT_DIVERGING"
 
     return ConvergenceReport(
@@ -252,7 +245,6 @@ def convergence_diagnostic(
         values=values,
         std_errs=std_errs,
         limit=limit_est.value,
-        limit_std_err=limit_est.std_err,
         delta=delta,
         gamma_class=gamma,
         beta_c=beta_c,

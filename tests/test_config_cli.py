@@ -589,6 +589,45 @@ class TestCli:
         assert not out.exists()
         assert main(["simulate", *argv]) == 0
 
+    def test_moments_stride_is_judged_on_the_run_grid(self, tmp_path, capsys):
+        # save_every 4 divides the 100 configured steps, not the 145 of --t-max 2.9,
+        # and only moments reads it
+        raw = base_raw()
+        raw["estimators"][0]["save_every"] = 4
+        cfg_path = write_config(tmp_path, raw)
+        out = tmp_path / "x"
+        argv = ["--config", str(cfg_path), "--out", str(out), "--t-max", "2.9"]
+        assert main(["moments", *argv]) == 2
+        err = capsys.readouterr().err
+        assert "[CONFIG_INVALID]" in err and "does not divide the 145 grid steps" in err
+        assert not out.exists()
+        assert main(["simulate", *argv]) == 0
+
+    @pytest.mark.parametrize(
+        "noise_", [{"kind": "zero"}, {"kind": "ou", "sigma": 1e-200, "tau_c": 1.0}]
+    )
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            {"name": "beta", "p_grid": [1.0, 2.0]},
+            {"name": "converge", "functions": [{"kind": "abs_power"}], "times": [0.5, 1.0]},
+        ],
+    )
+    def test_zero_diffusion_exits_two_before_any_work(self, tmp_path, capsys, noise_, request_):
+        # D = 0 (the zero kind, or sigma^2 tau_c underflowing) leaves a/D infinite:
+        # beta used to solve, then exit on NO_SIGN_CHANGE, and a full run wrote
+        # simulate and moments before converge raised D_NONPOSITIVE
+        raw = base_raw()
+        raw["model"]["multiplicative"] = noise_
+        raw["estimators"].append(request_)
+        cfg_path, out = write_config(tmp_path, raw), tmp_path / "x"
+        assert main([request_["name"], "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error [CONFIG_INVALID]: {request_['name']}: needs a diffusion constant" in err
+        assert not out.exists()
+        raw["estimators"] = [{"name": "moments", "p": [0.5]}, {"name": "hill"}]
+        config_from_dict(raw)  # what does not need a/D still loads
+
     def test_moments_window_is_not_checked_when_no_json_fits_it(self, tmp_path):
         raw = base_raw()
         raw["outputs"]["formats"] = ["csv", "plotdata"]
@@ -644,13 +683,19 @@ class TestCli:
     def test_values_that_failed_mid_run_exit_two(self, tmp_path, capsys, mutate, needle):
         raw = base_raw()  # 100 grid steps
         mutate(raw)
-        with pytest.raises(ConfigInvalidError, match=needle):
+        if needle == "save_every":  # checked before a run that uses it, not at load
             config_from_dict(raw)
+        else:
+            with pytest.raises(ConfigInvalidError, match=needle):
+                config_from_dict(raw)
         cfg_path = write_config(tmp_path, raw)
         assert main(["moments", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert "CONFIG_INVALID" in err and needle in err
         assert "Traceback" not in err
+        assert not (tmp_path / "x" / "manifest.json").exists()
+        if needle == "save_every":  # simulate never reads it
+            assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "y")]) == 0
 
     @pytest.mark.parametrize("window", [None, [1.0, 2.0]])
     def test_all_flagged_ensemble_exits_two(self, tmp_path, capsys, window):

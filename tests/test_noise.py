@@ -28,7 +28,6 @@ from rmplab.noise import (
     sample_chunks,
     stationary_moment,
     tail_index,
-    validate_multiplicative,
     y_variance_half,
 )
 from rmplab.rng import ROLE_ADDITIVE, ROLE_MULTIPLICATIVE, block_normals
@@ -53,16 +52,18 @@ def test_spec_invariants_rejected():
 
 
 def test_multiplicative_gate():
-    assert validate_multiplicative(NoiseSpec.ou(1.0, 0.5)).accepted
-    assert validate_multiplicative(NoiseSpec.superposition([(1, 1), (2, 0.25)])).accepted
+    for good in (
+        NoiseSpec.ou(1.0, 0.5),
+        NoiseSpec.superposition([(1, 1), (2, 0.25)]),
+        NoiseSpec.zero(),  # degenerate (D = 0) but allowed
+    ):
+        assert require_multiplicative(good) is None
 
-    res = validate_multiplicative(NoiseSpec.zero())
-    assert res.accepted and res.warnings  # degenerate but allowed
-
-    for bad in (NoiseSpec.pareto_ou(0.5, 2.5), NoiseSpec.constant(1.0)):
-        res = validate_multiplicative(bad)
-        assert not res.accepted and res.reason
-        with pytest.raises(SpecRejectedError):
+    for bad, reason in (
+        (NoiseSpec.pareto_ou(0.5, 2.5), "heavy-tailed"),
+        (NoiseSpec.constant(1.0), "not a centered Gaussian"),
+    ):
+        with pytest.raises(SpecRejectedError, match=reason):
             require_multiplicative(bad)
 
 

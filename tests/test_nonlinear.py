@@ -187,20 +187,20 @@ def test_refinement_respects_max_refines(monkeypatch):
         calls.clear()
         return out
 
-    sol = coarse(max_refines=0)  # count 1 over every path, no pilot
-    assert sweeps() == [(2048, 1, 3)]
-    assert (sol.substeps, sol.refinement, sol.step_bias, sol.mc_se) == (1, (), None, None)
     # the pilot reads count 1 from the production sweep and keeps only the horizon
+    monkeypatch.setattr(engine, "MAX_REFINES", 1)
     with pytest.raises(RuntimeError, match="did not settle"):
-        coarse(max_refines=1)
+        coarse()
     done = sweeps()
     pilot = done[1][0]  # the keyed 128 and the tail
     assert pilot > 128
     assert done == [(2048, 1, 3), (pilot, 2, 15)]
-    assert coarse(max_refines=2).substeps == 2
+    monkeypatch.setattr(engine, "MAX_REFINES", 2)
+    assert coarse().substeps == 2
     assert sweeps() == [(2048, 1, 3), (pilot, 2, 15), (pilot, 4, 15), (2048, 2, 3)]
+    monkeypatch.setattr(engine, "MAX_REFINES", 3)
     with pytest.raises(RuntimeError, match="did not settle"):
-        saturated(max_refines=3)
+        saturated()
     # 40 paths: the pilot is the keyed 128 alone, and keyed paths 40 .. 127
     # get a count-1 sweep of their own
     assert sweeps() == [(40, 1, 10), (88, 1, 710), (128, 2, 710), (128, 4, 710), (128, 8, 710)]
@@ -249,11 +249,11 @@ NONLINEAR_CASES = {
         for kind in (SIN_MODULATED, CLIPPED, ENVELOPE_ITSELF)
         for save_every in (1, 5)
     },
-    "coarse": lambda **kw: solve_nonlinear(
-        _nl(SIN_MODULATED), TimeGrid(0.4, 15), 4, 2048, save_every=3, **kw
+    "coarse": lambda: solve_nonlinear(
+        _nl(SIN_MODULATED), TimeGrid(0.4, 15), 4, 2048, save_every=3
     ),
-    "saturated": lambda **kw: solve_nonlinear(
-        _nl(CLIPPED, a=-20.0), TimeGrid(0.05, 710), 5, 40, save_every=10, **kw
+    "saturated": lambda: solve_nonlinear(
+        _nl(CLIPPED, a=-20.0), TimeGrid(0.05, 710), 5, 40, save_every=10
     ),
     "three_scale": lambda: solve_nonlinear(
         NonlinearModel(

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from rmplab.errors import IOFailureError
 from rmplab.grid import TimeGrid
 from rmplab.storage import (
     BINARY_VERSION,
+    HASH_BLOCK,
     MAGIC,
     build_manifest,
     read_ensemble_binary,
@@ -163,6 +165,21 @@ def test_binary_bytes_are_header_values_and_flags(tmp_path):
     expected = header + values.astype("<f8").tobytes() + ens.flagged.astype(np.uint8).tobytes()
     assert path.read_bytes() == expected
     assert sha256_file(path) == hashlib.sha256(expected).hexdigest()
+
+
+@pytest.mark.parametrize("size", [0, 1, 4 * HASH_BLOCK + 17])
+def test_sha256_file_hashes_the_whole_file_a_block_at_a_time(tmp_path, size):
+    blob = np.random.default_rng(size).bytes(size)
+    path = tmp_path / "blob"
+    path.write_bytes(blob)
+    tracemalloc.start()
+    try:
+        digest = sha256_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest == hashlib.sha256(blob).hexdigest()
+    assert peak < 3 * HASH_BLOCK  # a block or two held, never the whole file
 
 
 def test_json_output_is_canonical(tmp_path):

@@ -252,7 +252,7 @@ def test_t_quantile_table_is_scipys():
         assert q.hex() == float(scipy.stats.t.ppf(0.975, df)).hex()
 
 
-@pytest.mark.parametrize("b", [2, 20, 21])
+@pytest.mark.parametrize("b", [2, 20])
 def test_batch_ci_matches_scipy_t_interval(b):
     vals = np.random.default_rng(b).normal(size=b)
     half = float(scipy.stats.t.ppf(0.975, b - 1) * vals.std(ddof=1) / np.sqrt(b))
