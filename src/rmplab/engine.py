@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import noise as noise_mod
-from .blocks import BLOCK_CELLS, DEFAULT_BLOCK_SIZE, run_blocks
+from .blocks import BLOCK_CELLS, DEFAULT_BLOCK_SIZE, run_blocks, slot_array, workspace
 from .errors import TruncationWarningError
 from .grid import TimeGrid
 from .noise import NoiseSpec, diffusion_constant, require_multiplicative, y_variance_half
@@ -183,34 +183,47 @@ class NonlinearSolution:
     mc_se: float
 
 
-def _sanitize(arr: np.ndarray) -> np.ndarray:
+def _sanitize(arr: np.ndarray, finite: "np.ndarray | None" = None) -> np.ndarray:
     """Saturate overflowed entries in place; return the path mask of repairs.
 
     arr is time-major, (n_nodes, n_paths), so a path is flagged when any
-    entry of its column was repaired.
+    entry of its column was repaired.  finite, a bool array of arr's
+    shape, holds the finiteness mask; without it the mask is new memory.
     """
-    finite = np.isfinite(arr)
+    finite = np.isfinite(arr, out=finite)
     if not finite.all():
         np.nan_to_num(arr, copy=False, nan=0.0, posinf=SATURATION, neginf=-SATURATION)
     return ~finite.all(axis=0)
 
 
-def cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
+def cumulative_trapezoid(
+    values: np.ndarray, dt: float, out: "np.ndarray | None" = None
+) -> np.ndarray:
     """Cumulative trapezoid rule along the first (time) axis, from 0.
 
     Kernels are time-major, so each step adds one whole row of pair sums:
     cumsum(dt * (v[1:] + v[:-1]) / 2.0) behind a leading zero, the formula
-    and operation order of scipy.integrate.cumulative_trapezoid.
+    and operation order of scipy.integrate.cumulative_trapezoid.  The pair
+    sums are added, scaled by dt, halved and summed in place in out's
+    rows after the first, so the rule needs no memory beyond out (new
+    memory when out is None; it must not overlap values).
     """
-    out = np.empty(values.shape)
+    if out is None:
+        out = np.empty(values.shape)
     out[0] = 0.0
-    np.cumsum(dt * (values[1:] + values[:-1]) / 2.0, axis=0, out=out[1:])
+    steps = out[1:]
+    np.add(values[1:], values[:-1], out=steps)
+    np.multiply(dt, steps, out=steps)
+    np.divide(steps, 2.0, out=steps)
+    np.cumsum(steps, axis=0, out=steps)
     return out
 
 
-def integrate_y_values(zeta: np.ndarray, dt: float) -> np.ndarray:
-    """Cumulative trapezoid of time-major multiplicative noise, Y_0 = 0."""
-    return cumulative_trapezoid(zeta, dt)
+def integrate_y_values(
+    zeta: np.ndarray, dt: float, out: "np.ndarray | None" = None
+) -> np.ndarray:
+    """Cumulative trapezoid of time-major multiplicative noise, Y_0 = 0, into out."""
+    return cumulative_trapezoid(zeta, dt, out)
 
 
 def integrate_y(zeta: PathEnsemble) -> PathEnsemble:
@@ -224,17 +237,26 @@ def integrate_y(zeta: PathEnsemble) -> PathEnsemble:
     )
 
 
-def _response_from_log(log_a: np.ndarray, phi: np.ndarray, dt: float) -> np.ndarray:
-    """Driven response via the stable per-step recursion.
+def _response_from_log(
+    log_a: np.ndarray, phi: np.ndarray, dt: float, ratios: np.ndarray, q: np.ndarray
+) -> np.ndarray:
+    """Driven response via the stable per-step recursion, written over log_a.
 
     B_{k+1} = B_k exp(dlogA_k) + (dt/2) (phi_k exp(dlogA_k) + phi_{k+1}),
     the trapezoid rule applied inside each step after factoring out the
     propagator ratio.  Arrays are time-major, so each step is one row.
+    ratios and q, each one row shorter than log_a, receive the ratios
+    exp(dlogA) and the increments, with the ufuncs and operand order of
+    exp(diff(log_a)) and 0.5 * dt * (phi[:-1] * ratios + phi[1:]).  B then
+    overwrites log_a, which the recursion no longer reads, and is returned.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        ratios = np.exp(np.diff(log_a, axis=0))
-        q = 0.5 * dt * (phi[:-1] * ratios + phi[1:])
-        b = np.empty(log_a.shape)
+        np.subtract(log_a[1:], log_a[:-1], out=ratios)
+        np.exp(ratios, out=ratios)
+        np.multiply(phi[:-1], ratios, out=q)
+        np.add(q, phi[1:], out=q)
+        np.multiply(0.5 * dt, q, out=q)
+        b = log_a
         b[0] = 0.0
         for prev, cur, ratio, inc in zip(b, b[1:], ratios, q):
             np.multiply(prev, ratio, out=cur)
@@ -250,14 +272,30 @@ def linear_block_arrays(
     *,
     save_every: int = 1,
     need: "tuple[str, ...] | frozenset[str]" = ("X",),
+    into: "dict[str, np.ndarray] | None" = None,
 ) -> dict[str, np.ndarray]:
     """Compute requested process arrays for a block of path indices.
 
     This is the kernel every ensemble estimator is built on.  It works
-    time-major, (n_nodes, n_paths), from the noise to the last quadrature;
-    sub is its one transpose, keeping every save_every-th node of each
-    requested array as C-contiguous path-major rows (n_paths, n_saved).
-    'flagged' holds one entry per path.
+    time-major, (n_nodes, n_paths), from the noise to the last quadrature,
+    and keeps every save_every-th node of each requested array as
+    path-major rows (n_paths, n_saved), written into into[label] when
+    into is given (solve_linear passes rows of its ensembles) and into new
+    arrays otherwise.  'flagged' holds one entry per path.
+
+    Every fine-grid array lies in this thread's block workspace
+    (blocks.workspace): five slots of BLOCK_CELLS cells, 12.4 MB that stay
+    resident on each thread that ran a block and are reused by the next
+    block, so no block allocates or faults in its working arrays.  zeta
+    and its draws take slots 0 and 1; Y is integrated into slot 1 and
+    turned into log A there; phi, drawn once zeta is spent, takes slot 0
+    (its draws slot 2); A takes slot 2, the propagator ratios and the
+    trapezoid increments slots 3 and 4, and B overwrites log A.  X and
+    phi A go to slots 3 and 4, and H to slot 3.  Each array is written
+    with out= by the ufuncs, in the order, of the allocating formulas in
+    the comments, so its bytes do not depend on where it lives.  An array
+    larger than a slot (a single path on a grid of more than BLOCK_CELLS
+    nodes) is new memory.  The returned arrays never alias the slots.
     """
     need = frozenset(need)
     unknown = need.difference(PROCESS_LABELS)
@@ -266,59 +304,66 @@ def linear_block_arrays(
     want_y = bool(need & {"Y", "A", "B", "X", "H"})
     want_phi = bool(need & {"phi", "B", "X", "H"})
 
-    out: dict[str, np.ndarray] = {}
-    flagged = np.zeros(len(indices), dtype=bool)
+    n = len(indices)
+    shape, step_shape = (grid.n_nodes, n), (grid.n_steps, n)
+    if into is None:
+        n_saved = grid.n_steps // save_every + 1
+        into = {label: np.empty((n, n_saved)) for label in need}
+    slots = workspace()
+    flagged = np.zeros(n, dtype=bool)
 
-    zeta = None
+    def save(label: str, arr: np.ndarray) -> None:
+        if label in need:
+            into[label][...] = arr[::save_every].T
+
+    def flag_overflow(arr: np.ndarray) -> None:  # slot 4 is free at each call
+        flagged[...] |= _sanitize(arr, slot_array(slots[4], shape, bool))
+
     if want_y or "zeta" in need:
         zeta = noise_mod.sample_block(
-            model.multiplicative, grid, master_seed, indices, ROLE_MULTIPLICATIVE
+            model.multiplicative, grid, master_seed, indices, ROLE_MULTIPLICATIVE,
+            work=slots[:2],
         )
-    phi = None
-    if want_phi:
-        phi = noise_mod.sample_block(model.additive, grid, master_seed, indices, ROLE_ADDITIVE)
-
-    log_a = None
-    y = None
+        save("zeta", zeta)
     if want_y:
-        y = integrate_y_values(zeta, grid.dt)
-        log_a = -model.a * grid.times[:, None] - y
-        flagged |= np.abs(log_a).max(axis=0) > LOG_BUDGET
-
-    a_vals = None
+        log_a = integrate_y_values(zeta, grid.dt, out=slot_array(slots[1], shape))
+        save("Y", log_a)
+        # log_a = -a * t - y
+        np.subtract(-model.a * grid.times[:, None], log_a, out=log_a)
+        flagged |= np.abs(log_a, out=slot_array(slots[0], shape)).max(axis=0) > LOG_BUDGET
+    if want_phi:
+        phi = noise_mod.sample_block(
+            model.additive, grid, master_seed, indices, ROLE_ADDITIVE, work=(slots[0], slots[2])
+        )
+        save("phi", phi)
     if need & {"A", "X", "H"}:
-        a_vals = np.exp(np.minimum(log_a, _EXP_CAP))
-
-    b = None
+        # a_vals = exp(minimum(log_a, _EXP_CAP))
+        a_vals = np.minimum(log_a, _EXP_CAP, out=slot_array(slots[2], shape))
+        np.exp(a_vals, out=a_vals)
+        save("A", a_vals)
     if need & {"B", "X"}:
-        b = _response_from_log(log_a, phi, grid.dt)
-        flagged |= _sanitize(b)
-
-    def sub(arr: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(arr[::save_every].T)
-
-    if "zeta" in need:
-        out["zeta"] = sub(zeta)
-    if "phi" in need:
-        out["phi"] = sub(phi)
-    if "Y" in need:
-        out["Y"] = sub(y)
-    if "A" in need:
-        out["A"] = sub(a_vals)
-    if "B" in need:
-        out["B"] = sub(b)
-    if "X" in need:
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = model.x0 * a_vals + b
-        flagged |= _sanitize(x)
-        out["X"] = sub(x)
-    if "H" in need:
-        with np.errstate(over="ignore", invalid="ignore"):
-            h = cumulative_trapezoid(phi * a_vals, grid.dt)
-        flagged |= _sanitize(h)
-        out["H"] = sub(h)
-    out["flagged"] = flagged
-    return out
+        b = _response_from_log(
+            log_a, phi, grid.dt, slot_array(slots[3], step_shape), slot_array(slots[4], step_shape)
+        )
+        flag_overflow(b)
+        save("B", b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if "X" in need:
+            # x = x0 * a_vals + b
+            x = np.multiply(model.x0, a_vals, out=slot_array(slots[3], shape))
+            np.add(x, b, out=x)
+            flag_overflow(x)
+            save("X", x)
+        if "H" in need:
+            # h = cumulative_trapezoid(phi * a_vals)
+            h = cumulative_trapezoid(
+                np.multiply(phi, a_vals, out=slot_array(slots[4], shape)),
+                grid.dt,
+                slot_array(slots[3], shape),
+            )
+            flag_overflow(h)
+            save("H", h)
+    return {label: into[label] for label in need} | {"flagged": flagged}
 
 
 def solve_linear(
@@ -342,39 +387,47 @@ def solve_linear(
     fine, only the first and final nodes are kept, and .final_values is
     the horizon sample.
 
-    A block holds at most BLOCK_CELLS // grid.n_nodes rows (at least
-    one), so its fine-grid arrays take a fixed budget of memory whatever
-    the horizon, and its noise is one chunk of noise.sample_chunks,
-    drawn with a reset per row instead of a generator per row;
-    block_size is an upper bound on top of that.  The layout cannot
-    change the output: every kernel a block runs (the keyed normals, the
-    OU filter, the quadratures, the flags and the saturation) works path
-    by path, and blocks are only concatenated, so row i is the same bytes
-    in any partition.
+    The ensembles' (n_paths, n_saved) arrays and the flag vector are
+    allocated once, and each block writes its saved rows and flags into
+    them, so the solve holds the ensembles and one block's work, not the
+    blocks' outputs as well.  A block holds at most BLOCK_CELLS //
+    grid.n_nodes rows (at least one), so its fine-grid arrays fit the
+    block workspace of the thread that runs it (linear_block_arrays):
+    12.4 MB per thread, reused block after block, whatever the horizon.
+    Its noise is one chunk of noise.sample_chunks, drawn with a reset per
+    row instead of a generator per row; block_size is an upper bound on
+    top of that.  The layout cannot change the output: every kernel a
+    block runs (the keyed normals, the OU filter, the quadratures, the
+    flags and the saturation) works path by path, and each block writes
+    only its own rows, so row i is the same bytes in any partition and
+    with any number of workers.
     """
     unknown = [label for label in need if label not in PROCESS_LABELS]
     if unknown:
         raise ValueError(f"unknown process labels: {unknown}")
     out_grid = grid.subsampled(save_every)
-    block_size = min(block_size, max(1, BLOCK_CELLS // grid.n_nodes))
-    parts = run_blocks(
+    values = {label: np.empty((n_paths, out_grid.n_nodes)) for label in need}
+    flagged = np.empty(n_paths, dtype=bool)
+
+    def block(idx: np.ndarray) -> None:
+        rows = slice(idx[0], idx[-1] + 1)
+        into = {label: arr[rows] for label, arr in values.items()}
+        done = linear_block_arrays(
+            model, grid, master_seed, idx, save_every=save_every, need=need, into=into
+        )
+        flagged[rows] = done["flagged"]
+
+    run_blocks(
         n_paths,
-        lambda idx: linear_block_arrays(
-            model, grid, master_seed, idx, save_every=save_every, need=need
-        ),
+        block,
         workers=workers,
-        block_size=block_size,
+        block_size=min(block_size, max(1, BLOCK_CELLS // grid.n_nodes)),
     )
-    flagged = np.concatenate([p["flagged"] for p in parts])
     return {
         label: PathEnsemble(
-            grid=out_grid,
-            label=label,
-            values=np.concatenate([p[label] for p in parts]),
-            flagged=flagged,
-            master_seed=master_seed,
+            grid=out_grid, label=label, values=arr, flagged=flagged, master_seed=master_seed
         )
-        for label in need
+        for label, arr in values.items()
     }
 
 

@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .blocks import BLOCK_CELLS
+from .blocks import BLOCK_CELLS, slot_array
 from .errors import SpecRejectedError, UnsupportedKindError
 from .grid import TimeGrid
 from .rng import block_normals
@@ -226,7 +226,13 @@ def _superposition(
 
 
 def sample_block(
-    spec: NoiseSpec, grid: TimeGrid, master_seed: int, path_indices: np.ndarray, role: int
+    spec: NoiseSpec,
+    grid: TimeGrid,
+    master_seed: int,
+    path_indices: np.ndarray,
+    role: int,
+    *,
+    work: "tuple[np.ndarray, np.ndarray] | None" = None,
 ) -> np.ndarray:
     """Sample paths for a block of path indices, time-major.
 
@@ -235,9 +241,11 @@ def sample_block(
     i of the block is column i.  It is sample_chunks joined: a draw that
     fits in one chunk, as every solve_linear block does, is that chunk,
     and a larger one is copied chunk by chunk into one full-size array.
+    work is passed on to sample_chunks, so a draw in one chunk lies in its
+    first slot; the full-size array of a larger draw is new memory.
     """
     n = len(path_indices)
-    chunks = sample_chunks(spec, grid, master_seed, path_indices, role)
+    chunks = sample_chunks(spec, grid, master_seed, path_indices, role, work=work)
     first = next(chunks)
     if len(first) == grid.n_nodes:
         return first
@@ -255,6 +263,8 @@ def sample_chunks(
     master_seed: int,
     path_indices: np.ndarray,
     role: int,
+    *,
+    work: "tuple[np.ndarray, np.ndarray] | None" = None,
 ) -> Iterator[np.ndarray]:
     """Sample paths for a block of path indices in time chunks.
 
@@ -281,14 +291,27 @@ def sample_chunks(
     same operations as in one chunk.  A superposition is sampled whole
     by _superposition and handed out chunk by chunk.  The zero and
     constant kinds are filled per chunk.
+
+    work, two slots of the calling thread's block workspace
+    (blocks.workspace: 12.4 MB on each thread that ran a linear block,
+    resident for the thread's life), is what the linear kernel passes:
+    the chunk buffer of a zero, constant or single-component spec then
+    lies in the first slot, and block_normals draws the path-major
+    normals into the second, so block after block reuses memory that is
+    already resident.  Both slots are the generator's until it is
+    exhausted or dropped.  Without work the buffers are new memory, as is
+    a superposition's whole draw.
     """
     idx = np.asarray(path_indices)
     n = len(idx)
     steps = min(grid.n_steps, max(1, BLOCK_CELLS // max(n, 1) - 1))
     bounds = [(k0, min(steps, grid.n_steps - k0)) for k0 in range(0, grid.n_steps, steps)]
+    chunk_slot, draw_slot = work or (None, None)
     if spec.kind in (ZERO, CONSTANT):
         for _, c in bounds:
-            yield np.zeros((c + 1, n)) if spec.kind == ZERO else np.full((c + 1, n), spec.level)
+            rows = slot_array(chunk_slot, (c + 1, n))
+            rows.fill(0.0 if spec.kind == ZERO else spec.level)
+            yield rows
         return
     if len(spec.components) > 1:
         whole = _superposition(spec, grid, master_seed, idx, role)
@@ -299,17 +322,24 @@ def sample_chunks(
     ((sigma, tau),) = spec.components
     r = np.exp(-grid.dt / tau)
     s = sigma * np.sqrt(-np.expm1(-2.0 * grid.dt / tau))
-    buf, carry = np.empty((steps + 1, n)), np.empty(n)
+    buf, carry = slot_array(chunk_slot, (steps + 1, n)), np.empty(n)
     streams: "list[np.random.Generator] | None" = None if len(bounds) == 1 else []
+
+    def draw(length: int) -> np.ndarray:
+        if draw_slot is None:
+            return block_normals(master_seed, idx, role, (length,), streams)
+        out = slot_array(draw_slot, (n, length))
+        return block_normals(master_seed, idx, role, (length,), streams, out=out)
+
     for k0, c in bounds:
         rows = buf[: c + 1]
         if k0 == 0:
-            draws = block_normals(master_seed, idx, role, (c + 1,), streams)
+            draws = draw(c + 1)
             np.multiply(draws[:, 0], sigma, out=rows[0])
             np.multiply(draws[:, 1:].T, s, out=rows[1:])
         else:
             rows[0] = carry
-            draws = block_normals(master_seed, idx, role, (c,), streams)
+            draws = draw(c)
             np.multiply(draws.T, s, out=rows[1:])
         del draws  # not held while the caller has the chunk
         _ou_filter(rows, r)

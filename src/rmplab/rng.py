@@ -68,6 +68,8 @@ def block_normals(
     role: int,
     shape_per_path: tuple[int, ...],
     streams: "list[np.random.Generator] | None" = None,
+    *,
+    out: "np.ndarray | None" = None,
 ) -> np.ndarray:
     """Standard normal draws for a block of paths, one stream per path.
 
@@ -98,11 +100,19 @@ def block_normals(
     path_stream(master_seed, path_indices[k], role).standard_normal(total).
     Building a generator costs about ten times a reset, which a draw in one
     piece (streams None) does not pay.
+
+    out, if given, receives the draws and is returned: a C-contiguous
+    float64 array of the output shape, such as a block workspace slot
+    (blocks.slot_array).  Without it the draws go to a new array.
     """
     idx = np.asarray(path_indices)
     if idx.size and idx.dtype.kind not in "iu":
         raise ValueError(f"path indices must be integers, got dtype {idx.dtype}")
-    out = np.empty((len(idx),) + shape_per_path, dtype=np.float64)
+    shape = (len(idx),) + shape_per_path
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
     lo, hi = (int(idx.min()), int(idx.max())) if idx.size else (0, 0)
     first_key = _stream_key(master_seed, lo, role)
     _stream_key(master_seed, hi, role)

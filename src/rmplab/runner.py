@@ -19,7 +19,6 @@ from .engine import (
     NonlinearModel,
     NonlinearSolution,
     PathEnsemble,
-    integrate_y,
     solve_linear,
     solve_nonlinear,
     stationary_horizon,
@@ -338,17 +337,24 @@ def do_beta(state: RunState) -> None:
     gk_reqs = _reqs(cfg, "green_kubo")
     dt_reqs = _reqs(cfg, "dt_fit")
     if gk_reqs or dt_reqs:
-        zeta_vals = solve_linear(
-            model, cfg.grid, cfg.master_seed, cfg.n_paths, ("zeta",), workers=cfg.workers
-        )["zeta"]
+        noise = solve_linear(
+            model,
+            cfg.grid,
+            cfg.master_seed,
+            cfg.n_paths,
+            ("zeta", "Y") if dt_reqs else ("zeta",),
+            workers=cfg.workers,
+        )
+        # Y's exponent-budget flags concern the propagator, not the noise:
+        # both estimators read every path, as of a zeta-only solve.
+        noise["zeta"].flagged[:] = False  # the mask Y shares
         for req in gk_reqs:
-            report = green_kubo_d(zeta_vals, float(req.get("window")), analytic=d_analytic)
+            report = green_kubo_d(noise["zeta"], float(req.get("window")), analytic=d_analytic)
             out["green_kubo"] = _report_to_dict(report)
         for req in dt_reqs:
             window = req.get("window")
-            y = integrate_y(zeta_vals)
             report = dt_fit_d(
-                y, (float(window[0]), float(window[1])), analytic=d_analytic
+                noise["Y"], (float(window[0]), float(window[1])), analytic=d_analytic
             )
             out["dt_fit"] = _report_to_dict(report)
 

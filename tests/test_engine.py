@@ -7,6 +7,7 @@ pinned by sha256 digests, so a change of array layout inside the kernels
 cannot move a single output bit.
 """
 import hashlib
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from scipy.integrate import cumulative_trapezoid as scipy_cumulative_trapezoid
 from scipy.integrate import dblquad
 
-from rmplab import engine
+from rmplab import blocks, engine, noise
 from rmplab.engine import (
     BLOCK_CELLS,
     LOG_BUDGET,
@@ -207,6 +208,89 @@ def test_stationary_sample_memory_is_one_block():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
+def test_a_warm_stationary_sample_faults_in_no_block_arrays():
+    # Hill's sample of the benchmark pipeline: 18 blocks of 223 paths x
+    # 1,385 nodes.  Allocating each block's arrays afresh faulted in about
+    # 86,000 zeroed pages per call; a warm thread's workspace is resident.
+    resource = pytest.importorskip("resource")
+    model = LinearModel(a=1.0, multiplicative=OU_HALF, additive=NoiseSpec.ou(0.5, 1.0), x0=50.0)
+    stationary_sample(model, 13.8, 4000, 4)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    stationary_sample(model, 13.8, 4000, 4)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 5000
+
+
+def _address(arr: np.ndarray) -> int:
+    return arr.__array_interface__["data"][0]
+
+
+def test_every_block_reuses_the_threads_workspace(monkeypatch):
+    # 600 paths on 1,383 nodes are three blocks of at most 223 rows
+    model = LinearModel(a=1.0, multiplicative=OU_HALF, additive=ADD)
+    grid = TimeGrid(dt=0.01, n_steps=1382)
+    drawn = []
+    real = noise.sample_block
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        drawn.append(_address(out))
+        return out
+
+    monkeypatch.setattr(noise, "sample_block", recording)
+    sol = solve_linear(model, grid, 3, 600, ("X", "H"))
+    slots = blocks.workspace()
+    # zeta, then phi once zeta is spent, in slot 0 of every block
+    assert drawn == [_address(slots[0])] * 6
+    for label in ("X", "H"):
+        assert not any(np.shares_memory(sol[label].values, slot) for slot in slots)
+
+
+def test_blocks_larger_than_a_slot_get_fresh_memory(monkeypatch):
+    model = LinearModel(a=1.0, multiplicative=OU_HALF, additive=ADD)
+    grid = TimeGrid(dt=0.01, n_steps=300)
+    want = solve_linear(model, grid, 9, 50, PROCESS_LABELS)
+    small = tuple(np.full(100, np.nan) for _ in range(blocks.SLOTS))
+    monkeypatch.setattr(engine, "workspace", lambda: small)
+    got = solve_linear(model, grid, 9, 50, PROCESS_LABELS)
+    for label in PROCESS_LABELS:
+        assert got[label].values.tobytes() == want[label].values.tobytes(), label
+    assert got["X"].flagged.tobytes() == want["X"].flagged.tobytes()
+    assert all(np.isnan(slot).all() for slot in small)  # nothing was written there
+
+
+def test_pool_threads_keep_their_own_workspaces():
+    # 24 blocks on 8 threads, switching every microsecond:
+    # a workspace shared between threads would mix their blocks' arrays.
+    model = LinearModel(a=1.0, multiplicative=OU_HALF, additive=ADD)
+    grid = TimeGrid(dt=0.01, n_steps=1382)
+    want = solve_linear(model, grid, 5, 1500, ("X", "H"), block_size=64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = solve_linear(model, grid, 5, 1500, ("X", "H"), workers=8, block_size=64)
+    finally:
+        sys.setswitchinterval(interval)
+    for label in ("X", "H"):
+        assert got[label].values.tobytes() == want[label].values.tobytes(), label
+    assert got["X"].flagged.tobytes() == want["X"].flagged.tobytes()
+
+
+def test_a_solve_holds_its_ensemble_and_one_block():
+    # 3,000 paths on 301 nodes: three blocks of at most 1,027 rows and a
+    # 7.2 MB ensemble, which joining the blocks' own outputs held twice
+    model = LinearModel(a=1.0, multiplicative=OU_HALF, additive=ADD)
+    grid = TimeGrid(dt=0.005, n_steps=300)
+    solve_linear(model, grid, 2, 3000)  # builds this thread's workspace
+    tracemalloc.start()
+    try:
+        ensemble = solve_linear(model, grid, 2, 3000)["X"].values
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * ensemble.nbytes
 
 
 def test_integrate_y_wraps_values():

@@ -18,6 +18,9 @@ import pytest
 
 from rmplab import runner
 from rmplab.config import config_from_dict
+from rmplab.engine import integrate_y, solve_linear
+from rmplab.noise import diffusion_constant
+from rmplab.tail import dt_fit_d, green_kubo_d
 
 NONLINEAR_RAW = {
     "schema_version": 1,
@@ -149,6 +152,34 @@ def test_stages_share_one_solve_and_keep_their_bytes(tmp_path, monkeypatch, name
 
 def test_beta_and_verify_bytes_are_pinned(tmp_path):
     assert _digests(ESTIMATORS_RAW, ("beta", "verify"), tmp_path) == GOLDEN["estimators"]
+
+
+def test_noise_estimators_read_every_path_past_the_exponent_budget(tmp_path):
+    # At a = 300, |log A| leaves the budget after t = 2.34, which flags
+    # every path of a solve that builds Y.  Green-Kubo and dt_fit read the
+    # noise alone, so they still see every path, as from a zeta-only solve.
+    raw = dict(
+        LINEAR_RAW,
+        model=dict(LINEAR_RAW["model"], a=300.0),
+        ensemble={"n_paths": 400, "master_seed": 20100},
+        estimators=[
+            {"name": "green_kubo", "window": 1.5},
+            {"name": "dt_fit", "window": [1.0, 3.0]},
+        ],
+    )
+    cfg = config_from_dict(raw)
+    runner.run(cfg, groups=("beta",), out_dir=tmp_path)
+    got = json.loads((tmp_path / "beta.json").read_text())
+    zeta = solve_linear(cfg.model, cfg.grid, cfg.master_seed, cfg.n_paths, ("zeta",))["zeta"]
+    assert zeta.n_flagged == 0
+    d = diffusion_constant(cfg.model.multiplicative)
+    want = {
+        "green_kubo": green_kubo_d(zeta, 1.5, analytic=d),
+        "dt_fit": dt_fit_d(integrate_y(zeta), (1.0, 3.0), analytic=d),
+    }
+    for name, report in want.items():
+        assert got[name]["estimate"] == report.estimate, name
+        assert got[name]["n_effective"] == report.n_effective == 400, name
 
 
 def test_a_second_stride_gets_its_own_solve(tmp_path, monkeypatch):
