@@ -377,6 +377,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     additive = getattr(model, "additive", None) or getattr(model, "envelope")
     taus.append(additive.max_tau)
     dt = _number(gd, "dt", "grid", default=default_dt(max(model.a, 1e-12), *taus))
+    if dt <= 0:
+        raise ConfigInvalidError("grid.dt: must be positive")
     n_steps = max(int(round(t_max / dt)), 1)
     try:
         grid = TimeGrid(dt=t_max / n_steps, n_steps=n_steps)

@@ -54,21 +54,8 @@ P_CHECK = 0.5
 MAX_REFINES = 6
 
 
-def _beta_c(a: float, multiplicative: NoiseSpec) -> float:
-    d = diffusion_constant(multiplicative)
-    if d > 0.0:
-        return a / d
-    return float("inf") if a >= 0.0 else float("-inf")
-
-
-@dataclass(frozen=True)
-class LinearModel:
-    """dX/dt = -(a + zeta) X + phi with initial value x0."""
-
-    a: float
-    multiplicative: NoiseSpec
-    additive: NoiseSpec
-    x0: float = 1.0
+class _Model:
+    """The checks and the transition order both models share."""
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.a):
@@ -80,11 +67,24 @@ class LinearModel:
     @property
     def beta_c(self) -> float:
         """Transition order a/D of the moment dichotomy."""
-        return _beta_c(self.a, self.multiplicative)
+        d = diffusion_constant(self.multiplicative)
+        if d > 0.0:
+            return self.a / d
+        return float("inf") if self.a >= 0.0 else float("-inf")
 
 
 @dataclass(frozen=True)
-class NonlinearModel:
+class LinearModel(_Model):
+    """dX/dt = -(a + zeta) X + phi with initial value x0."""
+
+    a: float
+    multiplicative: NoiseSpec
+    additive: NoiseSpec
+    x0: float = 1.0
+
+
+@dataclass(frozen=True)
+class NonlinearModel(_Model):
     """dX/dt = -(a + zeta) X + psi(t, X) with |psi| bounded by the envelope.
 
     The envelope path enters as |phi_t|; nonlinearity selects how the
@@ -99,17 +99,9 @@ class NonlinearModel:
     x0: float = 1.0
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.a):
-            raise ValueError("a must be finite")
-        if not np.isfinite(self.x0):
-            raise ValueError("x0 must be finite")
+        super().__post_init__()
         if self.nonlinearity not in NONLINEARITIES:
             raise ValueError(f"unknown nonlinearity: {self.nonlinearity!r}")
-        require_multiplicative(self.multiplicative)
-
-    @property
-    def beta_c(self) -> float:
-        return _beta_c(self.a, self.multiplicative)
 
 
 @dataclass
@@ -155,13 +147,11 @@ class PathEnsemble:
 
 @dataclass
 class StationarySample:
-    """Draws of the reversed response at a fixed horizon t_star."""
+    """Unflagged draws of the reversed response at a fixed horizon; n_flagged were left out."""
 
     values: np.ndarray
-    t_star: float
     master_seed: int
     n_flagged: int
-    p_max: float | None = None
     truncation_bound: float | None = None
 
 
@@ -436,14 +426,19 @@ def gamma_rate(a: float, d: float, p: float) -> float:
     return min(1.0, p) * (d * p - a)
 
 
-def stationary_horizon(model: LinearModel, p_max: float) -> float:
-    """Horizon t_star with exp(gamma_p t_star) = 1e-3 for p = p_max."""
+def _stationary_rate(model: LinearModel, p_max: float) -> float:
+    """gamma_rate at order p_max, refused unless negative (a stationary moment exists)."""
     rate = gamma_rate(model.a, diffusion_constant(model.multiplicative), p_max)
     if rate >= 0.0:
         raise TruncationWarningError(
-            f"moment order {p_max} is at or above the transition order; no stationary moment"
+            f"moment order {p_max} is at or above the transition order {model.beta_c}"
         )
-    return float(np.log(1e-3) / rate)
+    return rate
+
+
+def stationary_horizon(model: LinearModel, p_max: float) -> float:
+    """Horizon t_star with exp(gamma_p t_star) = 1e-3 for p = p_max."""
+    return float(np.log(1e-3) / _stationary_rate(model, p_max))
 
 
 def stationary_sample(
@@ -459,19 +454,13 @@ def stationary_sample(
 
     H_{t_star} has the law of the stationary state up to a tail the
     caller controls through t_star.  The grid steps by about
-    min(0.02 t_star, 0.01), in a multiple of 8 steps.  When p_max is
+    min(0.02 t_star, 0.01), in a multiple of 8 steps.  Only unflagged
+    draws are returned, with no copy when none is flagged.  When p_max is
     given, a fitted truncation bound K exp(gamma_p t_star) is attached:
     K is calibrated from quasi-norm increments of H between intermediate
     horizons.
     """
-    d = diffusion_constant(model.multiplicative)
-    rate = None
-    if p_max is not None:
-        rate = gamma_rate(model.a, d, p_max)
-        if rate >= 0.0:
-            raise TruncationWarningError(
-                f"moment order {p_max} is at or above the transition order {model.beta_c}"
-            )
+    rate = None if p_max is None else _stationary_rate(model, p_max)
     n_steps = max(int(round(t_star / min(0.02 * t_star, 0.01))), 8)
     # Keep a handful of interior nodes to calibrate the truncation bound.
     while n_steps % 8 != 0:
@@ -498,11 +487,9 @@ def stationary_sample(
         bound = k_hat * float(np.exp(rate * t_star))
 
     return StationarySample(
-        values=ens.final_values,
-        t_star=t_star,
+        values=ens.final_values[ok] if ens.n_flagged else ens.final_values,
         master_seed=master_seed,
         n_flagged=ens.n_flagged,
-        p_max=p_max,
         truncation_bound=bound,
     )
 

@@ -204,27 +204,6 @@ def _pareto_marginal(spec: NoiseSpec, out: np.ndarray) -> None:
     out *= spec.scale
 
 
-def _superposition(
-    spec: NoiseSpec, grid: TimeGrid, master_seed: int, idx: np.ndarray, role: int
-) -> np.ndarray:
-    """Sample a superposition's paths whole, time-major (n_nodes, n).
-
-    A row's normals are drawn component-major, so they cannot be split
-    in time.  Each component is scaled and filtered as in sample_chunks
-    and added into a zero array in the listed order.
-    """
-    draws = block_normals(master_seed, idx, role, (len(spec.components), grid.n_nodes))
-    out = np.zeros((grid.n_nodes, len(idx)))
-    g = np.empty_like(out)
-    for j, (sigma, tau) in enumerate(spec.components):
-        s = sigma * np.sqrt(-np.expm1(-2.0 * grid.dt / tau))
-        np.multiply(draws[:, j, 0], sigma, out=g[0])
-        np.multiply(draws[:, j, 1:].T, s, out=g[1:])
-        _ou_filter(g, np.exp(-grid.dt / tau))
-        np.add(out, g, out=out)
-    return out
-
-
 def sample_block(
     spec: NoiseSpec,
     grid: TimeGrid,
@@ -238,8 +217,9 @@ def sample_block(
 
     The result is C-contiguous with shape (n_nodes, n), one row per node
     and one column per path, the layout every path kernel works in; path
-    i of the block is column i.  It is sample_chunks joined: a draw that
-    fits in one chunk, as every solve_linear block does, is that chunk,
+    i of the block is column i.  It is sample_chunks joined, so every kind
+    is drawn node by node in one loop: a draw that fits in one chunk of
+    BLOCK_CELLS values, as every solve_linear block does, is that chunk,
     and a larger one is copied chunk by chunk into one full-size array.
     work is passed on to sample_chunks, so a draw in one chunk lies in its
     first slot; the full-size array of a larger draw is new memory.
@@ -276,31 +256,36 @@ def sample_chunks(
     the caller's to overwrite, and is reused once the next one is asked
     for.
 
-    A single-component spec draws row k's normals from the keyed stream
-    of (master_seed, path_indices[k], role) through block_normals.  Node
-    0 is the stationary initial value g_0 = sigma xi_0, node k + 1 the
-    term sigma sqrt(1 - r^2) xi_{k+1} of the exact one-step update
+    Every kind built on K >= 1 OU components runs one loop.  Row k's
+    normals come from the keyed stream of (master_seed, path_indices[k],
+    role) through block_normals, node by node: the K component normals of
+    node 0, then those of node 1, and so on, so a chunk's draws hold K
+    values per path and node and a row's numbers do not depend on where
+    chunks end.  For component (sigma, tau), node 0 is the stationary
+    initial value g_0 = sigma xi_0, node k + 1 the term
+    sigma sqrt(1 - r^2) xi_{k+1} of the exact one-step update
     g_{k+1} = r g_k + sigma sqrt(1 - r^2) xi_{k+1}, r = exp(-dt/tau);
-    _ou_filter runs it in place on whole rows, so the paths equal
-    lfilter's bit for bit.  Then 0.0 is added (which turns a -0.0 into
-    0.0, as a sum into a zero array does) and the Pareto kind is mapped
-    onto its marginal.  A draw in one chunk resets one generator per row
-    (streams None); a draw split into chunks continues one generator per
-    row from chunk to chunk, and each chunk's row 0 is the latent OU
-    state carried over from the chunk before, so every element meets the
-    same operations as in one chunk.  A superposition is sampled whole
-    by _superposition and handed out chunk by chunk.  The zero and
-    constant kinds are filled per chunk.
+    _ou_filter runs it in place on whole rows, so each component equals
+    lfilter's bit for bit.  Component 0 is filtered in the chunk buffer,
+    each later one in one scratch chunk that is then added into the
+    buffer.  Then 0.0 is added (which turns a -0.0 into 0.0, as a sum
+    into a zero array does) and the Pareto kind is mapped onto its
+    marginal.  A draw in one chunk resets one generator per row (streams
+    None); a draw split into chunks continues one generator per row from
+    chunk to chunk, and each chunk's row 0 is every component's latent
+    OU state carried over from the chunk before, so every element meets
+    the same operations as in one chunk.  The zero and constant kinds are
+    filled per chunk.
 
     work, two slots of the calling thread's block workspace
     (blocks.workspace: 12.4 MB on each thread that ran a linear block,
     resident for the thread's life), is what the linear kernel passes:
-    the chunk buffer of a zero, constant or single-component spec then
-    lies in the first slot, and block_normals draws the path-major
-    normals into the second, so block after block reuses memory that is
-    already resident.  Both slots are the generator's until it is
-    exhausted or dropped.  Without work the buffers are new memory, as is
-    a superposition's whole draw.
+    the chunk buffer then lies in the first slot, and block_normals draws
+    the path-major normals into the second, so block after block reuses
+    memory that is already resident.  Both slots are the generator's
+    until it is exhausted or dropped.  Without work the buffers are new
+    memory, as are a superposition's scratch chunk and its draws, which
+    are K chunks large, in any case.
     """
     idx = np.asarray(path_indices)
     n = len(idx)
@@ -313,37 +298,37 @@ def sample_chunks(
             rows.fill(0.0 if spec.kind == ZERO else spec.level)
             yield rows
         return
-    if len(spec.components) > 1:
-        whole = _superposition(spec, grid, master_seed, idx, role)
-        for k0, c in bounds:
-            yield whole if len(bounds) == 1 else whole[k0 : k0 + c + 1].copy()
-        return
 
-    ((sigma, tau),) = spec.components
-    r = np.exp(-grid.dt / tau)
-    s = sigma * np.sqrt(-np.expm1(-2.0 * grid.dt / tau))
-    buf, carry = slot_array(chunk_slot, (steps + 1, n)), np.empty(n)
+    n_comp = len(spec.components)
+    filters = [
+        (sigma, sigma * np.sqrt(-np.expm1(-2.0 * grid.dt / tau)), np.exp(-grid.dt / tau))
+        for sigma, tau in spec.components
+    ]
+    buf, carry = slot_array(chunk_slot, (steps + 1, n)), np.empty((n_comp, n))
+    scratch = np.empty((steps + 1, n)) if n_comp > 1 else None
     streams: "list[np.random.Generator] | None" = None if len(bounds) == 1 else []
 
     def draw(length: int) -> np.ndarray:
         if draw_slot is None:
-            return block_normals(master_seed, idx, role, (length,), streams)
-        out = slot_array(draw_slot, (n, length))
-        return block_normals(master_seed, idx, role, (length,), streams, out=out)
+            return block_normals(master_seed, idx, role, (length, n_comp), streams)
+        out = slot_array(draw_slot, (n, length, n_comp))
+        return block_normals(master_seed, idx, role, (length, n_comp), streams, out=out)
 
     for k0, c in bounds:
         rows = buf[: c + 1]
-        if k0 == 0:
-            draws = draw(c + 1)
-            np.multiply(draws[:, 0], sigma, out=rows[0])
-            np.multiply(draws[:, 1:].T, s, out=rows[1:])
-        else:
-            rows[0] = carry
-            draws = draw(c)
-            np.multiply(draws.T, s, out=rows[1:])
+        draws = draw(c + 1 if k0 == 0 else c)
+        for j, (sigma, s, r) in enumerate(filters):
+            g = rows if j == 0 else scratch[: c + 1]
+            if k0 == 0:
+                np.multiply(draws[:, 0, j], sigma, out=g[0])
+            else:
+                g[0] = carry[j]
+            np.multiply(draws[:, -c:, j].T, s, out=g[1:])
+            _ou_filter(g, r)
+            carry[j] = g[c]
+            if j:
+                np.add(rows, g, out=rows)
         del draws  # not held while the caller has the chunk
-        _ou_filter(rows, r)
-        carry[:] = rows[c]
         np.add(rows, 0.0, out=rows)
         if spec.kind == PARETO_TRANSFORMED_OU:
             _pareto_marginal(spec, rows)

@@ -10,6 +10,7 @@ Cross-checking them against each other and against a/D is the point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -232,10 +233,15 @@ def _batch_ci(batch_values: np.ndarray) -> tuple[float, float]:
     return mean - half, mean + half
 
 
-def _batch_slices(n: int) -> list[slice]:
-    """N_BATCHES contiguous slices of n >= N_BATCHES paths, none empty."""
-    edges = np.linspace(0, n, N_BATCHES + 1, dtype=int)
-    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+def _batched_estimate(
+    rows: np.ndarray, estimate: Callable[[np.ndarray], float]
+) -> tuple[float, float, float]:
+    """estimate of all rows, and _batch_ci over N_BATCHES contiguous nonempty batches."""
+    if rows.shape[0] < N_BATCHES:
+        raise EmptyInputError("too few unflagged paths for batching")
+    edges = np.linspace(0, rows.shape[0], N_BATCHES + 1, dtype=int)
+    batches = np.array([estimate(rows[lo:hi]) for lo, hi in zip(edges, edges[1:])])
+    return (estimate(rows), *_batch_ci(batches))
 
 
 def _green_kubo_lags(window: float, grid: TimeGrid) -> int:
@@ -266,15 +272,10 @@ def green_kubo_d(
     dt = zeta.grid.dt
     n_lags = _green_kubo_lags(window, zeta.grid)
     vals = zeta.values[~zeta.flagged]
-    if vals.shape[0] < N_BATCHES:
-        raise EmptyInputError("too few unflagged paths for batching")
     products = vals[:, :1] * vals[:, : n_lags + 1]
-    corr = products.mean(axis=0)
-    estimate = float(np.trapezoid(corr, dx=dt))
-    batch_d = np.array(
-        [float(np.trapezoid(products[s].mean(axis=0), dx=dt)) for s in _batch_slices(len(vals))]
+    estimate, ci_low, ci_high = _batched_estimate(
+        products, lambda rows: float(np.trapezoid(rows.mean(axis=0), dx=dt))
     )
-    ci_low, ci_high = _batch_ci(batch_d)
     return ExponentReport(
         method="green_kubo",
         estimate=estimate,
@@ -282,7 +283,7 @@ def green_kubo_d(
         ci_high=ci_high,
         n_effective=int(vals.shape[0]),
         analytic=analytic,
-        details={"window": window, "n_lags": n_lags, "n_batches": len(batch_d)},
+        details={"window": window, "n_lags": n_lags, "n_batches": N_BATCHES},
     )
 
 
@@ -306,17 +307,10 @@ def dt_fit_d(
             f"variance-slope window must cover at least {MIN_FIT_NODES} nodes"
         )
     vals = y.values[~y.flagged][:, mask]
-    if vals.shape[0] < N_BATCHES:
-        raise EmptyInputError("too few unflagged paths for batching")
     ts = times[mask]
-    estimate = _line_fit(ts, 0.5 * (vals**2).mean(axis=0), None)[0]
-    batch_slopes = np.array(
-        [
-            _line_fit(ts, 0.5 * (vals[s] ** 2).mean(axis=0), None)[0]
-            for s in _batch_slices(len(vals))
-        ]
+    estimate, ci_low, ci_high = _batched_estimate(
+        vals, lambda rows: _line_fit(ts, 0.5 * (rows**2).mean(axis=0), None)[0]
     )
-    ci_low, ci_high = _batch_ci(batch_slopes)
     return ExponentReport(
         method="dt_fit",
         estimate=estimate,
@@ -324,7 +318,7 @@ def dt_fit_d(
         ci_high=ci_high,
         n_effective=int(vals.shape[0]),
         analytic=analytic,
-        details={"window": list(window), "n_batches": len(batch_slopes)},
+        details={"window": list(window), "n_batches": N_BATCHES},
     )
 
 
@@ -347,7 +341,6 @@ class Condition1Report:
     times: np.ndarray
     r_analytic: np.ndarray
     ratio: float
-    ratio_budget: float
     verdict: str
     r_mc: "np.ndarray | None" = None
     mc_consistent: "bool | None" = None
@@ -397,7 +390,6 @@ def condition1_diagnostic(
         times=ts,
         r_analytic=r_analytic,
         ratio=ratio,
-        ratio_budget=ratio_budget,
         verdict=verdict,
         r_mc=r_mc,
         mc_consistent=consistent,

@@ -98,7 +98,6 @@ def default_eval_grid() -> np.ndarray:
 @dataclass(frozen=True)
 class PGammaNormReport:
     value: float
-    gamma: float
     argmax_x: float
     not_in_class: bool
 
@@ -124,9 +123,7 @@ def p_gamma_norm(f: TestFunction, gamma: float) -> PGammaNormReport:
     not_in_class = bool(
         inner.any() and outer.any() and vals[outer].max() > 1.1 * vals[inner].max()
     )
-    return PGammaNormReport(
-        value=value, gamma=gamma, argmax_x=float(x[i]), not_in_class=not_in_class
-    )
+    return PGammaNormReport(value=value, argmax_x=float(x[i]), not_in_class=not_in_class)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Every option has a caller.
+"""Every option has a caller, and every field a reader.
 
 An AST census of the package: each parameter with a default, of every
 function defined in src/rmplab, must be passed by some call in src/ or
@@ -8,6 +8,12 @@ code as a constant.  Calls are matched to definitions by name, so a call
 of another function of the same name counts too.  A call that forwards
 the **kwargs of the function or lambda around it passes what the calls
 of that function pass.
+
+A second census takes each field of every dataclass in src/rmplab: some
+code in src/ or tests/ must read it as an attribute.  A field nothing
+reads only echoes what its constructor was given.  Fields are matched to
+reads by name, so a read of another attribute of the same name counts
+too.
 """
 import ast
 from collections import defaultdict
@@ -154,3 +160,58 @@ def test_the_census_sees_options_and_their_callers():
     assert _passes(g, "y", None, census) and not _passes(g, "x", 1, census)
     assert _passes(h, "x", None, census)
     assert _passes(k, "x", None, census) and not _passes(k, "y", None, census)
+
+
+def _fields(tree: ast.AST) -> list[tuple[str, str]]:
+    """(class name, field name) of every field of a dataclass defined in tree."""
+
+    def is_dataclass(decorator: ast.expr) -> bool:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+    return [
+        (cls.name, node.target.id)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and any(map(is_dataclass, cls.decorator_list))
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    ]
+
+
+def _reads(trees: list[ast.AST]) -> set[str]:
+    """The name of every attribute some code in trees reads."""
+    return {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_field_is_read_by_some_code():
+    reads = _reads([tree for _, tree in _trees(ROOT / "src", ROOT / "tests")])
+    unread = [
+        f"{path.relative_to(ROOT)}: {cls}.{name}"
+        for path, tree in _trees(PACKAGE)
+        for cls, name in _fields(tree)
+        if name not in reads
+    ]
+    assert unread == []
+
+
+def test_the_census_sees_fields_and_their_readers():
+    # a census that found nothing would pass on any code
+    engine = ast.parse((PACKAGE / "engine.py").read_text(encoding="utf-8"))
+    assert ("PathEnsemble", "flagged") in _fields(engine)
+    tree = ast.parse(
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class P:\n"
+        "    x: int\n"
+        "    y: int = 0\n"
+        "    def f(self): return self.x\n"
+        "class Q:\n"
+        "    z: int\n"
+        "P(1).y = 2\n"
+    )
+    assert _fields(tree) == [("P", "x"), ("P", "y")]
+    assert _reads([tree]) == {"dataclass", "x"}

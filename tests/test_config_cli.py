@@ -558,6 +558,19 @@ class TestCli:
         assert "[CONFIG_INVALID]" in err and needle in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("dt", [-0.02, 0.0])
+    def test_nonpositive_dt_exits_two_before_any_work(self, tmp_path, capsys, dt):
+        # -0.02 once loaded as a one-step grid, 0.0 died on a ZeroDivisionError
+        raw = base_raw()
+        raw["grid"]["dt"] = dt
+        with pytest.raises(ConfigInvalidError, match="grid.dt"):
+            config_from_dict(raw)
+        cfg_path, out = write_config(tmp_path, raw), tmp_path / "x"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "[CONFIG_INVALID]" in err and "grid.dt" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "stage,request_,t_max,needle",
         [

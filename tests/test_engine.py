@@ -352,6 +352,16 @@ def test_stationary_sample_truncation_bound():
         stationary_sample(model, 10.0, 512, 3, p_max=2.5)
 
 
+def test_stationary_sample_drops_flagged_draws():
+    # sigma 200 drives a few paths' log-propagator past the exponent
+    # budget; their saturated draws would top the order statistics Hill reads
+    model = LinearModel(a=0.1, multiplicative=NoiseSpec.ou(200.0, 1.0), additive=ADD)
+    sample = stationary_sample(model, 2.0, 200, 5)
+    h = solve_linear(model, TimeGrid(0.01, 200), 5, 200, ("H",), save_every=25)["H"]
+    assert 0 < sample.n_flagged == h.n_flagged
+    np.testing.assert_array_equal(sample.values, h.final_values[~h.flagged])
+
+
 def test_sample_y_marginal_has_exact_variance_law():
     ts = np.array([1.0, 4.0, 9.0])
     draws = sample_y_marginal(OU_HALF, ts, 40000, 17)

@@ -209,13 +209,17 @@ def test_block_rows_do_not_depend_on_partition():
 
 
 def _lfilter_block(spec: NoiseSpec, grid: TimeGrid, draws: np.ndarray) -> np.ndarray:
-    """Path-major reference: each component's recursion through scipy's lfilter."""
+    """Path-major reference: each component's recursion through scipy's lfilter.
+
+    draws is (n_paths, n_nodes, n_components): a row's normals node by node.
+    """
     out = np.zeros((draws.shape[0], grid.n_nodes))
     for j, (sigma, tau) in enumerate(spec.components):
         r = np.exp(-grid.dt / tau)
         s = sigma * np.sqrt(-np.expm1(-2.0 * grid.dt / tau))
-        g0 = sigma * draws[:, j, 0]
-        rest, _ = lfilter([1.0], [1.0, -r], s * draws[:, j, 1:], axis=1, zi=(r * g0)[:, None])
+        xi = draws[:, :, j]
+        g0 = sigma * xi[:, 0]
+        rest, _ = lfilter([1.0], [1.0, -r], s * xi[:, 1:], axis=1, zi=(r * g0)[:, None])
         out[:, 0] += g0
         out[:, 1:] += rest
     if spec.kind == "pareto_transformed_ou":
@@ -240,7 +244,7 @@ def test_recursion_equals_lfilter_bit_for_bit(spec, n_paths, n_steps):
     grid = TimeGrid(dt=0.01, n_steps=n_steps)
     idx = np.arange(n_paths) + 17
     block = sample_block(spec, grid, 9, idx, ROLE_MULTIPLICATIVE)
-    draws = block_normals(9, idx, ROLE_MULTIPLICATIVE, (len(spec.components), grid.n_nodes))
+    draws = block_normals(9, idx, ROLE_MULTIPLICATIVE, (grid.n_nodes, len(spec.components)))
     assert block.shape == (grid.n_nodes, n_paths) and block.flags.c_contiguous
     assert np.array_equal(block, _lfilter_block(spec, grid, draws).T)
 

@@ -273,7 +273,7 @@ NONLINEAR_DIGESTS = {
     "saturated": "aaf9db20d7c5d5ae29e2d368ba47b42958881a99170660704c49ccc2487d7cda",
     "sin_modulated-1": "94ff3b27aa2c575792cda3a271043fec700a4f41520d659be64ab4ebe4bf73a5",
     "sin_modulated-5": "59a06d6083917f61615d218ae2043a03baefaf3afb9d9ed4b8c37a1162314079",
-    "three_scale": "d53331c66ddee4e11a9554c52e7ef5ef9d44bd56ed0550cc82454887095745b2",
+    "three_scale": "7a72aafefaf659ecb95e47fb5e4c902ea458c0ea4ffa924c8b1df1a87b9ccc24",
 }
 
 
@@ -454,10 +454,10 @@ def test_identical_paths_hold_the_gap_to_the_floor(gap, settled):
     assert verdict is settled
 
 
-def _solve_peak(t_max: float, save_every: int) -> tuple[int, int]:
+def _solve_peak(t_max: float, save_every: int, multiplicative=MULT) -> tuple[int, int]:
     """tracemalloc peak of a solve of the nonlinear workload's 2,048-path block."""
     model = NonlinearModel(
-        a=1.0, multiplicative=MULT, envelope=NoiseSpec.ou(0.5, 1.0),
+        a=1.0, multiplicative=multiplicative, envelope=NoiseSpec.ou(0.5, 1.0),
         nonlinearity=SIN_MODULATED,
     )
     tracemalloc.start()
@@ -487,5 +487,16 @@ def test_solve_memory_does_not_grow_with_the_horizon():
     # runs 16 s under tracemalloc, so the pair starts at t_max 10.)
     peak, saved = _solve_peak(10.0, 1)
     longer, same = _solve_peak(40.0, 4)
+    assert same == saved
+    assert longer < peak + 2 * 2**20
+
+
+def test_superposition_solve_memory_does_not_grow_with_the_horizon():
+    # A superposition streams through time like one OU component: it holds
+    # one time chunk's K component draws and one scratch chunk, never its
+    # whole paths.
+    three_scale = SHIPPED_GAUSSIAN_SPECS["three_scale"]
+    peak, saved = _solve_peak(10.0, 1, three_scale)
+    longer, same = _solve_peak(40.0, 4, three_scale)
     assert same == saved
     assert longer < peak + 2 * 2**20
