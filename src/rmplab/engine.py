@@ -10,7 +10,9 @@ so the recursion never manufactures overflow on its own.
 
 Paths whose log-propagator leaves the representable exponent budget are
 retained with saturated values and flagged; moment estimators exclude
-them and report the count.
+them and report the count.  The stationary sample drops only the paths
+whose log-propagator grew past the budget or whose H saturated: H is
+exact on a path whose propagator only decayed past it.
 """
 from __future__ import annotations
 
@@ -147,7 +149,7 @@ class PathEnsemble:
 
 @dataclass
 class StationarySample:
-    """Unflagged draws of the reversed response at a fixed horizon; n_flagged were left out."""
+    """Draws of the reversed response at a fixed horizon; n_flagged saturated ones were left out."""
 
     values: np.ndarray
     master_seed: int
@@ -271,7 +273,10 @@ def linear_block_arrays(
     and keeps every save_every-th node of each requested array as
     path-major rows (n_paths, n_saved), written into into[label] when
     into is given (solve_linear passes rows of its ensembles) and into new
-    arrays otherwise.  'flagged' holds one entry per path.
+    arrays otherwise.  'flagged' marks the paths whose log A left the
+    exponent budget on either side or whose arrays saturated; 'saturated'
+    leaves out those whose log A only fell below it, as their A underflows
+    to 0 and leaves B, X and H exact.
 
     Every fine-grid array lies in this thread's block workspace
     (blocks.workspace): five slots of BLOCK_CELLS cells, 12.4 MB that stay
@@ -300,14 +305,15 @@ def linear_block_arrays(
         n_saved = grid.n_steps // save_every + 1
         into = {label: np.empty((n, n_saved)) for label in need}
     slots = workspace()
-    flagged = np.zeros(n, dtype=bool)
+    decayed = np.zeros(n, dtype=bool)
+    saturated = np.zeros(n, dtype=bool)
 
     def save(label: str, arr: np.ndarray) -> None:
         if label in need:
             into[label][...] = arr[::save_every].T
 
     def flag_overflow(arr: np.ndarray) -> None:  # slot 4 is free at each call
-        flagged[...] |= _sanitize(arr, slot_array(slots[4], shape, bool))
+        saturated[...] |= _sanitize(arr, slot_array(slots[4], shape, bool))
 
     if want_y or "zeta" in need:
         zeta = noise_mod.sample_block(
@@ -320,7 +326,8 @@ def linear_block_arrays(
         save("Y", log_a)
         # log_a = -a * t - y
         np.subtract(-model.a * grid.times[:, None], log_a, out=log_a)
-        flagged |= np.abs(log_a, out=slot_array(slots[0], shape)).max(axis=0) > LOG_BUDGET
+        saturated |= log_a.max(axis=0) > LOG_BUDGET
+        decayed |= log_a.min(axis=0) < -LOG_BUDGET
     if want_phi:
         phi = noise_mod.sample_block(
             model.additive, grid, master_seed, indices, ROLE_ADDITIVE, work=(slots[0], slots[2])
@@ -353,7 +360,8 @@ def linear_block_arrays(
             )
             flag_overflow(h)
             save("H", h)
-    return {label: into[label] for label in need} | {"flagged": flagged}
+    masks = {"flagged": decayed | saturated, "saturated": saturated}
+    return {label: into[label] for label in need} | masks
 
 
 def solve_linear(
@@ -396,8 +404,32 @@ def solve_linear(
     if unknown:
         raise ValueError(f"unknown process labels: {unknown}")
     out_grid = grid.subsampled(save_every)
-    values = {label: np.empty((n_paths, out_grid.n_nodes)) for label in need}
-    flagged = np.empty(n_paths, dtype=bool)
+    values, masks = _linear_rows(
+        model, grid, master_seed, n_paths, need, save_every, workers, block_size
+    )
+    return {
+        label: PathEnsemble(
+            grid=out_grid, label=label, values=arr, flagged=masks["flagged"],
+            master_seed=master_seed,
+        )
+        for label, arr in values.items()
+    }
+
+
+def _linear_rows(
+    model: LinearModel,
+    grid: TimeGrid,
+    master_seed: int,
+    n_paths: int,
+    need: tuple[str, ...],
+    save_every: int,
+    workers: int,
+    block_size: int = DEFAULT_BLOCK_SIZE,
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """solve_linear's saved rows per label, and the kernel's two path masks."""
+    n_saved = grid.n_steps // save_every + 1
+    values = {label: np.empty((n_paths, n_saved)) for label in need}
+    masks = {key: np.empty(n_paths, dtype=bool) for key in ("flagged", "saturated")}
 
     def block(idx: np.ndarray) -> None:
         rows = slice(idx[0], idx[-1] + 1)
@@ -405,7 +437,8 @@ def solve_linear(
         done = linear_block_arrays(
             model, grid, master_seed, idx, save_every=save_every, need=need, into=into
         )
-        flagged[rows] = done["flagged"]
+        for key, mask in masks.items():
+            mask[rows] = done[key]
 
     run_blocks(
         n_paths,
@@ -413,12 +446,7 @@ def solve_linear(
         workers=workers,
         block_size=min(block_size, max(1, BLOCK_CELLS // grid.n_nodes)),
     )
-    return {
-        label: PathEnsemble(
-            grid=out_grid, label=label, values=arr, flagged=flagged, master_seed=master_seed
-        )
-        for label, arr in values.items()
-    }
+    return values, masks
 
 
 def gamma_rate(a: float, d: float, p: float) -> float:
@@ -454,11 +482,13 @@ def stationary_sample(
 
     H_{t_star} has the law of the stationary state up to a tail the
     caller controls through t_star.  The grid steps by about
-    min(0.02 t_star, 0.01), in a multiple of 8 steps.  Only unflagged
-    draws are returned, with no copy when none is flagged.  When p_max is
-    given, a fitted truncation bound K exp(gamma_p t_star) is attached:
-    K is calibrated from quasi-norm increments of H between intermediate
-    horizons.
+    min(0.02 t_star, 0.01), in a multiple of 8 steps.  Only the draws
+    the kernel marks saturated are left out, with no copy when there are
+    none; a draw whose propagator only decayed past the exponent budget
+    (every draw once a t_star > LOG_BUDGET) is exact and kept.  When
+    p_max is given, a fitted truncation bound K exp(gamma_p t_star) is
+    attached: K is calibrated from quasi-norm increments of the kept
+    draws' H between intermediate horizons.
     """
     rate = None if p_max is None else _stationary_rate(model, p_max)
     n_steps = max(int(round(t_star / min(0.02 * t_star, 0.01))), 8)
@@ -468,16 +498,14 @@ def stationary_sample(
     grid = TimeGrid(dt=t_star / n_steps, n_steps=n_steps)
     save_every = n_steps // 8
 
-    ens = solve_linear(
-        model, grid, master_seed, n, ("H",), save_every=save_every, workers=workers
-    )["H"]
-    h = ens.values
-    ok = ~ens.flagged
+    values, masks = _linear_rows(model, grid, master_seed, n, ("H",), save_every, workers)
+    h, ok = values["H"], ~masks["saturated"]
+    n_dropped = n - int(ok.sum())
 
     bound = None
     if p_max is not None:
         sigma_p = min(1.0, p_max)
-        times = ens.grid.times
+        times = grid.subsampled(save_every).times
         k_hat = 0.0
         for j in range(2, len(times) - 1):
             u, v = times[j], times[j + 1]
@@ -487,9 +515,9 @@ def stationary_sample(
         bound = k_hat * float(np.exp(rate * t_star))
 
     return StationarySample(
-        values=ens.final_values[ok] if ens.n_flagged else ens.final_values,
+        values=h[ok, -1] if n_dropped else h[:, -1],
         master_seed=master_seed,
-        n_flagged=ens.n_flagged,
+        n_flagged=n_dropped,
         truncation_bound=bound,
     )
 

@@ -13,7 +13,9 @@ A second census takes each field of every dataclass in src/rmplab: some
 code in src/ or tests/ must read it as an attribute.  A field nothing
 reads only echoes what its constructor was given.  Fields are matched to
 reads by name, so a read of another attribute of the same name counts
-too.
+too: a field named like a common numpy or stdlib attribute (values,
+shape, flags, real) always passes, whether or not anything reads it.
+The census catches unread fields with names of their own only.
 """
 import ast
 from collections import defaultdict

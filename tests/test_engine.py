@@ -352,14 +352,31 @@ def test_stationary_sample_truncation_bound():
         stationary_sample(model, 10.0, 512, 3, p_max=2.5)
 
 
-def test_stationary_sample_drops_flagged_draws():
-    # sigma 200 drives a few paths' log-propagator past the exponent
-    # budget; their saturated draws would top the order statistics Hill reads
+def test_stationary_sample_drops_only_saturated_draws():
+    # sigma 200 drives some paths' log-propagator above the exponent
+    # budget, whose capped draws would top the order statistics Hill
+    # reads, and others below it, whose A underflows and leaves H exact
     model = LinearModel(a=0.1, multiplicative=NoiseSpec.ou(200.0, 1.0), additive=ADD)
     sample = stationary_sample(model, 2.0, 200, 5)
-    h = solve_linear(model, TimeGrid(0.01, 200), 5, 200, ("H",), save_every=25)["H"]
-    assert 0 < sample.n_flagged == h.n_flagged
-    np.testing.assert_array_equal(sample.values, h.final_values[~h.flagged])
+    grid = TimeGrid(0.01, 200)
+    sol = solve_linear(model, grid, 5, 200, ("H", "Y"))
+    log_a = -model.a * grid.times - sol["Y"].values
+    grew = log_a.max(axis=1) > LOG_BUDGET
+    decayed = log_a.min(axis=1) < -LOG_BUDGET
+    assert grew.any() and (decayed & ~grew).any()
+    assert sample.n_flagged == grew.sum()
+    np.testing.assert_array_equal(sample.values, sol["H"].final_values[~grew])
+
+
+def test_stationary_sample_keeps_draws_whose_propagator_only_decayed():
+    # a t_star = 800 takes every log A below -LOG_BUDGET, and the kernel
+    # flags every path; H is still exact, so every draw is kept
+    model = LinearModel(a=100.0, multiplicative=OU_HALF, additive=ADD)
+    sample = stationary_sample(model, 8.0, 64, 5, p_max=1.0)
+    h = solve_linear(model, TimeGrid(0.01, 800), 5, 64, ("H",), save_every=100)["H"]
+    assert h.n_flagged == 64 and sample.n_flagged == 0
+    np.testing.assert_array_equal(sample.values, h.final_values)
+    assert np.all(np.isfinite(sample.values)) and np.isfinite(sample.truncation_bound)
 
 
 def test_sample_y_marginal_has_exact_variance_law():
