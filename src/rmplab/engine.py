@@ -407,10 +407,10 @@ def solve_linear(
     values, masks = _linear_rows(
         model, grid, master_seed, n_paths, need, save_every, workers, block_size
     )
+    flagged = masks["flagged"]
     return {
         label: PathEnsemble(
-            grid=out_grid, label=label, values=arr, flagged=masks["flagged"],
-            master_seed=master_seed,
+            grid=out_grid, label=label, values=arr, flagged=flagged, master_seed=master_seed
         )
         for label, arr in values.items()
     }
@@ -485,7 +485,7 @@ def stationary_sample(
     min(0.02 t_star, 0.01), in a multiple of 8 steps.  Only the draws
     the kernel marks saturated are left out, with no copy when there are
     none; a draw whose propagator only decayed past the exponent budget
-    (every draw once a t_star > LOG_BUDGET) is exact and kept.  When
+    (most draws once a t_star is well above LOG_BUDGET) is exact and kept.  When
     p_max is given, a fitted truncation bound K exp(gamma_p t_star) is
     attached: K is calibrated from quasi-norm increments of the kept
     draws' H between intermediate horizons.
