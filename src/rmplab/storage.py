@@ -4,8 +4,13 @@ Formats
 -------
 Ensemble CSV: RFC 4180, LF line endings, header row, one row per path:
     path_index,flagged,<t0>,<t1>,...
-Floats are written with repr (shortest round-trip form), so identical
-arrays always serialize to identical bytes.  The file is written and read
+Floats are written as repr (shortest round-trip form), so identical
+arrays always serialize to identical bytes.  Rows go through orjson's
+float writer, which gives the same text about ten times faster, where
+the two agree: zero, and finite values with 1e-4 <= |x| < 1e16.  A row
+holding any other value (where repr uses an exponent, or nan and inf)
+is joined from repr.  orjson is loaded on the first CSV write, so
+`import rmplab` loads numpy alone.  The file is written and read
 one row at a time, so neither side holds more than one row's text; the
 reader refuses (IOFailureError) an empty file, a header with no rows,
 header times that are not the uniform grid k * dt from 0, and any row
@@ -37,7 +42,7 @@ import json
 import struct
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import BinaryIO, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -52,31 +57,66 @@ assert _HEADER.size == 64
 
 
 def _fmt(x: float) -> str:
+    """The text of a float in every artifact; ensemble CSV rows write it via orjson."""
     return repr(float(x))
 
 
 @contextmanager
-def _text_out(path: "str | Path") -> Iterator[TextIO]:
-    """Open path for UTF-8 text with LF line ends; OSError becomes IOFailureError."""
+def _out(path: "str | Path", binary: bool = False) -> Iterator["TextIO | BinaryIO"]:
+    """Open path for writing, as UTF-8 text with LF line ends unless binary.
+
+    OSError, on opening or writing, becomes IOFailureError.
+    """
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if binary:
+            fh = open(path, "wb")
+        else:
+            fh = open(path, "w", encoding="utf-8", newline="\n")
+        with fh:
             yield fh
     except OSError as exc:
         raise IOFailureError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_text(path: "str | Path", text: str) -> None:
-    with _text_out(path) as fh:
+    with _out(path) as fh:
         fh.write(text)
 
 
+# Values the CSV writer gates at a time: the gate's temporaries stay at
+# 256 KB whatever the ensemble's size.
+CSV_BLOCK = 1 << 15
+
+
+def _orjson_rows(block: np.ndarray) -> np.ndarray:
+    """Which rows of block hold only values orjson writes as repr does.
+
+    Those are zero and finite values with 1e-4 <= |x| < 1e16.  repr writes
+    the others with an exponent (1e-05, 1e+16), orjson as 1e-5, 1e16, a
+    plain number or null.
+    """
+    a = np.abs(block)
+    return (((a >= 1e-4) & (a < 1e16)) | (a == 0.0)).all(axis=1)
+
+
 def write_ensemble_csv(path: "str | Path", ensemble: PathEnsemble) -> None:
-    with _text_out(path) as fh:
-        fh.write("path_index,flagged," + ",".join(_fmt(t) for t in ensemble.grid.times) + "\n")
-        for i in range(ensemble.n_paths):
-            # tolist gives Python floats, so repr is the _fmt text
-            row = ",".join(map(repr, ensemble.values[i].tolist()))
-            fh.write(f"{i},{int(ensemble.flagged[i])},{row}\n")
+    import orjson  # on use, so that `import rmplab` loads numpy alone
+
+    header = "path_index,flagged," + ",".join(_fmt(t) for t in ensemble.grid.times)
+    step = max(1, CSV_BLOCK // ensemble.grid.n_nodes)
+    with _out(path, binary=True) as fh:
+        fh.write(header.encode() + b"\n")
+        for start in range(0, ensemble.n_paths, step):
+            # orjson writes C-contiguous rows only; a view when the ensemble is
+            block = np.ascontiguousarray(ensemble.values[start : start + step], dtype=np.float64)
+            flags = ensemble.flagged[start : start + step].tolist()
+            plain = _orjson_rows(block).tolist()
+            for j, row in enumerate(block):
+                if plain[j]:
+                    text = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+                else:  # tolist gives Python floats, so repr is the _fmt text
+                    text = ",".join(map(repr, row.tolist())).encode()
+                fh.write(b"%d,%d,%b\n" % (start + j, flags[j], text))
 
 
 def _csv_grid(header: str) -> TimeGrid:
@@ -157,13 +197,10 @@ def write_ensemble_binary(path: "str | Path", ensemble: PathEnsemble) -> None:
     # one bytes object with the header and flags.
     body = np.ascontiguousarray(ensemble.values, dtype="<f8")
     flags = np.ascontiguousarray(ensemble.flagged, dtype=np.uint8)
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(body.data)
-            fh.write(flags.data)
-    except OSError as exc:
-        raise IOFailureError(f"cannot write {path}: {exc}") from exc
+    with _out(path, binary=True) as fh:
+        fh.write(header)
+        fh.write(body.data)
+        fh.write(flags.data)
 
 
 def read_ensemble_binary(path: "str | Path") -> PathEnsemble:

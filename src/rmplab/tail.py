@@ -77,9 +77,10 @@ def hill_estimator(
     """Hill tail-index estimate from the top-k order statistics.
 
     k defaults to ceil(n^0.6).  A scan over nearby k values is attached;
-    if the scan estimates are mutually inconsistent at the 95% level the
-    report is flagged NONSTABLE, the signature of a sample without a
-    power tail.
+    if the scan estimates are mutually inconsistent at the 95% level, or
+    the top order statistics tie at a scan point (which is then left out
+    of the scan), the report is flagged NONSTABLE, the signature of a
+    sample without a power tail.  Ties at k itself raise.
     """
     x = np.abs(np.asarray(samples, dtype=np.float64).ravel())
     x = x[np.isfinite(x) & (x > 0.0)]
@@ -99,8 +100,13 @@ def hill_estimator(
         kk = int(round(kk))
         if kk >= 10 and 2 * kk < n and kk not in scan_ks:
             scan_ks.append(kk)
-    scan = [(kk, _hill_point(xs, kk)) for kk in scan_ks]
+    scan = []
     stable = True
+    for kk in scan_ks:
+        try:
+            scan.append((kk, _hill_point(xs, kk)))
+        except InsufficientTailError:  # no power tail at kk
+            stable = False
     for i in range(len(scan)):
         for j in range(i + 1, len(scan)):
             ki, ei = scan[i]

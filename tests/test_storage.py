@@ -6,8 +6,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from rmplab.engine import PathEnsemble
+from rmplab import storage
+from rmplab.engine import SATURATION, PathEnsemble
 from rmplab.errors import IOFailureError
 from rmplab.grid import TimeGrid
 from rmplab.storage import (
@@ -106,14 +110,104 @@ def test_csv_round_trip(tmp_path, ensemble):
     assert first.startswith("path_index,flagged,0.0,0.25")
 
 
-def test_csv_bytes_are_the_repr_of_every_value(tmp_path, ensemble):
-    path = tmp_path / "ens.csv"
-    write_ensemble_csv(path, ensemble)
+def _repr_csv(ensemble: PathEnsemble) -> bytes:
+    """The ensemble CSV with repr of every value: the oracle of write_ensemble_csv."""
     lines = ["path_index,flagged," + ",".join(repr(float(t)) for t in ensemble.grid.times)]
     for i, row in enumerate(ensemble.values):
         flag = int(ensemble.flagged[i])
         lines.append(f"{i},{flag}," + ",".join(repr(float(v)) for v in row))
-    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _csv_bytes(path, ensemble: PathEnsemble) -> bytes:
+    write_ensemble_csv(path, ensemble)
+    return path.read_bytes()
+
+
+def _ensemble_of(values) -> PathEnsemble:
+    values = np.asarray(values, dtype=np.float64)
+    return PathEnsemble(
+        grid=TimeGrid(dt=0.25, n_steps=values.shape[1] - 1),
+        label="X",
+        values=values,
+        flagged=np.arange(values.shape[0]) % 3 == 1,
+        master_seed=0,
+    )
+
+
+def test_csv_bytes_are_the_repr_of_every_value(tmp_path, ensemble):
+    assert _csv_bytes(tmp_path / "ens.csv", ensemble) == _repr_csv(ensemble)
+
+
+# Where repr's and orjson's float text part (see storage._orjson_rows).
+_EDGES = {
+    "nan": float("nan"),
+    "inf": float("inf"),
+    "-inf": float("-inf"),
+    "zero": 0.0,
+    "-zero": -0.0,
+    "min_subnormal": 5e-324,
+    "subnormal": 2.2250738585072e-310,
+    "1e-4": 1e-4,
+    "below_1e-4": float(np.nextafter(1e-4, 0.0)),
+    "below_1e16": 9999999999999998.0,
+    "1e16": 1e16,
+    "saturation": SATURATION,
+    "max": 1.7976931348623157e308,
+}
+
+
+@pytest.mark.parametrize("edge", list(_EDGES.values()), ids=list(_EDGES))
+def test_csv_bytes_are_repr_at_every_edge(tmp_path, edge):
+    # the edge among ordinary values, alone in a row, and negated
+    ens = _ensemble_of([[1.5, edge, -0.25], [edge, edge, edge], [-edge, 2.0, 3.0]])
+    assert _csv_bytes(tmp_path / "ens.csv", ens) == _repr_csv(ens)
+
+
+def test_csv_bytes_are_repr_in_a_row_of_mixed_values(tmp_path):
+    mixed = [1.5, 1e-5, 0.1, 1e20, float("nan"), -0.0, 123.0, float("-inf"), 5e-324]
+    ens = _ensemble_of([np.linspace(0.1, 9.0, 9), mixed, np.linspace(-3.0, 3.0, 9)])
+    assert _csv_bytes(tmp_path / "ens.csv", ens) == _repr_csv(ens)
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+def test_csv_bytes_are_repr_for_non_contiguous_values(tmp_path, layout):
+    wide = np.random.default_rng(7).normal(size=(12, 10))
+    values = np.asfortranarray(wide[:6, :5]) if layout == "fortran" else wide[::2, ::2]
+    ens = _ensemble_of(values)
+    assert not ens.values.flags.c_contiguous
+    assert _csv_bytes(tmp_path / "ens.csv", ens) == _repr_csv(ens)
+
+
+def test_csv_bytes_are_repr_across_gate_blocks(tmp_path, monkeypatch):
+    # two rows a block, the fallback row in the last block but one
+    monkeypatch.setattr(storage, "CSV_BLOCK", 10)
+    values = np.random.default_rng(8).normal(size=(7, 5))
+    values[4, 2] = 1e-7
+    ens = _ensemble_of(values)
+    assert _csv_bytes(tmp_path / "ens.csv", ens) == _repr_csv(ens)
+
+
+# any float64, and more often one near either edge of orjson's range
+_row_values = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(1e-5, 1e-3),
+    st.floats(-1e-3, -1e-5),
+    st.floats(1e15, 1e17),
+    st.floats(-1e17, -1e15),
+)
+
+
+@given(
+    values=arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(2, 8)), elements=_row_values)
+)
+@example(values=np.array([[1e-4, np.nextafter(1e-4, 0.0), 9999999999999998.0, 1e16]]))
+@example(values=np.array([[0.0, -0.0, 5e-324, np.nan], [1.0, np.inf, -np.inf, 0.1]]))
+@settings(max_examples=150, deadline=None)
+def test_csv_bytes_are_repr_of_any_float64_rows(tmp_path_factory, values):
+    ens = _ensemble_of(values)
+    path = tmp_path_factory.mktemp("csv") / "ens.csv"
+    assert _csv_bytes(path, ens) == _repr_csv(ens)
 
 
 _HEADER = b"path_index,flagged,0.0,0.5,1.0\n"

@@ -80,6 +80,26 @@ def test_hill_default_k_and_input_guards():
         hill_estimator(np.ones(1000), k=50)  # all order statistics equal
 
 
+def _pareto_with_ties(n_tied: int) -> np.ndarray:
+    x = np.random.default_rng(3).pareto(2.0, 1000) + 1.0
+    x[:n_tied] = x.max()
+    return x
+
+
+def test_hill_scan_point_with_tied_maxima_flags_nonstable():
+    # 17 tied maxima make the scan point k = 16 degenerate; k = 64 and
+    # the other scan points are fine and mutually consistent.
+    report = hill_estimator(_pareto_with_ties(17))
+    assert report.details["k"] == 64 and np.isfinite(report.estimate)
+    assert [kk for kk, _ in report.details["k_scan"]] == [32, 64, 128, 256]
+    assert FLAG_NONSTABLE in report.flags
+
+
+def test_hill_ties_at_k_itself_raise():
+    with pytest.raises(InsufficientTailError, match="degenerate"):
+        hill_estimator(_pareto_with_ties(80))  # k = 64
+
+
 # ----------------------------------------------------------- diffusion D
 
 
