@@ -25,7 +25,7 @@ DEFAULT_BLOCK_SIZE = 2048
 # grid.  solve_linear caps its blocks at this many paths x fine-grid
 # nodes, noise.sample_chunks draws noise in time chunks of at most this
 # many values (paths x nodes, the overlap row included), and the power
-# sums of metrics reduce column slices of about this many values.
+# sums of metrics reduce column slices of about a quarter of this many.
 BLOCK_CELLS = 2048 * 151
 
 # Arrays in one block workspace: the most a linear block holds at once

@@ -17,7 +17,7 @@ exact on a path whose propagator only decayed past it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -388,7 +388,8 @@ def solve_linear(
     The ensembles' (n_paths, n_saved) arrays and the flag vector are
     allocated once, and each block writes its saved rows and flags into
     them, so the solve holds the ensembles and one block's work, not the
-    blocks' outputs as well.  A block holds at most BLOCK_CELLS //
+    blocks' outputs as well (_linear_rows, whose path groups let a
+    reduction hold one group instead).  A block holds at most BLOCK_CELLS //
     grid.n_nodes rows (at least one), so its fine-grid arrays fit the
     block workspace of the thread that runs it (linear_block_arrays):
     12.4 MB per thread, reused block after block, whatever the horizon.
@@ -404,7 +405,7 @@ def solve_linear(
     if unknown:
         raise ValueError(f"unknown process labels: {unknown}")
     out_grid = grid.subsampled(save_every)
-    values, masks = _linear_rows(
+    [(values, masks)] = _linear_rows(
         model, grid, master_seed, n_paths, need, save_every, workers, block_size
     )
     flagged = masks["flagged"]
@@ -425,28 +426,46 @@ def _linear_rows(
     save_every: int,
     workers: int,
     block_size: int = DEFAULT_BLOCK_SIZE,
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """solve_linear's saved rows per label, and the kernel's two path masks."""
+    *,
+    group: "int | None" = None,
+) -> Iterator[tuple[dict[str, np.ndarray], dict[str, np.ndarray]]]:
+    """solve_linear's saved rows per label and the kernel's two path masks, group by group.
+
+    Yields (values, masks) for the consecutive groups of `group` paths in
+    path order (one group of all n_paths when group is None):
+    values[label] holds the saved rows of the group's paths, masks their
+    "flagged" and "saturated".  Every group is written into the
+    same buffers, sized for one group, so a caller that reduces each
+    group before asking for the next holds one group's rows, never the
+    ensemble's; the next group overwrites them.  Within a group the
+    blocks are those of solve_linear, and every row is the same bytes in
+    any grouping (solve_linear).
+    """
+    if n_paths < 1:
+        raise ValueError("n_paths must be positive")
+    size = n_paths if group is None else min(group, n_paths)
     n_saved = grid.n_steps // save_every + 1
-    values = {label: np.empty((n_paths, n_saved)) for label in need}
-    masks = {key: np.empty(n_paths, dtype=bool) for key in ("flagged", "saturated")}
+    values = {label: np.empty((size, n_saved)) for label in need}
+    masks = {key: np.empty(size, dtype=bool) for key in ("flagged", "saturated")}
+    cap = min(block_size, max(1, BLOCK_CELLS // grid.n_nodes))
 
-    def block(idx: np.ndarray) -> None:
-        rows = slice(idx[0], idx[-1] + 1)
-        into = {label: arr[rows] for label, arr in values.items()}
-        done = linear_block_arrays(
-            model, grid, master_seed, idx, save_every=save_every, need=need, into=into
+    for lo in range(0, n_paths, size):
+        n = min(size, n_paths - lo)
+
+        def block(idx: np.ndarray) -> None:
+            rows = slice(idx[0], idx[-1] + 1)
+            into = {label: arr[rows] for label, arr in values.items()}
+            done = linear_block_arrays(
+                model, grid, master_seed, idx + lo, save_every=save_every, need=need, into=into
+            )
+            for key, mask in masks.items():
+                mask[rows] = done[key]
+
+        run_blocks(n, block, workers=workers, block_size=cap)
+        yield (
+            {label: arr[:n] for label, arr in values.items()},
+            {key: mask[:n] for key, mask in masks.items()},
         )
-        for key, mask in masks.items():
-            mask[rows] = done[key]
-
-    run_blocks(
-        n_paths,
-        block,
-        workers=workers,
-        block_size=min(block_size, max(1, BLOCK_CELLS // grid.n_nodes)),
-    )
-    return values, masks
 
 
 def gamma_rate(a: float, d: float, p: float) -> float:
@@ -498,7 +517,7 @@ def stationary_sample(
     grid = TimeGrid(dt=t_star / n_steps, n_steps=n_steps)
     save_every = n_steps // 8
 
-    values, masks = _linear_rows(model, grid, master_seed, n, ("H",), save_every, workers)
+    [(values, masks)] = _linear_rows(model, grid, master_seed, n, ("H",), save_every, workers)
     h, ok = values["H"], ~masks["saturated"]
     n_dropped = n - int(ok.sum())
 

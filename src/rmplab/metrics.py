@@ -18,9 +18,9 @@ import math
 
 import numpy as np
 
-from .blocks import BLOCK_CELLS, block_ranges, pairwise_sum
+from .blocks import BLOCK_CELLS, DEFAULT_BLOCK_SIZE, block_ranges, pairwise_sum
 from .blocks import run_blocks  # noqa: F401  (rmpbench traces it here)
-from .engine import LinearModel, PathEnsemble, solve_linear
+from .engine import LinearModel, PathEnsemble, _linear_rows
 from .engine import linear_block_arrays  # noqa: F401  (rmpbench traces it here)
 from .errors import (
     DNonpositiveError,
@@ -466,27 +466,33 @@ def _power_sums(
 ) -> np.ndarray:
     """Raw power sums S1..S4 of |x + z|^p per order and node, over the given rows.
 
-    The nodes are reduced in column slices of about BLOCK_CELLS cells, so
-    the temporaries hold one slice of the rows, not all their nodes.  A
-    sum over axis 0 adds the slice row after row whatever its width, so
-    the slices give the bytes of one whole sum, except for a single
-    column, which numpy sums pairwise down the column: every slice is at
-    least two columns wide.
+    The nodes are reduced in column slices of about BLOCK_CELLS // 4
+    cells, each held in four arrays (|x + z| of the rows, w = |x + z|^p,
+    w^2 and one product of them), so the temporaries take one block
+    workspace slot, 2.5 MB, whatever the rows and nodes.  w^2 and the
+    products are written with out= by the ufuncs of w * w, w^2 * w and
+    w^2 * w^2.  A sum over axis 0 adds the slice row after row whatever
+    its width, so the slices give the bytes of one whole sum, except for
+    a single column, which numpy sums pairwise down the column: every
+    slice is at least two columns wide.
     """
     n_p, n_nodes = len(p_values), values.shape[1]
     out = np.empty((n_p, 4, n_nodes))
-    width = max(2, BLOCK_CELLS // max(len(rows), 1))
+    width = max(2, BLOCK_CELLS // 4 // max(len(rows), 1))
     starts = list(range(0, n_nodes - 1, width))
     for lo, hi in zip(starts, starts[1:] + [n_nodes]):
-        vals = values[rows, lo:hi]
-        base = np.abs(vals + z) if z else np.abs(vals)
+        base = values[rows, lo:hi]
+        base = np.abs(base + z) if z else np.abs(base, out=base)
+        w2, prod = np.empty_like(base), np.empty_like(base)
         for i, p in enumerate(p_values):
             w = base**p
             out[i, 0, lo:hi] = w.sum(axis=0)
-            w2 = w * w
+            np.multiply(w, w, out=w2)
             out[i, 1, lo:hi] = w2.sum(axis=0)
-            out[i, 2, lo:hi] = (w2 * w).sum(axis=0)
-            out[i, 3, lo:hi] = (w2 * w2).sum(axis=0)
+            out[i, 2, lo:hi] = np.multiply(w2, w, out=prod).sum(axis=0)
+            out[i, 3, lo:hi] = np.multiply(w2, w2, out=prod).sum(axis=0)
+            del w  # before the next order's w, and the slice's arrays
+        del base, w2, prod  # before the next slice's: four are ever held
     return out
 
 
@@ -535,6 +541,16 @@ def _curves_from_sums(
     )
 
 
+def _orders(p_values: "tuple[float, ...] | list[float]") -> tuple[float, ...]:
+    """The moment orders as floats; at least one, all positive."""
+    p_values = tuple(float(p) for p in p_values)
+    if not p_values:
+        raise EmptyInputError("need at least one order p")
+    if any(p <= 0.0 for p in p_values):
+        raise ValueError("orders must be positive")
+    return p_values
+
+
 def linear_moment_curves(
     model: LinearModel,
     grid: TimeGrid,
@@ -546,19 +562,39 @@ def linear_moment_curves(
     save_every: int = 1,
     workers: int = 1,
 ) -> MomentCurves:
-    """Quasi-norm curves of a linear-model process: solve, then reduce.
+    """Quasi-norm curves of a linear-model process, reduced as it is solved.
 
-    The ensemble of source is solved at the output stride and reduced by
-    ensemble_moment_curves in fixed 2,048-path groups, so the bytes do
-    not depend on the solver's block layout or on workers.  A curve holds
-    the ensemble, n_paths x n_saved x 8 bytes, plus the working arrays of
-    one solver block of at most BLOCK_CELLS cells each.  Flagged paths
-    are excluded from every node.
+    The solve fills the fixed 2,048-path groups of blocks.block_ranges
+    one at a time into one reused buffer (engine._linear_rows), and each
+    group's power sums are taken before the next group is solved; the
+    groups are added as in ensemble_moment_curves, so the bytes are those
+    of ensemble_moment_curves on the whole ensemble and do not depend on
+    the solver's block layout or on workers.  A curve holds one group of
+    source, 2,048 x n_saved x 8 bytes (4.9 MB on 301 saved nodes),
+    whatever n_paths, plus the working arrays of one solver block and
+    the power sums' temporaries (_power_sums), at most BLOCK_CELLS cells
+    each.  Flagged paths are excluded from every node.
     """
-    ensemble = solve_linear(
-        model, grid, master_seed, n_paths, (source,), save_every=save_every, workers=workers
-    )[source]
-    return ensemble_moment_curves(ensemble, p_values)
+    p_values = _orders(p_values)
+    parts, n_ok = [], 0
+    for values, masks in _linear_rows(
+        model, grid, master_seed, n_paths, (source,), save_every, workers, group=DEFAULT_BLOCK_SIZE
+    ):
+        rows = np.flatnonzero(~masks["flagged"])
+        parts.append(_power_sums(values[source], rows, p_values, 0.0))
+        n_ok += len(rows)
+    if n_ok == 0:
+        raise EmptyInputError("every path is flagged")
+    return _curves_from_sums(
+        source,
+        p_values,
+        grid.subsampled(save_every).times,
+        pairwise_sum(parts),
+        n_ok,
+        n_paths - n_ok,
+        master_seed,
+        0.0,
+    )
 
 
 def ensemble_moment_curves(
@@ -573,15 +609,11 @@ def ensemble_moment_curves(
     blocks.block_ranges in path order and the groups are added by a
     pairwise tree, so the bytes depend on the ensemble alone, never on
     the block layout or the worker count that solved it.  Beyond the
-    held ensemble (n_paths x n_saved x 8 bytes) the reduction needs a
-    few temporaries of one column slice of one group (_power_sums).
-    Flagged paths are excluded from every node.
+    held ensemble (n_paths x n_saved x 8 bytes) the reduction needs the
+    temporaries of one column slice of one group, one workspace slot
+    (_power_sums).  Flagged paths are excluded from every node.
     """
-    p_values = tuple(float(p) for p in p_values)
-    if not p_values:
-        raise EmptyInputError("need at least one order p")
-    if any(p <= 0.0 for p in p_values):
-        raise ValueError("orders must be positive")
+    p_values = _orders(p_values)
     ok = ~ensemble.flagged
     if not ok.any():
         raise EmptyInputError("every path is flagged")

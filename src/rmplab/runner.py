@@ -14,11 +14,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .blocks import DEFAULT_BLOCK_SIZE
 from .config import EstimatorRequest, ExperimentConfig, config_hash
 from .engine import (
     NonlinearModel,
     NonlinearSolution,
     PathEnsemble,
+    _linear_rows,
     solve_linear,
     solve_nonlinear,
     stationary_horizon,
@@ -48,6 +50,8 @@ from .storage import (
     write_plotdata,
 )
 from .tail import (
+    DtFitSquares,
+    GreenKuboSums,
     _green_kubo_lags,
     b_h_replicates,
     condition1_diagnostic,
@@ -84,8 +88,11 @@ class RunState:
     substep count the solve chose.
     Each held ensemble takes n_paths x n_saved x 8 bytes; moment curves
     reduce it in fixed 2,048-path groups, so their bytes do not depend on
-    the block layout or --workers.  The state is dropped when `run`
-    returns, so nothing outlives a run.
+    the block layout or --workers.  The beta stage holds no ensemble here:
+    moment_transition and the noise fits reduce their solves a 2,048-path
+    group at a time, and only dt_fit keeps a column per window node of
+    every path.  The state is dropped when `run` returns, so nothing
+    outlives a run.
     """
 
     cfg: ExperimentConfig
@@ -337,26 +344,32 @@ def do_beta(state: RunState) -> None:
     gk_reqs = _reqs(cfg, "green_kubo")
     dt_reqs = _reqs(cfg, "dt_fit")
     if gk_reqs or dt_reqs:
-        noise = solve_linear(
+        gk_windows = [float(req.get("window")) for req in gk_reqs]
+        dt_windows = [(float(lo), float(hi)) for lo, hi in (req.get("window") for req in dt_reqs)]
+        lag_sums = [GreenKuboSums(cfg.grid, w, cfg.n_paths) for w in gk_windows]
+        squares = [DtFitSquares(cfg.grid, w, cfg.n_paths) for w in dt_windows]
+        groups = _linear_rows(
             model,
             cfg.grid,
             cfg.master_seed,
             cfg.n_paths,
             ("zeta", "Y") if dt_reqs else ("zeta",),
-            workers=cfg.workers,
+            1,
+            cfg.workers,
+            group=DEFAULT_BLOCK_SIZE,
         )
-        # Y's exponent-budget flags concern the propagator, not the noise:
-        # both estimators read every path, as of a zeta-only solve.
-        noise["zeta"].flagged[:] = False  # the mask Y shares
-        for req in gk_reqs:
-            report = green_kubo_d(noise["zeta"], float(req.get("window")), analytic=d_analytic)
-            out["green_kubo"] = _report_to_dict(report)
-        for req in dt_reqs:
-            window = req.get("window")
-            report = dt_fit_d(
-                noise["Y"], (float(window[0]), float(window[1])), analytic=d_analytic
-            )
-            out["dt_fit"] = _report_to_dict(report)
+        # Each group feeds the fits' sums and columns, so the noise is never
+        # held whole.  Y's exponent-budget flags concern the propagator, not
+        # the noise: both estimators read every path, as of a zeta-only solve.
+        for values, _ in groups:
+            for fed in lag_sums:
+                fed.add(values["zeta"])
+            for fed in squares:
+                fed.add(values["Y"])
+        for window, fed in zip(gk_windows, lag_sums):
+            out["green_kubo"] = _report_to_dict(green_kubo_d(fed, window, analytic=d_analytic))
+        for window, fed in zip(dt_windows, squares):
+            out["dt_fit"] = _report_to_dict(dt_fit_d(fed, window, analytic=d_analytic))
 
     if out:
         write_json(state.add("beta.json"), out)

@@ -12,9 +12,11 @@ holding any other value (where repr uses an exponent, or nan and inf)
 is joined from repr.  orjson is loaded on the first CSV write, so
 `import rmplab` loads numpy alone.  The file is written and read
 one row at a time, so neither side holds more than one row's text; the
-reader refuses (IOFailureError) an empty file, a header with no rows,
-header times that are not the uniform grid k * dt from 0, and any row
-whose field count, path index, 0/1 flag or values do not parse.
+reader parses the rows into one array, sized by a first pass that
+counts the lines.  It refuses (IOFailureError) an empty file, a header
+with no rows, header times that are not the uniform grid k * dt from 0,
+and any row whose field count, path index, 0/1 flag or values do not
+parse.
 
 Ensemble binary: 64-byte little-endian header followed by the value
 matrix and the flag vector:
@@ -29,16 +31,19 @@ matrix and the flag vector:
     52      12    reserved (zero)
     64      8*n_paths*(n_steps+1)   values, float64, row-major
     ...     n_paths                 flag bytes (0 or 1)
-The reader refuses (IOFailureError) a short or long file, a bad magic or
-version, a dt, n_steps or label that does not make an ensemble, and a
-flag byte other than 0 or 1.
+The reader reads the values and flags straight into their arrays once
+the header matches the file's size.  It refuses (IOFailureError) a short
+or long file, a bad magic or version, a dt, n_steps or label that does
+not make an ensemble, and a flag byte other than 0 or 1.
 
 JSON summaries: UTF-8, sorted keys, two-space indent, no timestamps.
 """
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import os
 import struct
 from contextlib import contextmanager
 from pathlib import Path
@@ -139,39 +144,75 @@ def _csv_grid(header: str) -> TimeGrid:
     return TimeGrid(dt=dt, n_steps=times.size - 1)
 
 
-def _parse_csv(lines: Iterable[str]) -> tuple[TimeGrid, np.ndarray, np.ndarray]:
-    """Grid, values and flags of ensemble CSV lines, parsed one row at a time."""
+def _parse_csv(lines: Iterable[str], max_rows: int) -> tuple[TimeGrid, np.ndarray, np.ndarray]:
+    """Grid, values and flags of ensemble CSV lines, parsed one row at a time.
+
+    Rows are parsed into one (max_rows, n_nodes) array; a file holding
+    more rows than max_rows (line breaks counted as other than LF) grows
+    it, and one holding fewer trims it.
+    """
     lines = (ln for ln in (raw.rstrip("\n") for raw in lines) if ln)
     header = next(lines, None)
     if header is None:
         raise IOFailureError("ensemble CSV is empty")
     grid = _csv_grid(header)
     width = grid.n_nodes + 2
-    rows: list[np.ndarray] = []
-    flags: list[bool] = []
+    values = np.empty((max_rows, grid.n_nodes))
+    flags = np.empty(max_rows, dtype=bool)
+    n = 0
     for line in lines:
-        where = f"ensemble CSV row {len(rows)}"
+        where = f"ensemble CSV row {n}"
         fields = line.split(",")
         if len(fields) != width:
             raise IOFailureError(f"{where}: {len(fields)} fields, expected {width}")
-        if fields[0] != str(len(rows)):
+        if fields[0] != str(n):
             raise IOFailureError(f"{where}: path_index is {fields[0]!r}")
         if fields[1] not in ("0", "1"):
             raise IOFailureError(f"{where}: flag {fields[1]!r} is not 0 or 1")
+        if n == len(values):
+            values.resize((2 * n + 1, grid.n_nodes), refcheck=False)
+            flags.resize(2 * n + 1, refcheck=False)
         try:
-            rows.append(np.array([float(v) for v in fields[2:]]))
+            values[n] = [float(v) for v in fields[2:]]
         except ValueError as exc:
             raise IOFailureError(f"{where}: {exc}") from exc
-        flags.append(fields[1] == "1")
-    if not rows:
+        flags[n] = fields[1] == "1"
+        n += 1
+    if n == 0:
         raise IOFailureError("ensemble CSV has a header but no rows")
-    return grid, np.stack(rows), np.array(flags)
+    if n < len(values):
+        values.resize((n, grid.n_nodes), refcheck=False)
+        flags.resize(n, refcheck=False)
+    return grid, values, flags
+
+
+# Bytes read at a time to count an ensemble CSV's lines.
+COUNT_BLOCK = 1 << 16
+
+
+def _line_count(fh: BinaryIO) -> int:
+    """Lines of a binary file from its position on: LF count, plus a last line without one."""
+    count, last = 0, b"\n"
+    while block := fh.read(COUNT_BLOCK):
+        count += block.count(b"\n")
+        last = block[-1:]
+    return count + (last != b"\n")
 
 
 def read_ensemble_csv(path: "str | Path", label: str, master_seed: int = 0) -> PathEnsemble:
+    """The ensemble of an ensemble CSV, each value held once.
+
+    The file is read twice: once to count its lines, which bounds the
+    rows, then to parse them into one array of that many rows, so the
+    reader holds the values it returns and one row's text, not a list of
+    row arrays joined at the end.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            grid, values, flagged = _parse_csv(fh)
+        with open(path, "rb") as raw:
+            max_rows = max(_line_count(raw) - 1, 0)  # all but the header
+            raw.seek(0)
+            with io.TextIOWrapper(raw, encoding="utf-8") as fh:
+                grid, values, flagged = _parse_csv(fh, max_rows)
     except IOFailureError:
         raise
     except (OSError, UnicodeDecodeError) as exc:
@@ -204,37 +245,45 @@ def write_ensemble_binary(path: "str | Path", ensemble: PathEnsemble) -> None:
 
 
 def read_ensemble_binary(path: "str | Path") -> PathEnsemble:
+    """The ensemble of an ensemble binary, read straight into its value and flag arrays.
+
+    The header is checked against the file's size before anything else
+    is read, so the arrays are allocated only for a file that holds them.
+    """
     try:
-        blob = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            head = fh.read(_HEADER.size)
+            if len(head) < _HEADER.size:
+                raise IOFailureError("truncated ensemble file: missing header")
+            magic, version, label, n_paths, n_steps, dt, master_seed = _HEADER.unpack(head)
+            if magic != MAGIC:
+                raise IOFailureError("not an ensemble file: bad magic")
+            if version != BINARY_VERSION:
+                raise IOFailureError(f"unsupported ensemble format version {version}")
+            n_nodes = n_steps + 1
+            expected = _HEADER.size + 8 * n_paths * n_nodes + n_paths
+            size = os.fstat(fh.fileno()).st_size
+            if size != expected:
+                raise IOFailureError(
+                    f"truncated ensemble file: expected {expected} bytes, got {size}"
+                )
+            values = np.empty((n_paths, n_nodes), dtype="<f8")
+            flags = np.empty(n_paths, dtype=np.uint8)
+            for arr in (values, flags):
+                if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+                    raise IOFailureError(f"truncated ensemble file: {path} shrank while read")
+    except IOFailureError:
+        raise
     except OSError as exc:
         raise IOFailureError(str(exc)) from exc
-    if len(blob) < _HEADER.size:
-        raise IOFailureError("truncated ensemble file: missing header")
-    magic, version, label, n_paths, n_steps, dt, master_seed = _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise IOFailureError("not an ensemble file: bad magic")
-    if version != BINARY_VERSION:
-        raise IOFailureError(f"unsupported ensemble format version {version}")
-    n_nodes = n_steps + 1
-    expected = _HEADER.size + 8 * n_paths * n_nodes + n_paths
-    if len(blob) != expected:
-        raise IOFailureError(
-            f"truncated ensemble file: expected {expected} bytes, got {len(blob)}"
-        )
-    values = np.frombuffer(
-        blob, dtype="<f8", count=n_paths * n_nodes, offset=_HEADER.size
-    ).reshape(n_paths, n_nodes)
-    flags = np.frombuffer(
-        blob, dtype=np.uint8, count=n_paths, offset=_HEADER.size + 8 * n_paths * n_nodes
-    )
     if np.any(flags > 1):
         raise IOFailureError("bad ensemble file: a flag byte is neither 0 nor 1")
     try:  # a bad dt, n_steps or label; UnicodeDecodeError is a ValueError
         return PathEnsemble(
             grid=TimeGrid(dt=dt, n_steps=n_steps),
             label=label.rstrip(b"\x00").decode("ascii"),
-            values=values.copy(),
-            flagged=flags.astype(bool),
+            values=values,
+            flagged=flags.view(bool),
             master_seed=master_seed,
         )
     except ValueError as exc:

@@ -239,13 +239,18 @@ def _batch_ci(batch_values: np.ndarray) -> tuple[float, float]:
     return mean - half, mean + half
 
 
+def _batch_edges(n_rows: int) -> np.ndarray:
+    """Edges of N_BATCHES contiguous nonempty batches of n_rows rows."""
+    if n_rows < N_BATCHES:
+        raise EmptyInputError("too few unflagged paths for batching")
+    return np.linspace(0, n_rows, N_BATCHES + 1, dtype=int)
+
+
 def _batched_estimate(
     rows: np.ndarray, estimate: Callable[[np.ndarray], float]
 ) -> tuple[float, float, float]:
     """estimate of all rows, and _batch_ci over N_BATCHES contiguous nonempty batches."""
-    if rows.shape[0] < N_BATCHES:
-        raise EmptyInputError("too few unflagged paths for batching")
-    edges = np.linspace(0, rows.shape[0], N_BATCHES + 1, dtype=int)
+    edges = _batch_edges(rows.shape[0])
     batches = np.array([estimate(rows[lo:hi]) for lo, hi in zip(edges, edges[1:])])
     return (estimate(rows), *_batch_ci(batches))
 
@@ -262,8 +267,91 @@ def _green_kubo_lags(window: float, grid: TimeGrid) -> int:
     return n_lags
 
 
+def _carried_sum(carry: "np.ndarray | None", rows: np.ndarray) -> np.ndarray:
+    """rows.sum(axis=0) continued from carry, the sum of the rows before them.
+
+    numpy sums a C-ordered array of two or more columns over axis 0 from
+    0, row after row, so carry and then the rows give, bit for bit, the
+    sum of all the rows held as one array (carry is never -0.0).
+    """
+    if carry is None:
+        return rows.sum(axis=0)
+    return np.concatenate([carry[None], rows]).sum(axis=0)
+
+
+class GreenKuboSums:
+    """Green-Kubo's lag-product sums over n_rows paths, fed a group of paths at a time.
+
+    A path's products are zeta_0 zeta_k for the lags k = 0 .. n_lags of
+    window on grid.  Their sums over all paths and over each of the
+    N_BATCHES contiguous path batches are carried from group to group
+    (_carried_sum), so they are bit for bit those of one C-ordered array
+    of every path's products: the sums hold one group's products at a
+    time, whatever n_rows.
+    """
+
+    def __init__(self, grid: TimeGrid, window: float, n_rows: int) -> None:
+        self.grid, self.window, self.n_rows = grid, window, n_rows
+        self.n_lags = _green_kubo_lags(window, grid)
+        self.edges = _batch_edges(n_rows)
+        self.total: "np.ndarray | None" = None
+        self.batches: "list[np.ndarray | None]" = [None] * N_BATCHES
+        self.fed = 0
+
+    def add(self, zeta_rows: np.ndarray) -> None:
+        """Feed the zeta rows (at least n_lags + 1 nodes) of the next paths in path order."""
+        products = zeta_rows[:, :1] * zeta_rows[:, : self.n_lags + 1]
+        lo, hi = self.fed, self.fed + len(products)
+        self.total = _carried_sum(self.total, products)
+        for b, (start, stop) in enumerate(zip(self.edges, self.edges[1:])):
+            if start < hi and stop > lo:
+                part = products[max(start, lo) - lo : min(stop, hi) - lo]
+                self.batches[b] = _carried_sum(self.batches[b], part)
+        self.fed = hi
+
+
+class DtFitSquares:
+    """dt_fit's squared integrated noise on its window nodes, fed a group of paths at a time.
+
+    The squares of n_rows paths fill one Fortran-ordered (n_rows, window
+    nodes) array, the layout of y.values[:, mask], written a node column
+    at a time with no copy of the rows.  numpy reduces each column of that
+    layout pairwise down the paths, and dt_fit's bytes rest on it: the
+    same squares summed row after row move the estimate in its last
+    digits.
+    """
+
+    def __init__(self, grid: TimeGrid, window: tuple[float, float], n_rows: int) -> None:
+        lo, hi = window
+        times = grid.times
+        mask = (times >= lo) & (times <= hi)
+        if mask.sum() < MIN_FIT_NODES:
+            raise WindowTooShortError(
+                f"variance-slope window must cover at least {MIN_FIT_NODES} nodes"
+            )
+        self.window, self.n_rows, self.times = window, n_rows, times[mask]
+        self.nodes = np.flatnonzero(mask)
+        self.squares = np.empty((n_rows, self.nodes.size), order="F")
+        self.fed = 0
+
+    def add(self, y_rows: np.ndarray) -> None:
+        """Feed the Y rows of the next paths in path order."""
+        block = self.squares[self.fed : self.fed + len(y_rows)]
+        for j, node in enumerate(self.nodes):
+            np.square(y_rows[:, node], out=block[:, j])
+        self.fed += len(y_rows)
+
+
+def _check_fed(source: "GreenKuboSums | DtFitSquares", window: object) -> None:
+    """Refuse sums fed for another window, or with other than their n_rows paths."""
+    if source.window != window:
+        raise ValueError(f"sums fed for window {source.window}, asked for {window}")
+    if source.fed != source.n_rows:
+        raise ValueError(f"{source.fed} paths fed, {source.n_rows} announced")
+
+
 def green_kubo_d(
-    zeta: PathEnsemble,
+    zeta: "PathEnsemble | GreenKuboSums",
     window: float,
     *,
     analytic: "float | None" = None,
@@ -273,28 +361,39 @@ def green_kubo_d(
     The covariance at each lag is an ensemble average against the
     initial node (stationarity makes the base node irrelevant), then a
     trapezoid integral over lags gives the diffusion constant.  The CI
-    comes from N_BATCHES batches of paths.
+    comes from N_BATCHES batches of paths.  zeta is the noise ensemble,
+    whose unflagged paths are read, or the GreenKuboSums a streamed solve
+    fed for window; an ensemble with no flagged path is read in place.
     """
-    dt = zeta.grid.dt
-    n_lags = _green_kubo_lags(window, zeta.grid)
-    vals = zeta.values[~zeta.flagged]
-    products = vals[:, :1] * vals[:, : n_lags + 1]
-    estimate, ci_low, ci_high = _batched_estimate(
-        products, lambda rows: float(np.trapezoid(rows.mean(axis=0), dx=dt))
+    if isinstance(zeta, PathEnsemble):
+        ok = ~zeta.flagged
+        sums = GreenKuboSums(zeta.grid, window, int(ok.sum()))
+        sums.add(zeta.values if ok.all() else zeta.values[ok, : sums.n_lags + 1])
+    else:
+        sums = zeta
+    _check_fed(sums, window)
+    dt = sums.grid.dt
+
+    def integral(total: np.ndarray, count: int) -> float:  # of the mean products
+        return float(np.trapezoid(total / count, dx=dt))
+
+    estimate = integral(sums.total, sums.fed)
+    ci_low, ci_high = _batch_ci(
+        np.array([integral(*batch) for batch in zip(sums.batches, np.diff(sums.edges))])
     )
     return ExponentReport(
         method="green_kubo",
         estimate=estimate,
         ci_low=ci_low,
         ci_high=ci_high,
-        n_effective=int(vals.shape[0]),
+        n_effective=sums.fed,
         analytic=analytic,
-        details={"window": window, "n_lags": n_lags, "n_batches": N_BATCHES},
+        details={"window": window, "n_lags": sums.n_lags, "n_batches": N_BATCHES},
     )
 
 
 def dt_fit_d(
-    y: PathEnsemble,
+    y: "PathEnsemble | DtFitSquares",
     window: tuple[float, float],
     *,
     analytic: "float | None" = None,
@@ -303,26 +402,29 @@ def dt_fit_d(
 
     E[Y_t^2]/2 approaches D t plus a constant once t passes a few
     correlation times, so the least-squares slope estimates D.  The CI
-    comes from N_BATCHES batches of paths.
+    comes from N_BATCHES batches of paths.  y is the integrated-noise
+    ensemble, whose unflagged paths are read, or the DtFitSquares a
+    streamed solve fed for window.  Each node's mean of Y^2 is numpy's
+    pairwise sum down one column of the Fortran-ordered squares
+    (DtFitSquares), so the estimate's bytes rest on that layout.
     """
-    lo, hi = window
-    times = y.grid.times
-    mask = (times >= lo) & (times <= hi)
-    if mask.sum() < MIN_FIT_NODES:
-        raise WindowTooShortError(
-            f"variance-slope window must cover at least {MIN_FIT_NODES} nodes"
-        )
-    vals = y.values[~y.flagged][:, mask]
-    ts = times[mask]
+    if isinstance(y, PathEnsemble):
+        ok = ~y.flagged
+        squares = DtFitSquares(y.grid, window, int(ok.sum()))
+        squares.add(y.values if ok.all() else y.values[ok])
+    else:
+        squares = y
+    _check_fed(squares, window)
+    ts = squares.times
     estimate, ci_low, ci_high = _batched_estimate(
-        vals, lambda rows: _line_fit(ts, 0.5 * (rows**2).mean(axis=0), None)[0]
+        squares.squares, lambda rows: _line_fit(ts, 0.5 * rows.mean(axis=0), None)[0]
     )
     return ExponentReport(
         method="dt_fit",
         estimate=estimate,
         ci_low=ci_low,
         ci_high=ci_high,
-        n_effective=int(vals.shape[0]),
+        n_effective=squares.fed,
         analytic=analytic,
         details={"window": list(window), "n_batches": N_BATCHES},
     )

@@ -8,7 +8,6 @@ cannot move a single output bit.
 """
 import hashlib
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +33,7 @@ from rmplab.engine import (
 from rmplab.errors import SpecRejectedError, TruncationWarningError
 from rmplab.grid import TimeGrid
 from rmplab.noise import NoiseSpec, correlation, y_variance_half
+from peaks import traced_peak
 
 OU_HALF = NoiseSpec.ou(1.0, 0.5)
 ADD = NoiseSpec.ou(0.3, 0.5)
@@ -201,13 +201,9 @@ def test_stationary_sample_memory_is_one_block():
     # The peak must not grow with n_paths x nodes: 1,000 paths on 1,505
     # nodes would be 12 MB per array, six of them at once without the cap.
     model = LinearModel(a=1.0, multiplicative=OU_HALF, additive=ADD)
-    tracemalloc.start()
-    try:
+    with traced_peak() as peak:
         stationary_sample(model, 15.0, 1000, 5, p_max=1.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2**20
+    assert peak.bytes < 32 * 2**20
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
@@ -284,13 +280,9 @@ def test_a_solve_holds_its_ensemble_and_one_block():
     model = LinearModel(a=1.0, multiplicative=OU_HALF, additive=ADD)
     grid = TimeGrid(dt=0.005, n_steps=300)
     solve_linear(model, grid, 2, 3000)  # builds this thread's workspace
-    tracemalloc.start()
-    try:
+    with traced_peak() as peak:
         ensemble = solve_linear(model, grid, 2, 3000)["X"].values
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * ensemble.nbytes
+    assert peak.bytes < 1.5 * ensemble.nbytes
 
 
 def test_integrate_y_wraps_values():

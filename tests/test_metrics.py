@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rmplab import metrics
+from rmplab.blocks import BLOCK_CELLS
 from rmplab.engine import LinearModel, PathEnsemble, solve_linear
 from rmplab.errors import (
     DNonpositiveError,
@@ -36,6 +37,7 @@ from rmplab.metrics import (
     sigma_p,
 )
 from rmplab.noise import NoiseSpec, y_variance_half
+from peaks import traced_peak
 
 finite_arrays = arrays(
     np.float64,
@@ -363,18 +365,28 @@ def _whole_power_sums(vals, p_values, z):
 @pytest.mark.parametrize("cells", [1, 3 * 2048, 7 * 2048, 10**9])
 def test_column_slices_keep_the_curve_bytes(monkeypatch, cells):
     # Slices 2, about 3, about 7 columns wide and whole: a one-column slice
-    # would be summed pairwise and move bits, so none is ever made.
+    # would be summed pairwise and move bits, so none is ever made.  The
+    # slices take BLOCK_CELLS // 4 cells.
     x = solve_linear(GROUPED_MODEL, GROUPED_GRID, 11, 4500, save_every=4)["X"]
     flagged = x.flagged.copy()
     flagged[::7] = True
     ens = PathEnsemble(grid=x.grid, label="X", values=x.values, flagged=flagged, master_seed=11)
-    monkeypatch.setattr(metrics, "BLOCK_CELLS", cells)
+    monkeypatch.setattr(metrics, "BLOCK_CELLS", 4 * cells)
     z = 0.25 + 0.5j
     for lo in (0, 2048, 4096):
         rows = np.flatnonzero(~flagged[lo : lo + 2048]) + lo
         sums = metrics._power_sums(ens.values, rows, (0.5, 2.0), z)
         assert sums.tobytes() == _whole_power_sums(ens.values[rows], (0.5, 2.0), z).tobytes()
     assert _curve_digest(ensemble_moment_curves(ens, [0.5, 2.0], z=z)) == SHIFTED_DIGEST
+
+
+def test_power_sums_hold_under_one_workspace_slot():
+    # A 2,048-path group on 301 nodes at three orders: four arrays of a
+    # BLOCK_CELLS // 4 slice, where five of BLOCK_CELLS each held 12 MB.
+    x = np.random.default_rng(3).lognormal(size=(2048, 301))
+    with traced_peak() as peak:
+        metrics._power_sums(x, np.arange(2048), (1.0, 2.0, 3.0), 0.0)
+    assert peak.bytes < 1.1 * 8 * BLOCK_CELLS
 
 
 def test_ensemble_moment_curves_agree_with_streaming():

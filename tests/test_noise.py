@@ -4,7 +4,6 @@ The integrated-noise variance oracle is independent quadrature of the
 autocovariance over the time wedge; marginal laws of the transformed
 kind are pinned against exact Pareto formulas.
 """
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +30,7 @@ from rmplab.noise import (
     y_variance_half,
 )
 from rmplab.rng import ROLE_ADDITIVE, ROLE_MULTIPLICATIVE, block_normals
+from peaks import traced_peak
 
 
 # ---------------------------------------------------------------- specs
@@ -300,13 +300,9 @@ def test_sample_block_holds_one_full_size_array():
     # add a full result's bytes to the peak
     grid = TimeGrid(dt=0.02, n_steps=2500)
     idx = np.arange(2048)
-    tracemalloc.start()
-    try:
+    with traced_peak() as peak:
         block = sample_block(NoiseSpec.ou(1.0, 0.5), grid, 5, idx, ROLE_MULTIPLICATIVE)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.25 * block.nbytes
+    assert peak.bytes < 1.25 * block.nbytes
 
 
 CHUNK_GRID = TimeGrid(dt=0.05, n_steps=30)
@@ -350,18 +346,14 @@ def test_chunks_draw_each_normal_once_and_hold_one_chunk(monkeypatch):
         return out
 
     monkeypatch.setattr(noise, "block_normals", counted)
-    tracemalloc.start()
-    try:
+    with traced_peak() as peak:
         for chunk in sample_chunks(NoiseSpec.ou(1.0, 0.5), grid, 5, idx, ROLE_ADDITIVE):
             pass
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     assert sum(drawn) == len(idx) * grid.n_nodes and len(drawn) == 17
     # the chunk buffer, one chunk's draws and a generator per row (under
     # 1 KiB each): not the 41 MB of whole paths
     chunk_bytes = 8 * len(idx) * 151
-    assert peak < 2 * chunk_bytes + len(idx) * 1024 + 2**20
+    assert peak.bytes < 2 * chunk_bytes + len(idx) * 1024 + 2**20
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,6 @@ The solver's bytes are pinned by sha256 digests, so a rewrite of the RK4
 kernel's buffering cannot move a single output bit.
 """
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from rmplab.engine import (
 from rmplab.errors import SpecRejectedError
 from rmplab.grid import TimeGrid
 from rmplab.noise import SHIPPED_GAUSSIAN_SPECS, NoiseSpec
+from peaks import traced_peak
 
 MULT = NoiseSpec.ou(1.0, 0.5)
 ENV = NoiseSpec.pareto_ou(0.5, 2.5)  # positive support, |phi| = phi
@@ -460,15 +460,11 @@ def _solve_peak(t_max: float, save_every: int, multiplicative=MULT) -> tuple[int
         a=1.0, multiplicative=multiplicative, envelope=NoiseSpec.ou(0.5, 1.0),
         nonlinearity=SIN_MODULATED,
     )
-    tracemalloc.start()
-    try:
+    with traced_peak() as peak:
         sol = solve_nonlinear(
             model, TimeGrid(0.02, round(t_max / 0.02)), 3, 2048, save_every=save_every
         )
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak, sol.x.values.nbytes
+    return peak.bytes, sol.x.values.nbytes
 
 
 def test_rk4_block_memory_stays_near_its_output():

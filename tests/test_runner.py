@@ -16,11 +16,13 @@ from pathlib import Path
 
 import pytest
 
-from rmplab import runner
+from rmplab import blocks, runner
 from rmplab.config import config_from_dict
 from rmplab.engine import integrate_y, solve_linear
+from rmplab.metrics import ensemble_moment_curves, linear_moment_curves
 from rmplab.noise import diffusion_constant
-from rmplab.tail import dt_fit_d, green_kubo_d
+from rmplab.tail import dt_fit_d, green_kubo_d, transition_grid
+from peaks import traced_peak
 
 NONLINEAR_RAW = {
     "schema_version": 1,
@@ -180,6 +182,63 @@ def test_noise_estimators_read_every_path_past_the_exponent_budget(tmp_path):
     for name, report in want.items():
         assert got[name]["estimate"] == report.estimate, name
         assert got[name]["n_effective"] == report.n_effective == 400, name
+
+
+def _noise_fits_raw(a: float, n_paths: int, dt_window: list) -> dict:
+    return dict(
+        LINEAR_RAW,
+        model=dict(LINEAR_RAW["model"], a=a),
+        ensemble={"n_paths": n_paths, "master_seed": 20100},
+        estimators=[
+            {"name": "green_kubo", "window": 1.5},
+            {"name": "dt_fit", "window": dt_window},
+        ],
+    )
+
+
+@pytest.mark.parametrize("a", [1.0, 300.0], ids=["a1", "a300"])
+def test_streamed_beta_fits_are_those_of_the_held_ensembles(tmp_path, a):
+    # 4,100 paths on the 151-node grid: two 2,048-path groups and one of 4,
+    # so the 205-path batches of both fits straddle a group edge and the
+    # last group is short.  At a = 300 the budget flags every path of the
+    # solve that builds Y; the fits read every path all the same.
+    cfg = config_from_dict(_noise_fits_raw(a, 4100, [1.0, 3.0]))
+    runner.run(cfg, groups=("beta",), out_dir=tmp_path)
+    got = json.loads((tmp_path / "beta.json").read_text())
+    noise = solve_linear(cfg.model, cfg.grid, cfg.master_seed, cfg.n_paths, ("zeta", "Y"))
+    assert noise["Y"].n_flagged == (cfg.n_paths if a == 300.0 else 0)
+    noise["Y"].flagged[:] = False  # the mask zeta shares
+    d = diffusion_constant(cfg.model.multiplicative)
+    want = {
+        "green_kubo": green_kubo_d(noise["zeta"], 1.5, analytic=d),
+        "dt_fit": dt_fit_d(noise["Y"], (1.0, 3.0), analytic=d),
+    }
+    for name, report in want.items():
+        assert got[name]["estimate"] == report.estimate, name
+        assert got[name]["ci"] == [report.ci_low, report.ci_high], name
+        assert got[name]["n_effective"] == report.n_effective == 4100, name
+    # moment_transition's curves, reduced as X is solved, against the held X
+    grid, stride = transition_grid(cfg.model, 1.5, dt=0.005)
+    streamed = linear_moment_curves(
+        cfg.model, grid, cfg.master_seed, cfg.n_paths, [1.0, 2.0, 3.0], save_every=stride
+    )
+    x = solve_linear(cfg.model, grid, cfg.master_seed, cfg.n_paths, save_every=stride)["X"]
+    held = ensemble_moment_curves(x, [1.0, 2.0, 3.0])
+    for name in ("times", "value", "std_err", "unstable"):
+        assert getattr(streamed, name).tobytes() == getattr(held, name).tobytes(), name
+    assert (streamed.n, streamed.excluded) == (held.n, held.excluded)
+
+
+def test_beta_noise_fits_hold_less_than_one_noise_ensemble(tmp_path):
+    # The solve feeds Green-Kubo's carried sums and dt_fit's squares a
+    # 2,048-path group at a time: the stage holds two groups of zeta and
+    # Y, one group's lag products and the 16,384 x 51 squares, where it
+    # held both 16,384 x 151 ensembles and masked copies of them.
+    cfg = config_from_dict(_noise_fits_raw(1.0, 16384, [2.0, 3.0]))
+    blocks.workspace()  # this thread's, built before the trace
+    with traced_peak() as peak:
+        runner.run(cfg, groups=("beta",), out_dir=tmp_path)
+    assert peak.bytes < 8 * cfg.n_paths * cfg.grid.n_nodes
 
 
 def test_a_second_stride_gets_its_own_solve(tmp_path, monkeypatch):

@@ -2,7 +2,6 @@
 import hashlib
 import json
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +27,7 @@ from rmplab.storage import (
     write_json,
     write_plotdata,
 )
+from peaks import traced_peak
 
 
 @pytest.fixture
@@ -239,6 +239,46 @@ def test_csv_reader_fails_closed(tmp_path, blob, needle):
         read_ensemble_csv(path, "X")
 
 
+def _large_ensemble() -> PathEnsemble:
+    rng = np.random.default_rng(8)
+    return PathEnsemble(
+        grid=TimeGrid(dt=0.01, n_steps=300), label="X", values=rng.normal(size=(2000, 301)),
+        flagged=np.arange(2000) % 9 == 0, master_seed=4,
+    )
+
+
+@pytest.mark.parametrize("fmt", ["binary", "csv"])
+def test_readers_hold_each_value_once(tmp_path, fmt):
+    # The binary is read straight into the values, the CSV parsed into one
+    # array its line count sizes; reading the whole file and copying it,
+    # or stacking row arrays, peaked at about twice the values.
+    ens = _large_ensemble()
+    path = tmp_path / f"ens.{fmt}"
+    if fmt == "binary":
+        write_ensemble_binary(path, ens)
+    else:
+        write_ensemble_csv(path, ens)
+    with traced_peak() as peak:
+        back = read_ensemble_binary(path) if fmt == "binary" else read_ensemble_csv(path, "X", 4)
+    assert back.values.tobytes() == ens.values.tobytes()
+    assert back.flagged.tobytes() == ens.flagged.tobytes()
+    assert peak.bytes <= 1.2 * back.values.nbytes
+
+
+@pytest.mark.parametrize(
+    "old,new", [(b"\n", b"\r"), (b"\n", b"\n\n"), (b"\n", b"\r\n")], ids=["cr", "blank", "crlf"]
+)
+def test_csv_reader_grows_or_trims_past_its_line_count(tmp_path, ensemble, old, new):
+    # Lone CR line breaks are lines the LF count misses, blank lines are
+    # counted but hold no row: the rows are those of the LF file either way.
+    path = tmp_path / "ens.csv"
+    write_ensemble_csv(path, ensemble)
+    path.write_bytes(path.read_bytes().replace(old, new))
+    back = read_ensemble_csv(path, "X", master_seed=99)
+    assert back.values.tobytes() == ensemble.values.tobytes()
+    assert back.flagged.tobytes() == ensemble.flagged.tobytes()
+
+
 def test_write_is_byte_stable(tmp_path, ensemble):
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"
     write_ensemble_binary(a, ensemble)
@@ -266,14 +306,10 @@ def test_sha256_file_hashes_the_whole_file_a_block_at_a_time(tmp_path, size):
     blob = np.random.default_rng(size).bytes(size)
     path = tmp_path / "blob"
     path.write_bytes(blob)
-    tracemalloc.start()
-    try:
+    with traced_peak() as peak:
         digest = sha256_file(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert digest == hashlib.sha256(blob).hexdigest()
-    assert peak < 3 * HASH_BLOCK  # a block or two held, never the whole file
+    assert peak.bytes < 3 * HASH_BLOCK  # a block or two held, never the whole file
 
 
 def test_json_output_is_canonical(tmp_path):

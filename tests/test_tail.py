@@ -10,6 +10,7 @@ import pytest
 import scipy.special
 import scipy.stats
 
+from rmplab import blocks
 from rmplab.engine import LinearModel, PathEnsemble, integrate_y
 from rmplab.errors import (
     InsufficientTailError,
@@ -25,6 +26,8 @@ from rmplab.tail import (
     _T975,
     FLAG_NONSTABLE,
     KS_EXACT_MAX_N,
+    DtFitSquares,
+    GreenKuboSums,
     _batch_ci,
     b_equals_h_test,
     b_h_replicates,
@@ -35,6 +38,7 @@ from rmplab.tail import (
     hill_estimator,
     moment_transition,
 )
+from peaks import traced_peak
 
 OU_HALF = NoiseSpec.ou(1.0, 0.5)
 ADD = NoiseSpec.ou(0.3, 0.5)
@@ -155,7 +159,76 @@ def test_dt_fit_window_guard():
         dt_fit_d(y, (9.8, 10.0))
 
 
+def _fed(grid, zeta, y, sizes):
+    """GreenKuboSums and DtFitSquares fed the paths of zeta and y in groups of the given sizes."""
+    lag_sums = GreenKuboSums(grid, 2.0, zeta.n_paths)
+    squares = DtFitSquares(grid, (2.0, 10.0), y.n_paths)
+    lo = 0
+    for size in sizes:
+        lag_sums.add(zeta.values[lo : lo + size])
+        squares.add(y.values[lo : lo + size])
+        lo += size
+    return lag_sums, squares
+
+
+@pytest.mark.parametrize(
+    "sizes", [[300], [7, 1, 150, 142], [1] * 300], ids=["one", "uneven", "rows"]
+)
+def test_fits_fed_in_groups_are_the_fits_of_the_held_ensemble(sizes):
+    # 15-path batches: the uneven groups end inside batches and one holds
+    # a single path; the sums carried over them keep every bit.
+    grid = TimeGrid(dt=0.1, n_steps=100)
+    zeta = _noise_ensemble(OU_HALF, grid, 6, 300)
+    y = integrate_y(zeta)
+    lag_sums, squares = _fed(grid, zeta, y, sizes)
+    assert green_kubo_d(lag_sums, 2.0, analytic=0.5) == green_kubo_d(zeta, 2.0, analytic=0.5)
+    assert dt_fit_d(squares, (2.0, 10.0)) == dt_fit_d(y, (2.0, 10.0))
+
+
+def test_fed_fits_refuse_another_window_or_missing_paths():
+    grid = TimeGrid(dt=0.1, n_steps=100)
+    zeta = _noise_ensemble(OU_HALF, grid, 6, 300)
+    y = integrate_y(zeta)
+    lag_sums, squares = _fed(grid, zeta, y, [300])
+    with pytest.raises(ValueError, match="window"):
+        green_kubo_d(lag_sums, 3.0)
+    with pytest.raises(ValueError, match="window"):
+        dt_fit_d(squares, (2.0, 9.0))
+    lag_sums, squares = _fed(grid, zeta, y, [150])
+    with pytest.raises(ValueError, match="150 paths fed, 300 announced"):
+        green_kubo_d(lag_sums, 2.0)
+    with pytest.raises(ValueError, match="150 paths fed, 300 announced"):
+        dt_fit_d(squares, (2.0, 10.0))
+
+
+def test_noise_fits_read_the_unflagged_paths():
+    grid = TimeGrid(dt=0.1, n_steps=100)
+    zeta = _noise_ensemble(OU_HALF, grid, 6, 300)
+    y = integrate_y(zeta)
+    flagged = np.arange(300) % 7 == 3
+    kept = {}
+    for ens in (zeta, y):
+        kept[ens.label] = PathEnsemble(grid, ens.label, ens.values[~flagged], flagged[~flagged], 6)
+        ens.flagged = flagged
+    assert green_kubo_d(zeta, 2.0) == green_kubo_d(kept["zeta"], 2.0)
+    assert dt_fit_d(y, (2.0, 10.0)) == dt_fit_d(kept["Y"], (2.0, 10.0))
+    assert green_kubo_d(zeta, 2.0).n_effective == 300 - flagged.sum()
+
+
 # --------------------------------------------------- moment transition
+
+
+def test_moment_transition_memory_does_not_grow_with_the_paths():
+    # X is reduced a 2,048-path group at a time as it is solved, so three
+    # times the paths peak as high (5,000 paths held X whole, 12 MB).
+    model = LinearModel(a=1.0, multiplicative=OU_HALF, additive=NoiseSpec.ou(0.5, 1.0), x0=50.0)
+    blocks.workspace()  # this thread's, built before the trace
+    peaks = []
+    for n_paths in (4096, 12288):
+        with traced_peak() as peak:
+            moment_transition(model, [1.0, 2.0, 3.0], 1.5, n_paths, 3, window=(0.5, 1.5))
+        peaks.append(peak.bytes)
+    assert peaks[1] < 1.15 * peaks[0]
 
 
 def test_moment_transition_brackets_the_exponent():
