@@ -58,7 +58,9 @@ from .tail import (
     b_h_replicates,
     condition1_diagnostic,
     dt_fit_d,
+    dt_fit_sums,
     green_kubo_d,
+    green_kubo_sums,
     hill_estimator,
     moment_transition,
 )
@@ -93,6 +95,7 @@ __all__ = [
     "default_dt",
     "diffusion_constant",
     "dt_fit_d",
+    "dt_fit_sums",
     "ensemble_moment_curves",
     "exact_propagator_quasi_norm",
     "expectation_functional",
@@ -100,6 +103,7 @@ __all__ = [
     "fractional_moment",
     "gamma_p",
     "green_kubo_d",
+    "green_kubo_sums",
     "hill_estimator",
     "integrate_y",
     "jensen_check",

@@ -8,11 +8,11 @@ time-reversed response H_t integrates phi A on [0, t].  All propagator
 arithmetic happens on log A; per-step ratios exp(dlog A) are order one,
 so the recursion never manufactures overflow on its own.
 
-Paths whose log-propagator leaves the representable exponent budget are
-retained with saturated values and flagged; moment estimators exclude
-them and report the count.  The stationary sample drops only the paths
-whose log-propagator grew past the budget or whose H saturated: H is
-exact on a path whose propagator only decayed past it.
+A path is flagged when its log-propagator grows past the exponent
+budget or one of its arrays had to be saturated; it is retained with
+saturated values, and moment estimators exclude it and report the
+count.  A log-propagator that only decays past the budget underflows A
+to 0 and leaves B, X and H exact, so it flags nothing.
 """
 from __future__ import annotations
 
@@ -111,8 +111,8 @@ class PathEnsemble:
     """A rectangular block of realizations of one labeled process.
 
     Row i is reproducible from (master_seed, i) alone.  flagged marks
-    rows whose propagator exponent left the budget or whose values had
-    to be saturated; they stay in the array but are excluded from
+    rows whose propagator exponent grew past the budget or whose values
+    had to be saturated; they stay in the array but are excluded from
     moment estimates.
     """
 
@@ -149,7 +149,7 @@ class PathEnsemble:
 
 @dataclass
 class StationarySample:
-    """Draws of the reversed response at a fixed horizon; n_flagged saturated ones were left out."""
+    """Draws of the reversed response at a fixed horizon; n_flagged flagged ones were left out."""
 
     values: np.ndarray
     master_seed: int
@@ -273,10 +273,9 @@ def linear_block_arrays(
     and keeps every save_every-th node of each requested array as
     path-major rows (n_paths, n_saved), written into into[label] when
     into is given (solve_linear passes rows of its ensembles) and into new
-    arrays otherwise.  'flagged' marks the paths whose log A left the
-    exponent budget on either side or whose arrays saturated; 'saturated'
-    leaves out those whose log A only fell below it, as their A underflows
-    to 0 and leaves B, X and H exact.
+    arrays otherwise.  'flagged' marks the paths whose log A rose above
+    +LOG_BUDGET or whose arrays saturated; a log A that only falls below
+    -LOG_BUDGET underflows A to 0 and leaves B, X and H exact.
 
     Every fine-grid array lies in this thread's block workspace
     (blocks.workspace): five slots of BLOCK_CELLS cells, 12.4 MB that stay
@@ -305,15 +304,14 @@ def linear_block_arrays(
         n_saved = grid.n_steps // save_every + 1
         into = {label: np.empty((n, n_saved)) for label in need}
     slots = workspace()
-    decayed = np.zeros(n, dtype=bool)
-    saturated = np.zeros(n, dtype=bool)
+    flagged = np.zeros(n, dtype=bool)
 
     def save(label: str, arr: np.ndarray) -> None:
         if label in need:
             into[label][...] = arr[::save_every].T
 
     def flag_overflow(arr: np.ndarray) -> None:  # slot 4 is free at each call
-        saturated[...] |= _sanitize(arr, slot_array(slots[4], shape, bool))
+        flagged[...] |= _sanitize(arr, slot_array(slots[4], shape, bool))
 
     if want_y or "zeta" in need:
         zeta = noise_mod.sample_block(
@@ -326,8 +324,7 @@ def linear_block_arrays(
         save("Y", log_a)
         # log_a = -a * t - y
         np.subtract(-model.a * grid.times[:, None], log_a, out=log_a)
-        saturated |= log_a.max(axis=0) > LOG_BUDGET
-        decayed |= log_a.min(axis=0) < -LOG_BUDGET
+        flagged |= log_a.max(axis=0) > LOG_BUDGET
     if want_phi:
         phi = noise_mod.sample_block(
             model.additive, grid, master_seed, indices, ROLE_ADDITIVE, work=(slots[0], slots[2])
@@ -360,8 +357,7 @@ def linear_block_arrays(
             )
             flag_overflow(h)
             save("H", h)
-    masks = {"flagged": decayed | saturated, "saturated": saturated}
-    return {label: into[label] for label in need} | masks
+    return {label: into[label] for label in need} | {"flagged": flagged}
 
 
 def solve_linear(
@@ -378,9 +374,9 @@ def solve_linear(
     """Simulate the linear ensemble; one PathEnsemble per label in need.
 
     need names processes from PROCESS_LABELS; each block builds only what
-    they require.  Every entry shares one flag mask, set where a path
-    left the exponent budget or a process computed for need saturated,
-    so a path excluded from one process is excluded from all.
+    they require.  Every entry shares one flag mask, set where a path's
+    log A grew past the exponent budget or a process computed for need
+    saturated, so a path excluded from one process is excluded from all.
     Horizon-only estimators pass save_every=grid.n_steps: steps stay
     fine, only the first and final nodes are kept, and .final_values is
     the horizon sample.
@@ -405,10 +401,9 @@ def solve_linear(
     if unknown:
         raise ValueError(f"unknown process labels: {unknown}")
     out_grid = grid.subsampled(save_every)
-    [(values, masks)] = _linear_rows(
+    [(values, flagged)] = _linear_rows(
         model, grid, master_seed, n_paths, need, save_every, workers, block_size
     )
-    flagged = masks["flagged"]
     return {
         label: PathEnsemble(
             grid=out_grid, label=label, values=arr, flagged=flagged, master_seed=master_seed
@@ -428,25 +423,25 @@ def _linear_rows(
     block_size: int = DEFAULT_BLOCK_SIZE,
     *,
     group: "int | None" = None,
-) -> Iterator[tuple[dict[str, np.ndarray], dict[str, np.ndarray]]]:
-    """solve_linear's saved rows per label and the kernel's two path masks, group by group.
+) -> Iterator[tuple[dict[str, np.ndarray], np.ndarray]]:
+    """solve_linear's saved rows per label and the kernel's flag mask, group by group.
 
-    Yields (values, masks) for the consecutive groups of `group` paths in
-    path order (one group of all n_paths when group is None):
-    values[label] holds the saved rows of the group's paths, masks their
-    "flagged" and "saturated".  Every group is written into the
-    same buffers, sized for one group, so a caller that reduces each
-    group before asking for the next holds one group's rows, never the
-    ensemble's; the next group overwrites them.  Within a group the
-    blocks are those of solve_linear, and every row is the same bytes in
-    any grouping (solve_linear).
+    Yields (values, flagged) for the consecutive groups of `group` paths
+    in path order (one group of all n_paths when group is None):
+    values[label] holds the saved rows of the group's paths, flagged
+    their flags.  Every group is written into the same buffers, sized
+    for one group, so a caller that reduces each group before asking for
+    the next holds one group's rows, never the ensemble's; the next group
+    overwrites them.  Within a group the blocks are those of
+    solve_linear, and every row is the same bytes in any grouping
+    (solve_linear).
     """
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
     size = n_paths if group is None else min(group, n_paths)
     n_saved = grid.n_steps // save_every + 1
     values = {label: np.empty((size, n_saved)) for label in need}
-    masks = {key: np.empty(size, dtype=bool) for key in ("flagged", "saturated")}
+    flagged = np.empty(size, dtype=bool)
     cap = min(block_size, max(1, BLOCK_CELLS // grid.n_nodes))
 
     for lo in range(0, n_paths, size):
@@ -458,14 +453,10 @@ def _linear_rows(
             done = linear_block_arrays(
                 model, grid, master_seed, idx + lo, save_every=save_every, need=need, into=into
             )
-            for key, mask in masks.items():
-                mask[rows] = done[key]
+            flagged[rows] = done["flagged"]
 
         run_blocks(n, block, workers=workers, block_size=cap)
-        yield (
-            {label: arr[:n] for label, arr in values.items()},
-            {key: mask[:n] for key, mask in masks.items()},
-        )
+        yield {label: arr[:n] for label, arr in values.items()}, flagged[:n]
 
 
 def gamma_rate(a: float, d: float, p: float) -> float:
@@ -501,10 +492,8 @@ def stationary_sample(
 
     H_{t_star} has the law of the stationary state up to a tail the
     caller controls through t_star.  The grid steps by about
-    min(0.02 t_star, 0.01), in a multiple of 8 steps.  Only the draws
-    the kernel marks saturated are left out, with no copy when there are
-    none; a draw whose propagator only decayed past the exponent budget
-    (most draws once a t_star is well above LOG_BUDGET) is exact and kept.  When
+    min(0.02 t_star, 0.01), in a multiple of 8 steps.  The draws the
+    kernel flags are left out, with no copy when there are none.  When
     p_max is given, a fitted truncation bound K exp(gamma_p t_star) is
     attached: K is calibrated from quasi-norm increments of the kept
     draws' H between intermediate horizons.
@@ -517,8 +506,8 @@ def stationary_sample(
     grid = TimeGrid(dt=t_star / n_steps, n_steps=n_steps)
     save_every = n_steps // 8
 
-    [(values, masks)] = _linear_rows(model, grid, master_seed, n, ("H",), save_every, workers)
-    h, ok = values["H"], ~masks["saturated"]
+    [(values, flagged)] = _linear_rows(model, grid, master_seed, n, ("H",), save_every, workers)
+    h, ok = values["H"], ~flagged
     n_dropped = n - int(ok.sum())
 
     bound = None

@@ -13,6 +13,7 @@ empirical kurtosis of |f|^p.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import math
 
@@ -496,18 +497,35 @@ def _power_sums(
     return out
 
 
-def _curves_from_sums(
+def _group_curves(
     source: str,
-    p_values: tuple[float, ...],
+    p_values: "tuple[float, ...] | list[float]",
     times: np.ndarray,
-    sums: np.ndarray,
-    n_ok: int,
-    excluded: int,
+    groups: "Iterable[tuple[np.ndarray, np.ndarray]]",
+    n_paths: int,
     master_seed: int,
     z: complex,
 ) -> MomentCurves:
-    n = max(n_ok, 1)
-    s1, s2, s3, s4 = sums[:, 0], sums[:, 1], sums[:, 2], sums[:, 3]
+    """Curves of n_paths paths from their groups of (values, unflagged rows).
+
+    The orders, at least one and all positive, are checked before the
+    first group is asked for.  Each group's power sums are taken before
+    the next group is asked for, and the groups' sums are added by a
+    pairwise tree; the paths left out of every group's rows count as
+    excluded.  Refuses groups that keep no path.
+    """
+    p_values = tuple(float(p) for p in p_values)
+    if not p_values:
+        raise EmptyInputError("need at least one order p")
+    if any(p <= 0.0 for p in p_values):
+        raise ValueError("orders must be positive")
+    parts, n = [], 0
+    for values, rows in groups:
+        parts.append(_power_sums(values, rows, p_values, z))
+        n += len(rows)
+    if n == 0:
+        raise EmptyInputError("every path is flagged")
+    s1, s2, s3, s4 = np.moveaxis(pairwise_sum(parts), 1, 0)
     mean = s1 / n
     var = np.maximum(s2 / n - mean**2, 0.0) * (n / max(n - 1, 1))
     se_mean = np.sqrt(var / n)
@@ -534,21 +552,11 @@ def _curves_from_sums(
         value=value,
         std_err=std_err,
         unstable=unstable,
-        n=n_ok,
-        excluded=excluded,
+        n=n,
+        excluded=n_paths - n,
         master_seed=master_seed,
         z=z,
     )
-
-
-def _orders(p_values: "tuple[float, ...] | list[float]") -> tuple[float, ...]:
-    """The moment orders as floats; at least one, all positive."""
-    p_values = tuple(float(p) for p in p_values)
-    if not p_values:
-        raise EmptyInputError("need at least one order p")
-    if any(p <= 0.0 for p in p_values):
-        raise ValueError("orders must be positive")
-    return p_values
 
 
 def linear_moment_curves(
@@ -566,32 +574,23 @@ def linear_moment_curves(
 
     The solve fills the fixed 2,048-path groups of blocks.block_ranges
     one at a time into one reused buffer (engine._linear_rows), and each
-    group's power sums are taken before the next group is solved; the
-    groups are added as in ensemble_moment_curves, so the bytes are those
-    of ensemble_moment_curves on the whole ensemble and do not depend on
-    the solver's block layout or on workers.  A curve holds one group of
-    source, 2,048 x n_saved x 8 bytes (4.9 MB on 301 saved nodes),
-    whatever n_paths, plus the working arrays of one solver block and
-    the power sums' temporaries (_power_sums), at most BLOCK_CELLS cells
-    each.  Flagged paths are excluded from every node.
+    group is reduced before the next is solved (_group_curves), so the
+    bytes are those of ensemble_moment_curves on the whole ensemble and do
+    not depend on the solver's block layout or on workers.  A curve holds
+    one group of source, 2,048 x n_saved x 8 bytes (4.9 MB on 301 saved
+    nodes), whatever n_paths, plus the working arrays of one solver block
+    and the power sums' temporaries (_power_sums), at most BLOCK_CELLS
+    cells each.  Flagged paths are excluded from every node.
     """
-    p_values = _orders(p_values)
-    parts, n_ok = [], 0
-    for values, masks in _linear_rows(
+    groups = _linear_rows(
         model, grid, master_seed, n_paths, (source,), save_every, workers, group=DEFAULT_BLOCK_SIZE
-    ):
-        rows = np.flatnonzero(~masks["flagged"])
-        parts.append(_power_sums(values[source], rows, p_values, 0.0))
-        n_ok += len(rows)
-    if n_ok == 0:
-        raise EmptyInputError("every path is flagged")
-    return _curves_from_sums(
+    )
+    return _group_curves(
         source,
         p_values,
         grid.subsampled(save_every).times,
-        pairwise_sum(parts),
-        n_ok,
-        n_paths - n_ok,
+        ((values[source], np.flatnonzero(~flagged)) for values, flagged in groups),
+        n_paths,
         master_seed,
         0.0,
     )
@@ -606,26 +605,20 @@ def ensemble_moment_curves(
     """Quasi-norm curves of an ensemble held in memory.
 
     Power sums are taken over the fixed 2,048-path groups of
-    blocks.block_ranges in path order and the groups are added by a
-    pairwise tree, so the bytes depend on the ensemble alone, never on
-    the block layout or the worker count that solved it.  Beyond the
-    held ensemble (n_paths x n_saved x 8 bytes) the reduction needs the
-    temporaries of one column slice of one group, one workspace slot
-    (_power_sums).  Flagged paths are excluded from every node.
+    blocks.block_ranges in path order (_group_curves), so the bytes
+    depend on the ensemble alone, never on the block layout or the worker
+    count that solved it.  Beyond the held ensemble (n_paths x n_saved x
+    8 bytes) the reduction needs the temporaries of one column slice of
+    one group, one workspace slot (_power_sums).  Flagged paths are
+    excluded from every node.
     """
-    p_values = _orders(p_values)
     ok = ~ensemble.flagged
-    if not ok.any():
-        raise EmptyInputError("every path is flagged")
-    groups = (idx[ok[idx]] for idx in block_ranges(ensemble.n_paths))
-    sums = pairwise_sum([_power_sums(ensemble.values, rows, p_values, z) for rows in groups])
-    return _curves_from_sums(
+    return _group_curves(
         ensemble.label,
         p_values,
         ensemble.grid.times,
-        sums,
-        int(ok.sum()),
-        ensemble.n_flagged,
+        ((ensemble.values, idx[ok[idx]]) for idx in block_ranges(ensemble.n_paths)),
+        ensemble.n_paths,
         ensemble.master_seed,
         z,
     )

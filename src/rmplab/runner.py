@@ -34,7 +34,7 @@ from .metrics import (
     ensemble_moment_curves,
     gamma_p,
     jensen_check,
-    linear_moment_curves,  # noqa: F401  (rmpbench traces it here)
+    linear_moment_curves,
     quasi_triangle_check,
 )
 from .noise import sample_block  # noqa: F401  (rmpbench traces it here)
@@ -50,13 +50,13 @@ from .storage import (
     write_plotdata,
 )
 from .tail import (
-    DtFitSquares,
-    GreenKuboSums,
     _green_kubo_lags,
     b_h_replicates,
     condition1_diagnostic,
     dt_fit_d,
+    dt_fit_sums,
     green_kubo_d,
+    green_kubo_sums,
     hill_estimator,
     moment_transition,
     transition_grid,
@@ -89,9 +89,8 @@ class RunState:
     Each held ensemble takes n_paths x n_saved x 8 bytes; moment curves
     reduce it in fixed 2,048-path groups, so their bytes do not depend on
     the block layout or --workers.  The beta stage holds no ensemble here:
-    moment_transition and the noise fits reduce their solves a 2,048-path
-    group at a time, and only dt_fit keeps a column per window node of
-    every path.  The state is dropped when `run` returns, so nothing
+    its moment curves and noise fits reduce their solves a 2,048-path
+    group at a time.  The state is dropped when `run` returns, so nothing
     outlives a run.
     """
 
@@ -312,16 +311,20 @@ def do_beta(state: RunState) -> None:
     for req in _reqs(cfg, "beta"):
         horizon = float(req.get("horizon") or cfg.grid.horizon)
         window = req.get("window")
-        report = moment_transition(
+        if window is not None:
+            window = (float(window[0]), float(window[1]))
+        grid, stride = transition_grid(model, horizon, save_every=req.get("save_every"))
+        curves = linear_moment_curves(
             model,
-            [float(p) for p in req.get("p_grid")],
-            horizon,
-            cfg.n_paths,
+            grid,
             cfg.master_seed,
-            window=None if window is None else (float(window[0]), float(window[1])),
-            save_every=req.get("save_every"),
+            cfg.n_paths,
+            sorted(float(p) for p in req.get("p_grid")),
+            save_every=stride,
             workers=cfg.workers,
         )
+        window = transition_window(horizon, window)
+        report = moment_transition(curves, window, analytic=model.beta_c)
         out["moment_transition"] = _report_to_dict(report)
 
     for req in _reqs(cfg, "hill"):
@@ -341,35 +344,27 @@ def do_beta(state: RunState) -> None:
         out["hill"]["t_star"] = t_star
         out["hill"]["truncation_bound"] = sample.truncation_bound
 
-    gk_reqs = _reqs(cfg, "green_kubo")
-    dt_reqs = _reqs(cfg, "dt_fit")
-    if gk_reqs or dt_reqs:
-        gk_windows = [float(req.get("window")) for req in gk_reqs]
-        dt_windows = [(float(lo), float(hi)) for lo, hi in (req.get("window") for req in dt_reqs)]
-        lag_sums = [GreenKuboSums(cfg.grid, w, cfg.n_paths) for w in gk_windows]
-        squares = [DtFitSquares(cfg.grid, w, cfg.n_paths) for w in dt_windows]
-        groups = _linear_rows(
-            model,
-            cfg.grid,
-            cfg.master_seed,
-            cfg.n_paths,
-            ("zeta", "Y") if dt_reqs else ("zeta",),
-            1,
-            cfg.workers,
+    # (fit, the noise label it reads, its sums)
+    fits = [
+        (green_kubo_d, "zeta", green_kubo_sums(cfg.grid, float(req.get("window")), cfg.n_paths))
+        for req in _reqs(cfg, "green_kubo")
+    ] + [
+        (dt_fit_d, "Y", dt_fit_sums(cfg.grid, (float(lo), float(hi)), cfg.n_paths))
+        for lo, hi in (req.get("window") for req in _reqs(cfg, "dt_fit"))
+    ]
+    if fits:
+        labels = tuple(dict.fromkeys(label for _, label, _ in fits))
+        # Each group feeds every fit's sums before the next is solved, so
+        # the noise is never held whole; the fits read every path.
+        for values, _ in _linear_rows(
+            model, cfg.grid, cfg.master_seed, cfg.n_paths, labels, 1, cfg.workers,
             group=DEFAULT_BLOCK_SIZE,
-        )
-        # Each group feeds the fits' sums and columns, so the noise is never
-        # held whole.  Y's exponent-budget flags concern the propagator, not
-        # the noise: both estimators read every path, as of a zeta-only solve.
-        for values, _ in groups:
-            for fed in lag_sums:
-                fed.add(values["zeta"])
-            for fed in squares:
-                fed.add(values["Y"])
-        for window, fed in zip(gk_windows, lag_sums):
-            out["green_kubo"] = _report_to_dict(green_kubo_d(fed, window, analytic=d_analytic))
-        for window, fed in zip(dt_windows, squares):
-            out["dt_fit"] = _report_to_dict(dt_fit_d(fed, window, analytic=d_analytic))
+        ):
+            for _, label, sums in fits:
+                sums.add(values[label])
+        for fit, _, sums in fits:
+            report = fit(sums, sums.window, analytic=d_analytic)
+            out[report.method] = _report_to_dict(report)
 
     if out:
         write_json(state.add("beta.json"), out)

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import LinearModel, PathEnsemble, sample_y_marginal, solve_linear
+from .engine import LinearModel, sample_y_marginal, solve_linear
 from .errors import (
     EmptyInputError,
     InsufficientTailError,
@@ -24,7 +24,8 @@ from .errors import (
     WindowTooShortError,
 )
 from .grid import TimeGrid, default_dt
-from .metrics import MIN_FIT_NODES, RateFit, _line_fit, linear_moment_curves
+from .metrics import MIN_FIT_NODES, MomentCurves, RateFit, _line_fit
+from .metrics import linear_moment_curves  # noqa: F401  (rmpbench traces it here)
 from .noise import NoiseSpec, diffusion_constant, y_variance_half
 
 FLAG_NONSTABLE = "NONSTABLE"
@@ -133,7 +134,7 @@ def transition_grid(
     dt: "float | None" = None,
     save_every: "int | None" = None,
 ) -> tuple[TimeGrid, int]:
-    """The grid moment_transition solves on and its output stride.
+    """The grid moment_transition's curves are solved on, and its output stride.
 
     dt defaults to default_dt of a and the multiplicative correlation
     time, save_every to about 400 output nodes; the step count is
@@ -157,33 +158,18 @@ def transition_window(
 
 
 def moment_transition(
-    model: LinearModel,
-    p_grid: "list[float] | tuple[float, ...]",
-    horizon: float,
-    n_paths: int,
-    master_seed: int,
-    *,
-    dt: "float | None" = None,
-    window: "tuple[float, float] | None" = None,
-    save_every: "int | None" = None,
-    workers: int = 1,
+    curves: MomentCurves, window: tuple[float, float], *, analytic: "float | None"
 ) -> ExponentReport:
     """Locate the transition order from fitted quasi-norm growth rates.
 
-    For each order the state quasi-norm curve is fitted on the window
-    (weighted by its error bars, so nodes drowned in sampling noise do
-    not tilt the fit); the estimate interpolates the slope sign change
-    between the bracketing grid orders.
+    curves holds two or more orders in ascending order.  Each order's
+    curve is fitted on window (weighted by its error bars, so nodes
+    drowned in sampling noise do not tilt the fit); the estimate
+    interpolates the slope sign change between the bracketing orders.
     """
-    ps = tuple(sorted(float(p) for p in p_grid))
-    if len(ps) < 2:
-        raise ValueError("p_grid needs at least two orders")
-    grid, save_every = transition_grid(model, horizon, dt=dt, save_every=save_every)
-    window = transition_window(horizon, window)
-
-    curves = linear_moment_curves(
-        model, grid, master_seed, n_paths, ps, save_every=save_every, workers=workers
-    )
+    ps = curves.p_values
+    if len(ps) < 2 or list(ps) != sorted(ps):
+        raise ValueError("moment_transition needs two or more orders in ascending order")
     fits: list[RateFit] = [curves.fit(p, window) for p in ps]
     slopes = np.array([f.slope for f in fits])
     ses = np.array([f.slope_std_err for f in fits])
@@ -208,7 +194,7 @@ def moment_transition(
         ci_low=float(estimate - half),
         ci_high=float(estimate + half),
         n_effective=curves.n,
-        analytic=model.beta_c,
+        analytic=analytic,
         details={
             "p_grid": list(ps),
             "slopes": [float(s) for s in slopes],
@@ -239,22 +225,6 @@ def _batch_ci(batch_values: np.ndarray) -> tuple[float, float]:
     return mean - half, mean + half
 
 
-def _batch_edges(n_rows: int) -> np.ndarray:
-    """Edges of N_BATCHES contiguous nonempty batches of n_rows rows."""
-    if n_rows < N_BATCHES:
-        raise EmptyInputError("too few unflagged paths for batching")
-    return np.linspace(0, n_rows, N_BATCHES + 1, dtype=int)
-
-
-def _batched_estimate(
-    rows: np.ndarray, estimate: Callable[[np.ndarray], float]
-) -> tuple[float, float, float]:
-    """estimate of all rows, and _batch_ci over N_BATCHES contiguous nonempty batches."""
-    edges = _batch_edges(rows.shape[0])
-    batches = np.array([estimate(rows[lo:hi]) for lo, hi in zip(edges, edges[1:])])
-    return (estimate(rows), *_batch_ci(batches))
-
-
 def _green_kubo_lags(window: float, grid: TimeGrid) -> int:
     """Lags of a green_kubo window on grid: at least 2, spanning at most half its horizon."""
     if window > grid.horizon / 2.0 + 1e-12:
@@ -265,6 +235,17 @@ def _green_kubo_lags(window: float, grid: TimeGrid) -> int:
     if n_lags < 2:
         raise WindowTooShortError(f"lag window {window} spans fewer than two steps of {grid.dt:.6g}")
     return n_lags
+
+
+def _window_nodes(grid: TimeGrid, window: tuple[float, float]) -> slice:
+    """The grid nodes of a dt_fit window, at least MIN_FIT_NODES of them."""
+    lo, hi = window
+    nodes = np.flatnonzero((grid.times >= lo) & (grid.times <= hi))
+    if nodes.size < MIN_FIT_NODES:
+        raise WindowTooShortError(
+            f"variance-slope window must cover at least {MIN_FIT_NODES} nodes"
+        )
+    return slice(nodes[0], nodes[-1] + 1)
 
 
 def _carried_sum(carry: "np.ndarray | None", rows: np.ndarray) -> np.ndarray:
@@ -279,155 +260,108 @@ def _carried_sum(carry: "np.ndarray | None", rows: np.ndarray) -> np.ndarray:
     return np.concatenate([carry[None], rows]).sum(axis=0)
 
 
-class GreenKuboSums:
-    """Green-Kubo's lag-product sums over n_rows paths, fed a group of paths at a time.
+class BatchSums:
+    """Sums of a per-path row of terms over n_rows paths, fed a group of paths at a time.
 
-    A path's products are zeta_0 zeta_k for the lags k = 0 .. n_lags of
-    window on grid.  Their sums over all paths and over each of the
-    N_BATCHES contiguous path batches are carried from group to group
-    (_carried_sum), so they are bit for bit those of one C-ordered array
-    of every path's products: the sums hold one group's products at a
-    time, whatever n_rows.
+    terms maps the rows of a group of paths to their terms, one C-ordered
+    row of two or more per path.  Their sums over all paths and over each
+    of the N_BATCHES contiguous path batches are carried from group to
+    group (_carried_sum), so they are bit for bit the row-by-row sums of
+    every path's terms held as one array, while only one group's terms
+    are held.  The batches are contiguous and nonempty, so n_rows is at
+    least N_BATCHES.  grid and window name what the sums are fed for.
     """
 
-    def __init__(self, grid: TimeGrid, window: float, n_rows: int) -> None:
-        self.grid, self.window, self.n_rows = grid, window, n_rows
-        self.n_lags = _green_kubo_lags(window, grid)
-        self.edges = _batch_edges(n_rows)
+    def __init__(
+        self,
+        grid: TimeGrid,
+        window: object,
+        n_rows: int,
+        terms: Callable[[np.ndarray], np.ndarray],
+    ) -> None:
+        if n_rows < N_BATCHES:
+            raise EmptyInputError("too few paths for batching")
+        self.grid, self.window, self.n_rows, self.terms = grid, window, n_rows, terms
+        self.edges = np.linspace(0, n_rows, N_BATCHES + 1, dtype=int)
         self.total: "np.ndarray | None" = None
         self.batches: "list[np.ndarray | None]" = [None] * N_BATCHES
         self.fed = 0
 
-    def add(self, zeta_rows: np.ndarray) -> None:
-        """Feed the zeta rows (at least n_lags + 1 nodes) of the next paths in path order."""
-        products = zeta_rows[:, :1] * zeta_rows[:, : self.n_lags + 1]
-        lo, hi = self.fed, self.fed + len(products)
-        self.total = _carried_sum(self.total, products)
+    def add(self, rows: np.ndarray) -> None:
+        """Feed the rows of the next paths in path order."""
+        terms = np.ascontiguousarray(self.terms(rows))  # summed row after row
+        lo, hi = self.fed, self.fed + len(terms)
+        self.total = _carried_sum(self.total, terms)
         for b, (start, stop) in enumerate(zip(self.edges, self.edges[1:])):
             if start < hi and stop > lo:
-                part = products[max(start, lo) - lo : min(stop, hi) - lo]
+                part = terms[max(start, lo) - lo : min(stop, hi) - lo]
                 self.batches[b] = _carried_sum(self.batches[b], part)
         self.fed = hi
 
+    def estimate(
+        self, window: object, statistic: Callable[[np.ndarray], float]
+    ) -> tuple[float, float, float]:
+        """statistic of the mean term row, and _batch_ci of it over the batches' mean rows.
 
-class DtFitSquares:
-    """dt_fit's squared integrated noise on its window nodes, fed a group of paths at a time.
+        Refuses sums fed for another window, or with other than n_rows paths.
+        """
+        if self.window != window:
+            raise ValueError(f"sums fed for window {self.window}, asked for {window}")
+        if self.fed != self.n_rows:
+            raise ValueError(f"{self.fed} paths fed, {self.n_rows} announced")
+        batches = [statistic(s / n) for s, n in zip(self.batches, np.diff(self.edges))]
+        return (statistic(self.total / self.fed), *_batch_ci(np.array(batches)))
 
-    The squares of n_rows paths fill one Fortran-ordered (n_rows, window
-    nodes) array, the layout of y.values[:, mask], written a node column
-    at a time with no copy of the rows.  numpy reduces each column of that
-    layout pairwise down the paths, and dt_fit's bytes rest on it: the
-    same squares summed row after row move the estimate in its last
-    digits.
+
+def green_kubo_sums(grid: TimeGrid, window: float, n_rows: int) -> BatchSums:
+    """green_kubo_d's sums of n_rows noise paths on grid: the lag products zeta_0 zeta_k.
+
+    The lags are k = 0 .. n_lags of window (_green_kubo_lags); add takes
+    zeta rows of at least n_lags + 1 nodes.
     """
-
-    def __init__(self, grid: TimeGrid, window: tuple[float, float], n_rows: int) -> None:
-        lo, hi = window
-        times = grid.times
-        mask = (times >= lo) & (times <= hi)
-        if mask.sum() < MIN_FIT_NODES:
-            raise WindowTooShortError(
-                f"variance-slope window must cover at least {MIN_FIT_NODES} nodes"
-            )
-        self.window, self.n_rows, self.times = window, n_rows, times[mask]
-        self.nodes = np.flatnonzero(mask)
-        self.squares = np.empty((n_rows, self.nodes.size), order="F")
-        self.fed = 0
-
-    def add(self, y_rows: np.ndarray) -> None:
-        """Feed the Y rows of the next paths in path order."""
-        block = self.squares[self.fed : self.fed + len(y_rows)]
-        for j, node in enumerate(self.nodes):
-            np.square(y_rows[:, node], out=block[:, j])
-        self.fed += len(y_rows)
+    n_lags = _green_kubo_lags(window, grid)
+    return BatchSums(grid, window, n_rows, lambda zeta: zeta[:, :1] * zeta[:, : n_lags + 1])
 
 
-def _check_fed(source: "GreenKuboSums | DtFitSquares", window: object) -> None:
-    """Refuse sums fed for another window, or with other than their n_rows paths."""
-    if source.window != window:
-        raise ValueError(f"sums fed for window {source.window}, asked for {window}")
-    if source.fed != source.n_rows:
-        raise ValueError(f"{source.fed} paths fed, {source.n_rows} announced")
+def dt_fit_sums(grid: TimeGrid, window: tuple[float, float], n_rows: int) -> BatchSums:
+    """dt_fit_d's sums of n_rows integrated-noise paths on grid: Y^2 on window's nodes."""
+    nodes = _window_nodes(grid, window)
+    return BatchSums(grid, window, n_rows, lambda y: np.square(y[:, nodes]))
 
 
 def green_kubo_d(
-    zeta: "PathEnsemble | GreenKuboSums",
-    window: float,
-    *,
-    analytic: "float | None" = None,
+    sums: BatchSums, window: float, *, analytic: "float | None" = None
 ) -> ExponentReport:
     """Integrate the empirical autocovariance of the noise up to a lag cap.
 
     The covariance at each lag is an ensemble average against the
     initial node (stationarity makes the base node irrelevant), then a
     trapezoid integral over lags gives the diffusion constant.  The CI
-    comes from N_BATCHES batches of paths.  zeta is the noise ensemble,
-    whose unflagged paths are read, or the GreenKuboSums a streamed solve
-    fed for window; an ensemble with no flagged path is read in place.
+    comes from N_BATCHES batches of paths.  sums are the green_kubo_sums
+    fed for window, and every fed path is read.
     """
-    if isinstance(zeta, PathEnsemble):
-        ok = ~zeta.flagged
-        sums = GreenKuboSums(zeta.grid, window, int(ok.sum()))
-        sums.add(zeta.values if ok.all() else zeta.values[ok, : sums.n_lags + 1])
-    else:
-        sums = zeta
-    _check_fed(sums, window)
-    dt = sums.grid.dt
-
-    def integral(total: np.ndarray, count: int) -> float:  # of the mean products
-        return float(np.trapezoid(total / count, dx=dt))
-
-    estimate = integral(sums.total, sums.fed)
-    ci_low, ci_high = _batch_ci(
-        np.array([integral(*batch) for batch in zip(sums.batches, np.diff(sums.edges))])
-    )
-    return ExponentReport(
-        method="green_kubo",
-        estimate=estimate,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        n_effective=sums.fed,
-        analytic=analytic,
-        details={"window": window, "n_lags": sums.n_lags, "n_batches": N_BATCHES},
-    )
+    estimate_ci = sums.estimate(window, lambda mean: float(np.trapezoid(mean, dx=sums.grid.dt)))
+    n_lags = _green_kubo_lags(window, sums.grid)
+    details = {"window": window, "n_lags": n_lags, "n_batches": N_BATCHES}
+    return ExponentReport("green_kubo", *estimate_ci, sums.fed, analytic, details=details)
 
 
 def dt_fit_d(
-    y: "PathEnsemble | DtFitSquares",
-    window: tuple[float, float],
-    *,
-    analytic: "float | None" = None,
+    sums: BatchSums, window: tuple[float, float], *, analytic: "float | None" = None
 ) -> ExponentReport:
     """Slope of half the integrated-noise variance over a late window.
 
     E[Y_t^2]/2 approaches D t plus a constant once t passes a few
     correlation times, so the least-squares slope estimates D.  The CI
-    comes from N_BATCHES batches of paths.  y is the integrated-noise
-    ensemble, whose unflagged paths are read, or the DtFitSquares a
-    streamed solve fed for window.  Each node's mean of Y^2 is numpy's
-    pairwise sum down one column of the Fortran-ordered squares
-    (DtFitSquares), so the estimate's bytes rest on that layout.
+    comes from N_BATCHES batches of paths.  sums are the dt_fit_sums fed
+    for window, and every fed path is read: each node's mean of Y^2 is
+    the row-by-row sum of the squares over the paths, divided by their
+    count.
     """
-    if isinstance(y, PathEnsemble):
-        ok = ~y.flagged
-        squares = DtFitSquares(y.grid, window, int(ok.sum()))
-        squares.add(y.values if ok.all() else y.values[ok])
-    else:
-        squares = y
-    _check_fed(squares, window)
-    ts = squares.times
-    estimate, ci_low, ci_high = _batched_estimate(
-        squares.squares, lambda rows: _line_fit(ts, 0.5 * rows.mean(axis=0), None)[0]
-    )
-    return ExponentReport(
-        method="dt_fit",
-        estimate=estimate,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        n_effective=squares.fed,
-        analytic=analytic,
-        details={"window": list(window), "n_batches": N_BATCHES},
-    )
+    times = sums.grid.times[_window_nodes(sums.grid, window)]
+    estimate_ci = sums.estimate(window, lambda mean: _line_fit(times, 0.5 * mean, None)[0])
+    details = {"window": list(window), "n_batches": N_BATCHES}
+    return ExponentReport("dt_fit", *estimate_ci, sums.fed, analytic, details=details)
 
 
 VERDICT_BOUNDED = "BOUNDED"

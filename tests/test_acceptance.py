@@ -39,10 +39,10 @@ from rmplab.runner import run
 from rmplab.tail import (
     b_h_replicates,
     condition1_diagnostic,
-    dt_fit_d,
-    green_kubo_d,
     moment_transition,
+    transition_grid,
 )
+from held import dt_fit_of, green_kubo_of
 
 MASTER_SEED = 20260825
 OU = NoiseSpec.ou(1.0, 0.5)  # D = 1/2, so beta_c = 2 with a = 1
@@ -110,10 +110,11 @@ def test_c03_transition_order_recovery():
     model = LinearModel(
         a=1.0, x0=50.0, multiplicative=OU, additive=NoiseSpec.ou(0.5, 1.0)
     )
-    report = moment_transition(
-        model, (1.0, 1.5, 2.0, 2.5, 3.0), 3.0, 40_000, MASTER_SEED,
-        dt=0.01, window=(1.0, 3.0),
+    grid, stride = transition_grid(model, 3.0, dt=0.01)
+    curves = linear_moment_curves(
+        model, grid, MASTER_SEED, 40_000, (1.0, 1.5, 2.0, 2.5, 3.0), save_every=stride
     )
+    report = moment_transition(curves, (1.0, 3.0), analytic=model.beta_c)
     elapsed = time.monotonic() - t0
     print(f"C3 transition order: estimate={report.estimate:.3f} "
           f"ci=({report.ci_low:.3f}, {report.ci_high:.3f}) ({elapsed:.0f}s)")
@@ -131,8 +132,8 @@ def test_c04_diffusion_estimators_agree():
     )
     zeta = PathEnsemble(grid=grid, label="zeta", values=vals,
                         flagged=np.zeros(10_000, dtype=bool), master_seed=MASTER_SEED)
-    gk = green_kubo_d(zeta, 4.0, analytic=0.5)
-    df = dt_fit_d(integrate_y(zeta), (4.0, 12.0), analytic=0.5)
+    gk = green_kubo_of(zeta, 4.0, analytic=0.5)
+    df = dt_fit_of(integrate_y(zeta), (4.0, 12.0), analytic=0.5)
     print(f"C4 diffusion constant: green_kubo={gk.estimate:.4f} "
           f"ci=({gk.ci_low:.3f}, {gk.ci_high:.3f}); dt_fit={df.estimate:.4f} "
           f"ci=({df.ci_low:.3f}, {df.ci_high:.3f})")

@@ -12,8 +12,9 @@ import rmplab
 from rmplab import cli
 from rmplab.cli import main
 from rmplab.config import ESTIMATOR_PARAMS, config_from_dict, config_hash, load_config
-from rmplab.engine import LinearModel, NonlinearModel
+from rmplab.engine import LinearModel, NonlinearModel, solve_linear
 from rmplab.errors import ConfigInvalidError
+from rmplab.grid import TimeGrid
 from rmplab.runner import STAGES, check_fit_windows
 from rmplab.weak import TestFunction
 
@@ -725,6 +726,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert "EMPTY_INPUT" in err and "Traceback" not in err
         assert not (out / "moments_X.json").exists()
+
+    def test_a_propagator_decaying_past_the_budget_flags_no_path(self, tmp_path):
+        # At t_max = 40, a t = 800 takes every log A below -LOG_BUDGET: A
+        # underflows to 0 and X stays exact, so moments keeps every path.
+        raw = base_raw()
+        raw["model"].update(a=20.0, x0=50.0)
+        raw["ensemble"] = {"n_paths": 400, "master_seed": 3}
+        raw["grid"]["t_max"] = 40.0
+        raw["estimators"] = [{"name": "moments", "p": [0.5, 1.0]}]
+        cfg_path = write_config(tmp_path, raw)
+        out = tmp_path / "x"
+        assert main(["moments", "--config", str(cfg_path), "--out", str(out)]) == 0
+        moments = json.loads((out / "moments_X.json").read_text())
+        assert (moments["n"], moments["excluded"]) == (400, 0)
+        # the streams are keyed per row, so X up to t = 30 is the t_max = 30 solve's
+        cfg = config_from_dict(raw)
+        long = solve_linear(cfg.model, TimeGrid(0.02, 2000), 3, 400)["X"]
+        short = solve_linear(cfg.model, TimeGrid(0.02, 1500), 3, 400)["X"]
+        assert long.n_flagged == short.n_flagged == 0
+        assert long.values[:, :1501].tobytes() == short.values.tobytes()
 
     def test_unwritable_artifact_exits_two(self, tmp_path, capsys):
         raw = base_raw()

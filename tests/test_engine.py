@@ -79,9 +79,14 @@ def test_propagator_zero_noise_is_pure_decay():
 def test_propagator_flags_exponent_budget():
     grid = TimeGrid(dt=1.0, n_steps=400)
     zero_noise = LinearModel(a=2.0, multiplicative=NoiseSpec.zero(), additive=NoiseSpec.zero())
-    # log A reaches -800 < -LOG_BUDGET
+    # log A falls to -800 < -LOG_BUDGET: A underflows to 0, which is exact
     a_ens = solve_linear(zero_noise, grid, 0, 2, need=("A",))["A"]
     assert np.abs(-2.0 * grid.times).max() > LOG_BUDGET
+    assert a_ens.n_flagged == 0
+    assert np.all(np.isfinite(a_ens.values)) and a_ens.values[:, -1].max() == 0.0
+    # log A grows to 4,000 > LOG_BUDGET: A saturates, and both paths are flagged
+    growing = LinearModel(a=-10.0, multiplicative=NoiseSpec.zero(), additive=NoiseSpec.zero())
+    a_ens = solve_linear(growing, grid, 0, 2, need=("A",))["A"]
     assert a_ens.n_flagged == 2
     assert np.all(np.isfinite(a_ens.values))
 
@@ -361,12 +366,12 @@ def test_stationary_sample_drops_only_saturated_draws():
 
 
 def test_stationary_sample_keeps_draws_whose_propagator_only_decayed():
-    # a t_star = 800 takes every log A below -LOG_BUDGET, and the kernel
-    # flags every path; H is still exact, so every draw is kept
+    # a t_star = 800 takes every log A below -LOG_BUDGET; H is still
+    # exact, so the kernel flags no path and every draw is kept
     model = LinearModel(a=100.0, multiplicative=OU_HALF, additive=ADD)
     sample = stationary_sample(model, 8.0, 64, 5, p_max=1.0)
     h = solve_linear(model, TimeGrid(0.01, 800), 5, 64, ("H",), save_every=100)["H"]
-    assert h.n_flagged == 64 and sample.n_flagged == 0
+    assert h.n_flagged == 0 and sample.n_flagged == 0
     np.testing.assert_array_equal(sample.values, h.final_values)
     assert np.all(np.isfinite(sample.values)) and np.isfinite(sample.truncation_bound)
 

@@ -9,6 +9,7 @@ inequality trials).  A speed-up must not move one of these bytes.  The digests
 depend on numpy's Philox and normal sampler, so they hold for the numpy
 release the package is tested with.
 """
+import ast
 import importlib
 import importlib.util
 import json
@@ -21,7 +22,8 @@ from rmplab.config import config_from_dict
 from rmplab.engine import integrate_y, solve_linear
 from rmplab.metrics import ensemble_moment_curves, linear_moment_curves
 from rmplab.noise import diffusion_constant
-from rmplab.tail import dt_fit_d, green_kubo_d, transition_grid
+from rmplab.tail import transition_grid
+from held import dt_fit_of, green_kubo_of
 from peaks import traced_peak
 
 NONLINEAR_RAW = {
@@ -98,7 +100,7 @@ GOLDEN = {
         "simulate.json": "a6f82ffec22a761839c3e52e9c94eff04983531db2f4d7a145ec45e35699b7b7",
     },
     "estimators": {
-        "beta.json": "ab517d2c4c88f836f80521740bac2f9fc90ed2e9ca4d125119ec65a5e86a38ae",
+        "beta.json": "7f76f40ede3745c3c943f1c73b331f645e3c83c01d2b20e5c16c2ac336a161d7",
         "verify.json": "1d9336688d05e91f5b5bc8b31aae0a060e5ab5de5a214301d56a59094250cbf6",
     },
 }
@@ -157,9 +159,9 @@ def test_beta_and_verify_bytes_are_pinned(tmp_path):
 
 
 def test_noise_estimators_read_every_path_past_the_exponent_budget(tmp_path):
-    # At a = 300, |log A| leaves the budget after t = 2.34, which flags
-    # every path of a solve that builds Y.  Green-Kubo and dt_fit read the
-    # noise alone, so they still see every path, as from a zeta-only solve.
+    # At a = 300, log A falls below -LOG_BUDGET after t = 2.34.  Green-Kubo
+    # and dt_fit read the noise alone and see every path, as the fits of
+    # a zeta-only solve.
     raw = dict(
         LINEAR_RAW,
         model=dict(LINEAR_RAW["model"], a=300.0),
@@ -176,8 +178,8 @@ def test_noise_estimators_read_every_path_past_the_exponent_budget(tmp_path):
     assert zeta.n_flagged == 0
     d = diffusion_constant(cfg.model.multiplicative)
     want = {
-        "green_kubo": green_kubo_d(zeta, 1.5, analytic=d),
-        "dt_fit": dt_fit_d(integrate_y(zeta), (1.0, 3.0), analytic=d),
+        "green_kubo": green_kubo_of(zeta, 1.5, analytic=d),
+        "dt_fit": dt_fit_of(integrate_y(zeta), (1.0, 3.0), analytic=d),
     }
     for name, report in want.items():
         assert got[name]["estimate"] == report.estimate, name
@@ -200,18 +202,17 @@ def _noise_fits_raw(a: float, n_paths: int, dt_window: list) -> dict:
 def test_streamed_beta_fits_are_those_of_the_held_ensembles(tmp_path, a):
     # 4,100 paths on the 151-node grid: two 2,048-path groups and one of 4,
     # so the 205-path batches of both fits straddle a group edge and the
-    # last group is short.  At a = 300 the budget flags every path of the
-    # solve that builds Y; the fits read every path all the same.
+    # last group is short.  At a = 300 every log A falls below
+    # -LOG_BUDGET, which flags no path.
     cfg = config_from_dict(_noise_fits_raw(a, 4100, [1.0, 3.0]))
     runner.run(cfg, groups=("beta",), out_dir=tmp_path)
     got = json.loads((tmp_path / "beta.json").read_text())
     noise = solve_linear(cfg.model, cfg.grid, cfg.master_seed, cfg.n_paths, ("zeta", "Y"))
-    assert noise["Y"].n_flagged == (cfg.n_paths if a == 300.0 else 0)
-    noise["Y"].flagged[:] = False  # the mask zeta shares
+    assert noise["Y"].n_flagged == 0
     d = diffusion_constant(cfg.model.multiplicative)
     want = {
-        "green_kubo": green_kubo_d(noise["zeta"], 1.5, analytic=d),
-        "dt_fit": dt_fit_d(noise["Y"], (1.0, 3.0), analytic=d),
+        "green_kubo": green_kubo_of(noise["zeta"], 1.5, analytic=d),
+        "dt_fit": dt_fit_of(noise["Y"], (1.0, 3.0), analytic=d),
     }
     for name, report in want.items():
         assert got[name]["estimate"] == report.estimate, name
@@ -230,10 +231,9 @@ def test_streamed_beta_fits_are_those_of_the_held_ensembles(tmp_path, a):
 
 
 def test_beta_noise_fits_hold_less_than_one_noise_ensemble(tmp_path):
-    # The solve feeds Green-Kubo's carried sums and dt_fit's squares a
-    # 2,048-path group at a time: the stage holds two groups of zeta and
-    # Y, one group's lag products and the 16,384 x 51 squares, where it
-    # held both 16,384 x 151 ensembles and masked copies of them.
+    # The solve feeds Green-Kubo's and dt_fit's carried sums a 2,048-path
+    # group at a time: the stage holds two groups of zeta and Y and one
+    # group's lag products or squares, well under one 16,384 x 151 ensemble.
     cfg = config_from_dict(_noise_fits_raw(1.0, 16384, [2.0, 3.0]))
     blocks.workspace()  # this thread's, built before the trace
     with traced_peak() as peak:
@@ -249,13 +249,23 @@ def test_a_second_stride_gets_its_own_solve(tmp_path, monkeypatch):
     assert calls == [1, 4]
 
 
-def test_every_traced_binding_resolves():
-    # The benchmark's tracer wraps each (module, attr) of its TARGETS by
-    # name; a binding deleted here would only fail once a traced run starts.
-    path = Path(__file__).resolve().parents[1] / "rmpbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PIN = "# noqa: F401  (rmpbench traces it here)"
+
+
+def _tracing():
+    """The benchmark's rmpbench/tracing.py, read from its file alone."""
+    path = ROOT / "rmpbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("rmpbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_binding_resolves():
+    # The benchmark's tracer wraps each (module, attr) of its TARGETS by
+    # name; a binding deleted here would only fail once a traced run starts.
+    tracing = _tracing()
     missing = [
         f"{module}.{attr}"
         for module, attr, _, _ in tracing.TARGETS
@@ -263,3 +273,22 @@ def test_every_traced_binding_resolves():
     ]
     assert tracing.TARGETS
     assert missing == []
+
+
+def test_every_tracer_pin_is_a_traced_binding():
+    # An import kept only for the tracer is dead code once no TARGETS
+    # entry names it.
+    targets = {(module, attr) for module, attr, _, _ in _tracing().TARGETS}
+    pins = []
+    for path in sorted((ROOT / "src" / "rmplab").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom):
+                pins += [
+                    (path.stem, alias.asname or alias.name)
+                    for alias in node.names
+                    if TRACER_PIN in lines[alias.lineno - 1]
+                ]
+    assert ("tail", "linear_moment_curves") in pins  # a census that found none would pass
+    assert [pin for pin in pins if pin not in targets] == []

@@ -10,6 +10,9 @@ import pytest
 import scipy.special
 import scipy.stats
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from rmplab import blocks
 from rmplab.engine import LinearModel, PathEnsemble, integrate_y
 from rmplab.errors import (
@@ -20,24 +23,27 @@ from rmplab.errors import (
     WindowTooShortError,
 )
 from rmplab.grid import TimeGrid
+from rmplab.metrics import _line_fit, linear_moment_curves
 from rmplab.noise import NoiseSpec, sample_block
 from rmplab.rng import ROLE_MULTIPLICATIVE
 from rmplab.tail import (
     _T975,
     FLAG_NONSTABLE,
     KS_EXACT_MAX_N,
-    DtFitSquares,
-    GreenKuboSums,
     _batch_ci,
     b_equals_h_test,
     b_h_replicates,
     condition1_diagnostic,
     default_hill_k,
     dt_fit_d,
+    dt_fit_sums,
     green_kubo_d,
+    green_kubo_sums,
     hill_estimator,
     moment_transition,
+    transition_grid,
 )
+from held import dt_fit_of, green_kubo_of
 from peaks import traced_peak
 
 OU_HALF = NoiseSpec.ou(1.0, 0.5)
@@ -110,14 +116,14 @@ def test_hill_ties_at_k_itself_raise():
 def test_green_kubo_on_zero_noise_is_zero():
     grid = TimeGrid(dt=0.05, n_steps=200)
     ens = _noise_ensemble(NoiseSpec.zero(), grid, 0, 64)
-    report = green_kubo_d(ens, 2.0)
+    report = green_kubo_of(ens, 2.0)
     assert report.estimate == 0.0
 
 
 def test_green_kubo_recovers_ou_diffusion():
     grid = TimeGrid(dt=0.02, n_steps=500)
     ens = _noise_ensemble(OU_HALF, grid, 42, 4000)
-    report = green_kubo_d(ens, 3.0, analytic=0.5)
+    report = green_kubo_of(ens, 3.0, analytic=0.5)
     assert abs(report.estimate - 0.5) < 0.08
     assert report.ci_low < 0.5 < report.ci_high
 
@@ -126,7 +132,7 @@ def test_green_kubo_window_guard():
     grid = TimeGrid(dt=0.05, n_steps=100)
     ens = _noise_ensemble(OU_HALF, grid, 1, 40)
     with pytest.raises(WindowTooLongError):
-        green_kubo_d(ens, 4.0)  # horizon is 5, cap is 2.5
+        green_kubo_of(ens, 4.0)  # horizon is 5, cap is 2.5
 
 
 def test_dt_fit_exact_on_synthetic_variance():
@@ -139,14 +145,14 @@ def test_dt_fit_exact_on_synthetic_variance():
         grid=grid, label="Y", values=values,
         flagged=np.zeros(40, dtype=bool), master_seed=0,
     )
-    report = dt_fit_d(y, (2.0, 10.0))
+    report = dt_fit_of(y, (2.0, 10.0))
     assert report.estimate == pytest.approx(d_true, abs=1e-12)
 
 
 def test_dt_fit_recovers_ou_diffusion():
     grid = TimeGrid(dt=0.02, n_steps=1000)
     zeta = _noise_ensemble(OU_HALF, grid, 9, 4000)
-    report = dt_fit_d(integrate_y(zeta), (8.0, 20.0), analytic=0.5)
+    report = dt_fit_of(integrate_y(zeta), (8.0, 20.0), analytic=0.5)
     # a 95% CI is allowed to miss; closeness is the stable check here
     assert abs(report.estimate - 0.5) < 0.08
     assert report.ci_high - report.ci_low < 0.2
@@ -156,13 +162,13 @@ def test_dt_fit_window_guard():
     grid = TimeGrid(dt=0.1, n_steps=100)
     y = _noise_ensemble(OU_HALF, grid, 2, 40)
     with pytest.raises(WindowTooShortError):
-        dt_fit_d(y, (9.8, 10.0))
+        dt_fit_of(y, (9.8, 10.0))
 
 
 def _fed(grid, zeta, y, sizes):
-    """GreenKuboSums and DtFitSquares fed the paths of zeta and y in groups of the given sizes."""
-    lag_sums = GreenKuboSums(grid, 2.0, zeta.n_paths)
-    squares = DtFitSquares(grid, (2.0, 10.0), y.n_paths)
+    """Green-Kubo's and dt_fit's sums fed the paths of zeta and y in groups of the given sizes."""
+    lag_sums = green_kubo_sums(grid, 2.0, zeta.n_paths)
+    squares = dt_fit_sums(grid, (2.0, 10.0), y.n_paths)
     lo = 0
     for size in sizes:
         lag_sums.add(zeta.values[lo : lo + size])
@@ -171,18 +177,49 @@ def _fed(grid, zeta, y, sizes):
     return lag_sums, squares
 
 
-@pytest.mark.parametrize(
-    "sizes", [[300], [7, 1, 150, 142], [1] * 300], ids=["one", "uneven", "rows"]
-)
-def test_fits_fed_in_groups_are_the_fits_of_the_held_ensemble(sizes):
-    # 15-path batches: the uneven groups end inside batches and one holds
-    # a single path; the sums carried over them keep every bit.
+@st.composite
+def _splits(draw, n=300):
+    """Group sizes that split n paths at distinct cut points."""
+    cuts = draw(st.lists(st.integers(1, n - 1), unique=True, max_size=40))
+    return np.diff([0, *sorted(cuts), n]).tolist()
+
+
+@given(sizes=_splits())
+@example(sizes=[300])
+@example(sizes=[7, 1, 150, 142])
+@example(sizes=[1] * 300)
+@settings(max_examples=40, deadline=None)
+def test_any_split_of_the_fed_paths_gives_the_fits_of_one_feed(sizes):
+    # 15-path batches: groups end inside batches and may hold a single
+    # path; the sums carried over them keep every bit.
     grid = TimeGrid(dt=0.1, n_steps=100)
     zeta = _noise_ensemble(OU_HALF, grid, 6, 300)
     y = integrate_y(zeta)
     lag_sums, squares = _fed(grid, zeta, y, sizes)
-    assert green_kubo_d(lag_sums, 2.0, analytic=0.5) == green_kubo_d(zeta, 2.0, analytic=0.5)
-    assert dt_fit_d(squares, (2.0, 10.0)) == dt_fit_d(y, (2.0, 10.0))
+    assert green_kubo_d(lag_sums, 2.0, analytic=0.5) == green_kubo_of(zeta, 2.0, analytic=0.5)
+    assert dt_fit_d(squares, (2.0, 10.0)) == dt_fit_of(y, (2.0, 10.0))
+
+
+def test_dt_fit_node_means_are_row_by_row_sums_of_the_squares():
+    # Each node's mean of Y^2 adds the paths' squares row after row and
+    # divides by n, whatever the memory layout of the rows it is fed.
+    grid = TimeGrid(dt=0.1, n_steps=100)
+    y = integrate_y(_noise_ensemble(OU_HALF, grid, 6, 1200))
+    window = (2.0, 10.0)
+    nodes = (grid.times >= window[0]) & (grid.times <= window[1])
+    total = np.zeros(int(nodes.sum()))
+    for row in y.values[:, nodes]:
+        total = total + row * row
+    means = total / 1200
+    want = _line_fit(grid.times[nodes], 0.5 * means, None)[0]
+    for values in (y.values, np.asfortranarray(y.values)):
+        sums = dt_fit_sums(grid, window, 1200)
+        sums.add(values)
+        seen = []
+        sums.estimate(window, lambda mean: seen.append(mean.tobytes()) or 0.0)
+        assert means.tobytes() in seen
+        fed = PathEnsemble(grid, "Y", values, y.flagged, 6)
+        assert dt_fit_of(fed, window).estimate == want
 
 
 def test_fed_fits_refuse_another_window_or_missing_paths():
@@ -201,42 +238,32 @@ def test_fed_fits_refuse_another_window_or_missing_paths():
         dt_fit_d(squares, (2.0, 10.0))
 
 
-def test_noise_fits_read_the_unflagged_paths():
-    grid = TimeGrid(dt=0.1, n_steps=100)
-    zeta = _noise_ensemble(OU_HALF, grid, 6, 300)
-    y = integrate_y(zeta)
-    flagged = np.arange(300) % 7 == 3
-    kept = {}
-    for ens in (zeta, y):
-        kept[ens.label] = PathEnsemble(grid, ens.label, ens.values[~flagged], flagged[~flagged], 6)
-        ens.flagged = flagged
-    assert green_kubo_d(zeta, 2.0) == green_kubo_d(kept["zeta"], 2.0)
-    assert dt_fit_d(y, (2.0, 10.0)) == dt_fit_d(kept["Y"], (2.0, 10.0))
-    assert green_kubo_d(zeta, 2.0).n_effective == 300 - flagged.sum()
-
-
 # --------------------------------------------------- moment transition
+
+
+def _transition(model, p_grid, horizon, n_paths, seed, window, dt=None):
+    """moment_transition of the state's curves on the transition grid of horizon."""
+    grid, stride = transition_grid(model, horizon, dt=dt)
+    curves = linear_moment_curves(model, grid, seed, n_paths, p_grid, save_every=stride)
+    return moment_transition(curves, window, analytic=model.beta_c)
 
 
 def test_moment_transition_memory_does_not_grow_with_the_paths():
     # X is reduced a 2,048-path group at a time as it is solved, so three
-    # times the paths peak as high (5,000 paths held X whole, 12 MB).
+    # times the paths peak as high.
     model = LinearModel(a=1.0, multiplicative=OU_HALF, additive=NoiseSpec.ou(0.5, 1.0), x0=50.0)
     blocks.workspace()  # this thread's, built before the trace
     peaks = []
     for n_paths in (4096, 12288):
         with traced_peak() as peak:
-            moment_transition(model, [1.0, 2.0, 3.0], 1.5, n_paths, 3, window=(0.5, 1.5))
+            _transition(model, [1.0, 2.0, 3.0], 1.5, n_paths, 3, (0.5, 1.5))
         peaks.append(peak.bytes)
     assert peaks[1] < 1.15 * peaks[0]
 
 
 def test_moment_transition_brackets_the_exponent():
     model = LinearModel(a=1.0, multiplicative=OU_HALF, additive=ADD, x0=20.0)
-    report = moment_transition(
-        model, [1.0, 1.5, 2.0, 2.5, 3.0], 3.0, 20000, 77, dt=0.01,
-        window=(1.0, 3.0),
-    )
+    report = _transition(model, [1.0, 1.5, 2.0, 2.5, 3.0], 3.0, 20000, 77, (1.0, 3.0), dt=0.01)
     assert 1.6 < report.estimate < 2.4
     assert report.analytic == pytest.approx(2.0)
     slopes = report.details["slopes"]
@@ -246,7 +273,15 @@ def test_moment_transition_brackets_the_exponent():
 def test_moment_transition_requires_sign_change():
     model = LinearModel(a=1.0, multiplicative=OU_HALF, additive=ADD, x0=20.0)
     with pytest.raises(NoSignChangeError):
-        moment_transition(model, [0.2, 0.4], 3.0, 2000, 5, dt=0.01)
+        _transition(model, [0.2, 0.4], 3.0, 2000, 5, (1.5, 3.0), dt=0.01)
+
+
+@pytest.mark.parametrize("p_grid", [[1.0], [3.0, 1.0]])
+def test_moment_transition_takes_two_or_more_ascending_orders(p_grid):
+    model = LinearModel(a=1.0, multiplicative=OU_HALF, additive=ADD, x0=20.0)
+    curves = linear_moment_curves(model, TimeGrid(0.1, 30), 5, 64, p_grid)
+    with pytest.raises(ValueError, match="ascending"):
+        moment_transition(curves, (1.5, 3.0), analytic=model.beta_c)
 
 
 # ----------------------------------------------------------- condition 1
