@@ -10,7 +10,7 @@ import pytest
 import scipy.special
 import scipy.stats
 
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmplab import blocks
@@ -184,12 +184,7 @@ def _splits(draw, n=300):
     return np.diff([0, *sorted(cuts), n]).tolist()
 
 
-@given(sizes=_splits())
-@example(sizes=[300])
-@example(sizes=[7, 1, 150, 142])
-@example(sizes=[1] * 300)
-@settings(max_examples=40, deadline=None)
-def test_any_split_of_the_fed_paths_gives_the_fits_of_one_feed(sizes):
+def _assert_fed_fits_are_one_feeds(sizes):
     # 15-path batches: groups end inside batches and may hold a single
     # path; the sums carried over them keep every bit.
     grid = TimeGrid(dt=0.1, n_steps=100)
@@ -198,6 +193,19 @@ def test_any_split_of_the_fed_paths_gives_the_fits_of_one_feed(sizes):
     lag_sums, squares = _fed(grid, zeta, y, sizes)
     assert green_kubo_d(lag_sums, 2.0, analytic=0.5) == green_kubo_of(zeta, 2.0, analytic=0.5)
     assert dt_fit_d(squares, (2.0, 10.0)) == dt_fit_of(y, (2.0, 10.0))
+
+
+@pytest.mark.parametrize(
+    "sizes", [[300], [7, 1, 150, 142], [1] * 300], ids=["one", "uneven", "rows"]
+)
+def test_fits_fed_in_groups_are_the_fits_of_the_held_ensemble(sizes):
+    _assert_fed_fits_are_one_feeds(sizes)
+
+
+@given(sizes=_splits())
+@settings(max_examples=40, deadline=None)
+def test_any_split_of_the_fed_paths_gives_the_fits_of_one_feed(sizes):
+    _assert_fed_fits_are_one_feeds(sizes)
 
 
 def test_dt_fit_node_means_are_row_by_row_sums_of_the_squares():
