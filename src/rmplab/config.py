@@ -12,6 +12,7 @@ rejected.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -290,7 +291,7 @@ def _estimator_from_dict(d: dict, index: int) -> EstimatorRequest:
     if not isinstance(d, dict) or "name" not in d:
         raise ConfigInvalidError(f"{where}: expected an object with a 'name'")
     name = d["name"]
-    if name not in ESTIMATOR_PARAMS:
+    if not isinstance(name, str) or name not in ESTIMATOR_PARAMS:
         raise ConfigInvalidError(f"{where}.name: unknown estimator {name!r}")
     spec = ESTIMATOR_PARAMS[name]
     _check_keys(d, set(spec) | {"name"}, set(), where)
@@ -379,7 +380,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     dt = _number(gd, "dt", "grid", default=default_dt(max(model.a, 1e-12), *taus))
     if dt <= 0:
         raise ConfigInvalidError("grid.dt: must be positive")
-    n_steps = max(int(round(t_max / dt)), 1)
+    steps = t_max / dt
+    if not math.isfinite(steps):
+        raise ConfigInvalidError(f"grid.t_max: t_max / dt = {steps} steps is not finite")
+    n_steps = max(int(round(steps)), 1)
     try:
         grid = TimeGrid(dt=t_max / n_steps, n_steps=n_steps)
     except ValueError as exc:

@@ -763,7 +763,10 @@ def solve_nonlinear(
             workers=workers,
             block_size=block_size,
         )
-        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+        # one block's arrays are its own: joining them would copy the saved states
+        return tuple(
+            np.concatenate(arrays) if len(arrays) > 1 else arrays[0] for arrays in zip(*parts)
+        )
 
     def horizon(indices: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
         saved, flagged, _ = _rk4_sweep(model, grid, master_seed, indices, psi, s, grid.n_steps)

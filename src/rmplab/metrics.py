@@ -75,12 +75,14 @@ class RateFit:
 
 @dataclass(frozen=True)
 class InequalityReport:
+    """One check's sides and verdict: scalars for a 1-D sample, arrays over its batch axes."""
+
     name: str
     p: float
-    lhs: float
-    rhs: float
+    lhs: "float | np.ndarray"
+    rhs: "float | np.ndarray"
     n: int
-    passed: bool
+    passed: "bool | np.ndarray"
 
 
 def _moment_stats(weights: np.ndarray) -> tuple[float, float, bool]:
@@ -314,8 +316,44 @@ def _tolerance_factor(n: int) -> float:
     return 1.0 + n * np.finfo(np.float64).eps
 
 
+def _paired_rows(x, y, names: str) -> tuple[np.ndarray, np.ndarray]:
+    """Two finite samples of one shape (..., n), as C-ordered float64 arrays.
+
+    In C order every row along the last axis is contiguous, so each row's
+    elementwise results and last-axis reductions are those of the row
+    taken alone, and a batch decides every row as the 1-D call does.
+    """
+    xx = np.ascontiguousarray(x, dtype=np.float64)
+    yy = np.ascontiguousarray(y, dtype=np.float64)
+    if xx.size == 0:
+        raise EmptyInputError("empty sample")
+    if xx.shape != yy.shape:
+        raise LengthMismatchError(f"{names} must have equal length")
+    if not (np.isfinite(xx).all() and np.isfinite(yy).all()):
+        raise ValueError(f"{names} must be finite")
+    return xx, yy
+
+
+def _report(
+    name: str, p: float, lhs: np.ndarray, rhs: np.ndarray, n: int, passed: np.ndarray, shape: tuple
+) -> InequalityReport:
+    """Per-row results as arrays of the batch shape, or Python scalars for a 1-D sample."""
+    if not shape:
+        return InequalityReport(name, p, float(lhs[0]), float(rhs[0]), n, bool(passed[0]))
+    return InequalityReport(
+        name, p, lhs.reshape(shape), rhs.reshape(shape), n, passed.reshape(shape)
+    )
+
+
 def jensen_check(u: np.ndarray, v: np.ndarray, p: float) -> InequalityReport:
-    """Check E[U^p V] <= (E[U V])^p (E V)^(1-p) on an empirical measure.
+    """Check E[U^p V] <= (E[U V])^p (E V)^(1-p) on empirical measures.
+
+    u and v have shape (..., n): each row along the last axis is one
+    measure of n atoms, and all rows are checked in one pass.  A 1-D pair
+    gives a report of Python scalars; a batch gives lhs, rhs and passed as
+    arrays of its batch shape.  Every maximum, log-sum and reduction is
+    taken per row along the contiguous last axis, so each row's entries
+    equal the 1-D call's on that row bit for bit.
 
     Requires p in (0, 1] and finite nonnegative U, V.  Both sides scale as
     c^p when U is multiplied by c and linearly in V, so U and V are scaled
@@ -327,49 +365,56 @@ def jensen_check(u: np.ndarray, v: np.ndarray, p: float) -> InequalityReport:
     Each log-sum is shifted by its largest term, so no product over- or
     underflows and the check holds for any such sample; equality-breaking
     noise at machine precision is absorbed by the factor (1 + n eps).
+    A row where U V vanishes everywhere passes with lhs = rhs = 0.
     lhs and rhs are reported in the caller's units, as the
     exponential of the log values rescaled by the maxima; they read 0 or
     inf where the true value lies outside the float range.
     """
     if not (0.0 < p <= 1.0):
         raise ValueError("p must lie in (0, 1]")
-    uu = np.asarray(u, dtype=np.float64).ravel()
-    vv = np.asarray(v, dtype=np.float64).ravel()
-    if uu.size == 0:
-        raise EmptyInputError("empty sample")
-    if uu.shape != vv.shape:
-        raise LengthMismatchError("U and V must have equal length")
-    if not (np.isfinite(uu).all() and np.isfinite(vv).all()):
-        raise ValueError("U and V must be finite")
+    uu, vv = _paired_rows(u, v, "U and V")
     if (uu < 0.0).any() or (vv < 0.0).any():
         raise ValueError("U and V must be nonnegative")
-    n = int(uu.size)
-    u_max, v_max = float(uu.max()), float(vv.max())
-    if u_max == 0.0 or v_max == 0.0:
-        return InequalityReport("jensen", p, 0.0, 0.0, n, True)
+    shape, n = uu.shape[:-1], uu.shape[-1]
+    uu, vv = uu.reshape(-1, n), vv.reshape(-1, n)
+    u_max, v_max = uu.max(axis=1), vv.max(axis=1)
     with np.errstate(divide="ignore"):
-        log_u = np.log(uu) - math.log(u_max)
-        log_v = np.log(vv) - math.log(v_max)
-    terms = np.stack([p * log_u + log_v, log_u + log_v, log_v])
-    top = terms.max(axis=1)
-    if top[1] == -math.inf:  # U V vanishes everywhere, and so does U^p V
-        return InequalityReport("jensen", p, 0.0, 0.0, n, True)
-    log_lhs, log_uv, log_v_sum = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
+        log_u_max = np.log(np.where(u_max > 0.0, u_max, 1.0))
+        log_v_max = np.log(np.where(v_max > 0.0, v_max, 1.0))
+        log_u = np.log(uu) - log_u_max[:, None]
+        log_v = np.log(vv) - log_v_max[:, None]
+    terms = np.stack([p * log_u + log_v, log_u + log_v, log_v], axis=1)
+    top = terms.max(axis=2)
+    live = top[:, 1] > -math.inf  # else U V vanishes everywhere, and so does U^p V
+    top[~live] = 0.0
+    terms -= top[:, :, None]
+    with np.errstate(divide="ignore"):
+        log_sums = top + np.log(np.exp(terms, out=terms).sum(axis=2))
+    log_sums[~live] = 0.0
+    log_lhs, log_uv, log_v_sum = log_sums.T
     passed = log_lhs - log_v_sum <= p * (log_uv - log_v_sum) + math.log(
         _tolerance_factor(n)
     )
-    shift = p * math.log(u_max) + math.log(v_max) - math.log(n)
+    shift = p * log_u_max + log_v_max - math.log(n)
     with np.errstate(over="ignore"):
-        lhs, rhs = np.exp(np.array([log_lhs, p * log_uv + (1.0 - p) * log_v_sum]) + shift)
-    return InequalityReport("jensen", p, float(lhs), float(rhs), n, bool(passed))
+        lhs = np.where(live, np.exp(log_lhs + shift), 0.0)
+        rhs = np.where(live, np.exp(p * log_uv + (1.0 - p) * log_v_sum + shift), 0.0)
+    return _report("jensen", p, lhs, rhs, n, passed, shape)
 
 
 def quasi_triangle_check(
-    f: np.ndarray, g: np.ndarray, alpha: float, p: float
+    f: np.ndarray, g: np.ndarray, alpha: "float | np.ndarray", p: float
 ) -> InequalityReport:
     """Check the scaled triangle bound on paired empirical samples.
 
     quasi_norm(alpha f + g) <= |alpha|^sigma_p quasi_norm(f) + quasi_norm(g).
+
+    f and g have shape (..., n), one paired sample per row along the last
+    axis, and alpha is one number or one per row (the batch shape); all
+    rows are checked in one pass.  A 1-D pair gives a report of Python
+    scalars; a batch gives lhs, rhs and passed as arrays of its batch
+    shape, each row's entries equal to the 1-D call's bit for bit, since
+    every maximum, frame and reduction is taken per row.
 
     Requires finite f, g and alpha.  Both sides are unchanged when f is
     multiplied by c and alpha divided by c, and both scale as |c|^sigma_p
@@ -379,44 +424,65 @@ def quasi_triangle_check(
     larger of |alpha| max|f| and max|g| lies in [1/4, 1).  In that frame
     the product alpha f is formed once and used on both sides (by the
     scaling law its quasi-norm is |alpha|^sigma_p quasi_norm(f) up to that
-    one rounding), and `passed` is decided on the quasi-norms of the
-    scaled samples with the factor (1 + n eps) for rounding.  Scaled
-    values lie below 2 in magnitude and the largest is at least 1/4, so
-    for p <= 500 no power over- or underflows except on entries some 1e308
-    below the largest, which both sides see alike.  Where alpha f itself
-    falls in the subnormal range, it is formed in the frame and keeps full
-    precision.  lhs and rhs are reported in the
-    caller's units, the frame values times 2^(k sigma_p) for the frame
-    exponent k; they read 0 or inf where the true value lies outside the
-    float range.
+    one rounding); where alpha f falls in the subnormal range, it is
+    formed in the frame and keeps full precision.
+
+    `passed` is decided on the frame's quasi-norms with the factor
+    (1 + n eps) for rounding.  For p < 1 they are the means of |x|^p;
+    frame values lie below 2 in magnitude and the largest is at least
+    1/4, and this frame, not one per argument, keeps the two sides'
+    rounding alike for samples with disjoint supports.  For p >= 1 each
+    norm is taken at its own maximum m, m mean((|x| / m)^p)^(1/p): the
+    largest term is exactly 1, so no order underflows the smaller side's
+    norm, which a shared frame does once p reaches some hundreds.
+    lhs and rhs are reported in the caller's units, the frame values
+    times 2^(k sigma_p) for the frame exponent k; they read 0 or inf where
+    the true value lies outside the float range.
     """
     if p <= 0.0:
         raise ValueError("order p must be positive")
-    ff = np.asarray(f, dtype=np.float64).ravel()
-    gg = np.asarray(g, dtype=np.float64).ravel()
-    if ff.size == 0:
-        raise EmptyInputError("empty sample")
-    if ff.shape != gg.shape:
-        raise LengthMismatchError("f and g must have equal length")
-    if not (math.isfinite(alpha) and np.isfinite(ff).all() and np.isfinite(gg).all()):
-        raise ValueError("f, g and alpha must be finite")
-    n = int(ff.size)
-    f_max, g_max = float(np.abs(ff).max()), float(np.abs(gg).max())
-    has_af, has_g = alpha != 0.0 and f_max > 0.0, g_max > 0.0
-    if not (has_af or has_g):
-        return InequalityReport("quasi_triangle", p, 0.0, 0.0, n, True)
-    e_f, e_a, e_g = (math.frexp(x)[1] for x in (f_max, alpha, g_max))
-    k = max(e for e, present in ((e_a + e_f, has_af), (e_g, has_g)) if present)
-    af = math.ldexp(alpha, e_f - k) * np.ldexp(ff, -e_f) if has_af else np.zeros(n)
-    gk = np.ldexp(gg, -k)
-    norms = np.mean(np.abs(np.stack([af + gk, af, gk])) ** p, axis=1) ** (sigma_p(p) / p)
-    lhs, rhs = norms[0], norms[1] + norms[2]
+    ff, gg = _paired_rows(f, g, "f and g")
+    shape, n = ff.shape[:-1], ff.shape[-1]
+    a = np.asarray(alpha, dtype=np.float64)
+    try:
+        a = np.broadcast_to(a, shape).ravel()
+    except ValueError:
+        raise LengthMismatchError("alpha must be one number or one per row") from None
+    if not np.isfinite(a).all():
+        raise ValueError("alpha must be finite")
+    ff, gg = ff.reshape(-1, n), gg.reshape(-1, n)
+    f_max, g_max = np.abs(ff).max(axis=1), np.abs(gg).max(axis=1)
+    has_af, has_g = (a != 0.0) & (f_max > 0.0), g_max > 0.0
+    (_, e_f), (_, e_a), (_, e_g) = (np.frexp(x) for x in (f_max, a, g_max))
+    # k: the larger frame exponent of |alpha| max|f| and max|g|, of those present
+    k = np.where(has_g, e_g, e_a + e_f)
+    k = np.where(has_af, np.maximum(k, e_a + e_f), k)
+    # x[:, 0], x[:, 1], x[:, 2]: |alpha f + g|, |alpha f| and |g| in the frame
+    x = np.empty((len(ff), 3, n))
+    np.multiply(
+        np.ldexp(np.where(has_af, a, 0.0), e_f - k)[:, None],
+        np.ldexp(ff, -e_f[:, None]),
+        out=x[:, 1],
+    )
+    np.ldexp(gg, -k[:, None], out=x[:, 2])
+    np.add(x[:, 1], x[:, 2], out=x[:, 0])
+    np.abs(x, out=x)
+    if p < 1.0:
+        norms = np.mean(np.power(x, p, out=x), axis=2)
+    else:
+        m = x.max(axis=2)
+        x /= np.where(m > 0.0, m, 1.0)[:, :, None]
+        norms = m * np.mean(np.power(x, p, out=x), axis=2) ** (1.0 / p)
+    lhs, rhs = norms[:, 0], norms[:, 1] + norms[:, 2]
     passed = lhs <= rhs * _tolerance_factor(n)
     log2_scale = k * sigma_p(p)
-    whole = math.floor(log2_scale)
+    whole = np.floor(log2_scale)
     with np.errstate(over="ignore"):
-        lhs, rhs = np.ldexp(np.array([lhs, rhs]) * 2.0 ** (log2_scale - whole), whole)
-    return InequalityReport("quasi_triangle", p, float(lhs), float(rhs), n, bool(passed))
+        lhs, rhs = (
+            np.ldexp(side * 2.0 ** (log2_scale - whole), whole.astype(np.int64))
+            for side in (lhs, rhs)
+        )
+    return _report("quasi_triangle", p, lhs, rhs, n, passed, shape)
 
 
 @dataclass

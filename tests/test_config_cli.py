@@ -7,16 +7,25 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rmplab
 from rmplab import cli
 from rmplab.cli import main
-from rmplab.config import ESTIMATOR_PARAMS, config_from_dict, config_hash, load_config
+from rmplab.config import (
+    ESTIMATOR_PARAMS,
+    ExperimentConfig,
+    config_from_dict,
+    config_hash,
+    load_config,
+)
 from rmplab.engine import LinearModel, NonlinearModel, solve_linear
-from rmplab.errors import ConfigInvalidError
+from rmplab.errors import ConfigInvalidError, RmplabError
 from rmplab.grid import TimeGrid
 from rmplab.runner import STAGES, check_fit_windows
 from rmplab.weak import TestFunction
+from test_acceptance import _pipeline_raw
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -315,6 +324,75 @@ class TestSchema:
             load_config(tmp_path / "absent.json")
 
 
+def _paths(node, prefix=()):
+    """Every key path into a raw config: dict keys and list indices, outer first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+C10_PATHS = list(_paths(_pipeline_raw(1, "out")))
+ODD_VALUES = [
+    0, -1, 0.5, -0.5, math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324,
+    2**70, -(2**70), 10**400, "", "x", None, True, [], [1.0], ["x"], [[1.0]],
+    [math.nan], [2**70], {}, {"kind": "ou"},
+]
+MUTATION = st.tuples(
+    st.sampled_from(C10_PATHS),
+    st.sampled_from(["drop", "add", "set"]),
+    st.one_of(st.sampled_from(ODD_VALUES), st.floats(), st.integers(), st.text(max_size=4)),
+)
+
+
+def _mutate(raw: dict, path: tuple, action: str, value: object) -> None:
+    """Drop the field at path, add a field or entry under it, or set it to value.
+
+    A path an earlier mutation removed or retyped is left alone.
+    """
+    *head, last = path
+    parent = raw
+    try:
+        for key in head:
+            parent = parent[key]
+    except (KeyError, IndexError, TypeError):
+        return
+    if isinstance(parent, dict):
+        present = last in parent
+    else:
+        present = isinstance(parent, list) and isinstance(last, int) and last < len(parent)
+    if not present:
+        return
+    if action == "drop":
+        del parent[last]
+    elif action == "set":
+        parent[last] = value
+    elif isinstance(parent[last], dict):
+        parent[last]["extra"] = value
+    elif isinstance(parent[last], list):
+        parent[last].append(value)
+    else:
+        parent[last] = [parent[last], value]
+
+
+@given(mutations=st.lists(MUTATION, min_size=1, max_size=3))
+@example(mutations=[(("estimators", 0, "name"), "set", ["moments"])])
+@example(mutations=[(("estimators", 0, "name"), "set", {"name": "moments"})])
+@example(mutations=[(("grid", "t_max"), "set", 1e308)])
+@settings(max_examples=300, deadline=None)
+def test_a_mutated_c10_config_loads_or_fails_with_an_error_code(mutations):
+    raw = _pipeline_raw(1, "out")
+    for mutation in mutations:
+        _mutate(raw, *mutation)
+    try:
+        cfg = config_from_dict(raw)
+    except RmplabError as exc:
+        assert exc.code != RmplabError.code, exc
+    else:
+        assert isinstance(cfg, ExperimentConfig)
+
+
 def write_config(tmp_path, raw, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(raw))
@@ -353,6 +431,35 @@ class TestCli:
         out = tmp_path / "run3"
         assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert "condition1: FAIL" in capsys.readouterr().out
+
+    def test_verify_passes_minkowski_at_a_high_order(self, tmp_path, capsys):
+        # a frame shared by both norms underflowed the smaller one at p = 300 and exited 1
+        raw = base_raw()
+        raw["estimators"] = [{"name": "inequalities", "p": [300]}]
+        cfg_path, out = write_config(tmp_path, raw), tmp_path / "x"
+        assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert "inequalities: PASS" in capsys.readouterr().out
+        assert json.loads((out / "verify.json").read_text())["inequalities"]["failures"] == 0
+
+    @pytest.mark.parametrize(
+        "mutate,needle",
+        [
+            (lambda r: r["estimators"][0].update(name=["moments"]), "estimators[0].name"),
+            (lambda r: r["estimators"][0].update(name={"name": "moments"}), "estimators[0].name"),
+            (lambda r: r["grid"].update(t_max=1e308), "grid.t_max"),
+        ],
+    )
+    def test_loader_inputs_that_raised_python_errors_exit_two(
+        self, tmp_path, capsys, mutate, needle
+    ):
+        # an unhashable name raised TypeError, and t_max / dt = inf OverflowError
+        raw = base_raw()
+        mutate(raw)
+        cfg_path, out = write_config(tmp_path, raw), tmp_path / "x"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [CONFIG_INVALID]: ") and needle in err
+        assert not out.exists()
 
     def test_report_aggregates(self, tmp_path, capsys):
         raw = base_raw()

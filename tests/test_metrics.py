@@ -37,6 +37,7 @@ from rmplab.metrics import (
     sigma_p,
 )
 from rmplab.noise import NoiseSpec, y_variance_half
+from rmplab.runner import _inequality_trials, _trial_samples
 from peaks import traced_peak
 
 finite_arrays = arrays(
@@ -304,6 +305,124 @@ def test_inequality_checks_reject_non_finite_input():
 def test_quasi_triangle_never_fails(f, alpha, p):
     g = np.cos(f) * 3.0  # paired companion of the same length
     assert quasi_triangle_check(f, g, alpha, p).passed
+
+
+# Trial 3 of the verify stage's trials at master seed 3: heavy, alpha = 0.0464,
+# max|alpha f| = 0.78 against max|g| = 10.27.  At p = 300 a frame shared by
+# both sides underflowed ||alpha f||_p and read lhs 10.169 > rhs 10.085.
+_, _, TRIAL_3_F, TRIAL_3_G, TRIAL_3_ALPHA = _trial_samples(3, 3, 256)
+
+paired_arrays = st.integers(1, 40).flatmap(
+    lambda n: st.tuples(
+        *[arrays(np.float64, n, elements=st.floats(-1e6, 1e6, allow_nan=False))] * 2
+    )
+)
+
+
+@given(fg=paired_arrays, alpha=st.floats(-20.0, 20.0), p=st.floats(1.0, 1e4))
+@example(fg=(TRIAL_3_F, TRIAL_3_G), alpha=TRIAL_3_ALPHA, p=300.0)
+@settings(max_examples=80, deadline=None)
+def test_minkowski_holds_at_high_orders(fg, alpha, p):
+    f, g = fg
+    assert quasi_triangle_check(f, g, alpha, p).passed
+
+
+def test_verify_trials_pass_at_high_orders():
+    # the shared frame failed 5, 52 and 88 of these 200 trials at p = 300, 500 and 1000
+    for p in (300.0, 500.0, 1000.0, 1e4):
+        assert _inequality_trials(3, 200, 256, [p]) == 0
+
+
+@pytest.mark.parametrize("master_seed", range(5))
+def test_verify_trials_pass_at_the_default_request(master_seed):
+    # the C10 default: 1,000 trials of 256 atoms at orders 0.3, 0.7, 1 and 2
+    assert _inequality_trials(master_seed, 1000, 256, [0.3, 0.7, 1.0, 2.0]) == 0
+
+
+# Magnitudes the checks must keep exact: subnormals, the ends of the float
+# range and the scales where squares under- or overflow.
+EDGES = [5e-324, 1e-310, 1e-300, 1e-162, 1.0, 1e162, 1e300, 1.7e308]
+
+
+@st.composite
+def paired_batches(draw):
+    """(f, g, alpha) with f, g of shape (k, n) and one alpha per row.
+
+    Each row is drawn free, constant, zero in f or g, or with f and g on
+    disjoint supports; alpha is 0 on some rows.
+    """
+    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    value = st.one_of(st.sampled_from(EDGES), st.floats(0.0, 1e6))
+    signed = st.builds(lambda x, s: s * x, value, st.sampled_from([1.0, -1.0]))
+    f, g = (draw(arrays(np.float64, (k, n), elements=signed)) for _ in range(2))
+    for row in range(k):
+        shape = draw(st.sampled_from(["free", "constant", "zero f", "zero g", "disjoint"]))
+        if shape == "constant":
+            f[row] = f[row, 0]
+        elif shape == "zero f":
+            f[row] = 0.0
+        elif shape == "zero g":
+            g[row] = 0.0
+        elif shape == "disjoint":
+            g[row, f[row] != 0.0] = 0.0
+    alpha = draw(arrays(np.float64, k, elements=st.one_of(st.just(0.0), signed)))
+    return f, g, alpha
+
+
+def _sides(report, row=None):
+    """lhs and rhs as bytes, so -0.0 and 0.0 differ, and passed."""
+    lhs, rhs, passed = report.lhs, report.rhs, report.passed
+    if row is not None:
+        lhs, rhs, passed = lhs[row], rhs[row], passed[row]
+    return np.array([lhs, rhs]).tobytes(), bool(passed)
+
+
+@given(
+    batch=paired_batches(),
+    p=st.one_of(st.sampled_from([0.01, 0.3, 1.0, 2.0, 300.0]), st.floats(0.01, 1e3)),
+)
+@settings(max_examples=150, deadline=None)
+def test_batched_checks_decide_every_row_as_the_one_dimensional_call(batch, p):
+    f, g, alpha = batch
+    triangle = quasi_triangle_check(f, g, alpha, p)
+    jensen = jensen_check(np.abs(f), np.abs(g), min(p, 1.0))
+    assert triangle.passed.shape == jensen.passed.shape == alpha.shape
+    for row in range(len(f)):
+        one = quasi_triangle_check(f[row], g[row], float(alpha[row]), p)
+        assert type(one.lhs) is float and type(one.passed) is bool
+        assert _sides(one) == _sides(triangle, row)
+        one = jensen_check(np.abs(f[row]), np.abs(g[row]), min(p, 1.0))
+        assert _sides(one) == _sides(jensen, row)
+    assert triangle.passed.all() and jensen.passed.all()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, -1.0])
+def test_a_bad_row_fails_the_batch_as_its_one_dimensional_call(bad):
+    ok = np.ones((3, 4))
+    x = ok.copy()
+    x[1, 2] = bad
+    with pytest.raises(ValueError) as one:
+        jensen_check(x[1], ok[1], 0.5)
+    with pytest.raises(one.type):
+        jensen_check(x, ok, 0.5)
+    if bad == -1.0:  # the triangle bound takes signed samples
+        assert quasi_triangle_check(x, ok, 1.0, 2.0).passed.all()
+        return
+    with pytest.raises(ValueError) as one:
+        quasi_triangle_check(ok[1], x[1], 1.0, 2.0)
+    with pytest.raises(one.type):
+        quasi_triangle_check(ok, x, 1.0, 2.0)
+    with pytest.raises(one.type):
+        quasi_triangle_check(ok, ok, np.array([1.0, bad, 1.0]), 2.0)
+
+
+def test_batched_checks_refuse_mismatched_shapes():
+    with pytest.raises(LengthMismatchError):
+        jensen_check(np.ones((2, 3)), np.ones((3, 2)), 0.5)
+    with pytest.raises(LengthMismatchError):
+        quasi_triangle_check(np.ones((2, 3)), np.ones((2, 3)), np.ones(3), 2.0)
+    with pytest.raises(EmptyInputError):
+        quasi_triangle_check(np.ones((2, 0)), np.ones((2, 0)), 1.0, 2.0)
 
 
 def test_moment_curves_match_direct_estimates():
