@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
@@ -78,6 +77,9 @@ def run_blocks(
     blocks = block_ranges(n_paths, block_size)
     if workers <= 1 or len(blocks) == 1:
         return [block_fn(b) for b in blocks]
+    # imported here: concurrent.futures loads logging, which no serial run needs
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(block_fn, blocks))
 

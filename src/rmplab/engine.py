@@ -39,6 +39,10 @@ NONLINEARITIES = (SIN_MODULATED, CLIPPED, ENVELOPE_ITSELF)
 
 PROCESS_LABELS = ("X", "Y", "A", "B", "H", "zeta", "phi")
 
+# Row width from which cumulative_trapezoid sums its steps row by row:
+# cumsum along the time axis is faster on narrower rows.
+ROW_SUM_MIN_WIDTH = 256
+
 # Bytes of noise coefficient rows one RK4 time chunk holds.
 RK4_CHUNK_BYTES = 1 << 20
 # The nonlinear solve's pilot: the keyed paths 0 .. PILOT_PATHS - 1, with
@@ -198,7 +202,11 @@ def cumulative_trapezoid(
     and operation order of scipy.integrate.cumulative_trapezoid.  The pair
     sums are added, scaled by dt, halved and summed in place in out's
     rows after the first, so the rule needs no memory beyond out (new
-    memory when out is None; it must not overlap values).
+    memory when out is None; it must not overlap values).  Rows of at
+    least ROW_SUM_MIN_WIDTH columns are summed by a loop that adds each
+    row into the next, the additions and operand order of cumsum along
+    axis 0, which is several times faster on wide rows; narrower ones go
+    to cumsum.
     """
     if out is None:
         out = np.empty(values.shape)
@@ -207,7 +215,11 @@ def cumulative_trapezoid(
     np.add(values[1:], values[:-1], out=steps)
     np.multiply(dt, steps, out=steps)
     np.divide(steps, 2.0, out=steps)
-    np.cumsum(steps, axis=0, out=steps)
+    if out[0].size < ROW_SUM_MIN_WIDTH:
+        np.cumsum(steps, axis=0, out=steps)
+        return out
+    for prev, cur in zip(steps, steps[1:]):
+        np.add(prev, cur, out=cur)
     return out
 
 
@@ -262,20 +274,21 @@ def linear_block_arrays(
     master_seed: int,
     indices: np.ndarray,
     *,
-    save_every: int = 1,
-    need: "tuple[str, ...] | frozenset[str]" = ("X",),
+    strides: "dict[str, int] | None" = None,
     into: "dict[str, np.ndarray] | None" = None,
 ) -> dict[str, np.ndarray]:
     """Compute requested process arrays for a block of path indices.
 
     This is the kernel every ensemble estimator is built on.  It works
-    time-major, (n_nodes, n_paths), from the noise to the last quadrature,
-    and keeps every save_every-th node of each requested array as
-    path-major rows (n_paths, n_saved), written into into[label] when
-    into is given (solve_linear passes rows of its ensembles) and into new
-    arrays otherwise.  'flagged' marks the paths whose log A rose above
-    +LOG_BUDGET or whose arrays saturated; a log A that only falls below
-    -LOG_BUDGET underflows A to 0 and leaves B, X and H exact.
+    time-major, (n_nodes, n_paths), from the noise to the last quadrature.
+    strides names the arrays to keep, each with its own output stride (X
+    at every node when None), so one solve can keep X at a coarse stride
+    and its noise at every node.  Each array's every stride-th node is
+    kept as path-major rows (n_paths, n_saved), written into into[label]
+    when into is given (_linear_rows passes rows of its arrays) and into
+    new arrays otherwise.  'flagged' marks the paths whose log A
+    rose above +LOG_BUDGET or whose arrays saturated; a log A that only
+    falls below -LOG_BUDGET underflows A to 0 and leaves B, X and H exact.
 
     Every fine-grid array lies in this thread's block workspace
     (blocks.workspace): five slots of BLOCK_CELLS cells, 12.4 MB that stay
@@ -291,7 +304,8 @@ def linear_block_arrays(
     larger than a slot (a single path on a grid of more than BLOCK_CELLS
     nodes) is new memory.  The returned arrays never alias the slots.
     """
-    need = frozenset(need)
+    strides = {"X": 1} if strides is None else strides
+    need = frozenset(strides)
     unknown = need.difference(PROCESS_LABELS)
     if unknown:
         raise ValueError(f"unknown process requests: {sorted(unknown)}")
@@ -301,14 +315,13 @@ def linear_block_arrays(
     n = len(indices)
     shape, step_shape = (grid.n_nodes, n), (grid.n_steps, n)
     if into is None:
-        n_saved = grid.n_steps // save_every + 1
-        into = {label: np.empty((n, n_saved)) for label in need}
+        into = {label: np.empty((n, grid.n_steps // strides[label] + 1)) for label in need}
     slots = workspace()
     flagged = np.zeros(n, dtype=bool)
 
     def save(label: str, arr: np.ndarray) -> None:
         if label in need:
-            into[label][...] = arr[::save_every].T
+            into[label][...] = arr[:: strides[label]].T
 
     def flag_overflow(arr: np.ndarray) -> None:  # slot 4 is free at each call
         flagged[...] |= _sanitize(arr, slot_array(slots[4], shape, bool))
@@ -402,7 +415,7 @@ def solve_linear(
         raise ValueError(f"unknown process labels: {unknown}")
     out_grid = grid.subsampled(save_every)
     [(values, flagged)] = _linear_rows(
-        model, grid, master_seed, n_paths, need, save_every, workers, block_size
+        model, grid, master_seed, n_paths, dict.fromkeys(need, save_every), workers, block_size
     )
     return {
         label: PathEnsemble(
@@ -417,46 +430,57 @@ def _linear_rows(
     grid: TimeGrid,
     master_seed: int,
     n_paths: int,
-    need: tuple[str, ...],
-    save_every: int,
+    strides: dict[str, int],
     workers: int,
     block_size: int = DEFAULT_BLOCK_SIZE,
     *,
     group: "int | None" = None,
+    held: "dict[str, np.ndarray] | None" = None,
 ) -> Iterator[tuple[dict[str, np.ndarray], np.ndarray]]:
     """solve_linear's saved rows per label and the kernel's flag mask, group by group.
 
-    Yields (values, flagged) for the consecutive groups of `group` paths
-    in path order (one group of all n_paths when group is None):
-    values[label] holds the saved rows of the group's paths, flagged
-    their flags.  Every group is written into the same buffers, sized
-    for one group, so a caller that reduces each group before asking for
-    the next holds one group's rows, never the ensemble's; the next group
-    overwrites them.  Within a group the blocks are those of
-    solve_linear, and every row is the same bytes in any grouping
-    (solve_linear).
+    strides maps each label to its output stride.  Yields (values,
+    flagged) for the consecutive groups of `group` paths in path order
+    (one group of all n_paths when group is None): values[label] holds the
+    saved rows of the group's paths, flagged their flags.  A label held
+    names has its rows written straight into the caller's array there, of
+    n_paths rows, each group into its own rows, so the caller holds that
+    label's whole ensemble once the last group is yielded.  Every other
+    label, and the flags, are written into buffers sized for one group,
+    so a caller that reduces each group before asking for the next holds
+    one group's rows, never the ensemble's; the next group overwrites
+    them.  Within a group the blocks are those of solve_linear, and every
+    row is the same bytes in any grouping (solve_linear).
     """
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
+    held = held or {}
     size = n_paths if group is None else min(group, n_paths)
-    n_saved = grid.n_steps // save_every + 1
-    values = {label: np.empty((size, n_saved)) for label in need}
+    buffers = {
+        label: np.empty((size, grid.n_steps // stride + 1))
+        for label, stride in strides.items()
+        if label not in held
+    }
     flagged = np.empty(size, dtype=bool)
     cap = min(block_size, max(1, BLOCK_CELLS // grid.n_nodes))
 
     for lo in range(0, n_paths, size):
         n = min(size, n_paths - lo)
+        values = {
+            label: held[label][lo : lo + n] if label in held else buffers[label][:n]
+            for label in strides
+        }
 
         def block(idx: np.ndarray) -> None:
             rows = slice(idx[0], idx[-1] + 1)
             into = {label: arr[rows] for label, arr in values.items()}
             done = linear_block_arrays(
-                model, grid, master_seed, idx + lo, save_every=save_every, need=need, into=into
+                model, grid, master_seed, idx + lo, strides=strides, into=into
             )
             flagged[rows] = done["flagged"]
 
         run_blocks(n, block, workers=workers, block_size=cap)
-        yield {label: arr[:n] for label, arr in values.items()}, flagged[:n]
+        yield values, flagged[:n]
 
 
 def gamma_rate(a: float, d: float, p: float) -> float:
@@ -506,7 +530,7 @@ def stationary_sample(
     grid = TimeGrid(dt=t_star / n_steps, n_steps=n_steps)
     save_every = n_steps // 8
 
-    [(values, flagged)] = _linear_rows(model, grid, master_seed, n, ("H",), save_every, workers)
+    [(values, flagged)] = _linear_rows(model, grid, master_seed, n, {"H": save_every}, workers)
     h, ok = values["H"], ~flagged
     n_dropped = n - int(ok.sum())
 

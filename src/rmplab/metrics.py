@@ -649,7 +649,7 @@ def linear_moment_curves(
     cells each.  Flagged paths are excluded from every node.
     """
     groups = _linear_rows(
-        model, grid, master_seed, n_paths, (source,), save_every, workers, group=DEFAULT_BLOCK_SIZE
+        model, grid, master_seed, n_paths, {source: save_every}, workers, group=DEFAULT_BLOCK_SIZE
     )
     return _group_curves(
         source,

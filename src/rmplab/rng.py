@@ -16,6 +16,8 @@ row's stream continues from piece to piece.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -52,14 +54,47 @@ def _stream_key(master_seed: int, path_index: int, role: int) -> np.ndarray:
     )
 
 
+@functools.cache
+def _key_seed() -> type:
+    """The Philox seed type whose state is its 128-bit key, two uint64 words.
+
+    Philox(key=key) first seeds itself from a SeedSequence of fresh OS
+    entropy and then sets the key over it; Philox(seed) with seed of this
+    type asks the seed for its key instead, which is the same generator
+    at about a third of the cost of the build.  The type is made on first
+    use, so importing rmplab does not load numpy.random.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeySeed(ISeedSequence):
+        __slots__ = ("key",)
+
+        def __init__(self, key: np.ndarray) -> None:
+            self.key = key
+
+        def generate_state(self, n_words: int, dtype: type) -> np.ndarray:
+            return self.key
+
+    return KeySeed
+
+
+def _keyed(key: np.ndarray) -> np.random.Generator:
+    """A fresh generator on the Philox stream of key.
+
+    Philox copies the key when it is built, so the caller may then
+    rewrite key to build the next row's generator; each generator's seed
+    keeps a reference to the array, not a copy of it.
+    """
+    return np.random.Generator(np.random.Philox(_key_seed()(key)))
+
+
 def path_stream(master_seed: int, path_index: int, role: int) -> np.random.Generator:
     """Return the generator owned by (master_seed, path_index, role).
 
     The 128-bit Philox key is [master_seed, path_index << 3 | role], so
     distinct triples never collide as long as path_index < 2**61.
     """
-    key = _stream_key(master_seed, path_index, role)
-    return np.random.Generator(np.random.Philox(key=key))
+    return _keyed(_stream_key(master_seed, path_index, role))
 
 
 def block_normals(
@@ -124,15 +159,15 @@ def block_normals(
     rows = out.reshape(len(idx), -1)
     if streams is not None:
         if not streams:
-            streams.extend(
-                np.random.Generator(np.random.Philox(key=np.array([first_key[0], w], np.uint64)))
-                for w in words
-            )
+            key = first_key.copy()  # one array for every row: Philox copies its key
+            for w in words:
+                key[1] = w
+                streams.append(_keyed(key))
         for row, gen in zip(rows, streams):
             gen.standard_normal(out=row)
         return out
-    bit_gen = np.random.Philox(key=first_key)
-    gen = np.random.Generator(bit_gen)
+    gen = _keyed(first_key)
+    bit_gen = gen.bit_generator
     fresh = bit_gen.state
     state = {
         **fresh,

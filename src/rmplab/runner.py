@@ -17,6 +17,7 @@ from . import __version__
 from .blocks import BLOCK_CELLS, DEFAULT_BLOCK_SIZE
 from .config import EstimatorRequest, ExperimentConfig, config_hash
 from .engine import (
+    LinearModel,
     NonlinearModel,
     NonlinearSolution,
     PathEnsemble,
@@ -50,6 +51,7 @@ from .storage import (
     write_plotdata,
 )
 from .tail import (
+    BatchSums,
     _green_kubo_lags,
     b_h_replicates,
     condition1_diagnostic,
@@ -86,22 +88,34 @@ class RunState:
     asking for one label at one stride gets the one solve.  A nonlinear
     solve is kept as its NonlinearSolution, so simulate can report the
     substep count the solve chose.
+
+    A linear run solves its model on its grid and seed in one state pass
+    (state_pass), made by the first stage to read X, or by the beta stage
+    when no stage before it does.  It holds X at that stage's stride, and
+    feeds the zeta and Y of the same paths, kept at every node, to the
+    sums of the beta stage's noise fits (fits: the label each reads and
+    its sums, in report order), so the run draws and integrates that
+    noise once.  The fits are set up before any stage runs, and read no
+    flag, so X's bytes and mask are those of a solve of X alone.  Every
+    later solve, X at another stride included, is a solve of its own.
     Each held ensemble takes n_paths x n_saved x 8 bytes; moment curves
     reduce it in fixed 2,048-path groups, so their bytes do not depend on
     the block layout or --workers.  The beta stage holds no ensemble here:
-    its moment curves and noise fits reduce their solves a 2,048-path
-    group at a time.  The state is dropped when `run` returns, so nothing
-    outlives a run.
+    its moment curves reduce their solve a 2,048-path group at a time, and
+    its noise fits hold their sums.  The state is dropped when `run`
+    returns, so nothing outlives a run.
     """
 
     cfg: ExperimentConfig
     out: Path
+    fits: list[tuple[str, BatchSums]] = field(default_factory=list)
     artifacts: list[str] = field(default_factory=list)
     flagged: dict[str, int] = field(default_factory=dict)
     verdicts: dict[str, str] = field(default_factory=dict)
     solved: dict[tuple[str, int], "PathEnsemble | NonlinearSolution"] = field(
         default_factory=dict
     )
+    passed: bool = False
 
     def add(self, name: str) -> Path:
         self.artifacts.append(name)
@@ -111,13 +125,59 @@ class RunState:
         """The solve of label at output stride save_every, run once per run."""
         key = (label, save_every)
         if key not in self.solved:
-            self.solved[key] = _solve(self.cfg, label, save_every)
+            if label == "X" and not self.passed and isinstance(self.cfg.model, LinearModel):
+                self.state_pass(save_every)
+            else:
+                self.solved[key] = _solve(self.cfg, label, save_every)
         return self.solved[key]
 
     def ensemble(self, label: str, save_every: int) -> PathEnsemble:
         """The ensemble of label at output stride save_every."""
         solved = self.solve(label, save_every)
         return solved.x if isinstance(solved, NonlinearSolution) else solved
+
+    def noise_fits(self) -> list[tuple[str, BatchSums]]:
+        """The noise fits' labels and sums, fed every path by the state pass."""
+        if self.fits and not self.passed:
+            self.state_pass(None)
+        return self.fits
+
+    def state_pass(self, stride: "int | None") -> None:
+        """Solve the linear model once: X at stride (none if None), the noise fed to the fits.
+
+        X's rows are written straight into the held ensemble.  zeta and Y
+        go to the fits' sums one group of DEFAULT_BLOCK_SIZE paths per
+        worker at a time, in path order, so a group gives each worker a
+        block on a 151-node grid, and they are never held whole; with no
+        fit to feed, the pass is one group, as in solve_linear.  Their
+        rows are those of a solve of zeta and Y alone at every node, and
+        the sums are carried row by row, so the fits are those of the
+        held noise ensembles.
+        """
+        cfg = self.cfg
+        self.passed = True
+        strides = {label: 1 for label, _ in self.fits}
+        held = {}
+        if stride is not None:
+            strides["X"] = stride
+            held["X"] = np.empty((cfg.n_paths, cfg.grid.n_steps // stride + 1))
+        flags = []
+        for values, flagged in _linear_rows(
+            cfg.model, cfg.grid, cfg.master_seed, cfg.n_paths, strides=strides,
+            workers=cfg.workers, group=DEFAULT_BLOCK_SIZE * cfg.workers if self.fits else None,
+            held=held,
+        ):
+            for label, sums in self.fits:
+                sums.add(values[label])
+            flags.append(flagged.copy())
+        if stride is not None:
+            self.solved[("X", stride)] = PathEnsemble(
+                grid=cfg.grid.subsampled(stride),
+                label="X",
+                values=held["X"],
+                flagged=np.concatenate(flags),
+                master_seed=cfg.master_seed,
+            )
 
 
 def _reqs(cfg: ExperimentConfig, *names: str) -> list[EstimatorRequest]:
@@ -193,6 +253,17 @@ def _check_reach(cfg: ExperimentConfig, names: "tuple[str, ...]") -> None:
             )
         if req.name == "green_kubo":
             _green_kubo_lags(float(req.get("window")), cfg.grid)
+
+
+def _noise_fits(cfg: ExperimentConfig) -> list[tuple[str, BatchSums]]:
+    """The beta stage's noise fits: the label each reads and its sums, in report order."""
+    return [
+        ("zeta", green_kubo_sums(cfg.grid, float(req.get("window")), cfg.n_paths))
+        for req in _reqs(cfg, "green_kubo")
+    ] + [
+        ("Y", dt_fit_sums(cfg.grid, (float(lo), float(hi)), cfg.n_paths))
+        for lo, hi in (req.get("window") for req in _reqs(cfg, "dt_fit"))
+    ]
 
 
 def _solve(
@@ -344,27 +415,10 @@ def do_beta(state: RunState) -> None:
         out["hill"]["t_star"] = t_star
         out["hill"]["truncation_bound"] = sample.truncation_bound
 
-    # (fit, the noise label it reads, its sums)
-    fits = [
-        (green_kubo_d, "zeta", green_kubo_sums(cfg.grid, float(req.get("window")), cfg.n_paths))
-        for req in _reqs(cfg, "green_kubo")
-    ] + [
-        (dt_fit_d, "Y", dt_fit_sums(cfg.grid, (float(lo), float(hi)), cfg.n_paths))
-        for lo, hi in (req.get("window") for req in _reqs(cfg, "dt_fit"))
-    ]
-    if fits:
-        labels = tuple(dict.fromkeys(label for _, label, _ in fits))
-        # Each group feeds every fit's sums before the next is solved, so
-        # the noise is never held whole; the fits read every path.
-        for values, _ in _linear_rows(
-            model, cfg.grid, cfg.master_seed, cfg.n_paths, labels, 1, cfg.workers,
-            group=DEFAULT_BLOCK_SIZE,
-        ):
-            for _, label, sums in fits:
-                sums.add(values[label])
-        for fit, _, sums in fits:
-            report = fit(sums, sums.window, analytic=d_analytic)
-            out[report.method] = _report_to_dict(report)
+    for label, sums in state.noise_fits():
+        fit = green_kubo_d if label == "zeta" else dt_fit_d
+        report = fit(sums, sums.window, analytic=d_analytic)
+        out[report.method] = _report_to_dict(report)
 
     if out:
         write_json(state.add("beta.json"), out)
@@ -589,7 +643,7 @@ def run(
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IOFailureError(f"cannot create output directory {out}: {exc}") from exc
-    state = RunState(cfg=cfg, out=out)
+    state = RunState(cfg=cfg, out=out, fits=_noise_fits(cfg) if "beta" in groups else [])
 
     if "simulate" in groups:
         do_simulate(state)

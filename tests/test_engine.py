@@ -154,8 +154,8 @@ def test_terminal_samples_match_full_solve():
 def test_block_arrays_partition_invariance():
     model = LinearModel(a=1.0, multiplicative=OU_HALF, additive=ADD)
     grid = TimeGrid(dt=0.02, n_steps=50)
-    full = linear_block_arrays(model, grid, 5, np.arange(8), need=("X", "H"))
-    tail_part = linear_block_arrays(model, grid, 5, np.array([6, 7]), need=("X", "H"))
+    full = linear_block_arrays(model, grid, 5, np.arange(8), strides={"X": 1, "H": 1})
+    tail_part = linear_block_arrays(model, grid, 5, np.array([6, 7]), strides={"X": 1, "H": 1})
     np.testing.assert_array_equal(full["X"][6:], tail_part["X"])
     np.testing.assert_array_equal(full["H"][6:], tail_part["H"])
 
@@ -408,6 +408,39 @@ def test_trapezoid_matches_scipy_including_overflow_rows():
         engine.integrate_y_values(one_d, 0.02),
         scipy_cumulative_trapezoid(one_d, dx=0.02, initial=0.0),
     )
+
+
+def _cumsum_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
+    """The trapezoid rule with its steps summed by cumsum along time."""
+    out = np.empty(values.shape)
+    out[0] = 0.0
+    steps = out[1:]
+    np.add(values[1:], values[:-1], out=steps)
+    np.multiply(dt, steps, out=steps)
+    np.divide(steps, 2.0, out=steps)
+    np.cumsum(steps, axis=0, out=steps)
+    return out
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(151, 2048), (40, engine.ROW_SUM_MIN_WIDTH), (60, 300), (300, 100),
+     (25, engine.ROW_SUM_MIN_WIDTH - 1), (7, 1)],
+)
+def test_row_by_row_trapezoid_is_the_bytes_of_cumsum(shape):
+    # Wide rows are summed by the row loop, narrow ones by cumsum; both
+    # must give cumsum's bytes, signed zeros, subnormals and NaNs included.
+    rng = np.random.default_rng(shape[0] * shape[1])
+    vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    special = [-0.0, 0.0, 5e-324, -2.5e-320, np.inf, -np.inf, np.nan, -np.nan]
+    picks = rng.integers(0, vals.size, 4 * len(special))
+    vals.flat[picks] = np.resize(special, picks.size)
+    vals[:, 0] = -0.0  # a column of negative zeros stays -0.0 after its first node
+    for dt in (0.02, 1e-310):
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            got = engine.cumulative_trapezoid(vals, dt)
+            want = _cumsum_trapezoid(vals, dt)
+        assert got.tobytes() == want.tobytes()
 
 
 # Models whose every process is pinned: a stable one, one whose a = -10

@@ -1,7 +1,8 @@
 """What the package imports: numpy alone at import time, and nothing undeclared.
 
 `import rmplab` loads numpy and no other third-party module; scipy and
-orjson load on use, in the stages that need them.  Every third-party
+orjson load on use, in the stages that need them, and so does the
+standard library's concurrent.futures, in a run with a thread pool.  Every third-party
 module the package imports, at module level or on use, is named in
 `[project].dependencies` of pyproject.toml.
 """
@@ -31,8 +32,11 @@ def _third_party(modules) -> set:
     return {m for m in tops if m not in sys.stdlib_module_names and m != "rmplab"}
 
 
-def test_import_rmplab_loads_numpy_alone():
-    # Modules a bare interpreter holds (site hooks among them) do not count.
+def _new_modules() -> list:
+    """Modules `import rmplab; from rmplab import runner` loads in a fresh interpreter.
+
+    Modules a bare interpreter holds (site hooks among them) do not count.
+    """
     done = subprocess.run(
         [sys.executable, "-c", _NEW_MODULES],
         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
@@ -41,7 +45,19 @@ def test_import_rmplab_loads_numpy_alone():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert _third_party(json.loads(done.stdout.splitlines()[-1])) == {"numpy"}
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_import_rmplab_loads_numpy_alone():
+    assert _third_party(_new_modules()) == {"numpy"}
+
+
+def test_import_rmplab_loads_no_thread_pool():
+    # blocks imports its pool where a run with workers > 1 first needs it;
+    # concurrent.futures would also load logging.
+    loaded = _new_modules()
+    assert "rmplab.blocks" in loaded  # a census that saw no rmplab module would pass
+    assert "concurrent.futures" not in loaded
 
 
 def _imported_modules() -> set:

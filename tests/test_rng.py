@@ -1,6 +1,7 @@
 """Stream independence and layout invariance of the keyed generators."""
 import numpy as np
 import pytest
+from numpy.random import bit_generator
 
 from rmplab.rng import (
     ROLE_ADDITIVE,
@@ -183,3 +184,26 @@ def test_continued_streams_are_built_once_and_keep_their_rows(monkeypatch):
     assert len(built) == 5  # one generator per row, on the first piece only
     with pytest.raises(ValueError, match="one generator per row"):
         block_normals(4, np.arange(6), ROLE_ADDITIVE, (7,), streams)
+
+
+@pytest.mark.parametrize(
+    "seed, index, role",
+    [(0, 0, ROLE_MULTIPLICATIVE), (42, 7, ROLE_ADDITIVE), (2**64 + 31, 5, ROLE_GENERIC),
+     (2**64 - 1, (1 << 61) - 1, ROLE_MARGINAL)],
+)
+def test_streams_are_philox_keyed_without_drawing_entropy(monkeypatch, seed, index, role):
+    # A stream is the Philox generator of its key, built from the key alone,
+    # with no SeedSequence of OS entropy for the key to override.
+    key = np.array([seed % 2**64, (index << 3) | role], dtype=np.uint64)
+    want = np.random.Generator(np.random.Philox(key=key)).standard_normal(9)
+    entropy = []
+    draw = bit_generator.randbits
+    monkeypatch.setattr(bit_generator, "randbits", lambda bits: entropy.append(bits) or draw(bits))
+    got = path_stream(seed, index, role).standard_normal(9)
+    streams = []  # a row drawn in pieces keeps a generator built the same way
+    head = block_normals(seed, np.array([index]), role, (4,), streams)[0]
+    assert got.tobytes() == want.tobytes()
+    assert np.concatenate([head, streams[0].standard_normal(5)]).tobytes() == want.tobytes()
+    assert entropy == []
+    np.random.Philox(key=key)  # the census sees the entropy a keyed build draws
+    assert entropy

@@ -17,14 +17,16 @@ from pathlib import Path
 
 import pytest
 
-from rmplab import blocks, runner
+from rmplab import blocks, noise, runner
 from rmplab.config import config_from_dict
 from rmplab.engine import integrate_y, solve_linear
 from rmplab.metrics import ensemble_moment_curves, linear_moment_curves
 from rmplab.noise import diffusion_constant
+from rmplab.rng import ROLE_MULTIPLICATIVE
 from rmplab.tail import transition_grid
 from held import dt_fit_of, green_kubo_of
 from peaks import traced_peak
+from test_acceptance import _pipeline_raw
 
 NONLINEAR_RAW = {
     "schema_version": 1,
@@ -108,7 +110,7 @@ GOLDEN = {
 
 CASES = {
     "nonlinear": (NONLINEAR_RAW, ("simulate", "moments"), "solve_nonlinear"),
-    "linear": (LINEAR_RAW, ("simulate", "moments", "converge"), "solve_linear"),
+    "linear": (LINEAR_RAW, ("simulate", "moments", "converge"), "_linear_rows"),
 }
 
 
@@ -119,11 +121,12 @@ def _digests(raw: dict, groups: tuple[str, ...], out) -> dict[str, str]:
 
 
 def _count_calls(monkeypatch, name: str) -> list:
+    """The X stride of each call of runner's solver binding name."""
     calls = []
     original = getattr(runner, name)
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("save_every"))
+        calls.append(kwargs.get("save_every", kwargs.get("strides", {}).get("X")))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(runner, name, counted)
@@ -228,6 +231,66 @@ def test_streamed_beta_fits_are_those_of_the_held_ensembles(tmp_path, a):
     for name in ("times", "value", "std_err", "unstable"):
         assert getattr(streamed, name).tobytes() == getattr(held, name).tobytes(), name
     assert (streamed.n, streamed.excluded) == (held.n, held.excluded)
+
+
+def _state_pass_raw(steps: int, out_dir) -> dict:
+    """The C10 config (150 steps), or at 1,000 steps its noise fits, moments and converge."""
+    raw = _pipeline_raw(1, str(out_dir))
+    if steps == 150:
+        return raw
+    return dict(
+        raw,
+        grid={"t_max": 0.02 * steps, "dt": 0.02},
+        ensemble={"n_paths": 600, "master_seed": 20100},
+        estimators=[
+            {"name": "moments", "p": [0.5, 1.0], "window": [5.0, 20.0]},
+            {"name": "green_kubo", "window": 1.5},
+            {"name": "dt_fit", "window": [5.0, 20.0]},
+            {"name": "converge",
+             "functions": [{"kind": "abs_power", "alpha": 0.5}],
+             "times": [1.0, 5.0, 15.0], "n": 600},
+        ],
+    )
+
+
+@pytest.mark.parametrize("steps, x_stride", [(150, 1), (1000, 2)])
+def test_one_state_pass_writes_the_bytes_of_single_group_runs(
+    tmp_path, monkeypatch, steps, x_stride
+):
+    # A full run solves its grid once: X at the simulate stride, which
+    # moments and converge share, and the noise fits' zeta and Y at every
+    # node.  Beta alone solves zeta and Y, simulate alone X.
+    raw = _state_pass_raw(steps, tmp_path)
+    passes = _count_calls(monkeypatch, "_linear_rows")
+    full = _digests(raw, runner.GROUPS, tmp_path / "full")
+    assert passes == [x_stride]
+    beta = _digests(raw, ("beta",), tmp_path / "beta")
+    assert passes == [x_stride, None]
+    assert beta == {"beta.json": full["beta.json"]}
+    simulate = _digests(raw, ("simulate",), tmp_path / "simulate")
+    ensembles = ("ensemble_X.bin", "ensemble_X.csv", "simulate.json")
+    assert simulate == {name: full[name] for name in ensembles}
+
+
+def test_a_full_run_draws_the_state_noise_once(tmp_path, monkeypatch):
+    # The zeta rows of (master_seed, multiplicative role, the run's grid)
+    # are drawn once, for X and the noise fits together: on C10's 5,000
+    # paths of 151 nodes, 755,000 normals, where solving them for each
+    # drew them twice.
+    cfg = config_from_dict(_pipeline_raw(1, str(tmp_path)))
+    drawn = []
+    draw = noise.block_normals
+
+    def counted(master_seed, path_indices, role, shape_per_path, *args, **kwargs):
+        if (master_seed, role) == (cfg.master_seed, ROLE_MULTIPLICATIVE):
+            if shape_per_path == (cfg.grid.n_nodes, 1):
+                drawn.extend(path_indices.tolist())
+        return draw(master_seed, path_indices, role, shape_per_path, *args, **kwargs)
+
+    monkeypatch.setattr(noise, "block_normals", counted)
+    runner.run(cfg)
+    assert sorted(drawn) == list(range(cfg.n_paths))
+    assert len(drawn) * cfg.grid.n_nodes == 755_000
 
 
 def test_beta_noise_fits_hold_less_than_one_noise_ensemble(tmp_path):
