@@ -10,6 +10,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -93,11 +94,13 @@ class RunState:
     (state_pass), made by the first stage to read X, or by the beta stage
     when no stage before it does.  It holds X at that stage's stride, and
     feeds the zeta and Y of the same paths, kept at every node, to the
-    sums of the beta stage's noise fits (fits: the label each reads and
-    its sums, in report order), so the run draws and integrates that
-    noise once.  The fits are set up before any stage runs, and read no
-    flag, so X's bytes and mask are those of a solve of X alone.  Every
-    later solve, X at another stride included, is a solve of its own.
+    sums of the beta stage's noise fits (fits: each fit, the label it
+    reads and its sums, in report order), so the run draws and integrates
+    that noise once.  The fits are set up before any stage runs, so an
+    ensemble too small for their batches fails before any stage writes.
+    They read no flag, so X's bytes and mask are those of a solve of X
+    alone.  Every later solve, X at another stride included, is a solve
+    of its own.
     Each held ensemble takes n_paths x n_saved x 8 bytes; moment curves
     reduce it in fixed 2,048-path groups, so their bytes do not depend on
     the block layout or --workers.  The beta stage holds no ensemble here:
@@ -108,7 +111,7 @@ class RunState:
 
     cfg: ExperimentConfig
     out: Path
-    fits: list[tuple[str, BatchSums]] = field(default_factory=list)
+    fits: list[tuple[Callable, str, BatchSums]] = field(default_factory=list)
     artifacts: list[str] = field(default_factory=list)
     flagged: dict[str, int] = field(default_factory=dict)
     verdicts: dict[str, str] = field(default_factory=dict)
@@ -136,8 +139,8 @@ class RunState:
         solved = self.solve(label, save_every)
         return solved.x if isinstance(solved, NonlinearSolution) else solved
 
-    def noise_fits(self) -> list[tuple[str, BatchSums]]:
-        """The noise fits' labels and sums, fed every path by the state pass."""
+    def noise_fits(self) -> list[tuple[Callable, str, BatchSums]]:
+        """The noise fits, their labels and sums, fed every path by the state pass."""
         if self.fits and not self.passed:
             self.state_pass(None)
         return self.fits
@@ -156,7 +159,7 @@ class RunState:
         """
         cfg = self.cfg
         self.passed = True
-        strides = {label: 1 for label, _ in self.fits}
+        strides = {label: 1 for _, label, _ in self.fits}
         held = {}
         if stride is not None:
             strides["X"] = stride
@@ -167,7 +170,7 @@ class RunState:
             workers=cfg.workers, group=DEFAULT_BLOCK_SIZE * cfg.workers if self.fits else None,
             held=held,
         ):
-            for label, sums in self.fits:
+            for _, label, sums in self.fits:
                 sums.add(values[label])
             flags.append(flagged.copy())
         if stride is not None:
@@ -255,13 +258,13 @@ def _check_reach(cfg: ExperimentConfig, names: "tuple[str, ...]") -> None:
             _green_kubo_lags(float(req.get("window")), cfg.grid)
 
 
-def _noise_fits(cfg: ExperimentConfig) -> list[tuple[str, BatchSums]]:
-    """The beta stage's noise fits: the label each reads and its sums, in report order."""
+def _noise_fits(cfg: ExperimentConfig) -> list[tuple[Callable, str, BatchSums]]:
+    """The beta stage's noise fits: each fit, the label it reads and its sums, in report order."""
     return [
-        ("zeta", green_kubo_sums(cfg.grid, float(req.get("window")), cfg.n_paths))
+        (green_kubo_d, "zeta", green_kubo_sums(cfg.grid, float(req.get("window")), cfg.n_paths))
         for req in _reqs(cfg, "green_kubo")
     ] + [
-        ("Y", dt_fit_sums(cfg.grid, (float(lo), float(hi)), cfg.n_paths))
+        (dt_fit_d, "Y", dt_fit_sums(cfg.grid, (float(lo), float(hi)), cfg.n_paths))
         for lo, hi in (req.get("window") for req in _reqs(cfg, "dt_fit"))
     ]
 
@@ -415,8 +418,7 @@ def do_beta(state: RunState) -> None:
         out["hill"]["t_star"] = t_star
         out["hill"]["truncation_bound"] = sample.truncation_bound
 
-    for label, sums in state.noise_fits():
-        fit = green_kubo_d if label == "zeta" else dt_fit_d
+    for fit, _, sums in state.noise_fits():
         report = fit(sums, sums.window, analytic=d_analytic)
         out[report.method] = _report_to_dict(report)
 

@@ -20,6 +20,7 @@ import pytest
 from rmplab import blocks, noise, runner
 from rmplab.config import config_from_dict
 from rmplab.engine import integrate_y, solve_linear
+from rmplab.errors import EmptyInputError
 from rmplab.metrics import ensemble_moment_curves, linear_moment_curves
 from rmplab.noise import diffusion_constant
 from rmplab.rng import ROLE_MULTIPLICATIVE
@@ -109,9 +110,12 @@ GOLDEN = {
 
 
 CASES = {
-    "nonlinear": (NONLINEAR_RAW, ("simulate", "moments"), "solve_nonlinear"),
-    "linear": (LINEAR_RAW, ("simulate", "moments", "converge"), "_linear_rows"),
+    "nonlinear": (NONLINEAR_RAW, ("simulate", "moments")),
+    "linear": (LINEAR_RAW, ("simulate", "moments", "converge")),
 }
+
+# every binding through which runner solves a model on the run's grid
+SOLVERS = ("solve_nonlinear", "solve_linear", "_linear_rows")
 
 
 def _digests(raw: dict, groups: tuple[str, ...], out) -> dict[str, str]:
@@ -120,22 +124,25 @@ def _digests(raw: dict, groups: tuple[str, ...], out) -> dict[str, str]:
     return {a["path"]: a["sha256"] for a in manifest["artifacts"]}
 
 
-def _count_calls(monkeypatch, name: str) -> list:
-    """The X stride of each call of runner's solver binding name."""
+def _count_calls(monkeypatch) -> list:
+    """The X stride of each call of runner's SOLVERS bindings, in call order."""
     calls = []
-    original = getattr(runner, name)
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("save_every", kwargs.get("strides", {}).get("X")))
-        return original(*args, **kwargs)
+    def counting(original):
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("save_every", kwargs.get("strides", {}).get("X")))
+            return original(*args, **kwargs)
 
-    monkeypatch.setattr(runner, name, counted)
+        return counted
+
+    for name in SOLVERS:
+        monkeypatch.setattr(runner, name, counting(getattr(runner, name)))
     return calls
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_artifact_bytes_are_pinned(tmp_path, name):
-    raw, groups, _ = CASES[name]
+    raw, groups = CASES[name]
     assert _digests(raw, groups, tmp_path) == GOLDEN[name]
 
 
@@ -146,8 +153,8 @@ def test_nonlinear_run_over_every_group_writes_only_what_it_requests(tmp_path):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stages_share_one_solve_and_keep_their_bytes(tmp_path, monkeypatch, name):
-    raw, groups, solver = CASES[name]
-    calls = _count_calls(monkeypatch, solver)
+    raw, groups = CASES[name]
+    calls = _count_calls(monkeypatch)
     _digests(raw, groups, tmp_path / "together")
     # one solve, at the stride simulate, nonlinear moments and converge share
     assert calls == [1]
@@ -261,7 +268,7 @@ def test_one_state_pass_writes_the_bytes_of_single_group_runs(
     # moments and converge share, and the noise fits' zeta and Y at every
     # node.  Beta alone solves zeta and Y, simulate alone X.
     raw = _state_pass_raw(steps, tmp_path)
-    passes = _count_calls(monkeypatch, "_linear_rows")
+    passes = _count_calls(monkeypatch)
     full = _digests(raw, runner.GROUPS, tmp_path / "full")
     assert passes == [x_stride]
     beta = _digests(raw, ("beta",), tmp_path / "beta")
@@ -293,6 +300,19 @@ def test_a_full_run_draws_the_state_noise_once(tmp_path, monkeypatch):
     assert len(drawn) * cfg.grid.n_nodes == 755_000
 
 
+def test_too_few_paths_for_the_noise_fits_fails_before_any_stage_writes(tmp_path):
+    # The noise fits' batch sums are set up before the state pass that
+    # feeds them, so the run fails before simulate or moments writes.
+    raw = dict(
+        LINEAR_RAW,
+        ensemble={"n_paths": 10, "master_seed": 20100},
+        estimators=LINEAR_RAW["estimators"] + [{"name": "green_kubo", "window": 0.5}],
+    )
+    with pytest.raises(EmptyInputError, match="too few paths for batching"):
+        runner.run(config_from_dict(raw), out_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_beta_noise_fits_hold_less_than_one_noise_ensemble(tmp_path):
     # The solve feeds Green-Kubo's and dt_fit's carried sums a 2,048-path
     # group at a time: the stage holds two groups of zeta and Y and one
@@ -307,7 +327,7 @@ def test_beta_noise_fits_hold_less_than_one_noise_ensemble(tmp_path):
 def test_a_second_stride_gets_its_own_solve(tmp_path, monkeypatch):
     raw = json.loads(json.dumps(NONLINEAR_RAW))
     raw["estimators"][0]["save_every"] = 4
-    calls = _count_calls(monkeypatch, "solve_nonlinear")
+    calls = _count_calls(monkeypatch)
     _digests(raw, ("simulate", "moments"), tmp_path)
     assert calls == [1, 4]
 
