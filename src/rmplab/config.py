@@ -374,9 +374,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     t_max = _number(gd, "t_max", "grid")
     if t_max <= 0:
         raise ConfigInvalidError("grid.t_max: must be positive")
-    taus = [model.multiplicative.max_tau]
     additive = getattr(model, "additive", None) or getattr(model, "envelope")
-    taus.append(additive.max_tau)
+    taus = model.multiplicative.taus + additive.taus
     dt = _number(gd, "dt", "grid", default=default_dt(max(model.a, 1e-12), *taus))
     if dt <= 0:
         raise ConfigInvalidError("grid.dt: must be positive")

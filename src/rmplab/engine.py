@@ -16,7 +16,7 @@ to 0 and leaves B, X and H exact, so it flags nothing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
@@ -276,6 +276,8 @@ def linear_block_arrays(
     *,
     strides: "dict[str, int] | None" = None,
     into: "dict[str, np.ndarray] | None" = None,
+    normals: "list[np.ndarray | None] | None" = None,
+    flags: "dict[str, np.ndarray] | None" = None,
 ) -> dict[str, np.ndarray]:
     """Compute requested process arrays for a block of path indices.
 
@@ -285,10 +287,15 @@ def linear_block_arrays(
     at every node when None), so one solve can keep X at a coarse stride
     and its noise at every node.  Each array's every stride-th node is
     kept as path-major rows (n_paths, n_saved), written into into[label]
-    when into is given (_linear_rows passes rows of its arrays) and into
+    when into is given (_solve_rows passes rows of its arrays) and into
     new arrays otherwise.  'flagged' marks the paths whose log A
     rose above +LOG_BUDGET or whose arrays saturated; a log A that only
     falls below -LOG_BUDGET underflows A to 0 and leaves B, X and H exact.
+    flags, when given, maps labels of strides to bool arrays of the block's
+    paths, which receive each label's own mask, the one a solve of that
+    label alone flags: none for zeta and phi, the budget for Y and A, and
+    the budget with the saturation of B for B, of B and X for X and of H
+    for H.  'flagged' is the union of the requested labels' masks.
 
     Every fine-grid array lies in this thread's block workspace
     (blocks.workspace): five slots of BLOCK_CELLS cells, 12.4 MB that stay
@@ -298,17 +305,30 @@ def linear_block_arrays(
     turned into log A there; phi, drawn once zeta is spent, takes slot 0
     (its draws slot 2); A takes slot 2, the propagator ratios and the
     trapezoid increments slots 3 and 4, and B overwrites log A.  X and
-    phi A go to slots 3 and 4, and H to slot 3.  Each array is written
-    with out= by the ufuncs, in the order, of the allocating formulas in
-    the comments, so its bytes do not depend on where it lives.  An array
-    larger than a slot (a single path on a grid of more than BLOCK_CELLS
-    nodes) is new memory.  The returned arrays never alias the slots.
+    phi A go to slots 3 and 4, and H to slot 3.
+
+    normals, the [multiplicative, additive] keyed normals of the paths
+    already drawn for at least n_nodes nodes (noise.draw_normals, None for
+    a kind that draws nothing), are read instead of drawing and left as
+    they are, for the other kernels of a block loop (_solve_rows): they lie
+    in slots 1 and 2, so the kernel keeps to slots 0, 3 and 4.  zeta and
+    then phi take slot 0, Y and log A slot 3, A overwrites log A, phi A
+    takes slot 4 and H slot 3.  B and X need two slots more, so such a
+    kernel refuses them.
+
+    Each array is written with out= by the ufuncs, in the order, of the
+    allocating formulas in the comments, so its bytes do not depend on
+    where it lives.  An array larger than a slot (a single path on a grid
+    of more than BLOCK_CELLS nodes) is new memory.  The returned arrays
+    never alias the slots.
     """
     strides = {"X": 1} if strides is None else strides
     need = frozenset(strides)
     unknown = need.difference(PROCESS_LABELS)
     if unknown:
         raise ValueError(f"unknown process requests: {sorted(unknown)}")
+    if normals is not None and need & {"B", "X"}:
+        raise ValueError("a kernel on shared normals cannot keep B or X")
     want_y = bool(need & {"Y", "A", "B", "X", "H"})
     want_phi = bool(need & {"phi", "B", "X", "H"})
 
@@ -317,49 +337,58 @@ def linear_block_arrays(
     if into is None:
         into = {label: np.empty((n, grid.n_steps // strides[label] + 1)) for label in need}
     slots = workspace()
-    flagged = np.zeros(n, dtype=bool)
+    if normals is None:
+        mult_normals = add_normals = None
+        zeta_work, phi_work, y_slot, a_slot = slots[:2], (slots[0], slots[2]), slots[1], slots[2]
+    else:
+        mult_normals, add_normals = (None if z is None else z[:, : grid.n_nodes] for z in normals)
+        zeta_work = phi_work = (slots[0], None)
+        y_slot = a_slot = slots[3]
+    none = np.zeros(n, dtype=bool)
+    own = {"zeta": none, "phi": none}
 
     def save(label: str, arr: np.ndarray) -> None:
         if label in need:
             into[label][...] = arr[:: strides[label]].T
 
-    def flag_overflow(arr: np.ndarray) -> None:  # slot 4 is free at each call
-        flagged[...] |= _sanitize(arr, slot_array(slots[4], shape, bool))
+    def repaired(arr: np.ndarray) -> np.ndarray:  # slot 4 is free at each call
+        return _sanitize(arr, slot_array(slots[4], shape, bool))
 
     if want_y or "zeta" in need:
         zeta = noise_mod.sample_block(
             model.multiplicative, grid, master_seed, indices, ROLE_MULTIPLICATIVE,
-            work=slots[:2],
+            work=zeta_work, normals=mult_normals,
         )
         save("zeta", zeta)
     if want_y:
-        log_a = integrate_y_values(zeta, grid.dt, out=slot_array(slots[1], shape))
+        log_a = integrate_y_values(zeta, grid.dt, out=slot_array(y_slot, shape))
         save("Y", log_a)
         # log_a = -a * t - y
         np.subtract(-model.a * grid.times[:, None], log_a, out=log_a)
-        flagged |= log_a.max(axis=0) > LOG_BUDGET
+        own["Y"] = own["A"] = log_a.max(axis=0) > LOG_BUDGET
     if want_phi:
         phi = noise_mod.sample_block(
-            model.additive, grid, master_seed, indices, ROLE_ADDITIVE, work=(slots[0], slots[2])
+            model.additive, grid, master_seed, indices, ROLE_ADDITIVE,
+            work=phi_work, normals=add_normals,
         )
         save("phi", phi)
     if need & {"A", "X", "H"}:
         # a_vals = exp(minimum(log_a, _EXP_CAP))
-        a_vals = np.minimum(log_a, _EXP_CAP, out=slot_array(slots[2], shape))
+        a_vals = np.minimum(log_a, _EXP_CAP, out=slot_array(a_slot, shape))
         np.exp(a_vals, out=a_vals)
         save("A", a_vals)
     if need & {"B", "X"}:
         b = _response_from_log(
             log_a, phi, grid.dt, slot_array(slots[3], step_shape), slot_array(slots[4], step_shape)
         )
-        flag_overflow(b)
+        own["B"] = own["Y"] | repaired(b)
         save("B", b)
     with np.errstate(over="ignore", invalid="ignore"):
         if "X" in need:
             # x = x0 * a_vals + b
             x = np.multiply(model.x0, a_vals, out=slot_array(slots[3], shape))
             np.add(x, b, out=x)
-            flag_overflow(x)
+            own["X"] = own["B"] | repaired(x)
             save("X", x)
         if "H" in need:
             # h = cumulative_trapezoid(phi * a_vals)
@@ -368,8 +397,13 @@ def linear_block_arrays(
                 grid.dt,
                 slot_array(slots[3], shape),
             )
-            flag_overflow(h)
+            own["H"] = own["Y"] | repaired(h)
             save("H", h)
+    flagged = np.zeros(n, dtype=bool)
+    for label in need:
+        flagged |= own[label]
+    for label, mask in (flags or {}).items():
+        mask[...] = own[label]
     return {label: into[label] for label in need} | {"flagged": flagged}
 
 
@@ -425,6 +459,143 @@ def solve_linear(
     }
 
 
+@dataclass
+class RowSolve:
+    """Rows 0 .. n_paths - 1 of one stream namespace on grid, for a block loop (_solve_rows).
+
+    strides maps each label to its output stride.  A label in held has
+    its rows written into the caller's array there, of n_paths rows; when
+    flagged is given, a bool array of n_paths, it receives the solve's
+    mask, the union of its labels' own masks (linear_block_arrays), which
+    is the mask of a solve of those labels alone.
+    """
+
+    grid: TimeGrid
+    n_paths: int
+    strides: dict[str, int]
+    held: dict[str, np.ndarray] = field(default_factory=dict)
+    flagged: "np.ndarray | None" = None
+
+
+def _kernels(solves: list[RowSolve]) -> list[list[int]]:
+    """The solves' indices by kernel: solves on one grid with no label in common share one."""
+    kernels: list[list[int]] = []
+    for i, s in enumerate(solves):
+        for kernel in kernels:
+            labels = {label for j in kernel for label in solves[j].strides}
+            if solves[kernel[0]].grid == s.grid and not labels & s.strides.keys():
+                kernel.append(i)
+                break
+        else:
+            kernels.append([i])
+    return kernels
+
+
+def _solve_rows(
+    model: LinearModel,
+    master_seed: int,
+    solves: list[RowSolve],
+    workers: int,
+    block_size: int = DEFAULT_BLOCK_SIZE,
+    *,
+    group: "int | None" = None,
+) -> Iterator[list[tuple[dict[str, np.ndarray], np.ndarray]]]:
+    """The block loop of every linear solve: the solves of one stream namespace in one pass.
+
+    Solves on one grid share a kernel (_kernels), which computes the union
+    of their labels for the rows any of them reads.  With more than one
+    kernel, each block draws its rows' keyed normals once, through
+    noise.draw_normals into workspace slots 1 and 2, for the most nodes
+    any kernel needing its first row solves; every kernel reads its
+    prefix of them, which is what it would draw itself, and keeps to the
+    other slots, so such kernels keep neither B nor X.  A single kernel
+    draws its own normals (linear_block_arrays).
+
+    Yields, for the consecutive groups of `group` rows in path order (one
+    group of all rows when group is None), one (values, flagged) per
+    solve: values[label] holds the saved rows of the solve's paths in the
+    group, flagged their mask (RowSolve), both empty past the solve's
+    n_paths.  Rows of a held label, and masks of a solve with flagged,
+    lie in the caller's arrays; every other label and mask is written into
+    buffers sized for one group, which the next group overwrites, so a
+    caller that reduces each group before asking for the next holds one
+    group's rows, never the ensemble's.  A block holds at most BLOCK_CELLS
+    // n_nodes rows of the longest grid (at least one, and at most
+    block_size), so its fine-grid arrays fit the block workspace.  Every
+    kernel a block runs works path by path and writes only its own rows,
+    so row i is the same bytes in any partition, grouping or company and
+    with any number of workers.
+    """
+    if any(s.n_paths < 1 for s in solves):
+        raise ValueError("n_paths must be positive")
+    kernels = _kernels(solves)
+    shared = len(kernels) > 1
+    if shared and any(s.strides.keys() & {"B", "X"} for s in solves):
+        raise ValueError("solves on several grids share normals, so none may keep B or X")
+    n_max = max(s.n_paths for s in solves)
+    size = n_max if group is None else min(group, n_max)
+    buffers = []  # per solve: its labels' group buffers, and its mask's
+    for s in solves:
+        rows = min(size, s.n_paths)
+        saved = {
+            label: np.empty((rows, s.grid.n_steps // stride + 1))
+            for label, stride in s.strides.items()
+            if label not in s.held
+        }
+        buffers.append((saved, np.empty(rows, dtype=bool)))
+    cap = min(block_size, max(1, BLOCK_CELLS // max(s.grid.n_nodes for s in solves)))
+    roles = ((model.multiplicative, ROLE_MULTIPLICATIVE), (model.additive, ROLE_ADDITIVE))
+
+    for lo in range(0, n_max, size):
+        n = min(size, n_max - lo)
+        parts = []
+        for s, (saved, mask) in zip(solves, buffers):
+            k = max(0, min(n, s.n_paths - lo))
+            values = {
+                label: s.held[label][lo : lo + k] if label in s.held else saved[label][:k]
+                for label in s.strides
+            }
+            parts.append((values, mask[:k] if s.flagged is None else s.flagged[lo : lo + k]))
+
+        def block(idx: np.ndarray) -> None:
+            a, b = lo + int(idx[0]), lo + int(idx[-1]) + 1
+            normals: "list[np.ndarray | None]" = [None, None]
+            if shared:  # slots 1 and 2 hold them for every kernel of the block
+                nodes = max(s.grid.n_nodes for s in solves if s.n_paths > a)
+                slots = workspace()[1:3]
+                normals = [
+                    noise_mod.draw_normals(spec, master_seed, idx + lo, role, nodes, slot)
+                    for (spec, role), slot in zip(roles, slots)
+                ]
+            for kernel in kernels:
+                # each piece of the block has one set of solves reading its rows
+                ends = {solves[i].n_paths for i in kernel}
+                cuts = sorted({a, b} | {end for end in ends if a < end < b})
+                for p, q in zip(cuts, cuts[1:]):
+                    live = [i for i in kernel if solves[i].n_paths > p]
+                    if not live:
+                        break
+                    strides, into = {}, {}
+                    for i in live:
+                        strides.update(solves[i].strides)
+                        into.update((label, v[p - lo : q - lo]) for label, v in parts[i][0].items())
+                    flags = {label: np.empty(q - p, dtype=bool) for label in strides}
+                    piece = [z if z is None else z[p - a : q - a] for z in normals]
+                    linear_block_arrays(
+                        model, solves[live[0]].grid, master_seed, np.arange(p, q),
+                        strides=strides, into=into, flags=flags,
+                        normals=piece if shared else None,
+                    )
+                    for i in live:
+                        mask = parts[i][1][p - lo : q - lo]
+                        mask[...] = False
+                        for label in solves[i].strides:
+                            mask |= flags[label]
+
+        run_blocks(n, block, workers=workers, block_size=cap)
+        yield parts
+
+
 def _linear_rows(
     model: LinearModel,
     grid: TimeGrid,
@@ -437,50 +608,10 @@ def _linear_rows(
     group: "int | None" = None,
     held: "dict[str, np.ndarray] | None" = None,
 ) -> Iterator[tuple[dict[str, np.ndarray], np.ndarray]]:
-    """solve_linear's saved rows per label and the kernel's flag mask, group by group.
-
-    strides maps each label to its output stride.  Yields (values,
-    flagged) for the consecutive groups of `group` paths in path order
-    (one group of all n_paths when group is None): values[label] holds the
-    saved rows of the group's paths, flagged their flags.  A label held
-    names has its rows written straight into the caller's array there, of
-    n_paths rows, each group into its own rows, so the caller holds that
-    label's whole ensemble once the last group is yielded.  Every other
-    label, and the flags, are written into buffers sized for one group,
-    so a caller that reduces each group before asking for the next holds
-    one group's rows, never the ensemble's; the next group overwrites
-    them.  Within a group the blocks are those of solve_linear, and every
-    row is the same bytes in any grouping (solve_linear).
-    """
-    if n_paths < 1:
-        raise ValueError("n_paths must be positive")
-    held = held or {}
-    size = n_paths if group is None else min(group, n_paths)
-    buffers = {
-        label: np.empty((size, grid.n_steps // stride + 1))
-        for label, stride in strides.items()
-        if label not in held
-    }
-    flagged = np.empty(size, dtype=bool)
-    cap = min(block_size, max(1, BLOCK_CELLS // grid.n_nodes))
-
-    for lo in range(0, n_paths, size):
-        n = min(size, n_paths - lo)
-        values = {
-            label: held[label][lo : lo + n] if label in held else buffers[label][:n]
-            for label in strides
-        }
-
-        def block(idx: np.ndarray) -> None:
-            rows = slice(idx[0], idx[-1] + 1)
-            into = {label: arr[rows] for label, arr in values.items()}
-            done = linear_block_arrays(
-                model, grid, master_seed, idx + lo, strides=strides, into=into
-            )
-            flagged[rows] = done["flagged"]
-
-        run_blocks(n, block, workers=workers, block_size=cap)
-        yield values, flagged[:n]
+    """One solve's saved rows per label and its flag mask, group by group (_solve_rows)."""
+    solve = RowSolve(grid, n_paths, strides, held or {})
+    for [part] in _solve_rows(model, master_seed, [solve], workers, block_size, group=group):
+        yield part
 
 
 def gamma_rate(a: float, d: float, p: float) -> float:
@@ -503,6 +634,18 @@ def stationary_horizon(model: LinearModel, p_max: float) -> float:
     return float(np.log(1e-3) / _stationary_rate(model, p_max))
 
 
+def stationary_grid(t_star: float) -> tuple[TimeGrid, int]:
+    """stationary_sample's grid for horizon t_star, and the stride of its 9 saved nodes.
+
+    The grid steps by about min(0.02 t_star, 0.01), in a multiple of 8
+    steps, so a handful of interior nodes calibrate the truncation bound.
+    """
+    n_steps = max(int(round(t_star / min(0.02 * t_star, 0.01))), 8)
+    while n_steps % 8 != 0:
+        n_steps += 1
+    return TimeGrid(dt=t_star / n_steps, n_steps=n_steps), n_steps // 8
+
+
 def stationary_sample(
     model: LinearModel,
     t_star: float,
@@ -511,27 +654,26 @@ def stationary_sample(
     *,
     p_max: float | None = None,
     workers: int = 1,
+    rows: "tuple[np.ndarray, np.ndarray] | None" = None,
 ) -> StationarySample:
     """Approximate stationary draws via the reversed response at t_star.
 
     H_{t_star} has the law of the stationary state up to a tail the
-    caller controls through t_star.  The grid steps by about
-    min(0.02 t_star, 0.01), in a multiple of 8 steps.  The draws the
-    kernel flags are left out, with no copy when there are none.  When
-    p_max is given, a fitted truncation bound K exp(gamma_p t_star) is
-    attached: K is calibrated from quasi-norm increments of the kept
-    draws' H between intermediate horizons.
+    caller controls through t_star.  H is solved on stationary_grid(t_star)
+    for the keyed rows 0 .. n - 1, unless rows holds that solve already:
+    H's saved rows, at the grid's stride (only the horizon column is read
+    when p_max is None), and their mask.  The draws the kernel flags are
+    left out, with no copy when there are none.  When p_max is given, a
+    fitted truncation bound K exp(gamma_p t_star) is attached: K is
+    calibrated from quasi-norm increments of the kept draws' H between
+    intermediate horizons.
     """
     rate = None if p_max is None else _stationary_rate(model, p_max)
-    n_steps = max(int(round(t_star / min(0.02 * t_star, 0.01))), 8)
-    # Keep a handful of interior nodes to calibrate the truncation bound.
-    while n_steps % 8 != 0:
-        n_steps += 1
-    grid = TimeGrid(dt=t_star / n_steps, n_steps=n_steps)
-    save_every = n_steps // 8
-
-    [(values, flagged)] = _linear_rows(model, grid, master_seed, n, {"H": save_every}, workers)
-    h, ok = values["H"], ~flagged
+    grid, save_every = stationary_grid(t_star)
+    if rows is None:
+        [(values, flagged)] = _linear_rows(model, grid, master_seed, n, {"H": save_every}, workers)
+        rows = values["H"], flagged
+    h, ok = rows[0], ~rows[1]
     n_dropped = n - int(ok.sum())
 
     bound = None

@@ -21,7 +21,7 @@ import numpy as np
 
 from .blocks import BLOCK_CELLS, DEFAULT_BLOCK_SIZE, block_ranges, pairwise_sum
 from .blocks import run_blocks  # noqa: F401  (rmpbench traces it here)
-from .engine import LinearModel, PathEnsemble, _linear_rows
+from .engine import LinearModel, PathEnsemble, RowSolve, _solve_rows
 from .engine import linear_block_arrays  # noqa: F401  (rmpbench traces it here)
 from .errors import (
     DNonpositiveError,
@@ -635,27 +635,34 @@ def linear_moment_curves(
     source: str = "X",
     save_every: int = 1,
     workers: int = 1,
+    riders: "tuple[RowSolve, ...]" = (),
 ) -> MomentCurves:
     """Quasi-norm curves of a linear-model process, reduced as it is solved.
 
     The solve fills the fixed 2,048-path groups of blocks.block_ranges
-    one at a time into one reused buffer (engine._linear_rows), and each
+    one at a time into one reused buffer (engine._solve_rows), and each
     group is reduced before the next is solved (_group_curves), so the
     bytes are those of ensemble_moment_curves on the whole ensemble and do
     not depend on the solver's block layout or on workers.  A curve holds
     one group of source, 2,048 x n_saved x 8 bytes (4.9 MB on 301 saved
     nodes), whatever n_paths, plus the working arrays of one solver block
     and the power sums' temporaries (_power_sums), at most BLOCK_CELLS
-    cells each.  Flagged paths are excluded from every node.
+    cells each.  Flagged paths are excluded from every node.  riders,
+    held solves of other labels on the same grid and seed and of at most
+    n_paths rows, ride on the curves' kernel: each gets its rows and mask
+    in its own arrays.
     """
-    groups = _linear_rows(
-        model, grid, master_seed, n_paths, {source: save_every}, workers, group=DEFAULT_BLOCK_SIZE
+    if any(r.n_paths > n_paths for r in riders):
+        raise ValueError("a rider reads more rows than the curves")
+    curves = RowSolve(grid, n_paths, {source: save_every})
+    groups = _solve_rows(
+        model, master_seed, [curves, *riders], workers, group=DEFAULT_BLOCK_SIZE
     )
     return _group_curves(
         source,
         p_values,
         grid.subsampled(save_every).times,
-        ((values[source], np.flatnonzero(~flagged)) for values, flagged in groups),
+        ((values[source], np.flatnonzero(~flagged)) for (values, flagged), *_ in groups),
         n_paths,
         master_seed,
         0.0,

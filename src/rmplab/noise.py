@@ -99,8 +99,9 @@ class NoiseSpec:
         )
 
     @property
-    def max_tau(self) -> float:
-        return max((t for _, t in self.components), default=0.0)
+    def taus(self) -> tuple[float, ...]:
+        """The correlation times of the components, none for the zero and constant kinds."""
+        return tuple(t for _, t in self.components)
 
 
 def require_multiplicative(spec: NoiseSpec) -> None:
@@ -211,7 +212,8 @@ def sample_block(
     path_indices: np.ndarray,
     role: int,
     *,
-    work: "tuple[np.ndarray, np.ndarray] | None" = None,
+    work: "tuple[np.ndarray, np.ndarray | None] | None" = None,
+    normals: "np.ndarray | None" = None,
 ) -> np.ndarray:
     """Sample paths for a block of path indices, time-major.
 
@@ -221,11 +223,14 @@ def sample_block(
     is drawn node by node in one loop: a draw that fits in one chunk of
     BLOCK_CELLS values, as every solve_linear block does, is that chunk,
     and a larger one is copied chunk by chunk into one full-size array.
-    work is passed on to sample_chunks, so a draw in one chunk lies in its
-    first slot; the full-size array of a larger draw is new memory.
+    work and normals are passed on to sample_chunks, so a draw in one
+    chunk lies in work's first slot; the full-size array of a larger draw
+    is new memory.
     """
     n = len(path_indices)
-    chunks = sample_chunks(spec, grid, master_seed, path_indices, role, work=work)
+    chunks = sample_chunks(
+        spec, grid, master_seed, path_indices, role, work=work, normals=normals
+    )
     first = next(chunks)
     if len(first) == grid.n_nodes:
         return first
@@ -244,7 +249,8 @@ def sample_chunks(
     path_indices: np.ndarray,
     role: int,
     *,
-    work: "tuple[np.ndarray, np.ndarray] | None" = None,
+    work: "tuple[np.ndarray, np.ndarray | None] | None" = None,
+    normals: "np.ndarray | None" = None,
 ) -> Iterator[np.ndarray]:
     """Sample paths for a block of path indices in time chunks.
 
@@ -286,6 +292,13 @@ def sample_chunks(
     until it is exhausted or dropped.  Without work the buffers are new
     memory, as are a superposition's scratch chunk and its draws, which
     are K chunks large, in any case.
+
+    normals, when given, are the rows' keyed normals already drawn
+    (draw_normals) for at least n_nodes nodes: each chunk reads its
+    nodes' slice of them instead of drawing, and leaves them as they
+    are.  A keyed stream is sequential, so a row's first values are the
+    same numbers whatever length it was drawn for, and the chunks are
+    those of a draw of their own.
     """
     idx = np.asarray(path_indices)
     n = len(idx)
@@ -308,7 +321,11 @@ def sample_chunks(
     scratch = np.empty((steps + 1, n)) if n_comp > 1 else None
     streams: "list[np.random.Generator] | None" = None if len(bounds) == 1 else []
 
-    def draw(length: int) -> np.ndarray:
+    def draw(k0: int, c: int) -> np.ndarray:
+        """The normals of nodes k0 .. k0 + c, less node k0 after the first chunk."""
+        if normals is not None:
+            return normals[:, k0 + 1 if k0 else 0 : k0 + c + 1]
+        length = c + 1 if k0 == 0 else c
         if draw_slot is None:
             return block_normals(master_seed, idx, role, (length, n_comp), streams)
         out = slot_array(draw_slot, (n, length, n_comp))
@@ -316,7 +333,7 @@ def sample_chunks(
 
     for k0, c in bounds:
         rows = buf[: c + 1]
-        draws = draw(c + 1 if k0 == 0 else c)
+        draws = draw(k0, c)
         for j, (sigma, s, r) in enumerate(filters):
             g = rows if j == 0 else scratch[: c + 1]
             if k0 == 0:
@@ -333,6 +350,28 @@ def sample_chunks(
         if spec.kind == PARETO_TRANSFORMED_OU:
             _pareto_marginal(spec, rows)
         yield rows
+
+
+def draw_normals(
+    spec: NoiseSpec,
+    master_seed: int,
+    path_indices: np.ndarray,
+    role: int,
+    n_nodes: int,
+    slot: "np.ndarray | None" = None,
+) -> "np.ndarray | None":
+    """The keyed normals sample_chunks reads for these rows, drawn for n_nodes nodes.
+
+    Path-major, (n, n_nodes, K) for the spec's K components, drawn by
+    block_normals into slot's memory (blocks.slot_array); None for the
+    zero and constant kinds, which draw nothing.  Any prefix of the nodes
+    is what sample_chunks would draw itself on a grid of that many nodes.
+    """
+    if spec.kind in (ZERO, CONSTANT):
+        return None
+    shape = (n_nodes, len(spec.components))
+    out = slot_array(slot, (len(path_indices),) + shape)
+    return block_normals(master_seed, path_indices, role, shape, out=out)
 
 
 # Catalog of Gaussian specs exercised by the verification suite.  All of

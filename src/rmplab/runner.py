@@ -22,9 +22,12 @@ from .engine import (
     NonlinearModel,
     NonlinearSolution,
     PathEnsemble,
+    RowSolve,
     _linear_rows,
+    _solve_rows,
     solve_linear,
     solve_nonlinear,
+    stationary_grid,
     stationary_horizon,
     stationary_sample,
 )
@@ -54,7 +57,9 @@ from .storage import (
 from .tail import (
     BatchSums,
     _green_kubo_lags,
+    b_h_grid,
     b_h_replicates,
+    b_h_seeds,
     condition1_diagnostic,
     dt_fit_d,
     dt_fit_sums,
@@ -80,6 +85,35 @@ GROUPS = tuple(STAGES)
 MOMENT_NODES = 400
 
 
+@dataclass(frozen=True)
+class Rows:
+    """Keyed rows a stage reads: label at stride on grid, for rows 0 .. n - 1 of seed's streams."""
+
+    seed: int
+    grid: TimeGrid
+    n: int
+    label: str
+    stride: int
+
+    def solve(self) -> RowSolve:
+        """A held solve of these rows, with its own arrays for the label and the mask."""
+        saved = np.empty((self.n, self.grid.n_steps // self.stride + 1))
+        return RowSolve(
+            self.grid, self.n, {self.label: self.stride}, {self.label: saved},
+            np.empty(self.n, dtype=bool),
+        )
+
+
+def _loop_key(rows: Rows) -> object:
+    """Rows with one key are solved in one block loop (engine._solve_rows).
+
+    The H rows of one seed share their keyed normals.  A kernel keeping B
+    needs every workspace slot, so B rows are solved alone, unless they
+    ride on the transition curves' kernel of their seed and grid (do_beta).
+    """
+    return rows.seed if rows.label == "H" else rows
+
+
 @dataclass
 class RunState:
     """What one `run` carries from stage to stage.
@@ -99,19 +133,34 @@ class RunState:
     that noise once.  The fits are set up before any stage runs, so an
     ensemble too small for their batches fails before any stage writes.
     They read no flag, so X's bytes and mask are those of a solve of X
-    alone.  Every later solve, X at another stride included, is a solve
-    of its own.
+    alone.  Every later solve of the run's grid, X at another stride
+    included, is a solve of its own.
     Each held ensemble takes n_paths x n_saved x 8 bytes; moment curves
     reduce it in fixed 2,048-path groups, so their bytes do not depend on
     the block layout or --workers.  The beta stage holds no ensemble here:
     its moment curves reduce their solve a 2,048-path group at a time, and
-    its noise fits hold their sums.  The state is dropped when `run`
-    returns, so nothing outlives a run.
+    its noise fits hold their sums.
+
+    planned lists the keyed rows the stages read off the run's grid
+    (Rows): the stationary H of Hill and converge, and b_equals_h's B and
+    H per replicate.  The first read of a Rows solves every planned Rows
+    of its key in one block loop (_loop_key, engine._solve_rows): Hill,
+    converge and replicate 0's H all read master_seed + 1, so each of
+    their rows is drawn once, at the longest length.  Replicate 0's B
+    reads master_seed on b_h_grid, which on C10 is the transition grid,
+    so it rides on the beta stage's curve solve (do_beta), with B's own
+    mask.  held keeps each solved Rows until its stage reads it, the
+    horizon-only ones as one column, so a C10 run holds about 5,000
+    floats of horizon samples between stages.  A run of fewer stages
+    plans fewer rows and writes the same bytes.  The state is dropped when
+    `run` returns, so nothing outlives a run.
     """
 
     cfg: ExperimentConfig
     out: Path
     fits: list[tuple[Callable, str, BatchSums]] = field(default_factory=list)
+    planned: list[Rows] = field(default_factory=list)
+    held: dict[Rows, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     artifacts: list[str] = field(default_factory=list)
     flagged: dict[str, int] = field(default_factory=dict)
     verdicts: dict[str, str] = field(default_factory=dict)
@@ -144,6 +193,28 @@ class RunState:
         if self.fits and not self.passed:
             self.state_pass(None)
         return self.fits
+
+    def rows(self, want: Rows) -> tuple[np.ndarray, np.ndarray]:
+        """want's saved rows and mask, solved in one loop with the planned rows of its key."""
+        if want not in self.held:
+            cfg, key = self.cfg, _loop_key(want)
+            solves = {
+                r: r.solve()
+                for r in dict.fromkeys([want, *self.planned])
+                if _loop_key(r) == key and r not in self.held
+            }
+            for _ in _solve_rows(cfg.model, want.seed, list(solves.values()), cfg.workers):
+                pass  # the rows land in the solves' own arrays
+            self.keep(solves)
+        return self.held.pop(want)
+
+    def keep(self, solves: "dict[Rows, RowSolve]") -> None:
+        """Hold the solved rows until their stage reads them: horizon-only rows as one column."""
+        for r, solve in solves.items():
+            values = solve.held[r.label]
+            if r.stride == r.grid.n_steps:
+                values = values[:, -1:].copy()
+            self.held[r] = values, solve.flagged
 
     def state_pass(self, stride: "int | None") -> None:
         """Solve the linear model once: X at stride (none if None), the noise fed to the fits.
@@ -269,6 +340,43 @@ def _noise_fits(cfg: ExperimentConfig) -> list[tuple[Callable, str, BatchSums]]:
     ]
 
 
+def _stationary_rows(cfg: ExperimentConfig, req: EstimatorRequest) -> tuple[float, Rows]:
+    """The horizon and stationary H rows of a hill or converge request.
+
+    Hill keeps H at the stride of its truncation bound, converge at the
+    horizon alone; both read master_seed + 1.
+    """
+    t_star = req.get("t_star")
+    if t_star is None and req.name == "hill":
+        t_star = stationary_horizon(cfg.model, float(req.get("p_max")))
+    t_star = float(t_star) if t_star is not None else 1.5 * cfg.grid.horizon
+    grid, stride = stationary_grid(t_star)
+    stride = stride if req.name == "hill" else grid.n_steps
+    return t_star, Rows(cfg.master_seed + 1, grid, int(req.get("n") or cfg.n_paths), "H", stride)
+
+
+def _b_h_rows(cfg: ExperimentConfig, req: EstimatorRequest, seed: int, label: str) -> Rows:
+    """The rows of a b_equals_h sample of label from seed: its horizon on b_h_grid."""
+    grid = b_h_grid(cfg.model, float(req.get("t") or cfg.grid.horizon))
+    return Rows(seed, grid, int(req.get("n") or cfg.n_paths), label, grid.n_steps)
+
+
+def _planned_rows(cfg: ExperimentConfig, groups: "tuple[str, ...]") -> list[Rows]:
+    """The keyed rows of the stationary samples and of b_equals_h that the run's stages read."""
+    if not isinstance(cfg.model, LinearModel):
+        return []
+    planned = []
+    if "beta" in groups:
+        planned += [_stationary_rows(cfg, req)[1] for req in _reqs(cfg, "hill")]
+    if "verify" in groups:
+        for req in _reqs(cfg, "b_equals_h"):
+            for seeds in b_h_seeds(cfg.master_seed, int(req.get("replicates"))):
+                planned += [_b_h_rows(cfg, req, seed, label) for seed, label in zip(seeds, "BH")]
+    if "converge" in groups:
+        planned += [_stationary_rows(cfg, req)[1] for req in _reqs(cfg, "converge")]
+    return planned
+
+
 def _solve(
     cfg: ExperimentConfig, label: str, save_every: int
 ) -> "PathEnsemble | NonlinearSolution":
@@ -388,6 +496,11 @@ def do_beta(state: RunState) -> None:
         if window is not None:
             window = (float(window[0]), float(window[1]))
         grid, stride = transition_grid(model, horizon, save_every=req.get("save_every"))
+        riders = {
+            r: r.solve()
+            for r in state.planned
+            if (r.seed, r.grid, r.label) == (cfg.master_seed, grid, "B") and r.n <= cfg.n_paths
+        }
         curves = linear_moment_curves(
             model,
             grid,
@@ -396,18 +509,18 @@ def do_beta(state: RunState) -> None:
             sorted(float(p) for p in req.get("p_grid")),
             save_every=stride,
             workers=cfg.workers,
+            riders=tuple(riders.values()),
         )
+        state.keep(riders)
         window = transition_window(horizon, window)
         report = moment_transition(curves, window, analytic=model.beta_c)
         out["moment_transition"] = _report_to_dict(report)
 
     for req in _reqs(cfg, "hill"):
-        p_max = float(req.get("p_max"))
-        t_star = req.get("t_star")
-        t_star = float(t_star) if t_star is not None else stationary_horizon(model, p_max)
-        n = int(req.get("n") or cfg.n_paths)
+        t_star, rows = _stationary_rows(cfg, req)
         sample = stationary_sample(
-            model, t_star, n, cfg.master_seed + 1, p_max=p_max, workers=cfg.workers
+            model, t_star, rows.n, rows.seed, p_max=float(req.get("p_max")),
+            workers=cfg.workers, rows=state.rows(rows),
         )
         k = req.get("k")
         # Heavy forcing sets the stationary tail when its index is the smaller
@@ -466,8 +579,14 @@ def do_verify(state: RunState) -> None:
         n = int(req.get("n") or cfg.n_paths)
         replicates = int(req.get("replicates"))
         level = float(req.get("level"))
+
+        def sample(seed: int, label: str) -> np.ndarray:
+            values, flagged = state.rows(_b_h_rows(cfg, req, seed, label))
+            return values[~flagged, -1]
+
         reports = b_h_replicates(
-            model, t, n, replicates, cfg.master_seed, level=level, workers=cfg.workers
+            model, t, n, replicates, cfg.master_seed, level=level, workers=cfg.workers,
+            sample=sample,
         )
         n_pass = sum(r.passed for r in reports)
         ok = n_pass >= int(np.ceil(0.9 * replicates))
@@ -552,10 +671,10 @@ def do_converge(state: RunState) -> None:
         ok = ~x.flagged
         sample_sets = [x.values[ok, j] for j in node_idx]
 
-        t_star = req.get("t_star")
-        t_star = float(t_star) if t_star is not None else 1.5 * cfg.grid.horizon
-        n_st = int(req.get("n") or cfg.n_paths)
-        stat = stationary_sample(model, t_star, n_st, cfg.master_seed + 1, workers=cfg.workers)
+        t_star, rows = _stationary_rows(cfg, req)
+        stat = stationary_sample(
+            model, t_star, rows.n, rows.seed, workers=cfg.workers, rows=state.rows(rows)
+        )
 
         reports = []
         for i, f in enumerate(functions):
@@ -645,7 +764,12 @@ def run(
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IOFailureError(f"cannot create output directory {out}: {exc}") from exc
-    state = RunState(cfg=cfg, out=out, fits=_noise_fits(cfg) if "beta" in groups else [])
+    state = RunState(
+        cfg=cfg,
+        out=out,
+        fits=_noise_fits(cfg) if "beta" in groups else [],
+        planned=_planned_rows(cfg, groups),
+    )
 
     if "simulate" in groups:
         do_simulate(state)

@@ -382,6 +382,23 @@ def sha256_file(path: "str | Path") -> str:
     return h.hexdigest()
 
 
+def platform_record() -> dict:
+    """numpy's version and the SIMD targets its dispatch has on, in numpy's order.
+
+    numpy picks the kernels of exp, log, expm1, log1p and power by these
+    targets, and they round differently, so an artifact's bytes follow
+    from the config and seed on one numpy release and target set.  A
+    target switched off by NPY_DISABLE_CPU_FEATURES reads False and is
+    not listed.
+    """
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    return {
+        "numpy": np.__version__,
+        "simd": [name for name, on in __cpu_features__.items() if on],
+    }
+
+
 def build_manifest(
     out_dir: "str | Path",
     artifact_names: "list[str]",
@@ -409,5 +426,6 @@ def build_manifest(
         "flagged_paths": flagged or {},
         "verdicts": verdicts or {},
         "wall_clock_s": wall_clock_s,
+        "platform": platform_record(),
         "version": version,
     }

@@ -137,11 +137,11 @@ def transition_grid(
     """The grid moment_transition's curves are solved on, and its output stride.
 
     dt defaults to default_dt of a and the multiplicative correlation
-    time, save_every to about 400 output nodes; the step count is
+    times, save_every to about 400 output nodes; the step count is
     rounded up to a multiple of save_every and the grid ends at horizon.
     """
     if dt is None:
-        dt = default_dt(max(model.a, 1e-12), model.multiplicative.max_tau)
+        dt = default_dt(max(model.a, 1e-12), *model.multiplicative.taus)
     n_steps = max(int(round(horizon / dt)), 1)
     if save_every is None:
         save_every = max(1, n_steps // 400)
@@ -536,6 +536,22 @@ def b_equals_h_test(
     )
 
 
+def b_h_grid(model: LinearModel, t: float, *, dt: "float | None" = None) -> TimeGrid:
+    """The grid b_h_replicates solves on: at least 8 steps of about dt, ending at t.
+
+    dt defaults to default_dt of a and every correlation time of both noises.
+    """
+    if dt is None:
+        dt = default_dt(max(model.a, 1e-12), *model.multiplicative.taus, *model.additive.taus)
+    n_steps = max(int(round(t / dt)), 8)
+    return TimeGrid(dt=t / n_steps, n_steps=n_steps)
+
+
+def b_h_seeds(base_seed: int, replicates: int) -> list[tuple[int, int]]:
+    """The master seeds of B and of H in each replicate of b_h_replicates."""
+    return [(base_seed + 2 * r, base_seed + 2 * r + 1) for r in range(replicates)]
+
+
 def b_h_replicates(
     model: LinearModel,
     t: float,
@@ -546,30 +562,32 @@ def b_h_replicates(
     dt: "float | None" = None,
     level: float = 0.01,
     workers: int = 1,
+    sample: "Callable[[int, str], np.ndarray] | None" = None,
 ) -> list[KsReport]:
-    """Repeated distribution tests of B_t against H_t, fresh seeds each time."""
-    if dt is None:
-        dt = default_dt(max(model.a, 1e-12), model.multiplicative.max_tau, model.additive.max_tau)
-    n_steps = max(int(round(t / dt)), 8)
-    grid = TimeGrid(dt=t / n_steps, n_steps=n_steps)
+    """Repeated distribution tests of B_t against H_t, fresh seeds each time.
 
-    def horizon_sample(seed: int, label: str) -> np.ndarray:
+    Replicate r tests B from seed base_seed + 2r against H from seed
+    base_seed + 2r + 1 (b_h_seeds): the unflagged horizon values of the
+    keyed rows 0 .. n_per_side - 1 on b_h_grid, each label solved alone.
+    sample(seed, label), when given, returns those values from a solve
+    made elsewhere.
+    """
+    grid = b_h_grid(model, t, dt=dt)
+
+    def solved(seed: int, label: str) -> np.ndarray:
         ens = solve_linear(
             model, grid, seed, n_per_side, (label,), save_every=grid.n_steps, workers=workers
         )[label]
         return ens.final_values[~ens.flagged]
 
-    reports = []
-    for r in range(replicates):
-        seed_b = base_seed + 2 * r
-        seed_h = base_seed + 2 * r + 1
-        reports.append(
-            b_equals_h_test(
-                horizon_sample(seed_b, "B"),
-                horizon_sample(seed_h, "H"),
-                level=level,
-                seed_b=seed_b,
-                seed_h=seed_h,
-            )
+    sample = sample or solved
+    return [
+        b_equals_h_test(
+            sample(seed_b, "B"),
+            sample(seed_h, "H"),
+            level=level,
+            seed_b=seed_b,
+            seed_h=seed_h,
         )
-    return reports
+        for seed_b, seed_h in b_h_seeds(base_seed, replicates)
+    ]

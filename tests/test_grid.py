@@ -42,3 +42,28 @@ def test_default_dt_tracks_fastest_scale():
     assert default_dt(1.0, 0.0) == pytest.approx(0.01)
     with pytest.raises(ValueError):
         default_dt(0.0)
+
+
+def test_a_superposition_steps_by_its_shortest_correlation_time():
+    # two_scale's components have tau 1.0 and 0.25: one percent of the
+    # shorter is 0.0025, where the slowest component alone gave 0.01.
+    from rmplab.config import config_from_dict
+    from rmplab.noise import SHIPPED_GAUSSIAN_SPECS
+    from rmplab.tail import b_h_grid, transition_grid
+
+    raw = {
+        "schema_version": 1,
+        "model": {
+            "kind": "linear", "a": 1.0,
+            "multiplicative": {"kind": "ou_superposition", "components": [[1.0, 1.0], [2.0, 0.25]]},
+            "additive": {"kind": "zero"},
+        },
+        "grid": {"t_max": 1.0},
+        "ensemble": {"n_paths": 8, "master_seed": 1},
+    }
+    cfg = config_from_dict(raw)
+    assert cfg.model.multiplicative == SHIPPED_GAUSSIAN_SPECS["two_scale"]
+    assert cfg.grid.dt == 0.0025
+    assert transition_grid(cfg.model, 1.0)[0].dt == 0.0025
+    assert b_h_grid(cfg.model, 1.0).dt == 0.0025
+    assert default_dt(1.0, *cfg.model.multiplicative.taus) == 0.0025

@@ -13,18 +13,25 @@ import ast
 import importlib
 import importlib.util
 import json
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import rmplab
 from rmplab import blocks, noise, runner
 from rmplab.config import config_from_dict
-from rmplab.engine import integrate_y, solve_linear
+from rmplab.engine import integrate_y, solve_linear, stationary_grid, stationary_horizon
 from rmplab.errors import EmptyInputError
 from rmplab.metrics import ensemble_moment_curves, linear_moment_curves
 from rmplab.noise import diffusion_constant
-from rmplab.rng import ROLE_MULTIPLICATIVE
-from rmplab.tail import transition_grid
+from rmplab.rng import ROLE_ADDITIVE, ROLE_MULTIPLICATIVE
+from rmplab.storage import platform_record, sha256_file
+from rmplab.tail import b_h_replicates, transition_grid
 from held import dt_fit_of, green_kubo_of
 from peaks import traced_peak
 from test_acceptance import _pipeline_raw
@@ -330,6 +337,119 @@ def test_a_second_stride_gets_its_own_solve(tmp_path, monkeypatch):
     calls = _count_calls(monkeypatch)
     _digests(raw, ("simulate", "moments"), tmp_path)
     assert calls == [1, 4]
+
+
+def test_the_manifest_records_the_platform_outside_the_checksums(tmp_path):
+    # The pinned digests of the same run (test_artifact_bytes_are_pinned)
+    # hold only under AVX-512 dispatch; this test holds on any platform.
+    raw, groups = CASES["linear"]
+    manifest, _ = runner.run(config_from_dict(raw), groups=groups, out_dir=tmp_path)
+    assert manifest["platform"] == platform_record()
+    assert manifest["platform"]["numpy"] == np.__version__
+    assert json.loads((tmp_path / "manifest.json").read_text())["platform"] == platform_record()
+    checksums = {a["path"]: a["sha256"] for a in manifest["artifacts"]}
+    assert sorted(checksums) == sorted(GOLDEN["linear"])
+    assert checksums == {name: sha256_file(tmp_path / name) for name in checksums}
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="x86 SIMD targets")
+def test_a_run_without_avx512_dispatch_lists_none_of_its_targets(tmp_path):
+    disabled = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+    raw = dict(LINEAR_RAW, ensemble={"n_paths": 16, "master_seed": 20100}, estimators=[])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    src = str(Path(rmplab.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "rmplab", "simulate", "--config", str(config),
+         "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src, NPY_DISABLE_CPU_FEATURES=" ".join(disabled)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    recorded = json.loads((tmp_path / "out" / "manifest.json").read_text())["platform"]
+    assert recorded["numpy"] == np.__version__
+    assert recorded["simd"] and not set(disabled) & set(recorded["simd"])
+
+
+def test_every_stage_set_writes_the_bytes_of_the_full_run(tmp_path):
+    # On C10, Hill, converge and b_equals_h's replicate 0 share one pass
+    # over their keyed rows, and replicate 0's B rides on the transition
+    # curves' solve.  A run of fewer stages shares less and must write the
+    # same bytes.
+    raw = _pipeline_raw(1, str(tmp_path))
+    full = _digests(raw, runner.GROUPS, tmp_path / "full")
+    for groups in [("beta",), ("verify",), ("converge",), ("beta", "verify")]:
+        part = _digests(raw, groups, tmp_path / "_".join(groups))
+        assert part == {name: full[name] for name in part}, groups
+        assert part, groups
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_b_equals_h_reads_its_own_mask_where_x_saturates(tmp_path):
+    # x0 = 1e307 overflows X = x0 A + B wherever A passes 18, which flags
+    # those paths in X, never in B.  Replicate 0's B comes from the
+    # transition curves' X kernel, and its sample must keep every path a
+    # B-only solve keeps.
+    raw = dict(
+        LINEAR_RAW,
+        model=dict(
+            LINEAR_RAW["model"], a=0.5, x0=1e307,
+            multiplicative={"kind": "ou", "sigma": 2.0, "tau_c": 0.25},
+            additive={"kind": "ou", "sigma": 0.5, "tau_c": 0.25},
+        ),
+        ensemble={"n_paths": 1200, "master_seed": 20100},
+        outputs={"directory": "out", "formats": ["json"]},
+        estimators=[
+            {"name": "beta", "p_grid": [0.1, 0.9], "horizon": 1.5, "window": [0.5, 1.5]},
+            {"name": "b_equals_h", "t": 1.5, "n": 600, "replicates": 2},
+        ],
+    )
+    cfg = config_from_dict(raw)
+    runner.run(cfg, groups=("beta", "verify"), out_dir=tmp_path)
+    beta = json.loads((tmp_path / "beta.json").read_text())
+    got = json.loads((tmp_path / "verify.json").read_text())["b_equals_h"]["p_values"]
+    grid, _ = transition_grid(cfg.model, 1.5)
+    x = solve_linear(cfg.model, grid, cfg.master_seed, 600, save_every=grid.n_steps)["X"]
+    b = solve_linear(cfg.model, grid, cfg.master_seed, 600, ("B",), save_every=grid.n_steps)["B"]
+    assert beta["moment_transition"]["details"]["excluded"] > 0
+    assert x.n_flagged > 0 and b.n_flagged == 0
+    want = b_h_replicates(cfg.model, 1.5, 600, 2, cfg.master_seed)
+    assert got == [r.p_value for r in want]
+
+
+def test_a_full_run_draws_each_keyed_row_once(tmp_path, monkeypatch):
+    # Hill (4,000 rows of 1,385 nodes), converge (2,000 of 457) and
+    # b_equals_h's replicate 0 H (1,500 of 301) read master_seed + 1: each
+    # row is drawn once, at Hill's length.  Replicate 0's B is the
+    # transition curves' B, whose 5,000 rows of 301 nodes are drawn once.
+    cfg = config_from_dict(_pipeline_raw(1, str(tmp_path)))
+    hill_grid, _ = stationary_grid(stationary_horizon(cfg.model, 1.0))
+    assert hill_grid.n_nodes == 1385
+    drawn = {}
+    total = [0]
+    draw = noise.block_normals
+
+    def counted(master_seed, path_indices, role, shape_per_path, *args, **kwargs):
+        out = draw(master_seed, path_indices, role, shape_per_path, *args, **kwargs)
+        total[0] += out.size
+        for i in path_indices.tolist():
+            drawn.setdefault((master_seed, role, i), []).append(shape_per_path)
+        return out
+
+    monkeypatch.setattr(noise, "block_normals", counted)
+    runner.run(cfg)
+    for role in (ROLE_MULTIPLICATIVE, ROLE_ADDITIVE):
+        rows = [drawn[(cfg.master_seed + 1, role, i)] for i in range(4000)]
+        assert rows == [[(1385, 1)]] * 4000
+        assert (cfg.master_seed + 1, role, 4000) not in drawn
+        transition = [
+            [shape for shape in drawn[(cfg.master_seed, role, i)] if shape == (301, 1)]
+            for i in range(5000)
+        ]
+        assert transition == [[(301, 1)]] * 5000
+    assert total[0] == 22_824_000
 
 
 ROOT = Path(__file__).resolve().parents[1]
