@@ -21,10 +21,11 @@ import numpy as np
 DEFAULT_BLOCK_SIZE = 2048
 
 # Cells one working array may hold: the 2,048-path blocks of a 151-node
-# grid.  solve_linear caps its blocks at this many paths x fine-grid
-# nodes, noise.sample_chunks draws noise in time chunks of at most this
-# many values (paths x nodes, the overlap row included), and the power
-# sums of metrics reduce column slices of about a quarter of this many.
+# grid.  A linear block loop (engine._solve_rows) caps its blocks at this
+# many paths x fine-grid nodes, noise.sample_chunks draws noise in time
+# chunks of at most this many values (paths x nodes, the overlap row
+# included), and the power sums of metrics reduce column slices of about
+# a quarter of this many.
 BLOCK_CELLS = 2048 * 151
 
 # Arrays in one block workspace: the most a linear block holds at once

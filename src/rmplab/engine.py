@@ -428,29 +428,19 @@ def solve_linear(
     fine, only the first and final nodes are kept, and .final_values is
     the horizon sample.
 
-    The ensembles' (n_paths, n_saved) arrays and the flag vector are
-    allocated once, and each block writes its saved rows and flags into
-    them, so the solve holds the ensembles and one block's work, not the
-    blocks' outputs as well (_linear_rows, whose path groups let a
-    reduction hold one group instead).  A block holds at most BLOCK_CELLS //
-    grid.n_nodes rows (at least one), so its fine-grid arrays fit the
-    block workspace of the thread that runs it (linear_block_arrays):
-    12.4 MB per thread, reused block after block, whatever the horizon.
-    Its noise is one chunk of noise.sample_chunks, drawn with a reset per
-    row instead of a generator per row; block_size is an upper bound on
-    top of that.  The layout cannot change the output: every kernel a
-    block runs (the keyed normals, the OU filter, the quadratures, the
-    flags and the saturation) works path by path, and each block writes
-    only its own rows, so row i is the same bytes in any partition and
-    with any number of workers.
+    The solve is one block loop (_solve_rows) in a single group: the
+    ensembles' (n_paths, n_saved) arrays and the flag vector are
+    allocated once, each block writes its saved rows and flags into them,
+    and the solve holds the ensembles and one block's work.  block_size
+    bounds a block's rows on top of the loop's BLOCK_CELLS cap.  Row i
+    is the same bytes in any partition and with any number of workers.
     """
     unknown = [label for label in need if label not in PROCESS_LABELS]
     if unknown:
         raise ValueError(f"unknown process labels: {unknown}")
     out_grid = grid.subsampled(save_every)
-    [(values, flagged)] = _linear_rows(
-        model, grid, master_seed, n_paths, dict.fromkeys(need, save_every), workers, block_size
-    )
+    solve = RowSolve(grid, n_paths, dict.fromkeys(need, save_every))
+    [[(values, flagged)]] = _solve_rows(model, master_seed, [solve], workers, block_size)
     return {
         label: PathEnsemble(
             grid=out_grid, label=label, values=arr, flagged=flagged, master_seed=master_seed
@@ -491,6 +481,11 @@ def _kernels(solves: list[RowSolve]) -> list[list[int]]:
     return kernels
 
 
+def _one_loop(solves: list[RowSolve]) -> bool:
+    """Whether _solve_rows takes solves into one loop: one kernel, or none keeping B or X."""
+    return len(_kernels(solves)) == 1 or not any(s.strides.keys() & {"B", "X"} for s in solves)
+
+
 def _solve_rows(
     model: LinearModel,
     master_seed: int,
@@ -502,14 +497,15 @@ def _solve_rows(
 ) -> Iterator[list[tuple[dict[str, np.ndarray], np.ndarray]]]:
     """The block loop of every linear solve: the solves of one stream namespace in one pass.
 
-    Solves on one grid share a kernel (_kernels), which computes the union
-    of their labels for the rows any of them reads.  With more than one
-    kernel, each block draws its rows' keyed normals once, through
-    noise.draw_normals into workspace slots 1 and 2, for the most nodes
-    any kernel needing its first row solves; every kernel reads its
-    prefix of them, which is what it would draw itself, and keeps to the
-    other slots, so such kernels keep neither B nor X.  A single kernel
-    draws its own normals (linear_block_arrays).
+    Solves on one grid with no label in common share a kernel (_kernels),
+    which computes the union of their labels for the rows any of them
+    reads.  With more than one kernel, each block draws its rows' keyed
+    normals once, through noise.draw_normals into workspace slots 1 and 2,
+    for the most nodes any kernel needing its first row solves; every
+    kernel reads its prefix of them, which is what it would draw itself,
+    and keeps to the other slots, so such a loop refuses a solve keeping
+    B or X (_one_loop).  A single kernel draws its own normals
+    (linear_block_arrays).
 
     Yields, for the consecutive groups of `group` rows in path order (one
     group of all rows when group is None), one (values, flagged) per
@@ -528,10 +524,10 @@ def _solve_rows(
     """
     if any(s.n_paths < 1 for s in solves):
         raise ValueError("n_paths must be positive")
+    if not _one_loop(solves):
+        raise ValueError("kernels on shared normals cannot keep B or X")
     kernels = _kernels(solves)
     shared = len(kernels) > 1
-    if shared and any(s.strides.keys() & {"B", "X"} for s in solves):
-        raise ValueError("solves on several grids share normals, so none may keep B or X")
     n_max = max(s.n_paths for s in solves)
     size = n_max if group is None else min(group, n_max)
     buffers = []  # per solve: its labels' group buffers, and its mask's
@@ -596,24 +592,6 @@ def _solve_rows(
         yield parts
 
 
-def _linear_rows(
-    model: LinearModel,
-    grid: TimeGrid,
-    master_seed: int,
-    n_paths: int,
-    strides: dict[str, int],
-    workers: int,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    *,
-    group: "int | None" = None,
-    held: "dict[str, np.ndarray] | None" = None,
-) -> Iterator[tuple[dict[str, np.ndarray], np.ndarray]]:
-    """One solve's saved rows per label and its flag mask, group by group (_solve_rows)."""
-    solve = RowSolve(grid, n_paths, strides, held or {})
-    for [part] in _solve_rows(model, master_seed, [solve], workers, block_size, group=group):
-        yield part
-
-
 def gamma_rate(a: float, d: float, p: float) -> float:
     """Decay/growth rate sigma_p D (p - a/D) used for horizon choices."""
     return min(1.0, p) * (d * p - a)
@@ -671,7 +649,8 @@ def stationary_sample(
     rate = None if p_max is None else _stationary_rate(model, p_max)
     grid, save_every = stationary_grid(t_star)
     if rows is None:
-        [(values, flagged)] = _linear_rows(model, grid, master_seed, n, {"H": save_every}, workers)
+        solve = RowSolve(grid, n, {"H": save_every})
+        [[(values, flagged)]] = _solve_rows(model, master_seed, [solve], workers)
         rows = values["H"], flagged
     h, ok = rows[0], ~rows[1]
     n_dropped = n - int(ok.sum())

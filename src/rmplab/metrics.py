@@ -13,7 +13,6 @@ empirical kurtosis of |f|^p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import math
 
@@ -563,66 +562,78 @@ def _power_sums(
     return out
 
 
-def _group_curves(
-    source: str,
-    p_values: "tuple[float, ...] | list[float]",
-    times: np.ndarray,
-    groups: "Iterable[tuple[np.ndarray, np.ndarray]]",
-    n_paths: int,
-    master_seed: int,
-    z: complex,
-) -> MomentCurves:
-    """Curves of n_paths paths from their groups of (values, unflagged rows).
+class CurveSums:
+    """Power sums of moment curves of n_paths paths, fed a group of paths at a time.
 
-    The orders, at least one and all positive, are checked before the
-    first group is asked for.  Each group's power sums are taken before
-    the next group is asked for, and the groups' sums are added by a
-    pairwise tree; the paths left out of every group's rows count as
-    excluded.  Refuses groups that keep no path.
+    The orders, at least one and all positive, are checked when the sums
+    are made.  add takes one group's values and its unflagged rows and
+    reduces them to power sums at once (_power_sums), so only one group
+    is held; curves adds the groups' sums by a pairwise tree in the
+    order they were fed, and counts the paths left out of every group's
+    rows as excluded.  It refuses sums that kept no path.
     """
-    p_values = tuple(float(p) for p in p_values)
-    if not p_values:
-        raise EmptyInputError("need at least one order p")
-    if any(p <= 0.0 for p in p_values):
-        raise ValueError("orders must be positive")
-    parts, n = [], 0
-    for values, rows in groups:
-        parts.append(_power_sums(values, rows, p_values, z))
-        n += len(rows)
-    if n == 0:
-        raise EmptyInputError("every path is flagged")
-    s1, s2, s3, s4 = np.moveaxis(pairwise_sum(parts), 1, 0)
-    mean = s1 / n
-    var = np.maximum(s2 / n - mean**2, 0.0) * (n / max(n - 1, 1))
-    se_mean = np.sqrt(var / n)
-    # Central fourth moment from raw sums, for the stability flag.
-    m2 = np.maximum(s2 / n - mean**2, 0.0)
-    m4 = np.maximum(
-        s4 / n - 4.0 * mean * s3 / n + 6.0 * mean**2 * s2 / n - 3.0 * mean**4, 0.0
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kurt = np.where(m2 > 0.0, m4 / np.maximum(m2 * m2, 1e-300), 0.0)
-    unstable = kurt > KURTOSIS_THRESHOLD
 
-    p_arr = np.array(p_values)[:, None]
-    expo = np.minimum(1.0, p_arr) / p_arr
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value = np.where(mean > 0.0, mean**expo, 0.0)
-        std_err = np.where(
-            mean > 0.0, expo * mean ** (expo - 1.0) * se_mean, 0.0
+    def __init__(
+        self,
+        source: str,
+        p_values: "tuple[float, ...] | list[float]",
+        times: np.ndarray,
+        n_paths: int,
+        master_seed: int,
+        z: complex,
+    ) -> None:
+        p_values = tuple(float(p) for p in p_values)
+        if not p_values:
+            raise EmptyInputError("need at least one order p")
+        if any(p <= 0.0 for p in p_values):
+            raise ValueError("orders must be positive")
+        self.source, self.p_values, self.times, self.z = source, p_values, times, z
+        self.n_paths, self.master_seed = n_paths, master_seed
+        self.parts: list[np.ndarray] = []  # each fed group's power sums
+        self.n = 0  # the unflagged paths fed
+
+    def add(self, values: np.ndarray, rows: np.ndarray) -> None:
+        """Feed the given rows of values, the next group's unflagged paths in path order."""
+        self.parts.append(_power_sums(values, rows, self.p_values, self.z))
+        self.n += len(rows)
+
+    def curves(self) -> MomentCurves:
+        """The curves of the paths fed, whose count must be n_paths less the excluded."""
+        n, p_values = self.n, self.p_values
+        if n == 0:
+            raise EmptyInputError("every path is flagged")
+        s1, s2, s3, s4 = np.moveaxis(pairwise_sum(self.parts), 1, 0)
+        mean = s1 / n
+        var = np.maximum(s2 / n - mean**2, 0.0) * (n / max(n - 1, 1))
+        se_mean = np.sqrt(var / n)
+        # Central fourth moment from raw sums, for the stability flag.
+        m2 = np.maximum(s2 / n - mean**2, 0.0)
+        m4 = np.maximum(
+            s4 / n - 4.0 * mean * s3 / n + 6.0 * mean**2 * s2 / n - 3.0 * mean**4, 0.0
         )
-    return MomentCurves(
-        source=source,
-        p_values=p_values,
-        times=times,
-        value=value,
-        std_err=std_err,
-        unstable=unstable,
-        n=n,
-        excluded=n_paths - n,
-        master_seed=master_seed,
-        z=z,
-    )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kurt = np.where(m2 > 0.0, m4 / np.maximum(m2 * m2, 1e-300), 0.0)
+        unstable = kurt > KURTOSIS_THRESHOLD
+
+        p_arr = np.array(p_values)[:, None]
+        expo = np.minimum(1.0, p_arr) / p_arr
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value = np.where(mean > 0.0, mean**expo, 0.0)
+            std_err = np.where(
+                mean > 0.0, expo * mean ** (expo - 1.0) * se_mean, 0.0
+            )
+        return MomentCurves(
+            source=self.source,
+            p_values=p_values,
+            times=self.times,
+            value=value,
+            std_err=std_err,
+            unstable=unstable,
+            n=n,
+            excluded=self.n_paths - n,
+            master_seed=self.master_seed,
+            z=self.z,
+        )
 
 
 def linear_moment_curves(
@@ -635,38 +646,25 @@ def linear_moment_curves(
     source: str = "X",
     save_every: int = 1,
     workers: int = 1,
-    riders: "tuple[RowSolve, ...]" = (),
 ) -> MomentCurves:
     """Quasi-norm curves of a linear-model process, reduced as it is solved.
 
     The solve fills the fixed 2,048-path groups of blocks.block_ranges
     one at a time into one reused buffer (engine._solve_rows), and each
-    group is reduced before the next is solved (_group_curves), so the
-    bytes are those of ensemble_moment_curves on the whole ensemble and do
-    not depend on the solver's block layout or on workers.  A curve holds
+    group is reduced before the next is solved (CurveSums), so the bytes
+    are those of ensemble_moment_curves on the whole ensemble and do not
+    depend on the solver's block layout or on workers.  A curve holds
     one group of source, 2,048 x n_saved x 8 bytes (4.9 MB on 301 saved
     nodes), whatever n_paths, plus the working arrays of one solver block
     and the power sums' temporaries (_power_sums), at most BLOCK_CELLS
-    cells each.  Flagged paths are excluded from every node.  riders,
-    held solves of other labels on the same grid and seed and of at most
-    n_paths rows, ride on the curves' kernel: each gets its rows and mask
-    in its own arrays.
+    cells each.  Flagged paths are excluded from every node.
     """
-    if any(r.n_paths > n_paths for r in riders):
-        raise ValueError("a rider reads more rows than the curves")
-    curves = RowSolve(grid, n_paths, {source: save_every})
-    groups = _solve_rows(
-        model, master_seed, [curves, *riders], workers, group=DEFAULT_BLOCK_SIZE
-    )
-    return _group_curves(
-        source,
-        p_values,
-        grid.subsampled(save_every).times,
-        ((values[source], np.flatnonzero(~flagged)) for (values, flagged), *_ in groups),
-        n_paths,
-        master_seed,
-        0.0,
-    )
+    sums = CurveSums(source, p_values, grid.subsampled(save_every).times, n_paths, master_seed, 0.0)
+    solve = RowSolve(grid, n_paths, {source: save_every})
+    groups = _solve_rows(model, master_seed, [solve], workers, group=DEFAULT_BLOCK_SIZE)
+    for [(values, flagged)] in groups:
+        sums.add(values[source], np.flatnonzero(~flagged))
+    return sums.curves()
 
 
 def ensemble_moment_curves(
@@ -678,7 +676,7 @@ def ensemble_moment_curves(
     """Quasi-norm curves of an ensemble held in memory.
 
     Power sums are taken over the fixed 2,048-path groups of
-    blocks.block_ranges in path order (_group_curves), so the bytes
+    blocks.block_ranges in path order (CurveSums), so the bytes
     depend on the ensemble alone, never on the block layout or the worker
     count that solved it.  Beyond the held ensemble (n_paths x n_saved x
     8 bytes) the reduction needs the temporaries of one column slice of
@@ -686,12 +684,9 @@ def ensemble_moment_curves(
     excluded from every node.
     """
     ok = ~ensemble.flagged
-    return _group_curves(
-        ensemble.label,
-        p_values,
-        ensemble.grid.times,
-        ((ensemble.values, idx[ok[idx]]) for idx in block_ranges(ensemble.n_paths)),
-        ensemble.n_paths,
-        ensemble.master_seed,
-        z,
+    sums = CurveSums(
+        ensemble.label, p_values, ensemble.grid.times, ensemble.n_paths, ensemble.master_seed, z
     )
+    for idx in block_ranges(ensemble.n_paths):
+        sums.add(ensemble.values, idx[ok[idx]])
+    return sums.curves()

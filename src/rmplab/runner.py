@@ -8,9 +8,9 @@ the config hash and artifact checksums.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -23,9 +23,8 @@ from .engine import (
     NonlinearSolution,
     PathEnsemble,
     RowSolve,
-    _linear_rows,
+    _one_loop,
     _solve_rows,
-    solve_linear,
     solve_nonlinear,
     stationary_grid,
     stationary_horizon,
@@ -35,13 +34,14 @@ from .errors import ConfigInvalidError, IOFailureError, RmplabError, WindowTooSh
 from .grid import TimeGrid, node_stride
 from .metrics import (
     MIN_FIT_NODES,
+    CurveSums,
     MomentCurves,
     ensemble_moment_curves,
     gamma_p,
     jensen_check,
-    linear_moment_curves,
     quasi_triangle_check,
 )
+from .metrics import linear_moment_curves  # noqa: F401  (rmpbench traces it here)
 from .noise import sample_block  # noqa: F401  (rmpbench traces it here)
 from .noise import diffusion_constant, tail_index
 from .rng import ROLE_GENERIC, path_stream
@@ -81,13 +81,14 @@ STAGES: dict[str, tuple[str, ...]] = {
     "converge": ("converge",),
 }
 GROUPS = tuple(STAGES)
-# Output nodes moments and converge keep when save_every is null.
+# Output nodes simulate keeps, and those moments and converge keep when save_every is null.
+SIMULATE_NODES = 500
 MOMENT_NODES = 400
 
 
 @dataclass(frozen=True)
 class Rows:
-    """Keyed rows a stage reads: label at stride on grid, for rows 0 .. n - 1 of seed's streams."""
+    """Keyed rows a run solves: label at stride on grid, for rows 0 .. n - 1 of seed's streams."""
 
     seed: int
     grid: TimeGrid
@@ -96,162 +97,135 @@ class Rows:
     stride: int
 
     def solve(self) -> RowSolve:
-        """A held solve of these rows, with its own arrays for the label and the mask."""
-        saved = np.empty((self.n, self.grid.n_steps // self.stride + 1))
-        return RowSolve(
-            self.grid, self.n, {self.label: self.stride}, {self.label: saved},
-            np.empty(self.n, dtype=bool),
-        )
+        """A solve of these rows that holds none of them."""
+        return RowSolve(self.grid, self.n, {self.label: self.stride})
+
+    def held(self) -> RowSolve:
+        """A solve of these rows into arrays of its own for the label and the mask."""
+        saved = {self.label: np.empty((self.n, self.grid.n_steps // self.stride + 1))}
+        return RowSolve(self.grid, self.n, {self.label: self.stride}, saved, np.empty(self.n, bool))
 
 
-def _loop_key(rows: Rows) -> object:
-    """Rows with one key are solved in one block loop (engine._solve_rows).
+# What a planned request feeds a group of paths at a time (RunState).
+Sink = "BatchSums | CurveSums"
 
-    The H rows of one seed share their keyed normals.  A kernel keeping B
-    needs every workspace slot, so B rows are solved alone, unless they
-    ride on the transition curves' kernel of their seed and grid (do_beta).
+
+def _loops(planned: "list[Rows]") -> list[list[Rows]]:
+    """The block loops of the planned rows.
+
+    In plan order, each Rows joins the first loop of its seed that
+    engine._solve_rows takes it into (_one_loop), or starts one.
     """
-    return rows.seed if rows.label == "H" else rows
+    loops: list[list[Rows]] = []
+    for r in dict.fromkeys(planned):
+        for loop in loops:
+            if loop[0].seed == r.seed and _one_loop([q.solve() for q in (*loop, r)]):
+                loop.append(r)
+                break
+        else:
+            loops.append([r])
+    return loops
 
 
 @dataclass
 class RunState:
     """What one `run` carries from stage to stage.
 
-    solved caches every solve by (label, output stride) for the length of
-    the run: simulate, moments and converge all read X, and every stage
-    asking for one label at one stride gets the one solve.  A nonlinear
-    solve is kept as its NonlinearSolution, so simulate can report the
-    substep count the solve chose.
+    planned lists every linear solve the run's stages read (_planned_rows)
+    in plan order, each Rows with its consumer: None for one stage's read
+    of the held rows, else the sink fed the rows a group at a time in path
+    order, the noise fits' BatchSums or the transition curves' CurveSums.
+    The sinks are made before any stage runs, so an ensemble too small for
+    the fits' batches fails before any stage writes.  The planned rows
+    form block loops (_loops), and the first read of any of a loop's rows
+    solves the whole loop in one call of engine._solve_rows (solve).  A
+    loop feeding CurveSums is solved in 2,048-path groups, the curves'
+    fixed groups; one feeding only BatchSums in groups of 2,048 paths per
+    worker; any other in one group.  Each Rows gets its own labels' mask,
+    so its bytes are those of a solve of it alone, in any company.
 
-    A linear run solves its model on its grid and seed in one state pass
-    (state_pass), made by the first stage to read X, or by the beta stage
-    when no stage before it does.  It holds X at that stage's stride, and
-    feeds the zeta and Y of the same paths, kept at every node, to the
-    sums of the beta stage's noise fits (fits: each fit, the label it
-    reads and its sums, in report order), so the run draws and integrates
-    that noise once.  The fits are set up before any stage runs, so an
-    ensemble too small for their batches fails before any stage writes.
-    They read no flag, so X's bytes and mask are those of a solve of X
-    alone.  Every later solve of the run's grid, X at another stride
-    included, is a solve of its own.
-    Each held ensemble takes n_paths x n_saved x 8 bytes; moment curves
-    reduce it in fixed 2,048-path groups, so their bytes do not depend on
-    the block layout or --workers.  The beta stage holds no ensemble here:
-    its moment curves reduce their solve a 2,048-path group at a time, and
-    its noise fits hold their sums.
-
-    planned lists the keyed rows the stages read off the run's grid
-    (Rows): the stationary H of Hill and converge, and b_equals_h's B and
-    H per replicate.  The first read of a Rows solves every planned Rows
-    of its key in one block loop (_loop_key, engine._solve_rows): Hill,
-    converge and replicate 0's H all read master_seed + 1, so each of
-    their rows is drawn once, at the longest length.  Replicate 0's B
-    reads master_seed on b_h_grid, which on C10 is the transition grid,
-    so it rides on the beta stage's curve solve (do_beta), with B's own
-    mask.  held keeps each solved Rows until its stage reads it, the
-    horizon-only ones as one column, so a C10 run holds about 5,000
-    floats of horizon samples between stages.  A run of fewer stages
-    plans fewer rows and writes the same bytes.  The state is dropped when
-    `run` returns, so nothing outlives a run.
+    held keeps each read Rows from its loop's solve to its last planned
+    read, the horizon-only ones as one column, and the nonlinear solve of
+    each X stride (nonlinear) for the run, so simulate can report its
+    substep count.  A run of fewer stages plans fewer rows and writes the
+    same bytes.  The state is dropped when `run` returns, so nothing
+    outlives a run.
     """
 
     cfg: ExperimentConfig
     out: Path
-    fits: list[tuple[Callable, str, BatchSums]] = field(default_factory=list)
-    planned: list[Rows] = field(default_factory=list)
-    held: dict[Rows, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    planned: "list[tuple[Rows, Sink | None]]" = field(default_factory=list)
+    held: "dict[Rows, tuple[np.ndarray, np.ndarray] | NonlinearSolution]" = field(
+        default_factory=dict
+    )
     artifacts: list[str] = field(default_factory=list)
     flagged: dict[str, int] = field(default_factory=dict)
     verdicts: dict[str, str] = field(default_factory=dict)
-    solved: dict[tuple[str, int], "PathEnsemble | NonlinearSolution"] = field(
-        default_factory=dict
-    )
-    passed: bool = False
+
+    def __post_init__(self) -> None:
+        self.reads = Counter(r for r, sink in self.planned if sink is None)
+        self.sinks = {r: sink for r, sink in self.planned if sink is not None}
+        self.loops = _loops([r for r, _ in self.planned])
 
     def add(self, name: str) -> Path:
         self.artifacts.append(name)
         return self.out / name
 
-    def solve(self, label: str, save_every: int) -> "PathEnsemble | NonlinearSolution":
-        """The solve of label at output stride save_every, run once per run."""
-        key = (label, save_every)
-        if key not in self.solved:
-            if label == "X" and not self.passed and isinstance(self.cfg.model, LinearModel):
-                self.state_pass(save_every)
-            else:
-                self.solved[key] = _solve(self.cfg, label, save_every)
-        return self.solved[key]
-
     def ensemble(self, label: str, save_every: int) -> PathEnsemble:
-        """The ensemble of label at output stride save_every."""
-        solved = self.solve(label, save_every)
-        return solved.x if isinstance(solved, NonlinearSolution) else solved
+        """One stage's read of label at output stride save_every on the run's grid."""
+        cfg = self.cfg
+        if isinstance(cfg.model, NonlinearModel):  # config admits only X here
+            return self.nonlinear(save_every).x
+        values, flagged = self.rows(_run_rows(cfg, label, save_every))
+        return PathEnsemble(
+            cfg.grid.subsampled(save_every), label, values, flagged, cfg.master_seed
+        )
 
-    def noise_fits(self) -> list[tuple[Callable, str, BatchSums]]:
-        """The noise fits, their labels and sums, fed every path by the state pass."""
-        if self.fits and not self.passed:
-            self.state_pass(None)
-        return self.fits
+    def nonlinear(self, save_every: int) -> NonlinearSolution:
+        """The nonlinear solve of X at output stride save_every, made once per run."""
+        cfg, want = self.cfg, _run_rows(self.cfg, "X", save_every)
+        if want not in self.held:
+            self.held[want] = solve_nonlinear(
+                cfg.model, cfg.grid, cfg.master_seed, cfg.n_paths,
+                save_every=save_every, workers=cfg.workers,
+            )
+        return self.held[want]
 
     def rows(self, want: Rows) -> tuple[np.ndarray, np.ndarray]:
-        """want's saved rows and mask, solved in one loop with the planned rows of its key."""
-        if want not in self.held:
-            cfg, key = self.cfg, _loop_key(want)
-            solves = {
-                r: r.solve()
-                for r in dict.fromkeys([want, *self.planned])
-                if _loop_key(r) == key and r not in self.held
-            }
-            for _ in _solve_rows(cfg.model, want.seed, list(solves.values()), cfg.workers):
-                pass  # the rows land in the solves' own arrays
-            self.keep(solves)
-        return self.held.pop(want)
+        """want's saved rows and mask, for one of its planned reads."""
+        self.solve(want)
+        self.reads[want] -= 1
+        return self.held[want] if self.reads[want] else self.held.pop(want)
 
-    def keep(self, solves: "dict[Rows, RowSolve]") -> None:
-        """Hold the solved rows until their stage reads them: horizon-only rows as one column."""
-        for r, solve in solves.items():
-            values = solve.held[r.label]
-            if r.stride == r.grid.n_steps:
-                values = values[:, -1:].copy()
-            self.held[r] = values, solve.flagged
+    def fed(self, want: Rows) -> "Sink | None":
+        """The sink want's rows were planned to feed, fed every path; None if none was."""
+        self.solve(want)
+        return self.sinks.get(want)
 
-    def state_pass(self, stride: "int | None") -> None:
-        """Solve the linear model once: X at stride (none if None), the noise fed to the fits.
-
-        X's rows are written straight into the held ensemble.  zeta and Y
-        go to the fits' sums one group of DEFAULT_BLOCK_SIZE paths per
-        worker at a time, in path order, so a group gives each worker a
-        block on a 151-node grid, and they are never held whole; with no
-        fit to feed, the pass is one group, as in solve_linear.  Their
-        rows are those of a solve of zeta and Y alone at every node, and
-        the sums are carried row by row, so the fits are those of the
-        held noise ensembles.
-        """
+    def solve(self, want: Rows) -> None:
+        """Solve want's loop, unless it is solved: hold the read rows and feed the sinks."""
+        loop = next((loop for loop in self.loops if want in loop), None)
+        if loop is None:
+            return
+        self.loops.remove(loop)
         cfg = self.cfg
-        self.passed = True
-        strides = {label: 1 for _, label, _ in self.fits}
-        held = {}
-        if stride is not None:
-            strides["X"] = stride
-            held["X"] = np.empty((cfg.n_paths, cfg.grid.n_steps // stride + 1))
-        flags = []
-        for values, flagged in _linear_rows(
-            cfg.model, cfg.grid, cfg.master_seed, cfg.n_paths, strides=strides,
-            workers=cfg.workers, group=DEFAULT_BLOCK_SIZE * cfg.workers if self.fits else None,
-            held=held,
-        ):
-            for _, label, sums in self.fits:
-                sums.add(values[label])
-            flags.append(flagged.copy())
-        if stride is not None:
-            self.solved[("X", stride)] = PathEnsemble(
-                grid=cfg.grid.subsampled(stride),
-                label="X",
-                values=held["X"],
-                flagged=np.concatenate(flags),
-                master_seed=cfg.master_seed,
-            )
+        solves = [r.held() if self.reads[r] else r.solve() for r in loop]
+        sinks = [self.sinks.get(r) for r in loop]
+        size = {CurveSums: DEFAULT_BLOCK_SIZE, BatchSums: DEFAULT_BLOCK_SIZE * cfg.workers}
+        group = min((size[type(sink)] for sink in sinks if sink is not None), default=None)
+        for parts in _solve_rows(cfg.model, loop[0].seed, solves, cfg.workers, group=group):
+            for r, sink, (values, flagged) in zip(loop, sinks, parts):
+                # a group past r's rows holds none of them and feeds nothing
+                if isinstance(sink, BatchSums) and len(flagged):
+                    sink.add(values[r.label])
+                elif sink is not None and len(flagged):
+                    sink.add(values[r.label], np.flatnonzero(~flagged))
+        for r, solve in zip(loop, solves):
+            if solve.held:
+                values = solve.held[r.label]
+                if r.stride == r.grid.n_steps:
+                    values = values[:, -1:].copy()
+                self.held[r] = values, solve.flagged
 
 
 def _reqs(cfg: ExperimentConfig, *names: str) -> list[EstimatorRequest]:
@@ -271,9 +245,8 @@ def _fit_window(
     if req.name == "moments" and window is not None and "json" in cfg.formats:
         return cfg.grid.subsampled(moments_stride(req, cfg.grid)), window
     if req.name == "beta":
-        horizon = float(req.get("horizon") or cfg.grid.horizon)
-        fine, stride = transition_grid(cfg.model, horizon, save_every=req.get("save_every"))
-        return fine.subsampled(stride), transition_window(horizon, window)
+        horizon, rows = _transition_rows(cfg, req)
+        return rows.grid.subsampled(rows.stride), transition_window(horizon, window)
     if req.name == "dt_fit":
         return cfg.grid, window  # the integrated noise on the configured grid
     return None
@@ -329,15 +302,16 @@ def _check_reach(cfg: ExperimentConfig, names: "tuple[str, ...]") -> None:
             _green_kubo_lags(float(req.get("window")), cfg.grid)
 
 
-def _noise_fits(cfg: ExperimentConfig) -> list[tuple[Callable, str, BatchSums]]:
-    """The beta stage's noise fits: each fit, the label it reads and its sums, in report order."""
-    return [
-        (green_kubo_d, "zeta", green_kubo_sums(cfg.grid, float(req.get("window")), cfg.n_paths))
-        for req in _reqs(cfg, "green_kubo")
-    ] + [
-        (dt_fit_d, "Y", dt_fit_sums(cfg.grid, (float(lo), float(hi)), cfg.n_paths))
-        for lo, hi in (req.get("window") for req in _reqs(cfg, "dt_fit"))
-    ]
+def _run_rows(cfg: ExperimentConfig, label: str, stride: int) -> Rows:
+    """label's rows at stride on the run's own grid and seed: every path."""
+    return Rows(cfg.master_seed, cfg.grid, cfg.n_paths, label, stride)
+
+
+def _transition_rows(cfg: ExperimentConfig, req: EstimatorRequest) -> tuple[float, Rows]:
+    """The horizon of a beta request, and the X rows of its curves on transition_grid."""
+    horizon = float(req.get("horizon") or cfg.grid.horizon)
+    grid, stride = transition_grid(cfg.model, horizon, save_every=req.get("save_every"))
+    return horizon, Rows(cfg.master_seed, grid, cfg.n_paths, "X", stride)
 
 
 def _stationary_rows(cfg: ExperimentConfig, req: EstimatorRequest) -> tuple[float, Rows]:
@@ -361,35 +335,57 @@ def _b_h_rows(cfg: ExperimentConfig, req: EstimatorRequest, seed: int, label: st
     return Rows(seed, grid, int(req.get("n") or cfg.n_paths), label, grid.n_steps)
 
 
-def _planned_rows(cfg: ExperimentConfig, groups: "tuple[str, ...]") -> list[Rows]:
-    """The keyed rows of the stationary samples and of b_equals_h that the run's stages read."""
+def _planned_rows(
+    cfg: ExperimentConfig, groups: "tuple[str, ...]"
+) -> "list[tuple[Rows, Sink | None]]":
+    """Every linear solve the run's stages read, in stage order, with its consumer (RunState).
+
+    The run's own grid comes first: X for simulate, moments' sources and
+    the noise fits' zeta and Y at every node.  Then the transition curves'
+    X, the stationary H of Hill and converge, b_equals_h's B and H per
+    replicate and converge's X.
+    """
     if not isinstance(cfg.model, LinearModel):
         return []
-    planned = []
+    planned: "list[tuple[Rows, Sink | None]]" = []
+    if "simulate" in groups:
+        planned.append((_run_rows(cfg, "X", node_stride(cfg.grid.n_steps, SIMULATE_NODES)), None))
+    if "moments" in groups:
+        planned += [
+            (_run_rows(cfg, req.get("source"), moments_stride(req, cfg.grid)), None)
+            for req in _reqs(cfg, "moments")
+        ]
     if "beta" in groups:
-        planned += [_stationary_rows(cfg, req)[1] for req in _reqs(cfg, "hill")]
+        planned += [
+            (_run_rows(cfg, "zeta", 1), green_kubo_sums(cfg.grid, float(w), cfg.n_paths))
+            for w in (req.get("window") for req in _reqs(cfg, "green_kubo"))
+        ] + [
+            (_run_rows(cfg, "Y", 1), dt_fit_sums(cfg.grid, (float(lo), float(hi)), cfg.n_paths))
+            for lo, hi in (req.get("window") for req in _reqs(cfg, "dt_fit"))
+        ]
+        for req in _reqs(cfg, "beta"):
+            rows = _transition_rows(cfg, req)[1]
+            times = rows.grid.subsampled(rows.stride).times
+            p_grid = sorted(float(p) for p in req.get("p_grid"))
+            planned.append((rows, CurveSums("X", p_grid, times, rows.n, rows.seed, 0.0)))
+        planned += [(_stationary_rows(cfg, req)[1], None) for req in _reqs(cfg, "hill")]
     if "verify" in groups:
         for req in _reqs(cfg, "b_equals_h"):
             for seeds in b_h_seeds(cfg.master_seed, int(req.get("replicates"))):
-                planned += [_b_h_rows(cfg, req, seed, label) for seed, label in zip(seeds, "BH")]
+                planned += [
+                    (_b_h_rows(cfg, req, seed, label), None) for seed, label in zip(seeds, "BH")
+                ]
     if "converge" in groups:
-        planned += [_stationary_rows(cfg, req)[1] for req in _reqs(cfg, "converge")]
+        for req in _reqs(cfg, "converge"):
+            x = _run_rows(cfg, "X", node_stride(cfg.grid.n_steps, MOMENT_NODES))
+            planned += [(x, None), (_stationary_rows(cfg, req)[1], None)]
     return planned
-
-
-def _solve(
-    cfg: ExperimentConfig, label: str, save_every: int
-) -> "PathEnsemble | NonlinearSolution":
-    problem = (cfg.model, cfg.grid, cfg.master_seed, cfg.n_paths)
-    if isinstance(cfg.model, NonlinearModel):  # config admits only X here
-        return solve_nonlinear(*problem, save_every=save_every, workers=cfg.workers)
-    return solve_linear(*problem, (label,), save_every=save_every, workers=cfg.workers)[label]
 
 
 def do_simulate(state: RunState) -> None:
     cfg = state.cfg
-    stride = node_stride(cfg.grid.n_steps, 500)
-    solved, ens = state.solve("X", stride), state.ensemble("X", stride)
+    stride = node_stride(cfg.grid.n_steps, SIMULATE_NODES)
+    ens = state.ensemble("X", stride)
     state.flagged["simulate"] = ens.n_flagged
     if "csv" in cfg.formats:
         write_ensemble_csv(state.add("ensemble_X.csv"), ens)
@@ -404,7 +400,8 @@ def do_simulate(state: RunState) -> None:
             "t_max": ens.grid.horizon,
             "master_seed": ens.master_seed,
         }
-        if isinstance(solved, NonlinearSolution):
+        if isinstance(cfg.model, NonlinearModel):
+            solved = state.nonlinear(stride)
             record.update(
                 substeps=solved.substeps, step_bias=solved.step_bias, mc_se=solved.mc_se
             )
@@ -491,29 +488,12 @@ def do_beta(state: RunState) -> None:
     d_analytic = diffusion_constant(model.multiplicative)
 
     for req in _reqs(cfg, "beta"):
-        horizon = float(req.get("horizon") or cfg.grid.horizon)
+        horizon, rows = _transition_rows(cfg, req)
         window = req.get("window")
         if window is not None:
             window = (float(window[0]), float(window[1]))
-        grid, stride = transition_grid(model, horizon, save_every=req.get("save_every"))
-        riders = {
-            r: r.solve()
-            for r in state.planned
-            if (r.seed, r.grid, r.label) == (cfg.master_seed, grid, "B") and r.n <= cfg.n_paths
-        }
-        curves = linear_moment_curves(
-            model,
-            grid,
-            cfg.master_seed,
-            cfg.n_paths,
-            sorted(float(p) for p in req.get("p_grid")),
-            save_every=stride,
-            workers=cfg.workers,
-            riders=tuple(riders.values()),
-        )
-        state.keep(riders)
         window = transition_window(horizon, window)
-        report = moment_transition(curves, window, analytic=model.beta_c)
+        report = moment_transition(state.fed(rows).curves(), window, analytic=model.beta_c)
         out["moment_transition"] = _report_to_dict(report)
 
     for req in _reqs(cfg, "hill"):
@@ -531,9 +511,11 @@ def do_beta(state: RunState) -> None:
         out["hill"]["t_star"] = t_star
         out["hill"]["truncation_bound"] = sample.truncation_bound
 
-    for fit, _, sums in state.noise_fits():
-        report = fit(sums, sums.window, analytic=d_analytic)
-        out[report.method] = _report_to_dict(report)
+    for fit, label in ((green_kubo_d, "zeta"), (dt_fit_d, "Y")):
+        sums = state.fed(_run_rows(cfg, label, 1))
+        if sums is not None:
+            report = fit(sums, sums.window, analytic=d_analytic)
+            out[report.method] = _report_to_dict(report)
 
     if out:
         write_json(state.add("beta.json"), out)
@@ -764,12 +746,7 @@ def run(
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IOFailureError(f"cannot create output directory {out}: {exc}") from exc
-    state = RunState(
-        cfg=cfg,
-        out=out,
-        fits=_noise_fits(cfg) if "beta" in groups else [],
-        planned=_planned_rows(cfg, groups),
-    )
+    state = RunState(cfg=cfg, out=out, planned=_planned_rows(cfg, groups))
 
     if "simulate" in groups:
         do_simulate(state)

@@ -29,6 +29,8 @@ from .metrics import linear_moment_curves  # noqa: F401  (rmpbench traces it her
 from .noise import NoiseSpec, diffusion_constant, y_variance_half
 
 FLAG_NONSTABLE = "NONSTABLE"
+# Some order's rate fit ran unweighted: its error bars overflowed or were not positive.
+FLAG_UNWEIGHTED = "UNWEIGHTED_FIT"
 # Path batches behind the green_kubo and dt_fit confidence intervals.
 N_BATCHES = 20
 
@@ -166,6 +168,8 @@ def moment_transition(
     curve is fitted on window (weighted by its error bars, so nodes
     drowned in sampling noise do not tilt the fit); the estimate
     interpolates the slope sign change between the bracketing orders.
+    The report is flagged FLAG_UNWEIGHTED when some order's error bars
+    could not weight its fit.
     """
     ps = curves.p_values
     if len(ps) < 2 or list(ps) != sorted(ps):
@@ -195,6 +199,7 @@ def moment_transition(
         ci_high=float(estimate + half),
         n_effective=curves.n,
         analytic=analytic,
+        flags=() if all(f.weighted for f in fits) else (FLAG_UNWEIGHTED,),
         details={
             "p_grid": list(ps),
             "slopes": [float(s) for s in slopes],
@@ -252,12 +257,18 @@ def _carried_sum(carry: "np.ndarray | None", rows: np.ndarray) -> np.ndarray:
     """rows.sum(axis=0) continued from carry, the sum of the rows before them.
 
     numpy sums a C-ordered array of two or more columns over axis 0 from
-    0, row after row, so carry and then the rows give, bit for bit, the
-    sum of all the rows held as one array (carry is never -0.0).
+    0, row after row, so carry added into the first row and then the
+    other rows give, bit for bit, the sum of all the rows held as one
+    array (carry is never -0.0).  The first row is restored after, so no
+    copy of the rows is made.
     """
     if carry is None:
         return rows.sum(axis=0)
-    return np.concatenate([carry[None], rows]).sum(axis=0)
+    first = rows[0].copy()
+    rows[0] += carry
+    total = rows.sum(axis=0)
+    rows[0] = first
+    return total
 
 
 class BatchSums:

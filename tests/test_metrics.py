@@ -514,12 +514,16 @@ def test_ensemble_moment_curves_agree_with_streaming():
     streamed = linear_moment_curves(
         GROUPED_MODEL, GROUPED_GRID, 11, 4500, [0.5, 2.0], save_every=4
     )
+    threaded = linear_moment_curves(
+        GROUPED_MODEL, GROUPED_GRID, 11, 4500, [0.5, 2.0], save_every=4, workers=2
+    )
     for layout in ({"block_size": 7}, {"workers": 2}):
         sol = solve_linear(GROUPED_MODEL, GROUPED_GRID, 11, 4500, save_every=4, **layout)
         from_ens = ensemble_moment_curves(sol["X"], [0.5, 2.0])
-        for name in ("value", "std_err", "unstable"):
-            assert np.array_equal(getattr(from_ens, name), getattr(streamed, name))
-        assert (from_ens.n, from_ens.excluded) == (streamed.n, streamed.excluded)
+        for curves in (streamed, threaded):
+            for name in ("value", "std_err", "unstable"):
+                assert np.array_equal(getattr(from_ens, name), getattr(curves, name))
+            assert (from_ens.n, from_ens.excluded) == (curves.n, curves.excluded)
 
 
 def test_streamed_curves_refuse_an_all_flagged_ensemble():

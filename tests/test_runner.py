@@ -30,8 +30,8 @@ from rmplab.errors import EmptyInputError
 from rmplab.metrics import ensemble_moment_curves, linear_moment_curves
 from rmplab.noise import diffusion_constant
 from rmplab.rng import ROLE_ADDITIVE, ROLE_MULTIPLICATIVE
-from rmplab.storage import platform_record, sha256_file
-from rmplab.tail import b_h_replicates, transition_grid
+from rmplab.storage import platform_record, sha256_file, write_moment_csv
+from rmplab.tail import FLAG_UNWEIGHTED, b_h_replicates, transition_grid
 from held import dt_fit_of, green_kubo_of
 from peaks import traced_peak
 from test_acceptance import _pipeline_raw
@@ -121,8 +121,6 @@ CASES = {
     "linear": (LINEAR_RAW, ("simulate", "moments", "converge")),
 }
 
-# every binding through which runner solves a model on the run's grid
-SOLVERS = ("solve_nonlinear", "solve_linear", "_linear_rows")
 
 
 def _digests(raw: dict, groups: tuple[str, ...], out) -> dict[str, str]:
@@ -132,19 +130,36 @@ def _digests(raw: dict, groups: tuple[str, ...], out) -> dict[str, str]:
 
 
 def _count_calls(monkeypatch) -> list:
-    """The X stride of each call of runner's SOLVERS bindings, in call order."""
+    """What each of runner's solves solves, in call order.
+
+    A nonlinear solve reads as its X stride.  A block loop
+    (engine._solve_rows) reads as (seed, group, solves), each solve as
+    (nodes, rows, strides).
+    """
     calls = []
+    solve_rows, solve_nonlinear = runner._solve_rows, runner.solve_nonlinear
 
-    def counting(original):
-        def counted(*args, **kwargs):
-            calls.append(kwargs.get("save_every", kwargs.get("strides", {}).get("X")))
-            return original(*args, **kwargs)
+    def loop(model, seed, solves, workers, *args, **kwargs):
+        shapes = [(s.grid.n_nodes, s.n_paths, s.strides) for s in solves]
+        calls.append((seed, kwargs.get("group"), shapes))
+        return solve_rows(model, seed, solves, workers, *args, **kwargs)
 
-        return counted
+    def nonlinear(*args, **kwargs):
+        calls.append(kwargs["save_every"])
+        return solve_nonlinear(*args, **kwargs)
 
-    for name in SOLVERS:
-        monkeypatch.setattr(runner, name, counting(getattr(runner, name)))
+    monkeypatch.setattr(runner, "_solve_rows", loop)
+    monkeypatch.setattr(runner, "solve_nonlinear", nonlinear)
     return calls
+
+
+def _grid_loops(calls: list, cfg) -> list:
+    """The solves of each block loop of calls on the run's own seed and grid."""
+    return [
+        [strides for _, _, strides in shapes]
+        for seed, _, shapes in calls
+        if seed == cfg.master_seed and shapes[0][0] == cfg.grid.n_nodes
+    ]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -163,8 +178,11 @@ def test_stages_share_one_solve_and_keep_their_bytes(tmp_path, monkeypatch, name
     raw, groups = CASES[name]
     calls = _count_calls(monkeypatch)
     _digests(raw, groups, tmp_path / "together")
-    # one solve, at the stride simulate, nonlinear moments and converge share
-    assert calls == [1]
+    # one solve of the run's grid, at the stride simulate, moments and converge share
+    if name == "nonlinear":
+        assert calls == [1]
+    else:
+        assert _grid_loops(calls, config_from_dict(raw)) == [[{"X": 1}]]
     apart = {}
     for group in groups:
         apart.update(_digests(raw, (group,), tmp_path / group))
@@ -271,19 +289,82 @@ def _state_pass_raw(steps: int, out_dir) -> dict:
 def test_one_state_pass_writes_the_bytes_of_single_group_runs(
     tmp_path, monkeypatch, steps, x_stride
 ):
-    # A full run solves its grid once: X at the simulate stride, which
-    # moments and converge share, and the noise fits' zeta and Y at every
-    # node.  Beta alone solves zeta and Y, simulate alone X.
+    # A full run solves its grid in one block loop: X at the simulate
+    # stride, which moments and converge share, and the noise fits' zeta
+    # and Y at every node.  Beta alone solves zeta and Y, simulate alone X.
     raw = _state_pass_raw(steps, tmp_path)
-    passes = _count_calls(monkeypatch)
-    full = _digests(raw, runner.GROUPS, tmp_path / "full")
-    assert passes == [x_stride]
-    beta = _digests(raw, ("beta",), tmp_path / "beta")
-    assert passes == [x_stride, None]
-    assert beta == {"beta.json": full["beta.json"]}
-    simulate = _digests(raw, ("simulate",), tmp_path / "simulate")
+    cfg = config_from_dict(raw)
+    digests = {}
+    for groups, want in [
+        (runner.GROUPS, [{"X": x_stride}, {"zeta": 1}, {"Y": 1}]),
+        (("beta",), [{"zeta": 1}, {"Y": 1}]),
+        (("simulate",), [{"X": x_stride}]),
+    ]:
+        with monkeypatch.context() as patch:
+            calls = _count_calls(patch)
+            digests[groups] = _digests(raw, groups, tmp_path / "_".join(groups))
+        assert _grid_loops(calls, cfg) == [want], groups
+    full = digests[runner.GROUPS]
+    assert digests[("beta",)] == {"beta.json": full["beta.json"]}
     ensembles = ("ensemble_X.bin", "ensemble_X.csv", "simulate.json")
-    assert simulate == {name: full[name] for name in ensembles}
+    assert digests[("simulate",)] == {name: full[name] for name in ensembles}
+
+
+def test_a_full_c10_run_solves_eleven_block_loops(tmp_path, monkeypatch):
+    # Every linear solve of the run is a planned request, and a request
+    # joins the first loop of its seed that _solve_rows takes it into: the
+    # run's grid, the transition curves with replicate 0's B, the
+    # stationary rows of master_seed + 1, and one loop per later replicate
+    # sample.  A loop feeding curves runs in their 2,048-path groups, one
+    # feeding the noise fits in 2,048 paths per worker, any other in one.
+    cfg = config_from_dict(_pipeline_raw(1, str(tmp_path)))
+    calls = _count_calls(monkeypatch)
+    runner.run(cfg)
+    n = cfg.n_paths
+    b_h = [(cfg.master_seed + k, None, [(301, 1500, {"BH"[k % 2]: 300})]) for k in range(2, 10)]
+    assert calls == [
+        (cfg.master_seed, 2048, [(151, n, {"X": 1}), (151, n, {"zeta": 1}), (151, n, {"Y": 1})]),
+        (cfg.master_seed, 2048, [(301, n, {"X": 1}), (301, 1500, {"B": 300})]),
+        (
+            cfg.master_seed + 1,
+            None,
+            [(1385, 4000, {"H": 173}), (301, 1500, {"H": 300}), (457, 2000, {"H": 456})],
+        ),
+        *b_h,
+    ]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_moments_source_rides_on_the_run_grid_loop_with_its_own_mask(tmp_path, monkeypatch):
+    # x0 = 1e307 flags X wherever A passes 18, and never flags A: the A
+    # moments share the kernel of simulate's X and keep every path a
+    # solve of A alone keeps.
+    raw = dict(
+        LINEAR_RAW,
+        model=dict(
+            LINEAR_RAW["model"], a=0.5, x0=1e307,
+            multiplicative={"kind": "ou", "sigma": 2.0, "tau_c": 0.25},
+        ),
+        outputs={"directory": "out", "formats": ["csv", "json"]},
+        estimators=[{"name": "moments", "source": "A", "p": [0.5, 1.0], "window": [1.0, 3.0]}],
+    )
+    cfg = config_from_dict(raw)
+    calls = _count_calls(monkeypatch)
+    runner.run(cfg, groups=("simulate", "moments"), out_dir=tmp_path / "run")
+    assert _grid_loops(calls, cfg) == [[{"X": 1}, {"A": 1}]] and len(calls) == 1
+    a = solve_linear(cfg.model, cfg.grid, cfg.master_seed, cfg.n_paths, ("A",))["A"]
+    x = solve_linear(cfg.model, cfg.grid, cfg.master_seed, cfg.n_paths)["X"]
+    assert x.n_flagged > a.n_flagged
+    curves = ensemble_moment_curves(a, [0.5, 1.0])
+    rows = [
+        (t, p, curves.value[i, j], curves.std_err[i, j], curves.n, curves.excluded)
+        for i, p in enumerate(curves.p_values)
+        for j, t in enumerate(curves.times)
+    ]
+    write_moment_csv(tmp_path / "want.csv", rows)
+    got = tmp_path / "run" / "moments_A.csv"
+    assert got.read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert json.loads((tmp_path / "run" / "moments_A.json").read_text())["excluded"] == a.n_flagged
 
 
 def test_a_full_run_draws_the_state_noise_once(tmp_path, monkeypatch):
@@ -414,6 +495,8 @@ def test_b_equals_h_reads_its_own_mask_where_x_saturates(tmp_path):
     x = solve_linear(cfg.model, grid, cfg.master_seed, 600, save_every=grid.n_steps)["X"]
     b = solve_linear(cfg.model, grid, cfg.master_seed, 600, ("B",), save_every=grid.n_steps)["B"]
     assert beta["moment_transition"]["details"]["excluded"] > 0
+    # the p = 0.9 error bars overflow, so that order's fit runs unweighted
+    assert beta["moment_transition"]["flags"] == [FLAG_UNWEIGHTED]
     assert x.n_flagged > 0 and b.n_flagged == 0
     want = b_h_replicates(cfg.model, 1.5, 600, 2, cfg.master_seed)
     assert got == [r.p_value for r in want]
@@ -495,3 +578,19 @@ def test_every_tracer_pin_is_a_traced_binding():
                 ]
     assert ("tail", "linear_moment_curves") in pins  # a census that found none would pass
     assert [pin for pin in pins if pin not in targets] == []
+
+
+def test_runner_solves_linear_rows_through_one_call():
+    # Every linear solve of a run is a planned request on one block loop
+    # route: one call of _solve_rows, and no other linear solver imported.
+    tree = ast.parse((ROOT / "src" / "rmplab" / "runner.py").read_text(encoding="utf-8"))
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_solve_rows"
+    ]
+    imported = {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert len(calls) == 1
+    assert imported & {"solve_linear", "_linear_rows"} == set()
