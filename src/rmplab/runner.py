@@ -145,11 +145,12 @@ class RunState:
     so its bytes are those of a solve of it alone, in any company.
 
     held keeps each read Rows from its loop's solve to its last planned
-    read, the horizon-only ones as one column, and the nonlinear solve of
-    each X stride (nonlinear) for the run, so simulate can report its
-    substep count.  A run of fewer stages plans fewer rows and writes the
-    same bytes.  The state is dropped when `run` returns, so nothing
-    outlives a run.
+    read, and the nonlinear solve of each X stride (nonlinear) for the
+    run, so simulate can report its substep count.  Each stage names the
+    Rows it reads with the helper _planned_rows plans them by, and a read
+    of a Rows no plan names raises LookupError.  A run of fewer stages
+    plans fewer rows and writes the same bytes.  The state is dropped
+    when `run` returns, so nothing outlives a run.
     """
 
     cfg: ExperimentConfig
@@ -171,23 +172,23 @@ class RunState:
         self.artifacts.append(name)
         return self.out / name
 
-    def ensemble(self, label: str, save_every: int) -> PathEnsemble:
-        """One stage's read of label at output stride save_every on the run's grid."""
+    def ensemble(self, want: Rows) -> PathEnsemble:
+        """One stage's read of want, rows of the run's grid, as a path ensemble."""
         cfg = self.cfg
         if isinstance(cfg.model, NonlinearModel):  # config admits only X here
-            return self.nonlinear(save_every).x
-        values, flagged = self.rows(_run_rows(cfg, label, save_every))
+            return self.nonlinear(want).x
+        values, flagged = self.rows(want)
         return PathEnsemble(
-            cfg.grid.subsampled(save_every), label, values, flagged, cfg.master_seed
+            cfg.grid.subsampled(want.stride), want.label, values, flagged, cfg.master_seed
         )
 
-    def nonlinear(self, save_every: int) -> NonlinearSolution:
-        """The nonlinear solve of X at output stride save_every, made once per run."""
-        cfg, want = self.cfg, _run_rows(self.cfg, "X", save_every)
+    def nonlinear(self, want: Rows) -> NonlinearSolution:
+        """The nonlinear solve of X at want's stride, made once per run."""
+        cfg = self.cfg
         if want not in self.held:
             self.held[want] = solve_nonlinear(
                 cfg.model, cfg.grid, cfg.master_seed, cfg.n_paths,
-                save_every=save_every, workers=cfg.workers,
+                save_every=want.stride, workers=cfg.workers,
             )
         return self.held[want]
 
@@ -197,13 +198,15 @@ class RunState:
         self.reads[want] -= 1
         return self.held[want] if self.reads[want] else self.held.pop(want)
 
-    def fed(self, want: Rows) -> "Sink | None":
-        """The sink want's rows were planned to feed, fed every path; None if none was."""
+    def fed(self, want: Rows) -> Sink:
+        """The sink want's rows were planned to feed, fed every path."""
         self.solve(want)
-        return self.sinks.get(want)
+        return self.sinks[want]
 
     def solve(self, want: Rows) -> None:
         """Solve want's loop, unless it is solved: hold the read rows and feed the sinks."""
+        if want not in self.reads and want not in self.sinks:
+            raise LookupError(f"no stage of this run planned a read of {want}")
         loop = next((loop for loop in self.loops if want in loop), None)
         if loop is None:
             return
@@ -222,10 +225,7 @@ class RunState:
                     sink.add(values[r.label], np.flatnonzero(~flagged))
         for r, solve in zip(loop, solves):
             if solve.held:
-                values = solve.held[r.label]
-                if r.stride == r.grid.n_steps:
-                    values = values[:, -1:].copy()
-                self.held[r] = values, solve.flagged
+                self.held[r] = solve.held[r.label], solve.flagged
 
 
 def _reqs(cfg: ExperimentConfig, *names: str) -> list[EstimatorRequest]:
@@ -307,6 +307,26 @@ def _run_rows(cfg: ExperimentConfig, label: str, stride: int) -> Rows:
     return Rows(cfg.master_seed, cfg.grid, cfg.n_paths, label, stride)
 
 
+def _simulate_rows(cfg: ExperimentConfig) -> Rows:
+    """The X rows simulate writes: about SIMULATE_NODES nodes of the run's grid."""
+    return _run_rows(cfg, "X", node_stride(cfg.grid.n_steps, SIMULATE_NODES))
+
+
+def _moments_rows(cfg: ExperimentConfig, req: EstimatorRequest) -> Rows:
+    """The rows of a moments request's source at its output stride."""
+    return _run_rows(cfg, req.get("source"), moments_stride(req, cfg.grid))
+
+
+def _noise_rows(cfg: ExperimentConfig, req: EstimatorRequest) -> Rows:
+    """The rows a green_kubo (zeta) or dt_fit (Y) request sums, at every node."""
+    return _run_rows(cfg, "zeta" if req.name == "green_kubo" else "Y", 1)
+
+
+def _converge_rows(cfg: ExperimentConfig) -> Rows:
+    """The X rows converge reads its times from: about MOMENT_NODES nodes."""
+    return _run_rows(cfg, "X", node_stride(cfg.grid.n_steps, MOMENT_NODES))
+
+
 def _transition_rows(cfg: ExperimentConfig, req: EstimatorRequest) -> tuple[float, Rows]:
     """The horizon of a beta request, and the X rows of its curves on transition_grid."""
     horizon = float(req.get("horizon") or cfg.grid.horizon)
@@ -349,20 +369,17 @@ def _planned_rows(
         return []
     planned: "list[tuple[Rows, Sink | None]]" = []
     if "simulate" in groups:
-        planned.append((_run_rows(cfg, "X", node_stride(cfg.grid.n_steps, SIMULATE_NODES)), None))
+        planned.append((_simulate_rows(cfg), None))
     if "moments" in groups:
-        planned += [
-            (_run_rows(cfg, req.get("source"), moments_stride(req, cfg.grid)), None)
-            for req in _reqs(cfg, "moments")
-        ]
+        planned += [(_moments_rows(cfg, req), None) for req in _reqs(cfg, "moments")]
     if "beta" in groups:
-        planned += [
-            (_run_rows(cfg, "zeta", 1), green_kubo_sums(cfg.grid, float(w), cfg.n_paths))
-            for w in (req.get("window") for req in _reqs(cfg, "green_kubo"))
-        ] + [
-            (_run_rows(cfg, "Y", 1), dt_fit_sums(cfg.grid, (float(lo), float(hi)), cfg.n_paths))
-            for lo, hi in (req.get("window") for req in _reqs(cfg, "dt_fit"))
-        ]
+        for req in _reqs(cfg, "green_kubo"):
+            sums = green_kubo_sums(cfg.grid, float(req.get("window")), cfg.n_paths)
+            planned.append((_noise_rows(cfg, req), sums))
+        for req in _reqs(cfg, "dt_fit"):
+            lo, hi = req.get("window")
+            sums = dt_fit_sums(cfg.grid, (float(lo), float(hi)), cfg.n_paths)
+            planned.append((_noise_rows(cfg, req), sums))
         for req in _reqs(cfg, "beta"):
             rows = _transition_rows(cfg, req)[1]
             times = rows.grid.subsampled(rows.stride).times
@@ -377,15 +394,13 @@ def _planned_rows(
                 ]
     if "converge" in groups:
         for req in _reqs(cfg, "converge"):
-            x = _run_rows(cfg, "X", node_stride(cfg.grid.n_steps, MOMENT_NODES))
-            planned += [(x, None), (_stationary_rows(cfg, req)[1], None)]
+            planned += [(_converge_rows(cfg), None), (_stationary_rows(cfg, req)[1], None)]
     return planned
 
 
 def do_simulate(state: RunState) -> None:
     cfg = state.cfg
-    stride = node_stride(cfg.grid.n_steps, SIMULATE_NODES)
-    ens = state.ensemble("X", stride)
+    ens = state.ensemble(_simulate_rows(cfg))
     state.flagged["simulate"] = ens.n_flagged
     if "csv" in cfg.formats:
         write_ensemble_csv(state.add("ensemble_X.csv"), ens)
@@ -401,7 +416,7 @@ def do_simulate(state: RunState) -> None:
             "master_seed": ens.master_seed,
         }
         if isinstance(cfg.model, NonlinearModel):
-            solved = state.nonlinear(stride)
+            solved = state.nonlinear(_simulate_rows(cfg))
             record.update(
                 substeps=solved.substeps, step_bias=solved.step_bias, mc_se=solved.mc_se
             )
@@ -409,7 +424,7 @@ def do_simulate(state: RunState) -> None:
 
 
 def _curves_for(state: RunState, req: EstimatorRequest) -> MomentCurves:
-    ensemble = state.ensemble(req.get("source"), moments_stride(req, state.cfg.grid))
+    ensemble = state.ensemble(_moments_rows(state.cfg, req))
     return ensemble_moment_curves(ensemble, [float(p) for p in req.get("p")])
 
 
@@ -511,9 +526,9 @@ def do_beta(state: RunState) -> None:
         out["hill"]["t_star"] = t_star
         out["hill"]["truncation_bound"] = sample.truncation_bound
 
-    for fit, label in ((green_kubo_d, "zeta"), (dt_fit_d, "Y")):
-        sums = state.fed(_run_rows(cfg, label, 1))
-        if sums is not None:
+    for fit, name in ((green_kubo_d, "green_kubo"), (dt_fit_d, "dt_fit")):
+        for req in _reqs(cfg, name):
+            sums = state.fed(_noise_rows(cfg, req))
             report = fit(sums, sums.window, analytic=d_analytic)
             out[report.method] = _report_to_dict(report)
 
@@ -646,7 +661,7 @@ def do_converge(state: RunState) -> None:
     for req in _reqs(cfg, "converge"):
         functions = req.get("functions")
         times = np.array([float(t) for t in req.get("times")])
-        x = state.ensemble("X", node_stride(cfg.grid.n_steps, MOMENT_NODES))
+        x = state.ensemble(_converge_rows(cfg))
         grid_times = x.grid.times
         node_idx = [int(np.argmin(np.abs(grid_times - t))) for t in times]
         snap_times = grid_times[node_idx]

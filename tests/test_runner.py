@@ -367,6 +367,36 @@ def test_a_moments_source_rides_on_the_run_grid_loop_with_its_own_mask(tmp_path,
     assert json.loads((tmp_path / "run" / "moments_A.json").read_text())["excluded"] == a.n_flagged
 
 
+def test_a_horizon_only_moments_stride_writes_the_curves_of_its_own_solve(tmp_path):
+    # save_every = n_steps keeps the first node and the horizon of X: the
+    # moments read both, as a solve at that stride gives them.
+    raw = dict(
+        LINEAR_RAW,
+        outputs={"directory": "out", "formats": ["csv"]},
+        estimators=[{"name": "moments", "p": [0.5, 1.0], "save_every": 150}],
+    )
+    cfg = config_from_dict(raw)
+    runner.run(cfg, groups=("simulate", "moments"), out_dir=tmp_path / "run")
+    x = solve_linear(cfg.model, cfg.grid, cfg.master_seed, cfg.n_paths, save_every=150)["X"]
+    curves = ensemble_moment_curves(x, [0.5, 1.0])
+    assert len(curves.times) == 2
+    rows = [
+        (t, p, curves.value[i, j], curves.std_err[i, j], curves.n, curves.excluded)
+        for i, p in enumerate(curves.p_values)
+        for j, t in enumerate(curves.times)
+    ]
+    write_moment_csv(tmp_path / "want.csv", rows)
+    got = tmp_path / "run" / "moments_X.csv"
+    assert got.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_a_read_no_stage_planned_fails_by_name(tmp_path):
+    cfg = config_from_dict(LINEAR_RAW)
+    state = runner.RunState(cfg, tmp_path, runner._planned_rows(cfg, ("simulate",)))
+    with pytest.raises(LookupError, match="planned a read of Rows"):
+        state.rows(runner._run_rows(cfg, "Y", 1))
+
+
 def test_a_full_run_draws_the_state_noise_once(tmp_path, monkeypatch):
     # The zeta rows of (master_seed, multiplicative role, the run's grid)
     # are drawn once, for X and the noise fits together: on C10's 5,000
