@@ -16,8 +16,9 @@ to 0 and leaves B, X and H exact, so it flags nothing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from collections import Counter
+from dataclasses import dataclass
+from typing import Callable, Iterator, Protocol
 
 import numpy as np
 
@@ -428,8 +429,8 @@ def solve_linear(
     fine, only the first and final nodes are kept, and .final_values is
     the horizon sample.
 
-    The solve is one block loop (_solve_rows) in a single group: the
-    ensembles' (n_paths, n_saved) arrays and the flag vector are
+    The solve is a Plan of one Rows per label, one kernel in a single
+    group: the ensembles' (n_paths, n_saved) arrays and masks are
     allocated once, each block writes its saved rows and flags into them,
     and the solve holds the ensembles and one block's work.  block_size
     bounds a block's rows on top of the loop's BLOCK_CELLS cap.  Row i
@@ -439,41 +440,44 @@ def solve_linear(
     if unknown:
         raise ValueError(f"unknown process labels: {unknown}")
     out_grid = grid.subsampled(save_every)
-    solve = RowSolve(grid, n_paths, dict.fromkeys(need, save_every))
-    [[(values, flagged)]] = _solve_rows(model, master_seed, [solve], workers, block_size)
+    want = [Rows(master_seed, grid, n_paths, label, save_every) for label in dict.fromkeys(need)]
+    plan = Plan(model, workers, [(rows, None) for rows in want], block_size)
+    solved = [plan.rows(rows) for rows in want]
+    flagged = np.logical_or.reduce([mask for _, mask in solved])
     return {
-        label: PathEnsemble(
-            grid=out_grid, label=label, values=arr, flagged=flagged, master_seed=master_seed
-        )
-        for label, arr in values.items()
+        rows.label: PathEnsemble(out_grid, rows.label, values, flagged, master_seed)
+        for rows, (values, _) in zip(want, solved)
     }
 
 
-@dataclass
-class RowSolve:
-    """Rows 0 .. n_paths - 1 of one stream namespace on grid, for a block loop (_solve_rows).
+@dataclass(frozen=True)
+class Rows:
+    """Keyed rows of a linear solve: label at stride on grid, rows 0 .. n - 1 of seed's streams."""
 
-    strides maps each label to its output stride.  A label in held has
-    its rows written into the caller's array there, of n_paths rows; when
-    flagged is given, a bool array of n_paths, it receives the solve's
-    mask, the union of its labels' own masks (linear_block_arrays), which
-    is the mask of a solve of those labels alone.
-    """
-
+    seed: int
     grid: TimeGrid
-    n_paths: int
-    strides: dict[str, int]
-    held: dict[str, np.ndarray] = field(default_factory=dict)
-    flagged: "np.ndarray | None" = None
+    n: int
+    label: str
+    stride: int
+
+    def empty(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Arrays for k of these rows, as saved at stride, and their mask."""
+        return np.empty((k, self.grid.n_steps // self.stride + 1)), np.empty(k, bool)
 
 
-def _kernels(solves: list[RowSolve]) -> list[list[int]]:
-    """The solves' indices by kernel: solves on one grid with no label in common share one."""
+class Sink(Protocol):
+    """What a planned Rows feeds (Plan): add takes each group of its group(workers) paths."""
+
+    def add(self, values: np.ndarray, flagged: np.ndarray) -> None: ...
+    def group(self, workers: int) -> int: ...
+
+
+def _kernels(rows: list[Rows]) -> list[list[int]]:
+    """The rows' indices by kernel: Rows on one grid with no label in common share one."""
     kernels: list[list[int]] = []
-    for i, s in enumerate(solves):
+    for i, r in enumerate(rows):
         for kernel in kernels:
-            labels = {label for j in kernel for label in solves[j].strides}
-            if solves[kernel[0]].grid == s.grid and not labels & s.strides.keys():
+            if rows[kernel[0]].grid == r.grid and r.label not in {rows[j].label for j in kernel}:
                 kernel.append(i)
                 break
         else:
@@ -481,115 +485,158 @@ def _kernels(solves: list[RowSolve]) -> list[list[int]]:
     return kernels
 
 
-def _one_loop(solves: list[RowSolve]) -> bool:
-    """Whether _solve_rows takes solves into one loop: one kernel, or none keeping B or X."""
-    return len(_kernels(solves)) == 1 or not any(s.strides.keys() & {"B", "X"} for s in solves)
+def _one_loop(rows: list[Rows]) -> bool:
+    """Whether _solve_rows takes rows into one loop: one kernel, or none keeping B or X."""
+    return len(_kernels(rows)) == 1 or not any(r.label in ("B", "X") for r in rows)
 
 
 def _solve_rows(
     model: LinearModel,
-    master_seed: int,
-    solves: list[RowSolve],
+    seed: int,
+    rows: list[Rows],
+    held: "dict[Rows, tuple[np.ndarray, np.ndarray]]",
     workers: int,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    *,
-    group: "int | None" = None,
-) -> Iterator[list[tuple[dict[str, np.ndarray], np.ndarray]]]:
-    """The block loop of every linear solve: the solves of one stream namespace in one pass.
+    block_size: int,
+    group: "int | None",
+) -> Iterator[list[tuple[np.ndarray, np.ndarray]]]:
+    """The block loop of every linear solve: the Rows of one stream namespace in one pass.
 
-    Solves on one grid with no label in common share a kernel (_kernels),
+    Rows on one grid with no label in common share a kernel (_kernels),
     which computes the union of their labels for the rows any of them
     reads.  With more than one kernel, each block draws its rows' keyed
     normals once, through noise.draw_normals into workspace slots 1 and 2,
     for the most nodes any kernel needing its first row solves; every
     kernel reads its prefix of them, which is what it would draw itself,
-    and keeps to the other slots, so such a loop refuses a solve keeping
-    B or X (_one_loop).  A single kernel draws its own normals
-    (linear_block_arrays).
+    and keeps to the other slots, so such a loop must keep no B or X
+    (_one_loop, by which Plan forms its loops).  A single kernel draws
+    its own normals (linear_block_arrays).
 
     Yields, for the consecutive groups of `group` rows in path order (one
     group of all rows when group is None), one (values, flagged) per
-    solve: values[label] holds the saved rows of the solve's paths in the
-    group, flagged their mask (RowSolve), both empty past the solve's
-    n_paths.  Rows of a held label, and masks of a solve with flagged,
-    lie in the caller's arrays; every other label and mask is written into
-    buffers sized for one group, which the next group overwrites, so a
-    caller that reduces each group before asking for the next holds one
-    group's rows, never the ensemble's.  A block holds at most BLOCK_CELLS
-    // n_nodes rows of the longest grid (at least one, and at most
-    block_size), so its fine-grid arrays fit the block workspace.  Every
-    kernel a block runs works path by path and writes only its own rows,
-    so row i is the same bytes in any partition, grouping or company and
-    with any number of workers.
+    Rows: the saved rows of its paths in the group and their mask, the
+    mask of its label alone (linear_block_arrays), both empty past its n.
+    Rows in held lie in the caller's arrays there, of n rows each; the
+    others are written into buffers sized for one group, which the next
+    group overwrites, so a caller that reduces each group before asking
+    for the next holds one group's rows, never the ensemble's.  A block
+    holds at most BLOCK_CELLS // n_nodes rows of the longest grid (at
+    least one, and at most block_size), so its fine-grid arrays fit the
+    block workspace.  Every kernel a block runs works path by path and
+    writes only its own rows, so row i is the same bytes in any
+    partition, grouping or company and with any number of workers.
     """
-    if any(s.n_paths < 1 for s in solves):
+    if any(r.n < 1 for r in rows):
         raise ValueError("n_paths must be positive")
-    if not _one_loop(solves):
-        raise ValueError("kernels on shared normals cannot keep B or X")
-    kernels = _kernels(solves)
+    kernels = _kernels(rows)
     shared = len(kernels) > 1
-    n_max = max(s.n_paths for s in solves)
+    n_max = max(r.n for r in rows)
     size = n_max if group is None else min(group, n_max)
-    buffers = []  # per solve: its labels' group buffers, and its mask's
-    for s in solves:
-        rows = min(size, s.n_paths)
-        saved = {
-            label: np.empty((rows, s.grid.n_steps // stride + 1))
-            for label, stride in s.strides.items()
-            if label not in s.held
-        }
-        buffers.append((saved, np.empty(rows, dtype=bool)))
-    cap = min(block_size, max(1, BLOCK_CELLS // max(s.grid.n_nodes for s in solves)))
+    # per Rows: its rows and mask, whole when held, else one group's
+    buffers = [held.get(r) or r.empty(min(size, r.n)) for r in rows]
+    cap = min(block_size, max(1, BLOCK_CELLS // max(r.grid.n_nodes for r in rows)))
     roles = ((model.multiplicative, ROLE_MULTIPLICATIVE), (model.additive, ROLE_ADDITIVE))
 
     for lo in range(0, n_max, size):
         n = min(size, n_max - lo)
         parts = []
-        for s, (saved, mask) in zip(solves, buffers):
-            k = max(0, min(n, s.n_paths - lo))
-            values = {
-                label: s.held[label][lo : lo + k] if label in s.held else saved[label][:k]
-                for label in s.strides
-            }
-            parts.append((values, mask[:k] if s.flagged is None else s.flagged[lo : lo + k]))
+        for r, (values, mask) in zip(rows, buffers):
+            at, k = (lo if r in held else 0), max(0, min(n, r.n - lo))
+            parts.append((values[at : at + k], mask[at : at + k]))
 
         def block(idx: np.ndarray) -> None:
             a, b = lo + int(idx[0]), lo + int(idx[-1]) + 1
             normals: "list[np.ndarray | None]" = [None, None]
             if shared:  # slots 1 and 2 hold them for every kernel of the block
-                nodes = max(s.grid.n_nodes for s in solves if s.n_paths > a)
+                nodes = max(r.grid.n_nodes for r in rows if r.n > a)
                 slots = workspace()[1:3]
                 normals = [
-                    noise_mod.draw_normals(spec, master_seed, idx + lo, role, nodes, slot)
+                    noise_mod.draw_normals(spec, seed, idx + lo, role, nodes, slot)
                     for (spec, role), slot in zip(roles, slots)
                 ]
             for kernel in kernels:
-                # each piece of the block has one set of solves reading its rows
-                ends = {solves[i].n_paths for i in kernel}
+                # each piece of the block has one set of Rows reading its rows
+                ends = {rows[i].n for i in kernel}
                 cuts = sorted({a, b} | {end for end in ends if a < end < b})
                 for p, q in zip(cuts, cuts[1:]):
-                    live = [i for i in kernel if solves[i].n_paths > p]
+                    live = [i for i in kernel if rows[i].n > p]
                     if not live:
                         break
-                    strides, into = {}, {}
-                    for i in live:
-                        strides.update(solves[i].strides)
-                        into.update((label, v[p - lo : q - lo]) for label, v in parts[i][0].items())
-                    flags = {label: np.empty(q - p, dtype=bool) for label in strides}
                     piece = [z if z is None else z[p - a : q - a] for z in normals]
                     linear_block_arrays(
-                        model, solves[live[0]].grid, master_seed, np.arange(p, q),
-                        strides=strides, into=into, flags=flags,
+                        model, rows[live[0]].grid, seed, np.arange(p, q),
+                        strides={rows[i].label: rows[i].stride for i in live},
+                        into={rows[i].label: parts[i][0][p - lo : q - lo] for i in live},
+                        flags={rows[i].label: parts[i][1][p - lo : q - lo] for i in live},
                         normals=piece if shared else None,
                     )
-                    for i in live:
-                        mask = parts[i][1][p - lo : q - lo]
-                        mask[...] = False
-                        for label in solves[i].strides:
-                            mask |= flags[label]
 
         run_blocks(n, block, workers=workers, block_size=cap)
         yield parts
+
+
+@dataclass
+class Plan:
+    """Every linear solve one caller reads, planned before any is solved.
+
+    planned lists Rows in plan order, each with its consumer: None for one
+    read of the held rows (rows), else the Sink fed the rows a group at a
+    time in path order (fed).  In plan order, each Rows joins the first
+    loop of its seed that _solve_rows takes it into (_one_loop), or starts
+    one, and the first read of any of a loop's Rows solves the whole loop
+    in one call of _solve_rows.  A loop feeding sinks is solved in the
+    smallest group any of them needs, any other in one group.  Each Rows
+    gets its own label's mask, so its bytes are those of a solve of it
+    alone, in any company.  A read Rows is held from its loop's solve to
+    its last planned read, and a read of a Rows the plan does not name
+    raises LookupError.
+    """
+
+    model: LinearModel
+    workers: int
+    planned: "list[tuple[Rows, Sink | None]]"
+    block_size: int = DEFAULT_BLOCK_SIZE
+
+    def __post_init__(self) -> None:
+        self.reads = Counter(r for r, sink in self.planned if sink is None)
+        self.sinks = {r: sink for r, sink in self.planned if sink is not None}
+        self.held: "dict[Rows, tuple[np.ndarray, np.ndarray]]" = {}
+        self.loops: list[list[Rows]] = []
+        for r in dict.fromkeys(r for r, _ in self.planned):
+            loop = next((q for q in self.loops if q[0].seed == r.seed and _one_loop([*q, r])), None)
+            if loop is None:
+                self.loops.append([r])
+            else:
+                loop.append(r)
+
+    def rows(self, want: Rows) -> tuple[np.ndarray, np.ndarray]:
+        """want's saved rows and mask, for one of its planned reads."""
+        self._solve(want)
+        self.reads[want] -= 1
+        return self.held[want] if self.reads[want] else self.held.pop(want)
+
+    def fed(self, want: Rows) -> Sink:
+        """The sink want's rows were planned to feed, fed every path."""
+        self._solve(want)
+        return self.sinks[want]
+
+    def _solve(self, want: Rows) -> None:
+        """Solve want's loop, unless it is solved: hold the read rows and feed the sinks."""
+        if want not in self.reads and want not in self.sinks:
+            raise LookupError(f"nothing planned a read of {want}")
+        loop = next((loop for loop in self.loops if want in loop), None)
+        if loop is None:
+            return
+        self.loops.remove(loop)
+        held = {r: r.empty(r.n) for r in loop if self.reads[r]}
+        sinks = [self.sinks.get(r) for r in loop]
+        group = min((s.group(self.workers) for s in sinks if s is not None), default=None)
+        for parts in _solve_rows(
+            self.model, want.seed, loop, held, self.workers, self.block_size, group
+        ):
+            for sink, (values, flagged) in zip(sinks, parts):
+                if sink is not None and len(flagged):  # a group past the Rows' n feeds nothing
+                    sink.add(values, flagged)
+        self.held.update(held)
 
 
 def gamma_rate(a: float, d: float, p: float) -> float:
@@ -612,16 +659,18 @@ def stationary_horizon(model: LinearModel, p_max: float) -> float:
     return float(np.log(1e-3) / _stationary_rate(model, p_max))
 
 
-def stationary_grid(t_star: float) -> tuple[TimeGrid, int]:
-    """stationary_sample's grid for horizon t_star, and the stride of its 9 saved nodes.
+def stationary_rows(t_star: float, n: int, seed: int, bound: bool) -> Rows:
+    """The H rows stationary_sample reads for horizon t_star: rows 0 .. n - 1 of seed.
 
     The grid steps by about min(0.02 t_star, 0.01), in a multiple of 8
-    steps, so a handful of interior nodes calibrate the truncation bound.
+    steps.  The rows keep its 9 nodes at the eighths of t_star when bound
+    is set, so a handful of interior nodes calibrate the truncation
+    bound, else its first node and the horizon.
     """
     n_steps = max(int(round(t_star / min(0.02 * t_star, 0.01))), 8)
-    while n_steps % 8 != 0:
-        n_steps += 1
-    return TimeGrid(dt=t_star / n_steps, n_steps=n_steps), n_steps // 8
+    n_steps += -n_steps % 8
+    grid = TimeGrid(dt=t_star / n_steps, n_steps=n_steps)
+    return Rows(seed, grid, n, "H", n_steps // 8 if bound else n_steps)
 
 
 def stationary_sample(
@@ -631,34 +680,28 @@ def stationary_sample(
     master_seed: int,
     *,
     p_max: float | None = None,
-    workers: int = 1,
-    rows: "tuple[np.ndarray, np.ndarray] | None" = None,
+    plan: "Plan | None" = None,
 ) -> StationarySample:
     """Approximate stationary draws via the reversed response at t_star.
 
     H_{t_star} has the law of the stationary state up to a tail the
-    caller controls through t_star.  H is solved on stationary_grid(t_star)
-    for the keyed rows 0 .. n - 1, unless rows holds that solve already:
-    H's saved rows, at the grid's stride (only the horizon column is read
-    when p_max is None), and their mask.  The draws the kernel flags are
-    left out, with no copy when there are none.  When p_max is given, a
-    fitted truncation bound K exp(gamma_p t_star) is attached: K is
-    calibrated from quasi-norm increments of the kept draws' H between
-    intermediate horizons.
+    caller controls through t_star.  H is read from plan, a Plan naming a
+    read of stationary_rows (a plan of that read alone when None).  The
+    draws the kernel flags are left out, with no copy when there are
+    none.  When p_max is given, a fitted truncation bound
+    K exp(gamma_p t_star) is attached: K is calibrated from quasi-norm
+    increments of the kept draws' H between intermediate horizons.
     """
     rate = None if p_max is None else _stationary_rate(model, p_max)
-    grid, save_every = stationary_grid(t_star)
-    if rows is None:
-        solve = RowSolve(grid, n, {"H": save_every})
-        [[(values, flagged)]] = _solve_rows(model, master_seed, [solve], workers)
-        rows = values["H"], flagged
-    h, ok = rows[0], ~rows[1]
+    want = stationary_rows(t_star, n, master_seed, p_max is not None)
+    h, flagged = (plan or Plan(model, 1, [(want, None)])).rows(want)
+    ok = ~flagged
     n_dropped = n - int(ok.sum())
 
     bound = None
     if p_max is not None:
         sigma_p = min(1.0, p_max)
-        times = grid.subsampled(save_every).times
+        times = want.grid.subsampled(want.stride).times
         k_hat = 0.0
         for j in range(2, len(times) - 1):
             u, v = times[j], times[j + 1]

@@ -20,7 +20,7 @@ import numpy as np
 
 from .blocks import BLOCK_CELLS, DEFAULT_BLOCK_SIZE, block_ranges, pairwise_sum
 from .blocks import run_blocks  # noqa: F401  (rmpbench traces it here)
-from .engine import LinearModel, PathEnsemble, RowSolve, _solve_rows
+from .engine import LinearModel, PathEnsemble, Plan, Rows
 from .engine import linear_block_arrays  # noqa: F401  (rmpbench traces it here)
 from .errors import (
     DNonpositiveError,
@@ -566,11 +566,13 @@ class CurveSums:
     """Power sums of moment curves of n_paths paths, fed a group of paths at a time.
 
     The orders, at least one and all positive, are checked when the sums
-    are made.  add takes one group's values and its unflagged rows and
-    reduces them to power sums at once (_power_sums), so only one group
+    are made.  add takes one group's rows and mask and reduces the
+    unflagged rows to power sums at once (_power_sums), so only one group
     is held; curves adds the groups' sums by a pairwise tree in the
-    order they were fed, and counts the paths left out of every group's
-    rows as excluded.  It refuses sums that kept no path.
+    order they were fed, and counts the flagged paths as excluded.  The
+    groups must be the fixed 2,048-path groups of blocks.block_ranges
+    (group), so the tree's bytes do not depend on who fed them.  It
+    refuses sums that kept no path.
     """
 
     def __init__(
@@ -592,10 +594,15 @@ class CurveSums:
         self.parts: list[np.ndarray] = []  # each fed group's power sums
         self.n = 0  # the unflagged paths fed
 
-    def add(self, values: np.ndarray, rows: np.ndarray) -> None:
-        """Feed the given rows of values, the next group's unflagged paths in path order."""
+    def add(self, values: np.ndarray, flagged: np.ndarray) -> None:
+        """Feed the next group's rows in path order; the flagged ones are left out."""
+        rows = np.flatnonzero(~flagged)
         self.parts.append(_power_sums(values, rows, self.p_values, self.z))
         self.n += len(rows)
+
+    def group(self, workers: int) -> int:
+        """The paths each add takes: DEFAULT_BLOCK_SIZE, whatever the workers."""
+        return DEFAULT_BLOCK_SIZE
 
     def curves(self) -> MomentCurves:
         """The curves of the paths fed, whose count must be n_paths less the excluded."""
@@ -649,9 +656,9 @@ def linear_moment_curves(
 ) -> MomentCurves:
     """Quasi-norm curves of a linear-model process, reduced as it is solved.
 
-    The solve fills the fixed 2,048-path groups of blocks.block_ranges
-    one at a time into one reused buffer (engine._solve_rows), and each
-    group is reduced before the next is solved (CurveSums), so the bytes
+    The solve, a Plan feeding CurveSums, fills the fixed 2,048-path
+    groups of blocks.block_ranges one at a time into one reused buffer,
+    and each group is reduced before the next is solved, so the bytes
     are those of ensemble_moment_curves on the whole ensemble and do not
     depend on the solver's block layout or on workers.  A curve holds
     one group of source, 2,048 x n_saved x 8 bytes (4.9 MB on 301 saved
@@ -660,11 +667,8 @@ def linear_moment_curves(
     cells each.  Flagged paths are excluded from every node.
     """
     sums = CurveSums(source, p_values, grid.subsampled(save_every).times, n_paths, master_seed, 0.0)
-    solve = RowSolve(grid, n_paths, {source: save_every})
-    groups = _solve_rows(model, master_seed, [solve], workers, group=DEFAULT_BLOCK_SIZE)
-    for [(values, flagged)] in groups:
-        sums.add(values[source], np.flatnonzero(~flagged))
-    return sums.curves()
+    rows = Rows(master_seed, grid, n_paths, source, save_every)
+    return Plan(model, workers, [(rows, sums)]).fed(rows).curves()
 
 
 def ensemble_moment_curves(
@@ -683,10 +687,10 @@ def ensemble_moment_curves(
     one group, one workspace slot (_power_sums).  Flagged paths are
     excluded from every node.
     """
-    ok = ~ensemble.flagged
     sums = CurveSums(
         ensemble.label, p_values, ensemble.grid.times, ensemble.n_paths, ensemble.master_seed, z
     )
     for idx in block_ranges(ensemble.n_paths):
-        sums.add(ensemble.values, idx[ok[idx]])
+        group = slice(idx[0], idx[-1] + 1)
+        sums.add(ensemble.values[group], ensemble.flagged[group])
     return sums.curves()

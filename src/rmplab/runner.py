@@ -8,29 +8,34 @@ the config hash and artifact checksums.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .blocks import BLOCK_CELLS, DEFAULT_BLOCK_SIZE
+from .blocks import BLOCK_CELLS
 from .config import EstimatorRequest, ExperimentConfig, config_hash
 from .engine import (
     LinearModel,
     NonlinearModel,
     NonlinearSolution,
     PathEnsemble,
-    RowSolve,
-    _one_loop,
-    _solve_rows,
+    Plan,
+    Rows,
+    Sink,
     solve_nonlinear,
-    stationary_grid,
     stationary_horizon,
+    stationary_rows,
     stationary_sample,
 )
-from .errors import ConfigInvalidError, IOFailureError, RmplabError, WindowTooShortError
+from .errors import (
+    ConfigInvalidError,
+    InsufficientTailError,
+    IOFailureError,
+    RmplabError,
+    WindowTooShortError,
+)
 from .grid import TimeGrid, node_stride
 from .metrics import (
     MIN_FIT_NODES,
@@ -55,17 +60,16 @@ from .storage import (
     write_plotdata,
 )
 from .tail import (
-    BatchSums,
     _green_kubo_lags,
-    b_h_grid,
     b_h_replicates,
-    b_h_seeds,
+    b_h_rows,
     condition1_diagnostic,
     dt_fit_d,
     dt_fit_sums,
     green_kubo_d,
     green_kubo_sums,
     hill_estimator,
+    hill_k,
     moment_transition,
     transition_grid,
     transition_window,
@@ -86,87 +90,29 @@ SIMULATE_NODES = 500
 MOMENT_NODES = 400
 
 
-@dataclass(frozen=True)
-class Rows:
-    """Keyed rows a run solves: label at stride on grid, for rows 0 .. n - 1 of seed's streams."""
-
-    seed: int
-    grid: TimeGrid
-    n: int
-    label: str
-    stride: int
-
-    def solve(self) -> RowSolve:
-        """A solve of these rows that holds none of them."""
-        return RowSolve(self.grid, self.n, {self.label: self.stride})
-
-    def held(self) -> RowSolve:
-        """A solve of these rows into arrays of its own for the label and the mask."""
-        saved = {self.label: np.empty((self.n, self.grid.n_steps // self.stride + 1))}
-        return RowSolve(self.grid, self.n, {self.label: self.stride}, saved, np.empty(self.n, bool))
-
-
-# What a planned request feeds a group of paths at a time (RunState).
-Sink = "BatchSums | CurveSums"
-
-
-def _loops(planned: "list[Rows]") -> list[list[Rows]]:
-    """The block loops of the planned rows.
-
-    In plan order, each Rows joins the first loop of its seed that
-    engine._solve_rows takes it into (_one_loop), or starts one.
-    """
-    loops: list[list[Rows]] = []
-    for r in dict.fromkeys(planned):
-        for loop in loops:
-            if loop[0].seed == r.seed and _one_loop([q.solve() for q in (*loop, r)]):
-                loop.append(r)
-                break
-        else:
-            loops.append([r])
-    return loops
-
-
 @dataclass
 class RunState:
     """What one `run` carries from stage to stage.
 
-    planned lists every linear solve the run's stages read (_planned_rows)
-    in plan order, each Rows with its consumer: None for one stage's read
-    of the held rows, else the sink fed the rows a group at a time in path
-    order, the noise fits' BatchSums or the transition curves' CurveSums.
+    plan is the engine.Plan of every linear solve the run's stages read
+    (_planned_rows): its held rows for a stage's read, or the sums it
+    feeds, the noise fits' BatchSums or the transition curves' CurveSums.
     The sinks are made before any stage runs, so an ensemble too small for
-    the fits' batches fails before any stage writes.  The planned rows
-    form block loops (_loops), and the first read of any of a loop's rows
-    solves the whole loop in one call of engine._solve_rows (solve).  A
-    loop feeding CurveSums is solved in 2,048-path groups, the curves'
-    fixed groups; one feeding only BatchSums in groups of 2,048 paths per
-    worker; any other in one group.  Each Rows gets its own labels' mask,
-    so its bytes are those of a solve of it alone, in any company.
-
-    held keeps each read Rows from its loop's solve to its last planned
-    read, and the nonlinear solve of each X stride (nonlinear) for the
-    run, so simulate can report its substep count.  Each stage names the
-    Rows it reads with the helper _planned_rows plans them by, and a read
-    of a Rows no plan names raises LookupError.  A run of fewer stages
-    plans fewer rows and writes the same bytes.  The state is dropped
-    when `run` returns, so nothing outlives a run.
+    the fits' batches fails before any stage writes.  Each stage names the
+    Rows it reads with the helper _planned_rows plans them by.  held keeps
+    the nonlinear solve of each X stride (nonlinear) for the run, so
+    simulate can report its substep count.  A run of fewer stages plans
+    fewer rows and writes the same bytes.  The state is dropped when `run`
+    returns, so nothing outlives a run.
     """
 
     cfg: ExperimentConfig
     out: Path
-    planned: "list[tuple[Rows, Sink | None]]" = field(default_factory=list)
-    held: "dict[Rows, tuple[np.ndarray, np.ndarray] | NonlinearSolution]" = field(
-        default_factory=dict
-    )
+    plan: Plan
+    held: "dict[Rows, NonlinearSolution]" = field(default_factory=dict)
     artifacts: list[str] = field(default_factory=list)
     flagged: dict[str, int] = field(default_factory=dict)
     verdicts: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.reads = Counter(r for r, sink in self.planned if sink is None)
-        self.sinks = {r: sink for r, sink in self.planned if sink is not None}
-        self.loops = _loops([r for r, _ in self.planned])
 
     def add(self, name: str) -> Path:
         self.artifacts.append(name)
@@ -177,7 +123,7 @@ class RunState:
         cfg = self.cfg
         if isinstance(cfg.model, NonlinearModel):  # config admits only X here
             return self.nonlinear(want).x
-        values, flagged = self.rows(want)
+        values, flagged = self.plan.rows(want)
         return PathEnsemble(
             cfg.grid.subsampled(want.stride), want.label, values, flagged, cfg.master_seed
         )
@@ -191,41 +137,6 @@ class RunState:
                 save_every=want.stride, workers=cfg.workers,
             )
         return self.held[want]
-
-    def rows(self, want: Rows) -> tuple[np.ndarray, np.ndarray]:
-        """want's saved rows and mask, for one of its planned reads."""
-        self.solve(want)
-        self.reads[want] -= 1
-        return self.held[want] if self.reads[want] else self.held.pop(want)
-
-    def fed(self, want: Rows) -> Sink:
-        """The sink want's rows were planned to feed, fed every path."""
-        self.solve(want)
-        return self.sinks[want]
-
-    def solve(self, want: Rows) -> None:
-        """Solve want's loop, unless it is solved: hold the read rows and feed the sinks."""
-        if want not in self.reads and want not in self.sinks:
-            raise LookupError(f"no stage of this run planned a read of {want}")
-        loop = next((loop for loop in self.loops if want in loop), None)
-        if loop is None:
-            return
-        self.loops.remove(loop)
-        cfg = self.cfg
-        solves = [r.held() if self.reads[r] else r.solve() for r in loop]
-        sinks = [self.sinks.get(r) for r in loop]
-        size = {CurveSums: DEFAULT_BLOCK_SIZE, BatchSums: DEFAULT_BLOCK_SIZE * cfg.workers}
-        group = min((size[type(sink)] for sink in sinks if sink is not None), default=None)
-        for parts in _solve_rows(cfg.model, loop[0].seed, solves, cfg.workers, group=group):
-            for r, sink, (values, flagged) in zip(loop, sinks, parts):
-                # a group past r's rows holds none of them and feeds nothing
-                if isinstance(sink, BatchSums) and len(flagged):
-                    sink.add(values[r.label])
-                elif sink is not None and len(flagged):
-                    sink.add(values[r.label], np.flatnonzero(~flagged))
-        for r, solve in zip(loop, solves):
-            if solve.held:
-                self.held[r] = solve.held[r.label], solve.flagged
 
 
 def _reqs(cfg: ExperimentConfig, *names: str) -> list[EstimatorRequest]:
@@ -275,7 +186,7 @@ def check_fit_windows(cfg: ExperimentConfig, names: "tuple[str, ...]") -> None:
 
 
 def _check_reach(cfg: ExperimentConfig, names: "tuple[str, ...]") -> None:
-    """The moments stride, converge times and green_kubo's lag fit the run's grid.
+    """The moments stride, converge times, green_kubo's lag and Hill's k fit the run.
 
     Checked before the fit windows, which subsample by the moments stride.
     A moments save_every must divide the grid steps (beta builds its own
@@ -283,6 +194,8 @@ def _check_reach(cfg: ExperimentConfig, names: "tuple[str, ...]") -> None:
     Converge reads each time at the nearest saved node, so a time past the
     horizon would be read at the horizon; green_kubo's lag must span at
     least two steps and at most half the horizon (tail._green_kubo_lags).
+    Hill's k must be usable on its n paths (tail.hill_k); flagged paths
+    can still shrink the sample, which hill_estimator refuses at run time.
     """
     for req in cfg.estimators:
         if req.name not in names:
@@ -300,6 +213,11 @@ def _check_reach(cfg: ExperimentConfig, names: "tuple[str, ...]") -> None:
             )
         if req.name == "green_kubo":
             _green_kubo_lags(float(req.get("window")), cfg.grid)
+        if req.name == "hill":
+            try:
+                hill_k(req.get("n") or cfg.n_paths, req.get("k"))
+            except InsufficientTailError as exc:
+                raise ConfigInvalidError(f"hill: {exc}") from exc
 
 
 def _run_rows(cfg: ExperimentConfig, label: str, stride: int) -> Rows:
@@ -337,28 +255,27 @@ def _transition_rows(cfg: ExperimentConfig, req: EstimatorRequest) -> tuple[floa
 def _stationary_rows(cfg: ExperimentConfig, req: EstimatorRequest) -> tuple[float, Rows]:
     """The horizon and stationary H rows of a hill or converge request.
 
-    Hill keeps H at the stride of its truncation bound, converge at the
+    Hill keeps H at the nodes of its truncation bound, converge at the
     horizon alone; both read master_seed + 1.
     """
     t_star = req.get("t_star")
     if t_star is None and req.name == "hill":
         t_star = stationary_horizon(cfg.model, float(req.get("p_max")))
     t_star = float(t_star) if t_star is not None else 1.5 * cfg.grid.horizon
-    grid, stride = stationary_grid(t_star)
-    stride = stride if req.name == "hill" else grid.n_steps
-    return t_star, Rows(cfg.master_seed + 1, grid, int(req.get("n") or cfg.n_paths), "H", stride)
+    n = int(req.get("n") or cfg.n_paths)
+    return t_star, stationary_rows(t_star, n, cfg.master_seed + 1, req.name == "hill")
 
 
-def _b_h_rows(cfg: ExperimentConfig, req: EstimatorRequest, seed: int, label: str) -> Rows:
-    """The rows of a b_equals_h sample of label from seed: its horizon on b_h_grid."""
-    grid = b_h_grid(cfg.model, float(req.get("t") or cfg.grid.horizon))
-    return Rows(seed, grid, int(req.get("n") or cfg.n_paths), label, grid.n_steps)
+def _b_h_args(cfg: ExperimentConfig, req: EstimatorRequest) -> tuple[float, int, int]:
+    """The horizon, rows per side and replicates of a b_equals_h request."""
+    t, n = float(req.get("t") or cfg.grid.horizon), int(req.get("n") or cfg.n_paths)
+    return t, n, int(req.get("replicates"))
 
 
 def _planned_rows(
     cfg: ExperimentConfig, groups: "tuple[str, ...]"
 ) -> "list[tuple[Rows, Sink | None]]":
-    """Every linear solve the run's stages read, in stage order, with its consumer (RunState).
+    """Every linear solve the run's stages read, in stage order, with its consumer (Plan).
 
     The run's own grid comes first: X for simulate, moments' sources and
     the noise fits' zeta and Y at every node.  Then the transition curves'
@@ -388,10 +305,8 @@ def _planned_rows(
         planned += [(_stationary_rows(cfg, req)[1], None) for req in _reqs(cfg, "hill")]
     if "verify" in groups:
         for req in _reqs(cfg, "b_equals_h"):
-            for seeds in b_h_seeds(cfg.master_seed, int(req.get("replicates"))):
-                planned += [
-                    (_b_h_rows(cfg, req, seed, label), None) for seed, label in zip(seeds, "BH")
-                ]
+            pairs = b_h_rows(cfg.model, *_b_h_args(cfg, req), cfg.master_seed)
+            planned += [(rows, None) for pair in pairs for rows in pair]
     if "converge" in groups:
         for req in _reqs(cfg, "converge"):
             planned += [(_converge_rows(cfg), None), (_stationary_rows(cfg, req)[1], None)]
@@ -508,27 +423,25 @@ def do_beta(state: RunState) -> None:
         if window is not None:
             window = (float(window[0]), float(window[1]))
         window = transition_window(horizon, window)
-        report = moment_transition(state.fed(rows).curves(), window, analytic=model.beta_c)
+        report = moment_transition(state.plan.fed(rows).curves(), window, analytic=model.beta_c)
         out["moment_transition"] = _report_to_dict(report)
 
     for req in _reqs(cfg, "hill"):
         t_star, rows = _stationary_rows(cfg, req)
         sample = stationary_sample(
-            model, t_star, rows.n, rows.seed, p_max=float(req.get("p_max")),
-            workers=cfg.workers, rows=state.rows(rows),
+            model, t_star, rows.n, rows.seed, p_max=float(req.get("p_max")), plan=state.plan
         )
-        k = req.get("k")
         # Heavy forcing sets the stationary tail when its index is the smaller
         # (Breiman); otherwise the multiplicative (Kesten) tail does.
         analytic = min(model.beta_c, tail_index(model.additive))
-        report = hill_estimator(sample.values, None if k is None else int(k), analytic=analytic)
+        report = hill_estimator(sample.values, req.get("k"), analytic=analytic)
         out["hill"] = _report_to_dict(report)
         out["hill"]["t_star"] = t_star
         out["hill"]["truncation_bound"] = sample.truncation_bound
 
     for fit, name in ((green_kubo_d, "green_kubo"), (dt_fit_d, "dt_fit")):
         for req in _reqs(cfg, name):
-            sums = state.fed(_noise_rows(cfg, req))
+            sums = state.plan.fed(_noise_rows(cfg, req))
             report = fit(sums, sums.window, analytic=d_analytic)
             out[report.method] = _report_to_dict(report)
 
@@ -572,18 +485,10 @@ def do_verify(state: RunState) -> None:
         state.verdicts["condition1"] = "PASS" if all_bounded else "FAIL"
 
     for req in _reqs(cfg, "b_equals_h"):
-        t = float(req.get("t") or cfg.grid.horizon)
-        n = int(req.get("n") or cfg.n_paths)
-        replicates = int(req.get("replicates"))
+        t, n, replicates = _b_h_args(cfg, req)
         level = float(req.get("level"))
-
-        def sample(seed: int, label: str) -> np.ndarray:
-            values, flagged = state.rows(_b_h_rows(cfg, req, seed, label))
-            return values[~flagged, -1]
-
         reports = b_h_replicates(
-            model, t, n, replicates, cfg.master_seed, level=level, workers=cfg.workers,
-            sample=sample,
+            model, t, n, replicates, cfg.master_seed, level=level, plan=state.plan
         )
         n_pass = sum(r.passed for r in reports)
         ok = n_pass >= int(np.ceil(0.9 * replicates))
@@ -669,9 +574,7 @@ def do_converge(state: RunState) -> None:
         sample_sets = [x.values[ok, j] for j in node_idx]
 
         t_star, rows = _stationary_rows(cfg, req)
-        stat = stationary_sample(
-            model, t_star, rows.n, rows.seed, workers=cfg.workers, rows=state.rows(rows)
-        )
+        stat = stationary_sample(model, t_star, rows.n, rows.seed, plan=state.plan)
 
         reports = []
         for i, f in enumerate(functions):
@@ -761,7 +664,7 @@ def run(
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IOFailureError(f"cannot create output directory {out}: {exc}") from exc
-    state = RunState(cfg=cfg, out=out, planned=_planned_rows(cfg, groups))
+    state = RunState(cfg, out, Plan(cfg.model, cfg.workers, _planned_rows(cfg, groups)))
 
     if "simulate" in groups:
         do_simulate(state)

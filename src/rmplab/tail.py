@@ -14,7 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import LinearModel, sample_y_marginal, solve_linear
+from .blocks import DEFAULT_BLOCK_SIZE
+from .engine import LinearModel, Plan, Rows, sample_y_marginal
 from .errors import (
     EmptyInputError,
     InsufficientTailError,
@@ -61,15 +62,24 @@ class ExponentReport:
         return (self.ci_low, self.ci_high)
 
 
-def default_hill_k(n: int) -> int:
-    return int(np.ceil(n**0.6))
+def hill_k(n: int, k: "int | None") -> int:
+    """k, else ceil(n^0.6), for n samples; refused unless n >= 30 and 10 <= k < n / 2."""
+    if n < 30:
+        raise InsufficientTailError(f"need at least 30 positive samples, got {n}")
+    k = int(np.ceil(n**0.6)) if k is None else k
+    if k < 10 or 2 * k >= n:
+        raise InsufficientTailError(f"k = {k} outside the usable range [10, {n // 2})")
+    return k
 
 
 def _hill_point(xs_desc: np.ndarray, k: int) -> float:
-    """Hill estimate from descending order statistics; 1 / mean log spacing."""
+    """Hill estimate from descending order statistics; 1 / mean log spacing.
+
+    Ties of the top k + 1 raise: the mean of k equal logs rounds, so h need not read 0.
+    """
     top = xs_desc[:k]
     h = float(np.mean(np.log(top)) - np.log(xs_desc[k]))
-    if h <= 0.0:
+    if xs_desc[0] == xs_desc[k] or h <= 0.0:
         raise InsufficientTailError("degenerate tail: top order statistics are equal")
     return 1.0 / h
 
@@ -79,7 +89,7 @@ def hill_estimator(
 ) -> ExponentReport:
     """Hill tail-index estimate from the top-k order statistics.
 
-    k defaults to ceil(n^0.6).  A scan over nearby k values is attached;
+    k defaults to ceil(n^0.6), and must be usable (hill_k).  A scan over nearby k values is attached;
     if the scan estimates are mutually inconsistent at the 95% level, or
     the top order statistics tie at a scan point (which is then left out
     of the scan), the report is flagged NONSTABLE, the signature of a
@@ -88,12 +98,7 @@ def hill_estimator(
     x = np.abs(np.asarray(samples, dtype=np.float64).ravel())
     x = x[np.isfinite(x) & (x > 0.0)]
     n = x.size
-    if n < 30:
-        raise InsufficientTailError(f"need at least 30 positive samples, got {n}")
-    if k is None:
-        k = default_hill_k(n)
-    if k < 10 or 2 * k >= n:
-        raise InsufficientTailError(f"k = {k} outside the usable range [10, {n // 2})")
+    k = hill_k(n, k)
     xs = np.sort(x)[::-1]
     estimate = _hill_point(xs, k)
     half = 1.96 * estimate / np.sqrt(k)
@@ -281,6 +286,7 @@ class BatchSums:
     every path's terms held as one array, while only one group's terms
     are held.  The batches are contiguous and nonempty, so n_rows is at
     least N_BATCHES.  grid and window name what the sums are fed for.
+    Every path is summed, flagged or not: the noise has no flag of its own.
     """
 
     def __init__(
@@ -298,8 +304,8 @@ class BatchSums:
         self.batches: "list[np.ndarray | None]" = [None] * N_BATCHES
         self.fed = 0
 
-    def add(self, rows: np.ndarray) -> None:
-        """Feed the rows of the next paths in path order."""
+    def add(self, rows: np.ndarray, flagged: np.ndarray) -> None:
+        """Feed the rows of the next paths in path order, with their mask, which is not read."""
         terms = np.ascontiguousarray(self.terms(rows))  # summed row after row
         lo, hi = self.fed, self.fed + len(terms)
         self.total = _carried_sum(self.total, terms)
@@ -308,6 +314,10 @@ class BatchSums:
                 part = terms[max(start, lo) - lo : min(stop, hi) - lo]
                 self.batches[b] = _carried_sum(self.batches[b], part)
         self.fed = hi
+
+    def group(self, workers: int) -> int:
+        """The paths each add takes: DEFAULT_BLOCK_SIZE per worker, as any grouping sums alike."""
+        return DEFAULT_BLOCK_SIZE * workers
 
     def estimate(
         self, window: object, statistic: Callable[[np.ndarray], float]
@@ -558,9 +568,25 @@ def b_h_grid(model: LinearModel, t: float, *, dt: "float | None" = None) -> Time
     return TimeGrid(dt=t / n_steps, n_steps=n_steps)
 
 
-def b_h_seeds(base_seed: int, replicates: int) -> list[tuple[int, int]]:
-    """The master seeds of B and of H in each replicate of b_h_replicates."""
-    return [(base_seed + 2 * r, base_seed + 2 * r + 1) for r in range(replicates)]
+def b_h_rows(
+    model: LinearModel,
+    t: float,
+    n: int,
+    replicates: int,
+    base_seed: int,
+    *,
+    dt: "float | None" = None,
+) -> list[tuple[Rows, Rows]]:
+    """The B and H rows of each replicate of b_h_replicates: rows 0 .. n - 1 at t alone.
+
+    Replicate r reads B from seed base_seed + 2r and H from seed
+    base_seed + 2r + 1, both on b_h_grid.
+    """
+    grid = b_h_grid(model, t, dt=dt)
+    return [
+        (Rows(seed, grid, n, "B", grid.n_steps), Rows(seed + 1, grid, n, "H", grid.n_steps))
+        for seed in range(base_seed, base_seed + 2 * replicates, 2)
+    ]
 
 
 def b_h_replicates(
@@ -572,33 +598,23 @@ def b_h_replicates(
     *,
     dt: "float | None" = None,
     level: float = 0.01,
-    workers: int = 1,
-    sample: "Callable[[int, str], np.ndarray] | None" = None,
+    plan: "Plan | None" = None,
 ) -> list[KsReport]:
     """Repeated distribution tests of B_t against H_t, fresh seeds each time.
 
-    Replicate r tests B from seed base_seed + 2r against H from seed
-    base_seed + 2r + 1 (b_h_seeds): the unflagged horizon values of the
-    keyed rows 0 .. n_per_side - 1 on b_h_grid, each label solved alone.
-    sample(seed, label), when given, returns those values from a solve
-    made elsewhere.
+    Replicate r tests the unflagged horizon values of its B rows against
+    those of its H rows (b_h_rows), read from plan, a Plan naming a read
+    of each (a plan of those reads alone when None, which solves each
+    label alone).
     """
-    grid = b_h_grid(model, t, dt=dt)
+    pairs = b_h_rows(model, t, n_per_side, replicates, base_seed, dt=dt)
+    plan = plan or Plan(model, 1, [(rows, None) for pair in pairs for rows in pair])
 
-    def solved(seed: int, label: str) -> np.ndarray:
-        ens = solve_linear(
-            model, grid, seed, n_per_side, (label,), save_every=grid.n_steps, workers=workers
-        )[label]
-        return ens.final_values[~ens.flagged]
+    def sample(rows: Rows) -> np.ndarray:
+        values, flagged = plan.rows(rows)
+        return values[~flagged, -1]
 
-    sample = sample or solved
     return [
-        b_equals_h_test(
-            sample(seed_b, "B"),
-            sample(seed_h, "H"),
-            level=level,
-            seed_b=seed_b,
-            seed_h=seed_h,
-        )
-        for seed_b, seed_h in b_h_seeds(base_seed, replicates)
+        b_equals_h_test(sample(b), sample(h), level=level, seed_b=b.seed, seed_h=h.seed)
+        for b, h in pairs
     ]

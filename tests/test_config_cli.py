@@ -611,6 +611,11 @@ class TestCli:
                 {"name": "beta", "p_grid": [1.0, 3.0], "horizon": 0.01},
                 ("beta.window", "WINDOW_TOO_SHORT"),
             ),
+            # a Hill k that leaves no usable tail on its n paths (tail.hill_k)
+            ("beta", {"name": "hill", "n": 300, "k": 200}, "hill: k = 200 outside"),
+            ("beta", {"name": "hill", "k": 9}, "hill: k = 9 outside"),
+            ("beta", {"name": "hill", "n": 38}, "hill: k = 9 outside"),
+            ("beta", {"name": "hill", "n": 29}, "hill: need at least 30"),
         ],
     )
     def test_bad_estimator_values_exit_two_before_any_work(

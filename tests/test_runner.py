@@ -23,15 +23,23 @@ import numpy as np
 import pytest
 
 import rmplab
-from rmplab import blocks, noise, runner
+from rmplab import blocks, engine, noise, runner
 from rmplab.config import config_from_dict
-from rmplab.engine import integrate_y, solve_linear, stationary_grid, stationary_horizon
+from rmplab.engine import (
+    Plan,
+    integrate_y,
+    solve_linear,
+    stationary_horizon,
+    stationary_rows,
+    stationary_sample,
+)
 from rmplab.errors import EmptyInputError
 from rmplab.metrics import ensemble_moment_curves, linear_moment_curves
 from rmplab.noise import diffusion_constant
 from rmplab.rng import ROLE_ADDITIVE, ROLE_MULTIPLICATIVE
 from rmplab.storage import platform_record, sha256_file, write_moment_csv
-from rmplab.tail import FLAG_UNWEIGHTED, b_h_replicates, transition_grid
+from rmplab.tail import FLAG_UNWEIGHTED, b_h_replicates, hill_estimator, transition_grid
+from rmplab.weak import expectation_functional
 from held import dt_fit_of, green_kubo_of
 from peaks import traced_peak
 from test_acceptance import _pipeline_raw
@@ -130,25 +138,25 @@ def _digests(raw: dict, groups: tuple[str, ...], out) -> dict[str, str]:
 
 
 def _count_calls(monkeypatch) -> list:
-    """What each of runner's solves solves, in call order.
+    """What each solve solves, in call order.
 
-    A nonlinear solve reads as its X stride.  A block loop
-    (engine._solve_rows) reads as (seed, group, solves), each solve as
-    (nodes, rows, strides).
+    A nonlinear solve of the runner reads as its X stride.  A block loop
+    (engine._solve_rows) reads as (seed, group, rows), each Rows as
+    (nodes, rows, {label: stride}).
     """
     calls = []
-    solve_rows, solve_nonlinear = runner._solve_rows, runner.solve_nonlinear
+    solve_rows, solve_nonlinear = engine._solve_rows, runner.solve_nonlinear
 
-    def loop(model, seed, solves, workers, *args, **kwargs):
-        shapes = [(s.grid.n_nodes, s.n_paths, s.strides) for s in solves]
-        calls.append((seed, kwargs.get("group"), shapes))
-        return solve_rows(model, seed, solves, workers, *args, **kwargs)
+    def loop(model, seed, rows, held, workers, block_size, group):
+        shapes = [(r.grid.n_nodes, r.n, {r.label: r.stride}) for r in rows]
+        calls.append((seed, group, shapes))
+        return solve_rows(model, seed, rows, held, workers, block_size, group)
 
     def nonlinear(*args, **kwargs):
         calls.append(kwargs["save_every"])
         return solve_nonlinear(*args, **kwargs)
 
-    monkeypatch.setattr(runner, "_solve_rows", loop)
+    monkeypatch.setattr(engine, "_solve_rows", loop)
     monkeypatch.setattr(runner, "solve_nonlinear", nonlinear)
     return calls
 
@@ -390,11 +398,11 @@ def test_a_horizon_only_moments_stride_writes_the_curves_of_its_own_solve(tmp_pa
     assert got.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
-def test_a_read_no_stage_planned_fails_by_name(tmp_path):
+def test_a_read_no_stage_planned_fails_by_name():
     cfg = config_from_dict(LINEAR_RAW)
-    state = runner.RunState(cfg, tmp_path, runner._planned_rows(cfg, ("simulate",)))
+    plan = Plan(cfg.model, cfg.workers, runner._planned_rows(cfg, ("simulate",)))
     with pytest.raises(LookupError, match="planned a read of Rows"):
-        state.rows(runner._run_rows(cfg, "Y", 1))
+        plan.rows(runner._run_rows(cfg, "Y", 1))
 
 
 def test_a_full_run_draws_the_state_noise_once(tmp_path, monkeypatch):
@@ -532,14 +540,29 @@ def test_b_equals_h_reads_its_own_mask_where_x_saturates(tmp_path):
     assert got == [r.p_value for r in want]
 
 
+def test_hill_and_converge_read_the_library_stationary_samples(tmp_path):
+    # The run reads Hill's and converge's H from one shared loop of
+    # master_seed + 1; each equals the library call that solves it alone.
+    cfg = config_from_dict(ESTIMATORS_RAW)
+    runner.run(cfg, groups=("beta", "converge"), out_dir=tmp_path)
+    hill = json.loads((tmp_path / "beta.json").read_text())["hill"]
+    sample = stationary_sample(cfg.model, hill["t_star"], 1200, cfg.master_seed + 1, p_max=1.0)
+    assert hill["estimate"] == hill_estimator(sample.values, 200).estimate
+    assert hill["truncation_bound"] == sample.truncation_bound
+    [req] = [r for r in cfg.estimators if r.name == "converge"]
+    stationary = stationary_sample(cfg.model, 1.5 * cfg.grid.horizon, 1200, cfg.master_seed + 1)
+    limit = json.loads((tmp_path / "converge.json").read_text())["functions"][0]["limit"]
+    assert limit == expectation_functional(stationary.values, req.get("functions")[0]).value
+
+
 def test_a_full_run_draws_each_keyed_row_once(tmp_path, monkeypatch):
     # Hill (4,000 rows of 1,385 nodes), converge (2,000 of 457) and
     # b_equals_h's replicate 0 H (1,500 of 301) read master_seed + 1: each
     # row is drawn once, at Hill's length.  Replicate 0's B is the
     # transition curves' B, whose 5,000 rows of 301 nodes are drawn once.
     cfg = config_from_dict(_pipeline_raw(1, str(tmp_path)))
-    hill_grid, _ = stationary_grid(stationary_horizon(cfg.model, 1.0))
-    assert hill_grid.n_nodes == 1385
+    hill_rows = stationary_rows(stationary_horizon(cfg.model, 1.0), 4000, 0, True)
+    assert hill_rows.grid.n_nodes == 1385
     drawn = {}
     total = [0]
     draw = noise.block_normals
@@ -610,17 +633,32 @@ def test_every_tracer_pin_is_a_traced_binding():
     assert [pin for pin in pins if pin not in targets] == []
 
 
+def _calls_in_package(name: str) -> list:
+    """(module, enclosing class or None) of every call of name in src/rmplab."""
+    found = []
+
+    def visit(node, module, cls):
+        cls = node.name if isinstance(node, ast.ClassDef) else cls
+        if isinstance(node, ast.Call):
+            if getattr(node.func, "id", getattr(node.func, "attr", None)) == name:
+                found.append((module, cls))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, cls)
+
+    for path in sorted((ROOT / "src" / "rmplab").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    return found
+
+
 def test_runner_solves_linear_rows_through_one_call():
-    # Every linear solve of a run is a planned request on one block loop
-    # route: one call of _solve_rows, and no other linear solver imported.
+    # Every linear solve, of a run or of a library call, is a planned
+    # request on one block-loop route: one call of _solve_rows, inside
+    # engine.Plan, and the runner imports no other linear solver.
+    assert _calls_in_package("_solve_rows") == [("engine", "Plan")]
+    assert _calls_in_package("stationary_sample")  # a census that found none would pass
     tree = ast.parse((ROOT / "src" / "rmplab" / "runner.py").read_text(encoding="utf-8"))
-    calls = [
-        node for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_solve_rows"
-    ]
     imported = {
         alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    assert len(calls) == 1
-    assert imported & {"solve_linear", "_linear_rows"} == set()
+    assert imported & {"_solve_rows", "solve_linear"} == set()

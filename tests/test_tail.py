@@ -34,12 +34,12 @@ from rmplab.tail import (
     b_equals_h_test,
     b_h_replicates,
     condition1_diagnostic,
-    default_hill_k,
     dt_fit_d,
     dt_fit_sums,
     green_kubo_d,
     green_kubo_sums,
     hill_estimator,
+    hill_k,
     moment_transition,
     transition_grid,
 )
@@ -79,7 +79,7 @@ def test_hill_flags_distribution_without_power_tail():
 
 
 def test_hill_default_k_and_input_guards():
-    assert default_hill_k(100000) == int(np.ceil(100000**0.6))
+    assert hill_k(100000, None) == int(np.ceil(100000**0.6))
     with pytest.raises(InsufficientTailError):
         hill_estimator(np.ones(10))
     with pytest.raises(InsufficientTailError):
@@ -108,6 +108,13 @@ def test_hill_scan_point_with_tied_maxima_flags_nonstable():
 def test_hill_ties_at_k_itself_raise():
     with pytest.raises(InsufficientTailError, match="degenerate"):
         hill_estimator(_pareto_with_ties(80))  # k = 64
+
+
+@pytest.mark.parametrize("value, k", [(3.0, 20), (1e-300, 20), (1e300, 50)])
+def test_hill_on_a_constant_sample_raises(value, k):
+    # the mean of k equal logs rounds, so h read about 2e-16 where it is 0
+    with pytest.raises(InsufficientTailError, match="degenerate"):
+        hill_estimator(np.full(200, value), k)
 
 
 # ----------------------------------------------------------- diffusion D
@@ -171,8 +178,8 @@ def _fed(grid, zeta, y, sizes):
     squares = dt_fit_sums(grid, (2.0, 10.0), y.n_paths)
     lo = 0
     for size in sizes:
-        lag_sums.add(zeta.values[lo : lo + size])
-        squares.add(y.values[lo : lo + size])
+        lag_sums.add(zeta.values[lo : lo + size], zeta.flagged[lo : lo + size])
+        squares.add(y.values[lo : lo + size], y.flagged[lo : lo + size])
         lo += size
     return lag_sums, squares
 
@@ -222,7 +229,7 @@ def test_dt_fit_node_means_are_row_by_row_sums_of_the_squares():
     want = _line_fit(grid.times[nodes], 0.5 * means, None)[0]
     for values in (y.values, np.asfortranarray(y.values)):
         sums = dt_fit_sums(grid, window, 1200)
-        sums.add(values)
+        sums.add(values, y.flagged)
         seen = []
         sums.estimate(window, lambda mean: seen.append(mean.tobytes()) or 0.0)
         assert means.tobytes() in seen
