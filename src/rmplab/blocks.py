@@ -6,9 +6,11 @@ the block), and block outputs are combined with a pairwise tree in block
 order.  Worker count therefore changes scheduling, never results.
 
 Each thread that runs a linear block keeps one workspace of SLOTS
-reusable arrays of BLOCK_CELLS float64 cells (workspace), so block after
-block writes into memory that is already resident instead of allocating,
-freeing and faulting in fresh pages.
+reusable float64 arrays, WORKSPACE_CELLS cells in all (workspace): one
+region for the block's keyed normals, drawn whole, and TILES small
+arrays plus a mask for the time tiles the kernel walks the block in.
+Block after block writes into memory that is already resident instead
+of allocating, freeing and faulting in fresh pages.
 """
 from __future__ import annotations
 
@@ -20,17 +22,23 @@ import numpy as np
 
 DEFAULT_BLOCK_SIZE = 2048
 
-# Cells one working array may hold: the 2,048-path blocks of a 151-node
-# grid.  A linear block loop (engine._solve_rows) caps its blocks at this
-# many paths x fine-grid nodes, noise.sample_chunks draws noise in time
-# chunks of at most this many values (paths x nodes, the overlap row
-# included), and the power sums of metrics reduce column slices of about
-# a quarter of this many.
+# The 2,048-path blocks of a 151-node grid.  noise.sample_chunks draws
+# noise in time chunks of at most this many values (paths x nodes, the
+# overlap row included) when it is given no buffer, and the power sums of
+# metrics reduce column slices of about a quarter of this many.
 BLOCK_CELLS = 2048 * 151
 
-# Arrays in one block workspace: the most a linear block holds at once
-# (phi, log A, A, the propagator ratios and the trapezoid increments).
-SLOTS = 5
+# A linear block's time tile of n paths spans max(2, TILE_CELLS // n)
+# nodes, so each of the TILES tile arrays it holds at once (128 KB) stays
+# in a core's L2 cache (engine.linear_block_arrays).
+TILE_CELLS = 2**14
+TILES = 8
+# A thread's block workspace, 12.4 MB: SLOTS arrays, the block's keyed
+# normals of both roles, which cap a block's paths (engine._solve_rows),
+# the TILES tiles and one tile's bool mask.
+WORKSPACE_CELLS = 5 * BLOCK_CELLS
+NORMALS_CELLS = WORKSPACE_CELLS - TILES * TILE_CELLS - TILE_CELLS // 8
+SLOTS = TILES + 2
 
 _local = threading.local()
 
@@ -86,18 +94,21 @@ def run_blocks(
 
 
 def workspace() -> tuple[np.ndarray, ...]:
-    """This thread's SLOTS work arrays of BLOCK_CELLS float64 cells each.
+    """This thread's SLOTS work arrays: the normals region, TILES tiles and the mask.
 
-    They are built on the thread's first call (12.4 MB, resident from
-    their first use on) and live as long as the thread: a pool thread's
-    are freed when it exits, the main thread's stay for the process.
-    Each thread has its own, so blocks on concurrent threads never share
-    one.  A caller owns the slots only while it runs: whatever it leaves
-    in them is overwritten by the thread's next block.
+    Slot 0 holds NORMALS_CELLS float64 cells, slots 1 to TILES hold
+    TILE_CELLS each and the last TILE_CELLS // 8, room for one tile's
+    bools.  They are built on the thread's first call (12.4 MB, resident
+    from their first use on) and live as long as the thread: a pool
+    thread's are freed when it exits, the main thread's stay for the
+    process.  Each thread has its own, so blocks on concurrent threads
+    never share one.  A caller owns the slots only while it runs:
+    whatever it leaves in them is overwritten by the thread's next block.
     """
     slots = getattr(_local, "slots", None)
     if slots is None:
-        slots = _local.slots = tuple(np.empty(BLOCK_CELLS) for _ in range(SLOTS))
+        sizes = (NORMALS_CELLS,) + (TILE_CELLS,) * TILES + (TILE_CELLS // 8,)
+        slots = _local.slots = tuple(np.empty(size) for size in sizes)
     return slots
 
 

@@ -23,7 +23,8 @@ from typing import Callable, Iterator, Protocol
 import numpy as np
 
 from . import noise as noise_mod
-from .blocks import BLOCK_CELLS, DEFAULT_BLOCK_SIZE, run_blocks, slot_array, workspace
+from .blocks import DEFAULT_BLOCK_SIZE, NORMALS_CELLS, TILE_CELLS, TILES
+from .blocks import run_blocks, slot_array, workspace
 from .errors import TruncationWarningError
 from .grid import TimeGrid
 from .noise import NoiseSpec, diffusion_constant, require_multiplicative, y_variance_half
@@ -194,9 +195,12 @@ def _sanitize(arr: np.ndarray, finite: "np.ndarray | None" = None) -> np.ndarray
 
 
 def cumulative_trapezoid(
-    values: np.ndarray, dt: float, out: "np.ndarray | None" = None
+    values: np.ndarray,
+    dt: float,
+    out: "np.ndarray | None" = None,
+    carry: "np.ndarray | None" = None,
 ) -> np.ndarray:
-    """Cumulative trapezoid rule along the first (time) axis, from 0.
+    """Cumulative trapezoid rule along the first (time) axis, from 0 or from carry.
 
     Kernels are time-major, so each step adds one whole row of pair sums:
     cumsum(dt * (v[1:] + v[:-1]) / 2.0) behind a leading zero, the formula
@@ -208,14 +212,22 @@ def cumulative_trapezoid(
     row into the next, the additions and operand order of cumsum along
     axis 0, which is several times faster on wide rows; narrower ones go
     to cumsum.
+
+    carry, the integral at values' first node when the rule runs in time
+    tiles, goes to out[0] and the steps are summed on from it, so the
+    tiles add what one run adds, in the same order.
     """
     if out is None:
         out = np.empty(values.shape)
-    out[0] = 0.0
     steps = out[1:]
     np.add(values[1:], values[:-1], out=steps)
     np.multiply(dt, steps, out=steps)
     np.divide(steps, 2.0, out=steps)
+    if carry is None:
+        out[0] = 0.0
+    else:
+        out[0] = carry
+        steps = out
     if out[0].size < ROW_SUM_MIN_WIDTH:
         np.cumsum(steps, axis=0, out=steps)
         return out
@@ -225,10 +237,13 @@ def cumulative_trapezoid(
 
 
 def integrate_y_values(
-    zeta: np.ndarray, dt: float, out: "np.ndarray | None" = None
+    zeta: np.ndarray,
+    dt: float,
+    out: "np.ndarray | None" = None,
+    carry: "np.ndarray | None" = None,
 ) -> np.ndarray:
-    """Cumulative trapezoid of time-major multiplicative noise, Y_0 = 0, into out."""
-    return cumulative_trapezoid(zeta, dt, out)
+    """Cumulative trapezoid of time-major multiplicative noise, Y_0 = 0 or carry, into out."""
+    return cumulative_trapezoid(zeta, dt, out, carry)
 
 
 def integrate_y(zeta: PathEnsemble) -> PathEnsemble:
@@ -243,7 +258,12 @@ def integrate_y(zeta: PathEnsemble) -> PathEnsemble:
 
 
 def _response_from_log(
-    log_a: np.ndarray, phi: np.ndarray, dt: float, ratios: np.ndarray, q: np.ndarray
+    log_a: np.ndarray,
+    phi: np.ndarray,
+    dt: float,
+    ratios: np.ndarray,
+    q: np.ndarray,
+    start: "np.ndarray | float",
 ) -> np.ndarray:
     """Driven response via the stable per-step recursion, written over log_a.
 
@@ -253,7 +273,8 @@ def _response_from_log(
     ratios and q, each one row shorter than log_a, receive the ratios
     exp(dlogA) and the increments, with the ufuncs and operand order of
     exp(diff(log_a)) and 0.5 * dt * (phi[:-1] * ratios + phi[1:]).  B then
-    overwrites log_a, which the recursion no longer reads, and is returned.
+    overwrites log_a, which the recursion no longer reads, from B_0 =
+    start, and is returned.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         np.subtract(log_a[1:], log_a[:-1], out=ratios)
@@ -262,11 +283,19 @@ def _response_from_log(
         np.add(q, phi[1:], out=q)
         np.multiply(0.5 * dt, q, out=q)
         b = log_a
-        b[0] = 0.0
+        b[0] = start
         for prev, cur, ratio, inc in zip(b, b[1:], ratios, q):
             np.multiply(prev, ratio, out=cur)
             np.add(cur, inc, out=cur)
     return b
+
+
+def _roles(model: LinearModel) -> tuple[tuple[NoiseSpec, int, frozenset], ...]:
+    """Each noise role of model: its spec, its stream role and the labels that read it."""
+    return (
+        (model.multiplicative, ROLE_MULTIPLICATIVE, frozenset({"zeta", "Y", "A", "B", "X", "H"})),
+        (model.additive, ROLE_ADDITIVE, frozenset({"phi", "B", "X", "H"})),
+    )
 
 
 def linear_block_arrays(
@@ -283,7 +312,7 @@ def linear_block_arrays(
     """Compute requested process arrays for a block of path indices.
 
     This is the kernel every ensemble estimator is built on.  It works
-    time-major, (n_nodes, n_paths), from the noise to the last quadrature.
+    time-major, (nodes, n_paths), from the noise to the last quadrature.
     strides names the arrays to keep, each with its own output stride (X
     at every node when None), so one solve can keep X at a coarse stride
     and its noise at every node.  Each array's every stride-th node is
@@ -298,108 +327,111 @@ def linear_block_arrays(
     the budget with the saturation of B for B, of B and X for X and of H
     for H.  'flagged' is the union of the requested labels' masks.
 
-    Every fine-grid array lies in this thread's block workspace
-    (blocks.workspace): five slots of BLOCK_CELLS cells, 12.4 MB that stay
-    resident on each thread that ran a block and are reused by the next
-    block, so no block allocates or faults in its working arrays.  zeta
-    and its draws take slots 0 and 1; Y is integrated into slot 1 and
-    turned into log A there; phi, drawn once zeta is spent, takes slot 0
-    (its draws slot 2); A takes slot 2, the propagator ratios and the
-    trapezoid increments slots 3 and 4, and B overwrites log A.  X and
-    phi A go to slots 3 and 4, and H to slot 3.
-
     normals, the [multiplicative, additive] keyed normals of the paths
-    already drawn for at least n_nodes nodes (noise.draw_normals, None for
-    a kind that draws nothing), are read instead of drawing and left as
-    they are, for the other kernels of a block loop (_solve_rows): they lie
-    in slots 1 and 2, so the kernel keeps to slots 0, 3 and 4.  zeta and
-    then phi take slot 0, Y and log A slot 3, A overwrites log A, phi A
-    takes slot 4 and H slot 3.  B and X need two slots more, so such a
-    kernel refuses them.
+    drawn whole for at least n_nodes nodes (None for a role it does not
+    read), are read and left as they are (_solve_rows); without them
+    noise.sample_chunks draws each tile's itself.  The kernel walks the
+    block in time tiles of max(2, TILE_CELLS // n_paths) nodes from
+    sample_chunks, each tile's first node the last of the tile before.
+    Across a tile's edge it carries the noise filters' state, Y, B and H
+    unsanitized and log A's running maximum; it saturates only the
+    tile's own nodes, ORs their masks and writes each label's stride-th
+    nodes.  The tiles lie in the TILES tile slots of this thread's block
+    workspace (blocks.workspace): zeta, phi, a superposition's scratch,
+    Y (then log A, then B), A, the ratios (then X), the increments (then
+    phi A) and H, and each saturation mask in the last slot.  A tile
+    larger than a slot is new memory.
 
     Each array is written with out= by the ufuncs, in the order, of the
-    allocating formulas in the comments, so its bytes do not depend on
-    where it lives.  An array larger than a slot (a single path on a grid
-    of more than BLOCK_CELLS nodes) is new memory.  The returned arrays
-    never alias the slots.
+    allocating formulas in the comments over the whole arrays, so its
+    bytes depend neither on where it lives nor on where tiles end.  The
+    returned arrays never alias the slots.
     """
     strides = {"X": 1} if strides is None else strides
     need = frozenset(strides)
     unknown = need.difference(PROCESS_LABELS)
     if unknown:
         raise ValueError(f"unknown process requests: {sorted(unknown)}")
-    if normals is not None and need & {"B", "X"}:
-        raise ValueError("a kernel on shared normals cannot keep B or X")
-    want_y = bool(need & {"Y", "A", "B", "X", "H"})
-    want_phi = bool(need & {"phi", "B", "X", "H"})
 
     n = len(indices)
-    shape, step_shape = (grid.n_nodes, n), (grid.n_steps, n)
     if into is None:
         into = {label: np.empty((n, grid.n_steps // strides[label] + 1)) for label in need}
     slots = workspace()
-    if normals is None:
-        mult_normals = add_normals = None
-        zeta_work, phi_work, y_slot, a_slot = slots[:2], (slots[0], slots[2]), slots[1], slots[2]
-    else:
-        mult_normals, add_normals = (None if z is None else z[:, : grid.n_nodes] for z in normals)
-        zeta_work = phi_work = (slots[0], None)
-        y_slot = a_slot = slots[3]
-    none = np.zeros(n, dtype=bool)
-    own = {"zeta": none, "phi": none}
+    shape = (min(grid.n_nodes, max(2, TILE_CELLS // max(n, 1))), n)
+    zeta_t, phi_t, scratch, y_t, a_t, ratio_t, inc_t, h_t = (
+        slot_array(slot, shape) for slot in slots[1 : TILES + 1]
+    )
+    chunks = [
+        noise_mod.sample_chunks(
+            spec, grid, master_seed, indices, role, work=(tile, scratch),
+            normals=None if z is None else z[:, : grid.n_nodes],
+        ) if need & labels else None
+        for (spec, role, labels), tile, z in zip(_roles(model), (zeta_t, phi_t), normals or (None, None))
+    ]
+    drift = -model.a * grid.times
+    carry = np.empty((3, n))  # Y, B and H at the tile's first node
+    log_max = np.full(n, -np.inf)
+    repairs = {label: np.zeros(n, dtype=bool) for label in ("B", "X", "H")}
+    k0 = 0
 
-    def save(label: str, arr: np.ndarray) -> None:
+    def save(label: str, tile: np.ndarray, lo: int) -> None:
+        """Write label's stride-th nodes among the tile's rows lo on, row r node k0 + r."""
         if label in need:
-            into[label][...] = arr[:: strides[label]].T
+            s = strides[label]
+            j = -(-(k0 + lo) // s)
+            rows = tile[j * s - k0 :: s]
+            into[label][:, j : j + len(rows)] = rows.T
 
-    def repaired(arr: np.ndarray) -> np.ndarray:  # slot 4 is free at each call
-        return _sanitize(arr, slot_array(slots[4], shape, bool))
+    def repair(label: str, arr: np.ndarray) -> None:
+        repairs[label] |= _sanitize(arr, slot_array(slots[-1], arr.shape, bool))
 
-    if want_y or "zeta" in need:
-        zeta = noise_mod.sample_block(
-            model.multiplicative, grid, master_seed, indices, ROLE_MULTIPLICATIVE,
-            work=zeta_work, normals=mult_normals,
-        )
-        save("zeta", zeta)
-    if want_y:
-        log_a = integrate_y_values(zeta, grid.dt, out=slot_array(y_slot, shape))
-        save("Y", log_a)
-        # log_a = -a * t - y
-        np.subtract(-model.a * grid.times[:, None], log_a, out=log_a)
-        own["Y"] = own["A"] = log_a.max(axis=0) > LOG_BUDGET
-    if want_phi:
-        phi = noise_mod.sample_block(
-            model.additive, grid, master_seed, indices, ROLE_ADDITIVE,
-            work=phi_work, normals=add_normals,
-        )
-        save("phi", phi)
-    if need & {"A", "X", "H"}:
-        # a_vals = exp(minimum(log_a, _EXP_CAP))
-        a_vals = np.minimum(log_a, _EXP_CAP, out=slot_array(a_slot, shape))
-        np.exp(a_vals, out=a_vals)
-        save("A", a_vals)
-    if need & {"B", "X"}:
-        b = _response_from_log(
-            log_a, phi, grid.dt, slot_array(slots[3], step_shape), slot_array(slots[4], step_shape)
-        )
-        own["B"] = own["Y"] | repaired(b)
-        save("B", b)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if "X" in need:
-            # x = x0 * a_vals + b
-            x = np.multiply(model.x0, a_vals, out=slot_array(slots[3], shape))
-            np.add(x, b, out=x)
-            own["X"] = own["B"] | repaired(x)
-            save("X", x)
-        if "H" in need:
-            # h = cumulative_trapezoid(phi * a_vals)
-            h = cumulative_trapezoid(
-                np.multiply(phi, a_vals, out=slot_array(slots[4], shape)),
-                grid.dt,
-                slot_array(slots[3], shape),
-            )
-            own["H"] = own["Y"] | repaired(h)
-            save("H", h)
+    while k0 < grid.n_steps:
+        zeta, phi = (None if gen is None else next(gen) for gen in chunks)
+        c = len(zeta if phi is None else phi) - 1
+        lo, carried = (0, (None, 0.0, None)) if k0 == 0 else (1, carry)
+        if zeta is not None:
+            save("zeta", zeta, lo)
+        if need & {"Y", "A", "B", "X", "H"}:
+            log_a = integrate_y_values(zeta, grid.dt, y_t[: c + 1], carried[0])
+            save("Y", log_a, lo)
+            carry[0] = log_a[c]
+            # log_a = -a * t - y
+            np.subtract(drift[k0 : k0 + c + 1, None], log_a, out=log_a)
+            np.maximum(log_max, log_a.max(axis=0), out=log_max)
+        if phi is not None:
+            save("phi", phi, lo)
+        if need & {"A", "X", "H"}:
+            # a_vals = exp(minimum(log_a, _EXP_CAP))
+            a_vals = np.minimum(log_a, _EXP_CAP, out=a_t[: c + 1])
+            np.exp(a_vals, out=a_vals)
+            save("A", a_vals, lo)
+        if need & {"B", "X"}:
+            b = _response_from_log(log_a, phi, grid.dt, ratio_t[:c], inc_t[:c], carried[1])
+            carry[1] = b[c]
+            repair("B", b[lo:])
+            save("B", b, lo)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if "X" in need:
+                # x = x0 * a_vals + b
+                x = ratio_t[: c + 1]
+                np.multiply(model.x0, a_vals[lo:], out=x[lo:])
+                np.add(x[lo:], b[lo:], out=x[lo:])
+                repair("X", x[lo:])
+                save("X", x, lo)
+            if "H" in need:
+                # h = cumulative_trapezoid(phi * a_vals)
+                phi_a = np.multiply(phi, a_vals, out=inc_t[: c + 1])
+                h = cumulative_trapezoid(phi_a, grid.dt, h_t[: c + 1], carried[2])
+                carry[2] = h[c]
+                repair("H", h[lo:])
+                save("H", h, lo)
+        k0 += c
+
+    budget = log_max > LOG_BUDGET
+    none = np.zeros(n, dtype=bool)
+    own = {"zeta": none, "phi": none, "Y": budget, "A": budget, "H": budget | repairs["H"]}
+    own["B"] = budget | repairs["B"]
+    own["X"] = own["B"] | repairs["X"]
     flagged = np.zeros(n, dtype=bool)
     for label in need:
         flagged |= own[label]
@@ -433,7 +465,7 @@ def solve_linear(
     group: the ensembles' (n_paths, n_saved) arrays and masks are
     allocated once, each block writes its saved rows and flags into them,
     and the solve holds the ensembles and one block's work.  block_size
-    bounds a block's rows on top of the loop's BLOCK_CELLS cap.  Row i
+    bounds a block's rows on top of the loop's cap (_solve_rows).  Row i
     is the same bytes in any partition and with any number of workers.
     """
     unknown = [label for label in need if label not in PROCESS_LABELS]
@@ -486,7 +518,11 @@ def _kernels(rows: list[Rows]) -> list[list[int]]:
 
 
 def _one_loop(rows: list[Rows]) -> bool:
-    """Whether _solve_rows takes rows into one loop: one kernel, or none keeping B or X."""
+    """Whether Plan forms rows into one loop: one kernel, or none keeping B or X.
+
+    _solve_rows takes any rows of a seed, but the run grid's X joining the transition
+    curves' loop would hold both loops' group buffers at once (4.9 MB more at the peak).
+    """
     return len(_kernels(rows)) == 1 or not any(r.label in ("B", "X") for r in rows)
 
 
@@ -503,13 +539,12 @@ def _solve_rows(
 
     Rows on one grid with no label in common share a kernel (_kernels),
     which computes the union of their labels for the rows any of them
-    reads.  With more than one kernel, each block draws its rows' keyed
-    normals once, through noise.draw_normals into workspace slots 1 and 2,
-    for the most nodes any kernel needing its first row solves; every
+    reads.  Each block draws its rows' keyed normals once, whole, through
+    noise.draw_normals into the normals region of the block workspace,
+    the multiplicative role first: each role for the rows and the most
+    nodes of the Rows reading it that need the block's first row.  Every
     kernel reads its prefix of them, which is what it would draw itself,
-    and keeps to the other slots, so such a loop must keep no B or X
-    (_one_loop, by which Plan forms its loops).  A single kernel draws
-    its own normals (linear_block_arrays).
+    and walks it in time tiles (linear_block_arrays).
 
     Yields, for the consecutive groups of `group` rows in path order (one
     group of all rows when group is None), one (values, flagged) per
@@ -519,22 +554,27 @@ def _solve_rows(
     others are written into buffers sized for one group, which the next
     group overwrites, so a caller that reduces each group before asking
     for the next holds one group's rows, never the ensemble's.  A block
-    holds at most BLOCK_CELLS // n_nodes rows of the longest grid (at
-    least one, and at most block_size), so its fine-grid arrays fit the
-    block workspace.  Every kernel a block runs works path by path and
-    writes only its own rows, so row i is the same bytes in any
+    holds at most NORMALS_CELLS // (n_nodes K + n_nodes' K') rows, for
+    the K components and the most nodes n_nodes of the Rows reading each
+    role (at least one row, and at most block_size), so its normals fit
+    the block workspace.  Every kernel a block runs works path by path
+    and writes only its own rows, so row i is the same bytes in any
     partition, grouping or company and with any number of workers.
     """
     if any(r.n < 1 for r in rows):
         raise ValueError("n_paths must be positive")
     kernels = _kernels(rows)
-    shared = len(kernels) > 1
     n_max = max(r.n for r in rows)
     size = n_max if group is None else min(group, n_max)
     # per Rows: its rows and mask, whole when held, else one group's
     buffers = [held.get(r) or r.empty(min(size, r.n)) for r in rows]
-    cap = min(block_size, max(1, BLOCK_CELLS // max(r.grid.n_nodes for r in rows)))
-    roles = ((model.multiplicative, ROLE_MULTIPLICATIVE), (model.additive, ROLE_ADDITIVE))
+    readers = [[r for r in rows if r.label in labels] for _, _, labels in _roles(model)]
+    cells = sum(
+        len(spec.components) * max(r.grid.n_nodes for r in mine)
+        for (spec, _, _), mine in zip(_roles(model), readers)
+        if mine
+    )
+    cap = min(block_size, max(1, NORMALS_CELLS // max(cells, 1)))
 
     for lo in range(0, n_max, size):
         n = min(size, n_max - lo)
@@ -545,14 +585,15 @@ def _solve_rows(
 
         def block(idx: np.ndarray) -> None:
             a, b = lo + int(idx[0]), lo + int(idx[-1]) + 1
-            normals: "list[np.ndarray | None]" = [None, None]
-            if shared:  # slots 1 and 2 hold them for every kernel of the block
-                nodes = max(r.grid.n_nodes for r in rows if r.n > a)
-                slots = workspace()[1:3]
-                normals = [
-                    noise_mod.draw_normals(spec, seed, idx + lo, role, nodes, slot)
-                    for (spec, role), slot in zip(roles, slots)
-                ]
+            region, normals = workspace()[0], []
+            for (spec, role, _), mine in zip(_roles(model), readers):
+                mine, z = [r for r in mine if r.n > a], None
+                if mine:  # the rows and the most nodes that the Rows reading the role need
+                    k = min(b, max(r.n for r in mine)) - a
+                    nodes = max(r.grid.n_nodes for r in mine)
+                    z = noise_mod.draw_normals(spec, seed, idx[:k] + lo, role, nodes, region)
+                    region = region if z is None else region[z.size :]
+                normals.append(z)
             for kernel in kernels:
                 # each piece of the block has one set of Rows reading its rows
                 ends = {rows[i].n for i in kernel}
@@ -561,13 +602,12 @@ def _solve_rows(
                     live = [i for i in kernel if rows[i].n > p]
                     if not live:
                         break
-                    piece = [z if z is None else z[p - a : q - a] for z in normals]
                     linear_block_arrays(
                         model, rows[live[0]].grid, seed, np.arange(p, q),
                         strides={rows[i].label: rows[i].stride for i in live},
                         into={rows[i].label: parts[i][0][p - lo : q - lo] for i in live},
                         flags={rows[i].label: parts[i][1][p - lo : q - lo] for i in live},
-                        normals=piece if shared else None,
+                        normals=[z if z is None else z[p - a : q - a] for z in normals],
                     )
 
         run_blocks(n, block, workers=workers, block_size=cap)

@@ -57,6 +57,10 @@ class NoSignChangeError(RmplabError, ValueError):
     code = "NO_SIGN_CHANGE"
 
 
+class NonfiniteEstimateError(RmplabError, ValueError):
+    code = "NONFINITE"  # an estimate or its error bar overflowed float64
+
+
 class WindowTooShortError(RmplabError, ValueError):
     code = "WINDOW_TOO_SHORT"
 

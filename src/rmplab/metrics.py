@@ -26,6 +26,7 @@ from .errors import (
     DNonpositiveError,
     EmptyInputError,
     LengthMismatchError,
+    NonfiniteEstimateError,
     NonpositiveValueError,
     WindowTooShortError,
 )
@@ -159,13 +160,17 @@ def fractional_moment(
     The moment is returned in linear units, so it underflows or overflows
     wherever the raw moment itself lies outside float64: for x = [1e-200]
     and p = 2 the true value 1e-400 comes back as 0.  Use quasi_norm for
-    a scale-safe summary.
+    a scale-safe summary.  A moment or error bar that overflowed raises
+    NonfiniteEstimateError.
     """
     if p <= 0.0:
         raise ValueError("order p must be positive")
     x, _ = _usable_samples(samples, None)
-    w = np.abs(x + z) ** p
-    m, se_m, unstable = _moment_stats(w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.abs(x + z) ** p
+        m, se_m, unstable = _moment_stats(w)
+    if not (np.isfinite(m) and np.isfinite(se_m)):
+        raise NonfiniteEstimateError(f"order-{p} moment {m} or its error {se_m} overflowed")
     return QuasiNormEstimate(p, sigma_p(p), m, x.size, se_m, 0, unstable, raw_moment=True)
 
 
@@ -534,8 +539,8 @@ def _power_sums(
 
     The nodes are reduced in column slices of about BLOCK_CELLS // 4
     cells, each held in four arrays (|x + z| of the rows, w = |x + z|^p,
-    w^2 and one product of them), so the temporaries take one block
-    workspace slot, 2.5 MB, whatever the rows and nodes.  w^2 and the
+    w^2 and one product of them), so the temporaries take BLOCK_CELLS
+    cells, 2.5 MB, whatever the rows and nodes.  w^2 and the
     products are written with out= by the ufuncs of w * w, w^2 * w and
     w^2 * w^2.  A sum over axis 0 adds the slice row after row whatever
     its width, so the slices give the bytes of one whole sum, except for
@@ -684,7 +689,7 @@ def ensemble_moment_curves(
     depend on the ensemble alone, never on the block layout or the worker
     count that solved it.  Beyond the held ensemble (n_paths x n_saved x
     8 bytes) the reduction needs the temporaries of one column slice of
-    one group, one workspace slot (_power_sums).  Flagged paths are
+    one group, BLOCK_CELLS cells (_power_sums).  Flagged paths are
     excluded from every node.
     """
     sums = CurveSums(

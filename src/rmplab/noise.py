@@ -211,9 +211,6 @@ def sample_block(
     master_seed: int,
     path_indices: np.ndarray,
     role: int,
-    *,
-    work: "tuple[np.ndarray, np.ndarray | None] | None" = None,
-    normals: "np.ndarray | None" = None,
 ) -> np.ndarray:
     """Sample paths for a block of path indices, time-major.
 
@@ -221,16 +218,11 @@ def sample_block(
     and one column per path, the layout every path kernel works in; path
     i of the block is column i.  It is sample_chunks joined, so every kind
     is drawn node by node in one loop: a draw that fits in one chunk of
-    BLOCK_CELLS values, as every solve_linear block does, is that chunk,
-    and a larger one is copied chunk by chunk into one full-size array.
-    work and normals are passed on to sample_chunks, so a draw in one
-    chunk lies in work's first slot; the full-size array of a larger draw
-    is new memory.
+    BLOCK_CELLS values is that chunk, and a larger one is copied chunk by
+    chunk into one full-size array.
     """
     n = len(path_indices)
-    chunks = sample_chunks(
-        spec, grid, master_seed, path_indices, role, work=work, normals=normals
-    )
+    chunks = sample_chunks(spec, grid, master_seed, path_indices, role)
     first = next(chunks)
     if len(first) == grid.n_nodes:
         return first
@@ -249,18 +241,18 @@ def sample_chunks(
     path_indices: np.ndarray,
     role: int,
     *,
-    work: "tuple[np.ndarray, np.ndarray | None] | None" = None,
+    work: "tuple[np.ndarray, np.ndarray] | None" = None,
     normals: "np.ndarray | None" = None,
 ) -> Iterator[np.ndarray]:
     """Sample paths for a block of path indices in time chunks.
 
-    A chunk holds at most BLOCK_CELLS values, its overlap row included,
-    so it spans steps = max(1, BLOCK_CELLS // n - 1) steps (all of them
-    if fewer).  Chunk j is time-major with shape (c + 1, n): the nodes
-    j * steps to j * steps + c, with c = min(steps, n_steps - j * steps),
-    so its row 0 repeats the last row of the chunk before.  A chunk is
-    the caller's to overwrite, and is reused once the next one is asked
-    for.
+    Without work a chunk holds at most BLOCK_CELLS values, its overlap
+    row included, so it spans steps = max(1, BLOCK_CELLS // n - 1) steps
+    (all of them if fewer); with work it spans len(work[0]) - 1 steps.
+    Chunk j is time-major with shape (c + 1, n): the nodes j * steps to
+    j * steps + c, with c = min(steps, n_steps - j * steps), so its row 0
+    repeats the last row of the chunk before.  A chunk is the caller's
+    to overwrite, and is reused once the next one is asked for.
 
     Every kind built on K >= 1 OU components runs one loop.  Row k's
     normals come from the keyed stream of (master_seed, path_indices[k],
@@ -283,31 +275,31 @@ def sample_chunks(
     the same operations as in one chunk.  The zero and constant kinds are
     filled per chunk.
 
-    work, two slots of the calling thread's block workspace
-    (blocks.workspace: 12.4 MB on each thread that ran a linear block,
-    resident for the thread's life), is what the linear kernel passes:
-    the chunk buffer then lies in the first slot, and block_normals draws
-    the path-major normals into the second, so block after block reuses
-    memory that is already resident.  Both slots are the generator's
-    until it is exhausted or dropped.  Without work the buffers are new
-    memory, as are a superposition's scratch chunk and its draws, which
-    are K chunks large, in any case.
+    work, two C-contiguous (steps + 1, n) arrays, is what the linear
+    kernel passes: its time tiles in the block workspace
+    (blocks.workspace).  The chunk buffer is work[0] and a
+    superposition's scratch chunk work[1], so block after block reuses
+    memory that is already resident; both are the generator's until it
+    is exhausted or dropped.  Without work both are new memory.
 
     normals, when given, are the rows' keyed normals already drawn
     (draw_normals) for at least n_nodes nodes: each chunk reads its
     nodes' slice of them instead of drawing, and leaves them as they
     are.  A keyed stream is sequential, so a row's first values are the
     same numbers whatever length it was drawn for, and the chunks are
-    those of a draw of their own.
+    those of a draw of their own.  Without normals each chunk's draws
+    are new memory, K values per path and node.
     """
     idx = np.asarray(path_indices)
     n = len(idx)
-    steps = min(grid.n_steps, max(1, BLOCK_CELLS // max(n, 1) - 1))
+    if work is None:
+        steps = min(grid.n_steps, max(1, BLOCK_CELLS // max(n, 1) - 1))
+    else:
+        steps = len(work[0]) - 1
     bounds = [(k0, min(steps, grid.n_steps - k0)) for k0 in range(0, grid.n_steps, steps)]
-    chunk_slot, draw_slot = work or (None, None)
     if spec.kind in (ZERO, CONSTANT):
         for _, c in bounds:
-            rows = slot_array(chunk_slot, (c + 1, n))
+            rows = work[0][: c + 1] if work else np.empty((c + 1, n))
             rows.fill(0.0 if spec.kind == ZERO else spec.level)
             yield rows
         return
@@ -317,8 +309,8 @@ def sample_chunks(
         (sigma, sigma * np.sqrt(-np.expm1(-2.0 * grid.dt / tau)), np.exp(-grid.dt / tau))
         for sigma, tau in spec.components
     ]
-    buf, carry = slot_array(chunk_slot, (steps + 1, n)), np.empty((n_comp, n))
-    scratch = np.empty((steps + 1, n)) if n_comp > 1 else None
+    buf, carry = (work[0] if work else np.empty((steps + 1, n))), np.empty((n_comp, n))
+    scratch = work[1] if work else (np.empty((steps + 1, n)) if n_comp > 1 else None)
     streams: "list[np.random.Generator] | None" = None if len(bounds) == 1 else []
 
     def draw(k0: int, c: int) -> np.ndarray:
@@ -326,10 +318,7 @@ def sample_chunks(
         if normals is not None:
             return normals[:, k0 + 1 if k0 else 0 : k0 + c + 1]
         length = c + 1 if k0 == 0 else c
-        if draw_slot is None:
-            return block_normals(master_seed, idx, role, (length, n_comp), streams)
-        out = slot_array(draw_slot, (n, length, n_comp))
-        return block_normals(master_seed, idx, role, (length, n_comp), streams, out=out)
+        return block_normals(master_seed, idx, role, (length, n_comp), streams)
 
     for k0, c in bounds:
         rows = buf[: c + 1]
@@ -363,9 +352,10 @@ def draw_normals(
     """The keyed normals sample_chunks reads for these rows, drawn for n_nodes nodes.
 
     Path-major, (n, n_nodes, K) for the spec's K components, drawn by
-    block_normals into slot's memory (blocks.slot_array); None for the
-    zero and constant kinds, which draw nothing.  Any prefix of the nodes
-    is what sample_chunks would draw itself on a grid of that many nodes.
+    block_normals into slot's memory (blocks.slot_array), such as the
+    block workspace's normals region; None for the zero and constant
+    kinds, which draw nothing.  Any prefix of the nodes is what
+    sample_chunks would draw itself on a grid of that many nodes.
     """
     if spec.kind in (ZERO, CONSTANT):
         return None

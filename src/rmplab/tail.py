@@ -19,6 +19,7 @@ from .engine import LinearModel, Plan, Rows, sample_y_marginal
 from .errors import (
     EmptyInputError,
     InsufficientTailError,
+    NonfiniteEstimateError,
     NoSignChangeError,
     SameSeedError,
     WindowTooLongError,
@@ -324,14 +325,20 @@ class BatchSums:
     ) -> tuple[float, float, float]:
         """statistic of the mean term row, and _batch_ci of it over the batches' mean rows.
 
-        Refuses sums fed for another window, or with other than n_rows paths.
+        Refuses sums fed for another window, or with other than n_rows
+        paths, and raises NonfiniteEstimateError when the terms overflowed
+        into an estimate or interval that is not finite.
         """
         if self.window != window:
             raise ValueError(f"sums fed for window {self.window}, asked for {window}")
         if self.fed != self.n_rows:
             raise ValueError(f"{self.fed} paths fed, {self.n_rows} announced")
-        batches = [statistic(s / n) for s, n in zip(self.batches, np.diff(self.edges))]
-        return (statistic(self.total / self.fed), *_batch_ci(np.array(batches)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            batches = [statistic(s / n) for s, n in zip(self.batches, np.diff(self.edges))]
+            values = (statistic(self.total / self.fed), *_batch_ci(np.array(batches)))
+        if not np.isfinite(values).all():
+            raise NonfiniteEstimateError(f"estimate and interval {values} are not all finite")
+        return values
 
 
 def green_kubo_sums(grid: TimeGrid, window: float, n_rows: int) -> BatchSums:

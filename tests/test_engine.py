@@ -15,8 +15,8 @@ from scipy.integrate import cumulative_trapezoid as scipy_cumulative_trapezoid
 from scipy.integrate import dblquad
 
 from rmplab import blocks, engine, noise
+from rmplab.blocks import NORMALS_CELLS
 from rmplab.engine import (
-    BLOCK_CELLS,
     LOG_BUDGET,
     PROCESS_LABELS,
     LinearModel,
@@ -182,19 +182,20 @@ def test_unknown_need_fails_before_any_block(monkeypatch):
 
 
 def test_block_layout_does_not_change_the_bytes(monkeypatch):
-    # 30,001 nodes cap a block at 10 rows, so 24 paths take 3 blocks by
-    # default, 4 at block_size 7 and 24 at block_size 1.
+    # 30,001 nodes of both roles' normals cap a block at 23 rows, so 27
+    # paths take 2 blocks by default, 4 at block_size 7 and 27 at
+    # block_size 1, each walked in tiles of its own length.
     model = LinearModel(a=1.0, multiplicative=OU_HALF, additive=ADD)
     grid = TimeGrid(dt=0.001, n_steps=30_000)
-    cap = BLOCK_CELLS // grid.n_nodes
-    assert cap == 10
+    cap = NORMALS_CELLS // (2 * grid.n_nodes)
+    assert cap == 23
     rows = _spy_blocks(monkeypatch)
-    default = solve_linear(model, grid, 21, 24, PROCESS_LABELS, save_every=10)
-    assert rows == [10, 10, 4]
+    default = solve_linear(model, grid, 21, 27, PROCESS_LABELS, save_every=10)
+    assert rows == [23, 4]
     for block_size in (1, 7):
         rows.clear()
         other = solve_linear(
-            model, grid, 21, 24, PROCESS_LABELS, save_every=10, block_size=block_size
+            model, grid, 21, 27, PROCESS_LABELS, save_every=10, block_size=block_size
         )
         assert max(rows) == block_size
         for label in PROCESS_LABELS:
@@ -229,22 +230,34 @@ def _address(arr: np.ndarray) -> int:
 
 
 def test_every_block_reuses_the_threads_workspace(monkeypatch):
-    # 600 paths on 1,383 nodes are three blocks of at most 223 rows
+    # 600 paths on 1,383 nodes are two blocks, of 510 and 90 rows
     model = LinearModel(a=1.0, multiplicative=OU_HALF, additive=ADD)
     grid = TimeGrid(dt=0.01, n_steps=1382)
-    drawn = []
-    real = noise.sample_block
+    drawn, tiles = [], set()
+    draw, chunks = noise.draw_normals, noise.sample_chunks
 
-    def recording(*args, **kwargs):
-        out = real(*args, **kwargs)
-        drawn.append(_address(out))
+    def recording_draw(*args, **kwargs):
+        out = draw(*args, **kwargs)
+        drawn.append((_address(out), out.size))
         return out
 
-    monkeypatch.setattr(noise, "sample_block", recording)
+    def recording_chunks(*args, **kwargs):
+        for chunk in chunks(*args, **kwargs):
+            tiles.add(_address(chunk))
+            yield chunk
+
+    monkeypatch.setattr(noise, "draw_normals", recording_draw)
+    monkeypatch.setattr(noise, "sample_chunks", recording_chunks)
     sol = solve_linear(model, grid, 3, 600, ("X", "H"))
     slots = blocks.workspace()
-    # zeta, then phi once zeta is spent, in slot 0 of every block
-    assert drawn == [_address(slots[0])] * 6
+    # each block's normals lie in slot 0, zeta's then phi's, and its
+    # noise tiles in slots 1 and 2
+    assert drawn == [
+        (_address(slots[0]) + 8 * offset, size)
+        for n in (510, 90)
+        for offset, size in ((0, n * grid.n_nodes), (n * grid.n_nodes, n * grid.n_nodes))
+    ]
+    assert tiles == {_address(slots[1]), _address(slots[2])}
     for label in ("X", "H"):
         assert not any(np.shares_memory(sol[label].values, slot) for slot in slots)
 
