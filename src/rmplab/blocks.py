@@ -5,12 +5,12 @@ independent task whose output depends only on (master_seed, indices in
 the block), and block outputs are combined with a pairwise tree in block
 order.  Worker count therefore changes scheduling, never results.
 
-Each thread that runs a linear block keeps one workspace of SLOTS
-reusable float64 arrays, WORKSPACE_CELLS cells in all (workspace): one
-region for the block's keyed normals, drawn whole, and TILES small
-arrays plus a mask for the time tiles the kernel walks the block in.
-Block after block writes into memory that is already resident instead
-of allocating, freeing and faulting in fresh pages.
+Each thread that runs a linear block keeps one workspace, a float64
+region of NORMALS_CELLS cells (workspace), for the block's keyed
+normals, drawn whole.  Block after block writes its normals into memory
+that is already resident instead of allocating, freeing and faulting in
+fresh pages; the small time tiles the kernel walks the block in are
+made by each kernel call.
 """
 from __future__ import annotations
 
@@ -24,21 +24,18 @@ DEFAULT_BLOCK_SIZE = 2048
 
 # The 2,048-path blocks of a 151-node grid.  noise.sample_chunks draws
 # noise in time chunks of at most this many values (paths x nodes, the
-# overlap row included) when it is given no buffer, and the power sums of
-# metrics reduce column slices of about a quarter of this many.
+# overlap row included) when it is given no chunk length, and the power
+# sums of metrics reduce column slices of about a quarter of this many.
 BLOCK_CELLS = 2048 * 151
 
 # A linear block's time tile of n paths spans max(2, TILE_CELLS // n)
-# nodes, so each of the TILES tile arrays it holds at once (128 KB) stays
-# in a core's L2 cache (engine.linear_block_arrays).
+# nodes, so each tile array it holds at once (128 KB) stays in a core's
+# L2 cache (engine.linear_block_arrays).
 TILE_CELLS = 2**14
-TILES = 8
-# A thread's block workspace, 12.4 MB: SLOTS arrays, the block's keyed
-# normals of both roles, which cap a block's paths (engine._solve_rows),
-# the TILES tiles and one tile's bool mask.
-WORKSPACE_CELLS = 5 * BLOCK_CELLS
-NORMALS_CELLS = WORKSPACE_CELLS - TILES * TILE_CELLS - TILE_CELLS // 8
-SLOTS = TILES + 2
+# A thread's block workspace, 11.3 MB: the block's keyed normals of both
+# roles, whose size caps a block's paths (engine._solve_rows), to 2,347
+# on 301 nodes of two OU roles and to 510 on 1,385.
+NORMALS_CELLS = 1_413_120
 
 _local = threading.local()
 
@@ -93,35 +90,29 @@ def run_blocks(
         return list(pool.map(block_fn, blocks))
 
 
-def workspace() -> tuple[np.ndarray, ...]:
-    """This thread's SLOTS work arrays: the normals region, TILES tiles and the mask.
+def workspace() -> np.ndarray:
+    """This thread's normals region: NORMALS_CELLS float64 cells.
 
-    Slot 0 holds NORMALS_CELLS float64 cells, slots 1 to TILES hold
-    TILE_CELLS each and the last TILE_CELLS // 8, room for one tile's
-    bools.  They are built on the thread's first call (12.4 MB, resident
-    from their first use on) and live as long as the thread: a pool
-    thread's are freed when it exits, the main thread's stay for the
-    process.  Each thread has its own, so blocks on concurrent threads
-    never share one.  A caller owns the slots only while it runs:
-    whatever it leaves in them is overwritten by the thread's next block.
+    It is built on the thread's first call (11.3 MB, resident from its
+    first use on) and lives as long as the thread: a pool thread's is
+    freed when it exits, the main thread's stays for the process.  Each
+    thread has its own, so blocks on concurrent threads never share one.
+    A caller owns the region only while it runs: whatever it leaves there
+    is overwritten by the thread's next block.
     """
-    slots = getattr(_local, "slots", None)
-    if slots is None:
-        sizes = (NORMALS_CELLS,) + (TILE_CELLS,) * TILES + (TILE_CELLS // 8,)
-        slots = _local.slots = tuple(np.empty(size) for size in sizes)
-    return slots
+    region = getattr(_local, "region", None)
+    if region is None:
+        region = _local.region = np.empty(NORMALS_CELLS)
+    return region
 
 
-def slot_array(
-    slot: "np.ndarray | None", shape: tuple[int, ...], dtype: type = np.float64
-) -> np.ndarray:
-    """An uninitialised C-contiguous array of shape and dtype on slot's memory.
+def slot_array(slot: "np.ndarray | None", shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised C-contiguous float64 array of shape on slot's memory.
 
     A request larger than the slot, or with slot None, gets fresh memory
-    instead, so the slots never grow.
+    instead, so the slot never grows.
     """
-    dtype = np.dtype(dtype)
     size = math.prod(shape)
-    if slot is None or size * dtype.itemsize > slot.nbytes:
-        return np.empty(shape, dtype)
-    return slot.view(dtype)[:size].reshape(shape)
+    if slot is None or size > slot.size:
+        return np.empty(shape)
+    return slot[:size].reshape(shape)

@@ -23,8 +23,7 @@ from typing import Callable, Iterator, Protocol
 import numpy as np
 
 from . import noise as noise_mod
-from .blocks import DEFAULT_BLOCK_SIZE, NORMALS_CELLS, TILE_CELLS, TILES
-from .blocks import run_blocks, slot_array, workspace
+from .blocks import DEFAULT_BLOCK_SIZE, NORMALS_CELLS, TILE_CELLS, run_blocks, workspace
 from .errors import TruncationWarningError
 from .grid import TimeGrid
 from .noise import NoiseSpec, diffusion_constant, require_multiplicative, y_variance_half
@@ -336,16 +335,13 @@ def linear_block_arrays(
     Across a tile's edge it carries the noise filters' state, Y, B and H
     unsanitized and log A's running maximum; it saturates only the
     tile's own nodes, ORs their masks and writes each label's stride-th
-    nodes.  The tiles lie in the TILES tile slots of this thread's block
-    workspace (blocks.workspace): zeta, phi, a superposition's scratch,
-    Y (then log A, then B), A, the ratios (then X), the increments (then
-    phi A) and H, and each saturation mask in the last slot.  A tile
-    larger than a slot is new memory.
+    nodes.  The call makes its five quadrature tiles once, Y (then log A,
+    then B), A, the ratios (then X), the increments (then phi A) and H,
+    and one tile's saturation mask; sample_chunks makes the noise tiles.
 
     Each array is written with out= by the ufuncs, in the order, of the
     allocating formulas in the comments over the whole arrays, so its
-    bytes depend neither on where it lives nor on where tiles end.  The
-    returned arrays never alias the slots.
+    bytes depend neither on where it lives nor on where tiles end.
     """
     strides = {"X": 1} if strides is None else strides
     need = frozenset(strides)
@@ -356,17 +352,15 @@ def linear_block_arrays(
     n = len(indices)
     if into is None:
         into = {label: np.empty((n, grid.n_steps // strides[label] + 1)) for label in need}
-    slots = workspace()
     shape = (min(grid.n_nodes, max(2, TILE_CELLS // max(n, 1))), n)
-    zeta_t, phi_t, scratch, y_t, a_t, ratio_t, inc_t, h_t = (
-        slot_array(slot, shape) for slot in slots[1 : TILES + 1]
-    )
+    y_t, a_t, ratio_t, inc_t, h_t = np.empty((5,) + shape)
+    finite = np.empty(shape, bool)
     chunks = [
         noise_mod.sample_chunks(
-            spec, grid, master_seed, indices, role, work=(tile, scratch),
+            spec, grid, master_seed, indices, role, steps=shape[0] - 1,
             normals=None if z is None else z[:, : grid.n_nodes],
         ) if need & labels else None
-        for (spec, role, labels), tile, z in zip(_roles(model), (zeta_t, phi_t), normals or (None, None))
+        for (spec, role, labels), z in zip(_roles(model), normals or (None, None))
     ]
     drift = -model.a * grid.times
     carry = np.empty((3, n))  # Y, B and H at the tile's first node
@@ -383,7 +377,7 @@ def linear_block_arrays(
             into[label][:, j : j + len(rows)] = rows.T
 
     def repair(label: str, arr: np.ndarray) -> None:
-        repairs[label] |= _sanitize(arr, slot_array(slots[-1], arr.shape, bool))
+        repairs[label] |= _sanitize(arr, finite[: len(arr)])
 
     while k0 < grid.n_steps:
         zeta, phi = (None if gen is None else next(gen) for gen in chunks)
@@ -498,10 +492,9 @@ class Rows:
 
 
 class Sink(Protocol):
-    """What a planned Rows feeds (Plan): add takes each group of its group(workers) paths."""
+    """What a planned Rows feeds (Plan): add takes each group of its paths in path order."""
 
     def add(self, values: np.ndarray, flagged: np.ndarray) -> None: ...
-    def group(self, workers: int) -> int: ...
 
 
 def _kernels(rows: list[Rows]) -> list[list[int]]:
@@ -540,11 +533,12 @@ def _solve_rows(
     Rows on one grid with no label in common share a kernel (_kernels),
     which computes the union of their labels for the rows any of them
     reads.  Each block draws its rows' keyed normals once, whole, through
-    noise.draw_normals into the normals region of the block workspace,
-    the multiplicative role first: each role for the rows and the most
-    nodes of the Rows reading it that need the block's first row.  Every
-    kernel reads its prefix of them, which is what it would draw itself,
-    and walks it in time tiles (linear_block_arrays).
+    noise.draw_normals into its thread's block workspace
+    (blocks.workspace), the multiplicative role first: each role
+    for the rows and the most nodes of the Rows reading it that need the
+    block's first row.  Every kernel reads its prefix of them, which is
+    what it would draw itself, and walks it in time tiles
+    (linear_block_arrays).
 
     Yields, for the consecutive groups of `group` rows in path order (one
     group of all rows when group is None), one (values, flagged) per
@@ -557,8 +551,8 @@ def _solve_rows(
     holds at most NORMALS_CELLS // (n_nodes K + n_nodes' K') rows, for
     the K components and the most nodes n_nodes of the Rows reading each
     role (at least one row, and at most block_size), so its normals fit
-    the block workspace.  Every kernel a block runs works path by path
-    and writes only its own rows, so row i is the same bytes in any
+    the region.  Every kernel a block runs works path by path and writes
+    only its own rows, so row i is the same bytes in any
     partition, grouping or company and with any number of workers.
     """
     if any(r.n < 1 for r in rows):
@@ -585,7 +579,7 @@ def _solve_rows(
 
         def block(idx: np.ndarray) -> None:
             a, b = lo + int(idx[0]), lo + int(idx[-1]) + 1
-            region, normals = workspace()[0], []
+            region, normals = workspace(), []
             for (spec, role, _), mine in zip(_roles(model), readers):
                 mine, z = [r for r in mine if r.n > a], None
                 if mine:  # the rows and the most nodes that the Rows reading the role need
@@ -623,8 +617,9 @@ class Plan:
     time in path order (fed).  In plan order, each Rows joins the first
     loop of its seed that _solve_rows takes it into (_one_loop), or starts
     one, and the first read of any of a loop's Rows solves the whole loop
-    in one call of _solve_rows.  A loop feeding sinks is solved in the
-    smallest group any of them needs, any other in one group.  Each Rows
+    in one call of _solve_rows.  A loop feeding sinks is solved in groups
+    of DEFAULT_BLOCK_SIZE paths per worker, so each group starts on a
+    2,048-path boundary, and any other in one group.  Each Rows
     gets its own label's mask, so its bytes are those of a solve of it
     alone, in any company.  A read Rows is held from its loop's solve to
     its last planned read, and a read of a Rows the plan does not name
@@ -669,7 +664,7 @@ class Plan:
         self.loops.remove(loop)
         held = {r: r.empty(r.n) for r in loop if self.reads[r]}
         sinks = [self.sinks.get(r) for r in loop]
-        group = min((s.group(self.workers) for s in sinks if s is not None), default=None)
+        group = DEFAULT_BLOCK_SIZE * self.workers if any(s is not None for s in sinks) else None
         for parts in _solve_rows(
             self.model, want.seed, loop, held, self.workers, self.block_size, group
         ):

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .blocks import BLOCK_CELLS, DEFAULT_BLOCK_SIZE, block_ranges, pairwise_sum
+from .blocks import BLOCK_CELLS, block_ranges, pairwise_sum
 from .blocks import run_blocks  # noqa: F401  (rmpbench traces it here)
 from .engine import LinearModel, PathEnsemble, Plan, Rows
 from .engine import linear_block_arrays  # noqa: F401  (rmpbench traces it here)
@@ -568,16 +568,17 @@ def _power_sums(
 
 
 class CurveSums:
-    """Power sums of moment curves of n_paths paths, fed a group of paths at a time.
+    """Power sums of moment curves of n_paths paths, fed a run of paths at a time.
 
     The orders, at least one and all positive, are checked when the sums
-    are made.  add takes one group's rows and mask and reduces the
-    unflagged rows to power sums at once (_power_sums), so only one group
-    is held; curves adds the groups' sums by a pairwise tree in the
-    order they were fed, and counts the flagged paths as excluded.  The
-    groups must be the fixed 2,048-path groups of blocks.block_ranges
-    (group), so the tree's bytes do not depend on who fed them.  It
-    refuses sums that kept no path.
+    are made.  add takes a run's rows and mask, the run starting on a
+    2,048-path boundary, cuts it into the fixed 2,048-path blocks of
+    blocks.block_ranges and reduces each block's unflagged rows to power
+    sums at once (_power_sums), so only the caller's run is held; curves
+    adds the blocks' sums by a pairwise tree in path order, and counts
+    the flagged paths as excluded.  The blocks are fixed, so the tree's
+    bytes do not depend on the runs they were fed in.  It refuses sums
+    that kept no path.
     """
 
     def __init__(
@@ -596,18 +597,16 @@ class CurveSums:
             raise ValueError("orders must be positive")
         self.source, self.p_values, self.times, self.z = source, p_values, times, z
         self.n_paths, self.master_seed = n_paths, master_seed
-        self.parts: list[np.ndarray] = []  # each fed group's power sums
+        self.parts: list[np.ndarray] = []  # each fed block's power sums
         self.n = 0  # the unflagged paths fed
 
     def add(self, values: np.ndarray, flagged: np.ndarray) -> None:
-        """Feed the next group's rows in path order; the flagged ones are left out."""
-        rows = np.flatnonzero(~flagged)
-        self.parts.append(_power_sums(values, rows, self.p_values, self.z))
-        self.n += len(rows)
-
-    def group(self, workers: int) -> int:
-        """The paths each add takes: DEFAULT_BLOCK_SIZE, whatever the workers."""
-        return DEFAULT_BLOCK_SIZE
+        """Feed the next run's rows in path order; the flagged ones are left out."""
+        for idx in block_ranges(len(values)):
+            block = slice(idx[0], idx[-1] + 1)
+            rows = np.flatnonzero(~flagged[block])
+            self.parts.append(_power_sums(values[block], rows, self.p_values, self.z))
+            self.n += len(rows)
 
     def curves(self) -> MomentCurves:
         """The curves of the paths fed, whose count must be n_paths less the excluded."""
@@ -661,15 +660,17 @@ def linear_moment_curves(
 ) -> MomentCurves:
     """Quasi-norm curves of a linear-model process, reduced as it is solved.
 
-    The solve, a Plan feeding CurveSums, fills the fixed 2,048-path
-    groups of blocks.block_ranges one at a time into one reused buffer,
-    and each group is reduced before the next is solved, so the bytes
-    are those of ensemble_moment_curves on the whole ensemble and do not
-    depend on the solver's block layout or on workers.  A curve holds
-    one group of source, 2,048 x n_saved x 8 bytes (4.9 MB on 301 saved
-    nodes), whatever n_paths, plus the working arrays of one solver block
-    and the power sums' temporaries (_power_sums), at most BLOCK_CELLS
-    cells each.  Flagged paths are excluded from every node.
+    The solve, a Plan feeding CurveSums, fills groups of 2,048 paths per
+    worker one at a time into one reused buffer, and each group is
+    reduced, in the fixed 2,048-path blocks of blocks.block_ranges,
+    before the next is solved, so the bytes are those of
+    ensemble_moment_curves on the whole ensemble and do not depend on the
+    solver's block layout or on workers.  A curve holds one group of
+    source, 2,048 x workers x n_saved x 8 bytes (4.9 MB per worker on
+    301 saved nodes), whatever n_paths, plus the working arrays of the
+    solver's running blocks and the power sums' temporaries
+    (_power_sums), at most BLOCK_CELLS cells.  Flagged paths are excluded
+    from every node.
     """
     sums = CurveSums(source, p_values, grid.subsampled(save_every).times, n_paths, master_seed, 0.0)
     rows = Rows(master_seed, grid, n_paths, source, save_every)
@@ -684,18 +685,16 @@ def ensemble_moment_curves(
 ) -> MomentCurves:
     """Quasi-norm curves of an ensemble held in memory.
 
-    Power sums are taken over the fixed 2,048-path groups of
+    Power sums are taken over the fixed 2,048-path blocks of
     blocks.block_ranges in path order (CurveSums), so the bytes
     depend on the ensemble alone, never on the block layout or the worker
     count that solved it.  Beyond the held ensemble (n_paths x n_saved x
     8 bytes) the reduction needs the temporaries of one column slice of
-    one group, BLOCK_CELLS cells (_power_sums).  Flagged paths are
+    one block, BLOCK_CELLS cells (_power_sums).  Flagged paths are
     excluded from every node.
     """
     sums = CurveSums(
         ensemble.label, p_values, ensemble.grid.times, ensemble.n_paths, ensemble.master_seed, z
     )
-    for idx in block_ranges(ensemble.n_paths):
-        group = slice(idx[0], idx[-1] + 1)
-        sums.add(ensemble.values[group], ensemble.flagged[group])
+    sums.add(ensemble.values, ensemble.flagged)
     return sums.curves()

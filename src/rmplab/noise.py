@@ -241,18 +241,19 @@ def sample_chunks(
     path_indices: np.ndarray,
     role: int,
     *,
-    work: "tuple[np.ndarray, np.ndarray] | None" = None,
+    steps: "int | None" = None,
     normals: "np.ndarray | None" = None,
 ) -> Iterator[np.ndarray]:
-    """Sample paths for a block of path indices in time chunks.
+    """Sample paths for a block of path indices in time chunks of steps steps.
 
-    Without work a chunk holds at most BLOCK_CELLS values, its overlap
-    row included, so it spans steps = max(1, BLOCK_CELLS // n - 1) steps
-    (all of them if fewer); with work it spans len(work[0]) - 1 steps.
-    Chunk j is time-major with shape (c + 1, n): the nodes j * steps to
-    j * steps + c, with c = min(steps, n_steps - j * steps), so its row 0
-    repeats the last row of the chunk before.  A chunk is the caller's
-    to overwrite, and is reused once the next one is asked for.
+    steps defaults to max(1, BLOCK_CELLS // n - 1), so a chunk holds at
+    most BLOCK_CELLS values, its overlap row included; a chunk never spans
+    more than the grid's n_steps.  Chunk j is time-major with shape
+    (c + 1, n): the nodes j * steps to j * steps + c, with
+    c = min(steps, n_steps - j * steps), so its row 0 repeats the last
+    row of the chunk before.  Every chunk lies in one buffer the generator
+    makes once, with a superposition's one scratch chunk: a chunk is the
+    caller's to overwrite, and is reused once the next one is asked for.
 
     Every kind built on K >= 1 OU components runs one loop.  Row k's
     normals come from the keyed stream of (master_seed, path_indices[k],
@@ -275,13 +276,6 @@ def sample_chunks(
     the same operations as in one chunk.  The zero and constant kinds are
     filled per chunk.
 
-    work, two C-contiguous (steps + 1, n) arrays, is what the linear
-    kernel passes: its time tiles in the block workspace
-    (blocks.workspace).  The chunk buffer is work[0] and a
-    superposition's scratch chunk work[1], so block after block reuses
-    memory that is already resident; both are the generator's until it
-    is exhausted or dropped.  Without work both are new memory.
-
     normals, when given, are the rows' keyed normals already drawn
     (draw_normals) for at least n_nodes nodes: each chunk reads its
     nodes' slice of them instead of drawing, and leaves them as they
@@ -292,14 +286,12 @@ def sample_chunks(
     """
     idx = np.asarray(path_indices)
     n = len(idx)
-    if work is None:
-        steps = min(grid.n_steps, max(1, BLOCK_CELLS // max(n, 1) - 1))
-    else:
-        steps = len(work[0]) - 1
+    steps = min(grid.n_steps, steps or max(1, BLOCK_CELLS // max(n, 1) - 1))
     bounds = [(k0, min(steps, grid.n_steps - k0)) for k0 in range(0, grid.n_steps, steps)]
+    buf = np.empty((steps + 1, n))
     if spec.kind in (ZERO, CONSTANT):
         for _, c in bounds:
-            rows = work[0][: c + 1] if work else np.empty((c + 1, n))
+            rows = buf[: c + 1]
             rows.fill(0.0 if spec.kind == ZERO else spec.level)
             yield rows
         return
@@ -309,8 +301,8 @@ def sample_chunks(
         (sigma, sigma * np.sqrt(-np.expm1(-2.0 * grid.dt / tau)), np.exp(-grid.dt / tau))
         for sigma, tau in spec.components
     ]
-    buf, carry = (work[0] if work else np.empty((steps + 1, n))), np.empty((n_comp, n))
-    scratch = work[1] if work else (np.empty((steps + 1, n)) if n_comp > 1 else None)
+    carry = np.empty((n_comp, n))
+    scratch = np.empty((steps + 1, n)) if n_comp > 1 else None
     streams: "list[np.random.Generator] | None" = None if len(bounds) == 1 else []
 
     def draw(k0: int, c: int) -> np.ndarray:

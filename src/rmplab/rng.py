@@ -137,8 +137,8 @@ def block_normals(
     piece (streams None) does not pay.
 
     out, if given, receives the draws and is returned: a C-contiguous
-    float64 array of the output shape, such as a block workspace slot
-    (blocks.slot_array).  Without it the draws go to a new array.
+    float64 array of the output shape, such as a view of the block
+    workspace (blocks.slot_array).  Without it the draws go to a new array.
     """
     idx = np.asarray(path_indices)
     if idx.size and idx.dtype.kind not in "iu":

@@ -119,22 +119,20 @@ class RunState:
         return self.out / name
 
     def ensemble(self, want: Rows) -> PathEnsemble:
-        """One stage's read of want, rows of the run's grid, as a path ensemble."""
-        cfg = self.cfg
-        if isinstance(cfg.model, NonlinearModel):  # config admits only X here
+        """One stage's read of want as a path ensemble."""
+        if isinstance(self.cfg.model, NonlinearModel):  # config admits only X here
             return self.nonlinear(want).x
         values, flagged = self.plan.rows(want)
         return PathEnsemble(
-            cfg.grid.subsampled(want.stride), want.label, values, flagged, cfg.master_seed
+            want.grid.subsampled(want.stride), want.label, values, flagged, want.seed
         )
 
     def nonlinear(self, want: Rows) -> NonlinearSolution:
-        """The nonlinear solve of X at want's stride, made once per run."""
-        cfg = self.cfg
+        """The nonlinear solve of want, X's rows at its stride, made once per run."""
         if want not in self.held:
             self.held[want] = solve_nonlinear(
-                cfg.model, cfg.grid, cfg.master_seed, cfg.n_paths,
-                save_every=want.stride, workers=cfg.workers,
+                self.cfg.model, want.grid, want.seed, want.n,
+                save_every=want.stride, workers=self.cfg.workers,
             )
         return self.held[want]
 

@@ -14,7 +14,6 @@ from typing import Callable
 
 import numpy as np
 
-from .blocks import DEFAULT_BLOCK_SIZE
 from .engine import LinearModel, Plan, Rows, sample_y_marginal
 from .errors import (
     EmptyInputError,
@@ -315,10 +314,6 @@ class BatchSums:
                 part = terms[max(start, lo) - lo : min(stop, hi) - lo]
                 self.batches[b] = _carried_sum(self.batches[b], part)
         self.fed = hi
-
-    def group(self, workers: int) -> int:
-        """The paths each add takes: DEFAULT_BLOCK_SIZE per worker, as any grouping sums alike."""
-        return DEFAULT_BLOCK_SIZE * workers
 
     def estimate(
         self, window: object, statistic: Callable[[np.ndarray], float]

@@ -15,8 +15,9 @@ def traced_peak() -> Iterator[Peak]:
     """Trace the allocations made inside the block; .bytes is their peak.
 
     Memory allocated before the block is not counted, so a warm thread's
-    block workspace is not, and whatever the block still holds on exit
-    counts at its full size.
+    block workspace, its normals region (blocks.workspace), is not; the
+    time tiles a linear block makes are, and so is whatever the block
+    still holds on exit, at its full size.
     """
     peak = Peak()
     tracemalloc.start()

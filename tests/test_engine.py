@@ -214,9 +214,10 @@ def test_stationary_sample_memory_is_one_block():
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
 def test_a_warm_stationary_sample_faults_in_no_block_arrays():
-    # Hill's sample of the benchmark pipeline: 18 blocks of 223 paths x
-    # 1,385 nodes.  Allocating each block's arrays afresh faulted in about
-    # 86,000 zeroed pages per call; a warm thread's workspace is resident.
+    # Hill's sample of the benchmark pipeline: 8 blocks of at most 510
+    # paths x 1,385 nodes.  Allocating each block's arrays afresh faulted
+    # in about 86,000 zeroed pages per call; a warm thread's workspace is
+    # resident.
     resource = pytest.importorskip("resource")
     model = LinearModel(a=1.0, multiplicative=OU_HALF, additive=NoiseSpec.ou(0.5, 1.0), x0=50.0)
     stationary_sample(model, 13.8, 4000, 4)
@@ -233,46 +234,38 @@ def test_every_block_reuses_the_threads_workspace(monkeypatch):
     # 600 paths on 1,383 nodes are two blocks, of 510 and 90 rows
     model = LinearModel(a=1.0, multiplicative=OU_HALF, additive=ADD)
     grid = TimeGrid(dt=0.01, n_steps=1382)
-    drawn, tiles = [], set()
-    draw, chunks = noise.draw_normals, noise.sample_chunks
+    drawn = []
+    draw = noise.draw_normals
 
     def recording_draw(*args, **kwargs):
         out = draw(*args, **kwargs)
         drawn.append((_address(out), out.size))
         return out
 
-    def recording_chunks(*args, **kwargs):
-        for chunk in chunks(*args, **kwargs):
-            tiles.add(_address(chunk))
-            yield chunk
-
     monkeypatch.setattr(noise, "draw_normals", recording_draw)
-    monkeypatch.setattr(noise, "sample_chunks", recording_chunks)
     sol = solve_linear(model, grid, 3, 600, ("X", "H"))
-    slots = blocks.workspace()
-    # each block's normals lie in slot 0, zeta's then phi's, and its
-    # noise tiles in slots 1 and 2
+    region = blocks.workspace()
+    # each block's normals lie at the start of the region, zeta's then phi's
     assert drawn == [
-        (_address(slots[0]) + 8 * offset, size)
+        (_address(region) + 8 * offset, size)
         for n in (510, 90)
         for offset, size in ((0, n * grid.n_nodes), (n * grid.n_nodes, n * grid.n_nodes))
     ]
-    assert tiles == {_address(slots[1]), _address(slots[2])}
     for label in ("X", "H"):
-        assert not any(np.shares_memory(sol[label].values, slot) for slot in slots)
+        assert not np.shares_memory(sol[label].values, region)
 
 
 def test_blocks_larger_than_a_slot_get_fresh_memory(monkeypatch):
     model = LinearModel(a=1.0, multiplicative=OU_HALF, additive=ADD)
     grid = TimeGrid(dt=0.01, n_steps=300)
     want = solve_linear(model, grid, 9, 50, PROCESS_LABELS)
-    small = tuple(np.full(100, np.nan) for _ in range(blocks.SLOTS))
+    small = np.full(100, np.nan)
     monkeypatch.setattr(engine, "workspace", lambda: small)
     got = solve_linear(model, grid, 9, 50, PROCESS_LABELS)
     for label in PROCESS_LABELS:
         assert got[label].values.tobytes() == want[label].values.tobytes(), label
     assert got["X"].flagged.tobytes() == want["X"].flagged.tobytes()
-    assert all(np.isnan(slot).all() for slot in small)  # nothing was written there
+    assert np.isnan(small).all()  # nothing was written there
 
 
 def test_pool_threads_keep_their_own_workspaces():
@@ -293,7 +286,7 @@ def test_pool_threads_keep_their_own_workspaces():
 
 
 def test_a_solve_holds_its_ensemble_and_one_block():
-    # 3,000 paths on 301 nodes: three blocks of at most 1,027 rows and a
+    # 3,000 paths on 301 nodes: blocks of 2,048 and 952 rows and a
     # 7.2 MB ensemble, which joining the blocks' own outputs held twice
     model = LinearModel(a=1.0, multiplicative=OU_HALF, additive=ADD)
     grid = TimeGrid(dt=0.005, n_steps=300)

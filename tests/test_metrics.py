@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rmplab import metrics
+from rmplab import engine, metrics
 from rmplab.blocks import BLOCK_CELLS
 from rmplab.engine import LinearModel, PathEnsemble, solve_linear
 from rmplab.errors import (
@@ -497,6 +497,41 @@ def test_column_slices_keep_the_curve_bytes(monkeypatch, cells):
         sums = metrics._power_sums(ens.values, rows, (0.5, 2.0), z)
         assert sums.tobytes() == _whole_power_sums(ens.values[rows], (0.5, 2.0), z).tobytes()
     assert _curve_digest(ensemble_moment_curves(ens, [0.5, 2.0], z=z)) == SHIFTED_DIGEST
+
+
+def test_curve_sums_cut_any_run_into_the_fixed_blocks():
+    # Each run fed starts on a 2,048-path boundary and is cut into the
+    # blocks of block_ranges, so one run, 2,048-path runs and 4,096-path
+    # runs give the bytes of ensemble_moment_curves.
+    x = solve_linear(GROUPED_MODEL, GROUPED_GRID, 11, 4500, save_every=4)["X"]
+    flagged = x.flagged.copy()
+    flagged[::7] = True
+    digests = set()
+    for run in (4500, 2048, 4096):
+        sums = metrics.CurveSums("X", [0.5, 2.0], x.grid.times, 4500, 11, 0.25 + 0.5j)
+        for lo in range(0, 4500, run):
+            sums.add(x.values[lo : lo + run], flagged[lo : lo + run])
+        digests.add(_curve_digest(sums.curves()))
+    assert digests == {SHIFTED_DIGEST}
+
+
+def test_a_curves_group_runs_two_blocks_at_two_workers(monkeypatch):
+    # On 301 nodes a block holds 2,048 paths, as does a group per worker:
+    # at workers 2 each 4,096-path group is two blocks, which run side by
+    # side, and the curves keep the bytes of workers 1.
+    grid = TimeGrid(dt=0.005, n_steps=300)
+    serial = linear_moment_curves(GROUPED_MODEL, grid, 11, 4500, [0.5, 2.0])
+    seen = []  # (rows, rows of the group buffer the block writes into)
+    real = engine.linear_block_arrays
+
+    def spy(model, grid, master_seed, indices, **kwargs):
+        seen.append((len(indices), len(kwargs["into"]["X"].base)))
+        return real(model, grid, master_seed, indices, **kwargs)
+
+    monkeypatch.setattr(engine, "linear_block_arrays", spy)
+    threaded = linear_moment_curves(GROUPED_MODEL, grid, 11, 4500, [0.5, 2.0], workers=2)
+    assert seen == [(2048, 4096), (2048, 4096), (404, 4096)]
+    assert _curve_digest(threaded) == _curve_digest(serial)
 
 
 def test_power_sums_hold_under_one_workspace_slot():

@@ -27,6 +27,7 @@ from rmplab import blocks, engine, noise, runner
 from rmplab.config import config_from_dict
 from rmplab.engine import (
     Plan,
+    Rows,
     integrate_y,
     solve_linear,
     stationary_horizon,
@@ -34,6 +35,7 @@ from rmplab.engine import (
     stationary_sample,
 )
 from rmplab.errors import EmptyInputError
+from rmplab.grid import TimeGrid
 from rmplab.metrics import ensemble_moment_curves, linear_moment_curves
 from rmplab.noise import diffusion_constant
 from rmplab.rng import ROLE_ADDITIVE, ROLE_MULTIPLICATIVE
@@ -323,8 +325,8 @@ def test_a_full_c10_run_solves_eleven_block_loops(tmp_path, monkeypatch):
     # joins the first loop of its seed that _solve_rows takes it into: the
     # run's grid, the transition curves with replicate 0's B, the
     # stationary rows of master_seed + 1, and one loop per later replicate
-    # sample.  A loop feeding curves runs in their 2,048-path groups, one
-    # feeding the noise fits in 2,048 paths per worker, any other in one.
+    # sample.  A loop feeding sinks, the curves or the noise fits, runs in
+    # groups of 2,048 paths per worker, any other in one.
     cfg = config_from_dict(_pipeline_raw(1, str(tmp_path)))
     calls = _count_calls(monkeypatch)
     runner.run(cfg)
@@ -456,6 +458,19 @@ def test_a_second_stride_gets_its_own_solve(tmp_path, monkeypatch):
     calls = _count_calls(monkeypatch)
     _digests(raw, ("simulate", "moments"), tmp_path)
     assert calls == [1, 4]
+
+
+def test_a_nonlinear_read_solves_the_rows_it_is_keyed_by(tmp_path):
+    # The run holds each nonlinear solve under its Rows, so a read of
+    # another grid, seed and count than the config's gets those.
+    cfg = config_from_dict(NONLINEAR_RAW)
+    state = runner.RunState(cfg, tmp_path, Plan(cfg.model, cfg.workers, []))
+    grid = TimeGrid(dt=0.01, n_steps=100)
+    got = state.ensemble(Rows(cfg.master_seed + 1, grid, 16, "X", 5))
+    want = runner.solve_nonlinear(cfg.model, grid, cfg.master_seed + 1, 16, save_every=5).x
+    assert got.values.shape == (16, 21)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.flagged.tobytes() == want.flagged.tobytes()
 
 
 def test_the_manifest_records_the_platform_outside_the_checksums(tmp_path):
@@ -634,11 +649,12 @@ def test_every_tracer_pin_is_a_traced_binding():
 
 
 def _calls_in_package(name: str) -> list:
-    """(module, enclosing class or None) of every call of name in src/rmplab."""
+    """(module, outermost class or function around it, or None) of every call of name in src/rmplab."""
     found = []
 
     def visit(node, module, cls):
-        cls = node.name if isinstance(node, ast.ClassDef) else cls
+        if cls is None and isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            cls = node.name
         if isinstance(node, ast.Call):
             if getattr(node.func, "id", getattr(node.func, "attr", None)) == name:
                 found.append((module, cls))
@@ -662,3 +678,17 @@ def test_runner_solves_linear_rows_through_one_call():
         for alias in node.names
     }
     assert imported & {"_solve_rows", "solve_linear"} == set()
+
+
+def test_the_block_workspace_and_the_path_groups_each_have_one_home():
+    # The thread's normals region is taken by the block loop alone, and
+    # Plan alone sets a loop's path groups: no sink names its own.
+    assert _calls_in_package("workspace") == [("engine", "_solve_rows")]
+    groups = [
+        (path.stem, node.name)
+        for path in sorted((ROOT / "src" / "rmplab").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        and any(getattr(item, "name", None) == "group" for item in node.body)
+    ]
+    assert groups == []

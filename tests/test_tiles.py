@@ -116,8 +116,8 @@ def test_the_tiled_kernel_keeps_the_reference_bytes_without_avx512():
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
 def test_a_warm_superposition_solve_faults_no_more_than_one_component():
     # A superposition's K component draws lie in the block's normals and
-    # its scratch chunk in a tile of the workspace, so a warm solve faults
-    # in no fresh pages for them.
+    # its scratch chunk is one tile, made once per block, so a warm solve
+    # faults in no fresh pages for them.
     # Before, three_scale took 1,304 minor faults per warm solve, OU none.
     resource = pytest.importorskip("resource")
     grid = TimeGrid(0.02, 150)
